@@ -1,8 +1,8 @@
 // Command bench is the repository's continuous benchmark harness: it runs a
-// pinned set of query scenarios — C-dataflow and LTS workloads across the
-// paper's algorithm variants, both table representations, and sequential vs.
-// parallel solving — and emits a schema-versioned JSON report (BENCH_*.json)
-// whose deterministic solver counters are machine-comparable across commits.
+// pinned set of query scenarios — C-dataflow, LTS and real-Go workloads
+// across the paper's algorithm variants and both table representations —
+// and emits a schema-versioned JSON report (BENCH_*.json) whose
+// deterministic solver counters are machine-comparable across commits.
 //
 // Usage:
 //
@@ -69,7 +69,6 @@ type scenarioResult struct {
 	Kind     string `json:"kind"` // "exist" | "universal"
 	Algo     string `json:"algo"`
 	Table    string `json:"table"`
-	Workers  int    `json:"workers"`
 	Reps     int    `json:"reps"`
 	NsPerOp  int64  `json:"ns_per_op"`
 	SolveNS  int64  `json:"solve_ns"`
@@ -103,7 +102,6 @@ type scenario struct {
 	pat      string
 	algo     core.Algo
 	table    subst.TableKind
-	workers  int
 }
 
 // Pinned workload generators. These literals are part of the benchmark
@@ -140,32 +138,30 @@ const (
 var gofrontBuildNS int64
 
 // scenarios returns the pinned matrix: the C-dataflow workload across the
-// sequential variants and both table kinds, parallel runs at 4 workers, the
-// LTS deadlock workload, and the universal algorithms.
+// variants and both table kinds, the LTS deadlock workload, the universal
+// algorithms, and the real-Go workload. The /w1 name suffix is historical
+// (the solver is sequential); names are the -compare join key, so it stays.
 func scenarios() []scenario {
 	deadlock, err := queries.ByName("lts-deadlock")
 	if err != nil {
 		fail("%v", err)
 	}
 	return []scenario{
-		{"prog-bwd/basic/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoBasic, subst.Hash, 1},
-		{"prog-bwd/memo/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Hash, 1},
-		{"prog-bwd/memo/nested/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Nested, 1},
-		{"prog-bwd/precomp/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Hash, 1},
-		{"prog-bwd/precomp/nested/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Nested, 1},
-		{"prog-fwd/enum/hash/w1", "prog-fwd", "exist", fwdUninitPattern, core.AlgoEnum, subst.Hash, 1},
-		{"prog-bwd/basic/hash/w4", "prog-bwd", "exist", bwdUninitPattern, core.AlgoBasic, subst.Hash, 4},
-		{"prog-bwd/memo/hash/w4", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Hash, 4},
-		{"lts-deadlock/basic/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoBasic, subst.Hash, 1},
-		{"lts-deadlock/precomp/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoPrecomp, subst.Hash, 1},
-		{"lts-deadlock/memo/hash/w4", "lts", "exist", deadlock.Pattern, core.AlgoMemo, subst.Hash, 4},
-		{"univ-fwd/enum/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoEnum, subst.Hash, 1},
-		{"univ-fwd/hybrid/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoHybrid, subst.Hash, 1},
+		{"prog-bwd/basic/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoBasic, subst.Hash},
+		{"prog-bwd/memo/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Hash},
+		{"prog-bwd/memo/nested/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Nested},
+		{"prog-bwd/precomp/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Hash},
+		{"prog-bwd/precomp/nested/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Nested},
+		{"prog-fwd/enum/hash/w1", "prog-fwd", "exist", fwdUninitPattern, core.AlgoEnum, subst.Hash},
+		{"lts-deadlock/basic/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoBasic, subst.Hash},
+		{"lts-deadlock/precomp/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoPrecomp, subst.Hash},
+		{"univ-fwd/enum/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoEnum, subst.Hash},
+		{"univ-fwd/hybrid/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoHybrid, subst.Hash},
 		// Real-Go workload: the committed multi-package benchmod module
 		// lowered by gofront (interprocedural call/ret/go edges), queried
 		// with two checks from the rpqcheck catalog.
-		{"gofront-benchmod/dlock/memo/hash/w1", "gofront", "exist", dlockPattern, core.AlgoMemo, subst.Hash, 1},
-		{"gofront-benchmod/close/basic/hash/w1", "gofront", "exist", closePattern, core.AlgoBasic, subst.Hash, 1},
+		{"gofront-benchmod/dlock/memo/hash/w1", "gofront", "exist", dlockPattern, core.AlgoMemo, subst.Hash},
+		{"gofront-benchmod/close/basic/hash/w1", "gofront", "exist", closePattern, core.AlgoBasic, subst.Hash},
 	}
 }
 
@@ -234,7 +230,7 @@ func main() {
 	}
 	if *list {
 		for _, sc := range scenarios() {
-			fmt.Printf("%-28s %-9s %-9s workers=%d  %s\n", sc.name, sc.kind, sc.algo, sc.workers, sc.pat)
+			fmt.Printf("%-28s %-9s %-9s %s\n", sc.name, sc.kind, sc.algo, sc.pat)
 		}
 		return
 	}
@@ -329,7 +325,6 @@ func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 	opts := core.Options{
 		Algo:     sc.algo,
 		Table:    sc.table,
-		Workers:  sc.workers,
 		Explain:  true,
 		Deadline: repTimeout,
 	}
@@ -392,7 +387,6 @@ func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 		Kind:       sc.kind,
 		Algo:       sc.algo.String(),
 		Table:      tableName(sc.table),
-		Workers:    sc.workers,
 		Reps:       n,
 		NsPerOp:    median(ns),
 		SolveNS:    median(solve),
@@ -418,8 +412,7 @@ func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 }
 
 // counters extracts the deterministic counter set: identical on every
-// machine and — for the parallel solver — under any scheduling. Timing,
-// byte, and cache-split counters are deliberately excluded.
+// machine. Timing, byte, and cache-split counters are deliberately excluded.
 func counters(res *core.Result) map[string]int64 {
 	c := map[string]int64{
 		"worklist_inserts": int64(res.Stats.WorklistInserts),

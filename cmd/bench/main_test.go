@@ -11,12 +11,12 @@ func sampleReport() *benchReport {
 		Scenarios: []scenarioResult{
 			{
 				Name: "a/basic/hash/w1", Workload: "a", Kind: "exist", Algo: "basic",
-				Table: "hash", Workers: 1, Reps: 3, NsPerOp: 1_000_000, SolveNS: 900_000,
+				Table: "hash", Reps: 3, NsPerOp: 1_000_000, SolveNS: 900_000,
 				Counters: map[string]int64{"worklist_inserts": 100, "result_pairs": 5},
 			},
 			{
-				Name: "b/memo/hash/w4", Workload: "b", Kind: "exist", Algo: "memo",
-				Table: "hash", Workers: 4, Reps: 3, NsPerOp: 2_000_000, SolveNS: 1_800_000,
+				Name: "b/memo/hash/w1", Workload: "b", Kind: "exist", Algo: "memo",
+				Table: "hash", Reps: 3, NsPerOp: 2_000_000, SolveNS: 1_800_000,
 				Counters: map[string]int64{"worklist_inserts": 200, "result_pairs": 7},
 			},
 		},
@@ -53,7 +53,7 @@ func TestCompareDetectsInjectedSlowdown(t *testing.T) {
 	if len(p) != 1 {
 		t.Fatalf("want exactly one problem, got %v", p)
 	}
-	if !strings.Contains(p[0], "b/memo/hash/w4") || !strings.Contains(p[0], "2.00x") {
+	if !strings.Contains(p[0], "b/memo/hash/w1") || !strings.Contains(p[0], "2.00x") {
 		t.Fatalf("problem does not name the slow scenario and ratio: %q", p[0])
 	}
 	// Threshold 0 disables the timing gate entirely (the CI mode), so the

@@ -6,7 +6,7 @@
 //	experiments -table 2      Table 2: LTS deadlock detection
 //	experiments -table 3      Table 3: hashing vs. nested arrays
 //	experiments -figure 3     Figure 3: worklist and time vs. graph size
-//	experiments -ablation X   X ∈ direction|memo|domains|compact|scc|complete|workers
+//	experiments -ablation X   X ∈ direction|memo|domains|compact|scc|complete
 //	experiments -all          everything
 //
 // Absolute times differ from the paper's 2.0 GHz Pentium 4; the comparisons
@@ -37,10 +37,6 @@ var liveGauges *obs.SolverGauges
 
 // section labels bench entries with the table/figure/ablation being run.
 var section string
-
-// workerCount is the -workers flag: goroutines for every measured
-// existential query (<=1 sequential).
-var workerCount int
 
 // queryTimeout is the -timeout flag: the per-query wall-clock bound; a
 // measured query exceeding it aborts the run with its partial statistics.
@@ -100,9 +96,8 @@ func main() {
 	var (
 		table     = flag.Int("table", 0, "regenerate Table 1, 2, or 3")
 		figure    = flag.Int("figure", 0, "regenerate Figure 3")
-		ablation  = flag.String("ablation", "", "direction|memo|domains|compact|scc|complete|workers")
+		ablation  = flag.String("ablation", "", "direction|memo|domains|compact|scc|complete")
 		all       = flag.Bool("all", false, "run everything")
-		workers   = flag.Int("workers", 1, "goroutines for every measured existential query (<=1 sequential)")
 		timeout   = flag.Duration("timeout", 0, "per-query wall-clock bound; exceeding it aborts with partial stats")
 		maxCost   = flag.Float64("enumcost", 2e7, "run enumeration only when substs×edges is below this (n/d otherwise, like the paper's 180 s limit)")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, and /debug/pprof on this address during the run")
@@ -110,7 +105,6 @@ func main() {
 		explain   = flag.Bool("explain", false, "collect execution profiles; bench entries gain match_attempts and hot_state fields")
 	)
 	flag.Parse()
-	workerCount = *workers
 	explainOn = *explain
 	queryTimeout = *timeout
 
@@ -145,7 +139,7 @@ func main() {
 	if *ablation != "" || *all {
 		names := []string{*ablation}
 		if *all {
-			names = []string{"direction", "memo", "domains", "compact", "scc", "complete", "workers"}
+			names = []string{"direction", "memo", "domains", "compact", "scc", "complete"}
 		}
 		for _, n := range names {
 			runAblation(n)
@@ -183,9 +177,6 @@ func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Resu
 	opts.Gauges = liveGauges
 	opts.Explain = explainOn
 	opts.Deadline = queryTimeout
-	if opts.Workers == 0 {
-		opts.Workers = workerCount
-	}
 	q := core.MustCompile(pattern.MustParse(pat), g.U)
 	t0 := time.Now()
 	res, err := core.Exist(g, start, q, opts)
@@ -418,21 +409,6 @@ func runAblation(name string) {
 		}
 		fmt.Println("  (explicit completion is the prior-work construction; its per-label trap")
 		fmt.Println("   transitions cost extra matches and space the incomplete algorithm avoids)")
-	case "workers":
-		fmt.Println("Ablation: sharded parallel worklist solver (Workers goroutines)")
-		seq, tSeq := run(rg, rstart, bwdUninit, core.Options{Algo: core.AlgoMemo, Workers: 1})
-		fmt.Printf("  sequential:  worklist %8d  time %8.3fs\n", seq.Stats.WorklistInserts, tSeq.Seconds())
-		for _, w := range []int{2, 4, 8} {
-			par, tPar := run(rg, rstart, bwdUninit, core.Options{Algo: core.AlgoMemo, Workers: w})
-			same := "same answers"
-			if par.Stats.ResultPairs != seq.Stats.ResultPairs ||
-				par.Stats.WorklistInserts != seq.Stats.WorklistInserts {
-				same = "ANSWERS DIFFER"
-			}
-			fmt.Printf("  %d workers:   worklist %8d  time %8.3fs  speedup %5.2fx  (%s)\n",
-				w, par.Stats.WorklistInserts, tPar.Seconds(),
-				tSeq.Seconds()/tPar.Seconds(), same)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "experiments: unknown ablation %q\n", name)
 		os.Exit(2)

@@ -74,7 +74,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit answers as JSON")
 		dotOut    = flag.Bool("dot", false, "emit the graph as Graphviz DOT with answers highlighted, instead of listing answers")
 		witness   = flag.Bool("witness", false, "attach a witnessing path to each existential answer")
-		workers   = flag.Int("workers", 1, "goroutines for the existential solver (<=1 sequential)")
 		list      = flag.Bool("list", false, "list the analysis catalog and exit")
 		estimate  = flag.Bool("estimate", false, "print the Figure 2 complexity report and query advice, then run")
 		maxPrint  = flag.Int("n", 0, "print at most n answers (0 = all)")
@@ -118,7 +117,7 @@ func main() {
 		}
 	}
 
-	opts := &rpq.Options{Backward: *backward, Start: *start, Compact: *compact, Witnesses: *witness, Workers: *workers, Deadline: *timeout}
+	opts := &rpq.Options{Backward: *backward, Start: *start, Compact: *compact, Witnesses: *witness, Deadline: *timeout}
 
 	// Ctrl-C cancels the running query; it stops at the next cancellation
 	// check and reports its partial statistics.
@@ -166,8 +165,8 @@ func main() {
 				case <-t.C:
 					for _, q := range rpq.InflightQueries() {
 						fmt.Fprintf(os.Stderr,
-							"rpq: progress %s phase=%s elapsed=%.0fms pops=%d depth=%d reach=%d substs=%d enum=%d workers=%d\n",
-							q.Kind, q.Phase, q.ElapsedMS, q.Pops, q.Depth, q.Reach, q.Substs, q.EnumSubsts, q.Workers)
+							"rpq: progress %s phase=%s elapsed=%.0fms pops=%d depth=%d reach=%d substs=%d enum=%d\n",
+							q.Kind, q.Phase, q.ElapsedMS, q.Pops, q.Depth, q.Reach, q.Substs, q.EnumSubsts)
 					}
 				}
 			}

@@ -25,7 +25,7 @@
 //	-carets           show source snippets under text findings
 //	-show-suppressed  keep //rpqcheck:allow-suppressed findings (marked)
 //	-include-tests    also analyze _test.go files
-//	-workers n        parallel CFG construction / solver workers
+//	-workers n        parallel CFG construction workers
 //
 // Findings can be acknowledged in source with a comment on the same or the
 // preceding line:
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		carets        = fl.Bool("carets", false, "show source snippets under text findings")
 		showSupp      = fl.Bool("show-suppressed", false, "keep suppressed findings in the report, marked")
 		includeTests  = fl.Bool("include-tests", false, "also analyze _test.go files")
-		workers       = fl.Int("workers", 0, "parallel workers for CFG construction and solving (0 = GOMAXPROCS)")
+		workers       = fl.Int("workers", 0, "parallel workers for CFG construction (0 = GOMAXPROCS)")
 	)
 	if err := fl.Parse(args); err != nil {
 		return 2

@@ -120,7 +120,6 @@ func main() {
 		deadline      = flag.Duration("deadline", 0, "default per-query deadline (0 = 30s)")
 		maxDeadline   = flag.Duration("max-deadline", 0, "cap on per-request deadline_ms (0 = 2m)")
 		cacheSize     = flag.Int("cache-size", 0, "compiled-query cache capacity (0 = 128)")
-		workers       = flag.Int("workers", 0, "default solver workers per query (0 = sequential)")
 		noLint        = flag.Bool("no-lint", false, "disable the lint request-validation gate")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before canceling them")
 		slowLogPath   = flag.String("slowlog", "", "append slow-query NDJSON records to this file")
@@ -149,7 +148,6 @@ func main() {
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 		CacheSize:       *cacheSize,
-		Workers:         *workers,
 		DisableLint:     *noLint,
 		SLOs:            slos,
 	}

@@ -22,16 +22,14 @@ var (
 // context: each must return an *InterruptError wrapping ErrCanceled (and,
 // transitively, context.Canceled) instead of a result.
 func TestCancelPreCanceled(t *testing.T) {
-	wl := parCorpus(t)[0]
+	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	for _, algo := range existAlgos {
-		for _, workers := range []int{1, 2} {
-			res, err := ExistContext(ctx, wl.g, wl.start, q, Options{Algo: algo, Workers: workers})
-			checkInterrupt(t, res, err, ErrCanceled, context.Canceled)
-		}
+		res, err := ExistContext(ctx, wl.g, wl.start, q, Options{Algo: algo})
+		checkInterrupt(t, res, err, ErrCanceled, context.Canceled)
 	}
 	for _, algo := range univAlgos {
 		res, err := UnivContext(ctx, wl.g, wl.start, q, Options{Algo: algo})
@@ -54,7 +52,7 @@ func TestCancelPreCanceled(t *testing.T) {
 // TestDeadlineBreach runs with a 1ns Options.Deadline — expired before the
 // solver starts — and requires a typed ErrDeadline with partial statistics.
 func TestDeadlineBreach(t *testing.T) {
-	wl := parCorpus(t)[0]
+	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	res, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo, Deadline: time.Nanosecond})
 	checkInterrupt(t, res, err, ErrDeadline, context.DeadlineExceeded)
@@ -72,7 +70,7 @@ func TestDeadlineBreach(t *testing.T) {
 // TestDeadlinePartialExplain requires an interrupted explain-enabled run to
 // carry the partial profile in the InterruptError.
 func TestDeadlinePartialExplain(t *testing.T) {
-	wl := parCorpus(t)[0]
+	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	_, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo, Deadline: time.Nanosecond, Explain: true})
 	var ie *InterruptError
@@ -87,7 +85,7 @@ func TestDeadlinePartialExplain(t *testing.T) {
 // TestCancelCompletesUnderLongDeadline checks the overhead path: a generous
 // deadline must not change the result.
 func TestCancelCompletesUnderLongDeadline(t *testing.T) {
-	wl := parCorpus(t)[0]
+	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	plain, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo})
 	if err != nil {
@@ -105,7 +103,7 @@ func TestCancelCompletesUnderLongDeadline(t *testing.T) {
 // TestProgressCallback checks Options.Progress delivery: the enumeration
 // solver reports once per enumerated substitution with the enumerate phase.
 func TestProgressCallback(t *testing.T) {
-	wl := parCorpus(t)[2] // cyclic: small parameter domain, several substs
+	wl := corpus(t)[2] // cyclic: small parameter domain, several substs
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	var calls int
 	var phases []string
@@ -133,13 +131,12 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestCancelStormNoLeaks hammers every variant — sequential and parallel at
-// 2 and 4 workers, SCC ordering on and off — with randomly-timed
-// cancellations across the corpus, then requires the goroutine count to
-// settle back to the baseline: no worker, canceler-watcher, or coordinator
+// TestCancelStormNoLeaks hammers every variant — SCC ordering on and off —
+// with randomly-timed cancellations across the corpus, then requires the
+// goroutine count to settle back to the baseline: no canceler-watcher
 // goroutine may leak. Run with -race in CI.
 func TestCancelStormNoLeaks(t *testing.T) {
-	wls := parCorpus(t)
+	wls := corpus(t)
 	rng := rand.New(rand.NewSource(99))
 	baseline := settledGoroutines()
 
@@ -165,22 +162,18 @@ func TestCancelStormNoLeaks(t *testing.T) {
 	for _, wl := range wls {
 		q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 		for _, algo := range existAlgos {
-			for _, workers := range []int{1, 2, 4} {
-				for _, scc := range []bool{false, true} {
-					opts := Options{Algo: algo, Workers: workers, SCCOrder: scc}
-					storm(func(ctx context.Context) (*Result, error) {
-						return ExistContext(ctx, wl.g, wl.start, q, opts)
-					})
-				}
+			for _, scc := range []bool{false, true} {
+				opts := Options{Algo: algo, SCCOrder: scc}
+				storm(func(ctx context.Context) (*Result, error) {
+					return ExistContext(ctx, wl.g, wl.start, q, opts)
+				})
 			}
 		}
 		for _, algo := range univAlgos {
-			for _, workers := range []int{1, 4} {
-				opts := Options{Algo: algo, Workers: workers}
-				storm(func(ctx context.Context) (*Result, error) {
-					return UnivContext(ctx, wl.g, wl.start, q, opts)
-				})
-			}
+			opts := Options{Algo: algo}
+			storm(func(ctx context.Context) (*Result, error) {
+				return UnivContext(ctx, wl.g, wl.start, q, opts)
+			})
 		}
 	}
 
@@ -209,7 +202,7 @@ func checkInterrupt(t *testing.T, res *Result, err error, sentinel, ctxErr error
 }
 
 // settledGoroutines samples runtime.NumGoroutine until it stops shrinking,
-// giving canceled workers time to drain and exit.
+// giving canceled watchers time to drain and exit.
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {

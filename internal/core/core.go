@@ -117,15 +117,6 @@ type Options struct {
 	// (Section 5.3). Existential only; universal queries quantify over all
 	// paths, so compaction would change their meaning.
 	Compact bool
-	// Workers sets the number of goroutines the existential solver uses;
-	// values <= 1 select the sequential algorithms. The parallel solver
-	// returns the same sorted Pairs (and the same WorklistInserts,
-	// ReachSize, Substs, ResultPairs, and DeterminismOK) as the sequential
-	// one; PeakTriples, Bytes, and the match-call/cache counters become
-	// approximate, and witness paths may differ while remaining valid. See
-	// exist_parallel.go. Universal queries ignore it except through
-	// AlgoHybrid's inner existential pass.
-	Workers int
 	// Witnesses records, for each existential answer, one path from the
 	// start vertex witnessing it (the error trace). Costs parent pointers
 	// for the whole reach set. Worklist algorithms only; ignored by
@@ -145,8 +136,8 @@ type Options struct {
 	// Explain collects a per-query execution profile (per-state visit
 	// counts, per-transition match attempt/hit/extension counters,
 	// per-edge-label match histograms, table growth and worklist depth
-	// curves, per-worker summaries) into Result.Explain. Disabled it costs
-	// one nil check per counted event; see explain.go.
+	// curves) into Result.Explain. Disabled it costs one nil check per
+	// counted event; see explain.go.
 	Explain bool
 	// Deadline, when positive, bounds the run's wall-clock time from the
 	// solver entry point; a breach interrupts the run with an
@@ -155,9 +146,8 @@ type Options struct {
 	Deadline time.Duration
 	// Progress, when non-nil, receives throttled live snapshots of the
 	// running query (one every few hundred worklist pops, mirroring the
-	// gauge cadence). Parallel workers invoke it concurrently, so the
-	// callback must be safe for concurrent use; it should also be cheap —
-	// it runs on the solver's hot path.
+	// gauge cadence). It should be cheap — it runs on the solver's hot
+	// path.
 	Progress func(Progress)
 
 	// cxl is the cancellation watcher installed by ExistContext/UnivContext;
@@ -166,16 +156,13 @@ type Options struct {
 }
 
 // Progress is one live snapshot of a running query, delivered to
-// Options.Progress. Figures from parallel runs are sums of per-worker
-// published counters and may trail the true totals by up to one sample
-// interval per worker.
+// Options.Progress.
 type Progress struct {
 	// Phase is the phase the snapshot was taken in ("solve", "enumerate").
 	Phase string `json:"phase"`
 	// Pops counts worklist pops (triples processed) so far.
 	Pops int64 `json:"pops"`
-	// WorklistDepth is the current depth of the worklist (summed across
-	// workers for parallel runs).
+	// WorklistDepth is the current depth of the worklist.
 	WorklistDepth int64 `json:"worklist_depth"`
 	// Reach is the current reach-set size.
 	Reach int64 `json:"reach_size"`
@@ -184,8 +171,6 @@ type Progress struct {
 	// EnumSubsts is the number of full substitutions enumerated so far
 	// (enumeration/hybrid algorithms; zero elsewhere).
 	EnumSubsts int64 `json:"enum_substs"`
-	// Workers is the number of solver goroutines.
-	Workers int `json:"workers"`
 }
 
 // Stats instruments a run with the quantities reported in the paper's

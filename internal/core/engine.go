@@ -36,23 +36,13 @@ type engine struct {
 }
 
 func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats *Stats) (*engine, error) {
-	return newEngineTable(g, q, auto, opts, stats, nil)
-}
-
-// newEngineTable is newEngine with an optional pre-built substitution table
-// (the parallel solver passes a concurrency-safe sharded table; nil builds
-// the sequential representation selected by opts.Table).
-func newEngineTable(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats *Stats, table subst.Table) (*engine, error) {
 	in := newInstr(opts)
 	tDoms := in.phaseBegin("domains")
 	doms := ComputeDomains(q, g, opts.Domains)
 	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
-	if table == nil {
-		var err error
-		table, err = subst.NewTable(opts.Table, q.Pars(), g.U.NumSymbols())
-		if err != nil {
-			return nil, err
-		}
+	table, err := subst.NewTable(opts.Table, q.Pars(), g.U.NumSymbols())
+	if err != nil {
+		return nil, err
 	}
 	e := &engine{
 		g:     g,
@@ -68,54 +58,24 @@ func newEngineTable(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, 
 	if opts.Explain {
 		e.ex = newExplainCollector(auto, g.NumLabels())
 	}
-	if opts.Workers <= 1 {
-		// The growth-hook closures mutate unguarded state; they are
-		// installed only for sequential runs.
-		traceHook := e.in.growthHook()
-		var exHook func(int, int64)
-		if e.ex != nil {
-			exHook = e.ex.tableGrowth()
-		}
-		switch {
-		case traceHook != nil && exHook != nil:
-			e.table.SetOnGrow(func(n int, b int64) { traceHook(n, b); exHook(n, b) })
-		case traceHook != nil:
-			e.table.SetOnGrow(traceHook)
-		case exHook != nil:
-			e.table.SetOnGrow(exHook)
-		}
+	traceHook := e.in.growthHook()
+	var exHook func(int, int64)
+	if e.ex != nil {
+		exHook = e.ex.tableGrowth()
+	}
+	switch {
+	case traceHook != nil && exHook != nil:
+		e.table.SetOnGrow(func(n int, b int64) { traceHook(n, b); exHook(n, b) })
+	case traceHook != nil:
+		e.table.SetOnGrow(traceHook)
+	case exHook != nil:
+		e.table.SetOnGrow(exHook)
 	}
 	if opts.Algo == AlgoMemo || opts.Algo == AlgoPrecomp {
 		e.memo = make([][]*label.Match, g.NumLabels())
 		e.memoBytes = int64(g.NumLabels()) * 24
 	}
 	return e, nil
-}
-
-// fork returns a worker-private engine for the parallel solver: it shares
-// the read-only inputs (graph, query, automaton, domains) and the
-// concurrency-safe substitution table, but has its own stats, match memo,
-// and merge scratch buffer, and no instrumentation (workers publish their
-// own gauges).
-func (e *engine) fork() *engine {
-	w := &engine{
-		g:     e.g,
-		q:     e.q,
-		auto:  e.auto,
-		opts:  e.opts,
-		doms:  e.doms,
-		table: e.table,
-		stats: &Stats{},
-		buf1:  subst.New(e.q.Pars()),
-	}
-	if e.memo != nil {
-		w.memo = make([][]*label.Match, e.g.NumLabels())
-		w.memoBytes = int64(e.g.NumLabels()) * 24
-	}
-	if e.ex != nil {
-		w.ex = e.ex.fork()
-	}
-	return w
 }
 
 // sample publishes a live gauge snapshot from the worklist loops.
@@ -129,7 +89,7 @@ func (e *engine) sample(worklistDepth, reach int, reachBytes int64) {
 func (e *engine) progress(phase string, pops, depth, reach int64) {
 	if p := e.opts.Progress; p != nil {
 		p(Progress{Phase: phase, Pops: pops, WorklistDepth: depth, Reach: reach,
-			Substs: int64(e.table.Len()), Workers: 1})
+			Substs: int64(e.table.Len())})
 	}
 }
 

@@ -42,8 +42,7 @@ func Exist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 // either fires, the worklist loops stop at the next check and the run
 // returns an InterruptError wrapping ErrCanceled or ErrDeadline, carrying
 // the statistics — and, under Options.Explain, the profile — accumulated so
-// far. Parallel workers drain and join before the error returns; no
-// goroutines outlive the call.
+// far.
 func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 	if int(v0) >= g.NumVertices() || v0 < 0 {
 		return nil, fmt.Errorf("core: start vertex %d out of range", v0)
@@ -73,14 +72,9 @@ func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts 
 	t0 := in.phaseBegin("solve")
 	var res *Result
 	var err error
-	switch {
-	case opts.Algo == AlgoEnum && opts.Workers > 1:
-		res, err = existEnumParallel(g, v0, q, opts)
-	case opts.Algo == AlgoEnum:
+	if opts.Algo == AlgoEnum {
 		res, err = existEnum(g, v0, q, opts)
-	case opts.Workers > 1:
-		res, err = existParallel(g, v0, q, opts)
-	default:
+	} else {
 		res, err = existWorklist(g, v0, q, opts)
 	}
 	if err != nil {
@@ -125,7 +119,7 @@ type mtsEntry struct {
 // (3)): for every reachable ⟨v, s⟩ pair (packed v*states+s), the match
 // results of its outgoing (edge, transition) combinations, ignoring
 // substitution feasibility. Callers validate |V|·|S| against maxDenseBase
-// first (existWorklist via newTripleSet, existParallel explicitly).
+// first (existWorklist via newTripleSet).
 func buildMTS(e *engine, v0 int32) ([][]mtsEntry, int64) {
 	g, nfa := e.g, e.auto
 	states := nfa.NumStates
@@ -179,15 +173,13 @@ type parentStep struct {
 // parent pointers from each origin triple back to the seed (which has no
 // parent entry). Each step matched under a subset of the final
 // substitution, and matching is closed under extension, so the whole path
-// matches under the answer's substitution. lookup abstracts over the single
-// parent map of the sequential solver and the per-worker maps of the
-// parallel one.
-func attachWitnesses(pairs []Pair, origins []triple, lookup func(triple) (parentStep, bool)) {
+// matches under the answer's substitution.
+func attachWitnesses(pairs []Pair, origins []triple, parents map[triple]parentStep) {
 	for i := range pairs {
 		var rev []WitnessStep
 		cur := origins[i]
 		for {
-			ps, ok := lookup(cur)
+			ps, ok := parents[cur]
 			if !ok {
 				break
 			}
@@ -369,10 +361,7 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 	}
 
 	if parents != nil {
-		attachWitnesses(pairs, origins, func(t triple) (parentStep, bool) {
-			ps, ok := parents[t]
-			return ps, ok
-		})
+		attachWitnesses(pairs, origins, parents)
 	}
 
 	stats.ReachSize = seen.Len()
@@ -549,7 +538,7 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 		}
 		if p := opts.Progress; p != nil {
 			p(Progress{Phase: "enumerate", Pops: int64(stats.WorklistInserts),
-				Reach: int64(stats.WorklistInserts), EnumSubsts: int64(enumerated), Workers: 1})
+				Reach: int64(stats.WorklistInserts), EnumSubsts: int64(enumerated)})
 		}
 		resHere := map[int32]bool{}
 		if !es.run(g, v0, nfa, th, resHere, &stats, ex, opts.cxl) {

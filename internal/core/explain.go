@@ -13,10 +13,9 @@ import (
 // Explain is the per-query execution profile produced when Options.Explain
 // is set: the compiled automaton annotated with per-state visit counts and
 // per-transition match attempt/hit/extension counters, a per-edge-label
-// match histogram, substitution-table growth samples, worklist depth
-// samples, and — for parallel runs — per-worker summaries. It marshals to
-// JSON; Format renders a text report and DOT a Graphviz rendering of the
-// annotated automaton.
+// match histogram, substitution-table growth samples, and worklist depth
+// samples. It marshals to JSON; Format renders a text report and DOT a
+// Graphviz rendering of the annotated automaton.
 type Explain struct {
 	// Algo is the algorithm variant that produced the profile.
 	Algo string `json:"algo"`
@@ -35,14 +34,11 @@ type Explain struct {
 	// Totals aggregates the profile for consistency checks against Stats.
 	Totals ExplainTotals `json:"totals"`
 	// TableCurve samples the substitution table's occupancy as it grows
-	// (power-of-two sizes, sequential runs) with a final end-of-run point.
+	// (power-of-two sizes) with a final end-of-run point.
 	TableCurve []TablePoint `json:"table_curve,omitempty"`
 	// DepthSamples is the worklist depth over time (by pop count), adaptively
 	// downsampled to a bounded number of points.
 	DepthSamples []DepthSample `json:"depth_samples,omitempty"`
-	// Workers summarizes each parallel-solver worker; empty for sequential
-	// runs.
-	Workers []WorkerProfile `json:"workers,omitempty"`
 	// GroundRuns counts the per-substitution ground automaton passes of the
 	// enumeration/hybrid algorithms.
 	GroundRuns int `json:"ground_runs,omitempty"`
@@ -116,16 +112,6 @@ type DepthSample struct {
 	Depth int   `json:"depth"`
 }
 
-// WorkerProfile summarizes one parallel-solver worker.
-type WorkerProfile struct {
-	ID        int           `json:"id"`
-	Processed int64         `json:"processed"`
-	Steals    int64         `json:"steals"`
-	Batches   int64         `json:"batches"`
-	BatchMsgs int64         `json:"batched_msgs"`
-	Busy      time.Duration `json:"busy_ns"`
-}
-
 // absorb adds the counters of another profile over the same automaton into
 // e (state, transition, and label orders must match; o may lack the
 // badstate entry). The hybrid algorithm uses it to fold its inner
@@ -164,7 +150,6 @@ func (e *Explain) absorb(o *Explain) {
 	if len(e.DepthSamples) == 0 {
 		e.DepthSamples = o.DepthSamples
 	}
-	e.Workers = append(e.Workers, o.Workers...)
 }
 
 // Consistent cross-checks the profile's totals against the run's Stats and
@@ -173,7 +158,7 @@ func (e *Explain) absorb(o *Explain) {
 //   - Attempts == MatchCalls + MatchCacheHits for every variant (every
 //     counted match lookup is one attempt, memoized or not);
 //   - Visits == WorklistInserts when no ground passes ran (each inserted
-//     element is popped exactly once, sequential or parallel);
+//     element is popped exactly once);
 //   - with ground passes (universal enumeration/hybrid), GroundPops <=
 //     WorklistInserts and Visits >= GroundPops (each pop is attributed to
 //     every NFA state of its subset).
@@ -271,47 +256,6 @@ func newExplainCollector(auto *automata.NFA, numLabels int) *explainCollector {
 		curTrans:      -1,
 		depthStride:   1,
 	}
-}
-
-// fork returns a worker-private collector over the same dimensions; merge
-// folds it back.
-func (c *explainCollector) fork() *explainCollector {
-	return &explainCollector{
-		auto:          c.auto,
-		transBase:     c.transBase,
-		visits:        make([]int64, len(c.visits)),
-		attempts:      make([]int64, len(c.attempts)),
-		hits:          make([]int64, len(c.hits)),
-		extensions:    make([]int64, len(c.extensions)),
-		labelAttempts: make([]int64, len(c.labelAttempts)),
-		labelHits:     make([]int64, len(c.labelHits)),
-		curTrans:      -1,
-		depthStride:   1,
-	}
-}
-
-// merge adds a forked collector's counters into c.
-func (c *explainCollector) merge(w *explainCollector) {
-	for i, v := range w.visits {
-		c.visits[i] += v
-	}
-	for i, v := range w.attempts {
-		c.attempts[i] += v
-	}
-	for i, v := range w.hits {
-		c.hits[i] += v
-	}
-	for i, v := range w.extensions {
-		c.extensions[i] += v
-	}
-	for i, v := range w.labelAttempts {
-		c.labelAttempts[i] += v
-	}
-	for i, v := range w.labelHits {
-		c.labelHits[i] += v
-	}
-	c.groundPops += w.groundPops
-	c.groundRuns += w.groundRuns
 }
 
 // visit records one worklist pop at state s (s == NumStates is the
@@ -493,13 +437,6 @@ func (e *Explain) Format() string {
 		}
 		fmt.Fprintf(&b, "\nworklist depth: %d samples over %d pops, peak sampled depth %d\n",
 			len(e.DepthSamples), last.Pop, maxd)
-	}
-	if len(e.Workers) > 0 {
-		b.WriteString("\nworkers:\n")
-		for _, w := range e.Workers {
-			fmt.Fprintf(&b, "  w%-3d processed=%-9d steals=%-8d batches=%-6d batched_msgs=%-8d busy=%s\n",
-				w.ID, w.Processed, w.Steals, w.Batches, w.BatchMsgs, w.Busy.Round(time.Microsecond))
-		}
 	}
 	return b.String()
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os/exec"
 	"strings"
 	"testing"
@@ -11,12 +10,11 @@ import (
 	"rpq/internal/graph"
 	"rpq/internal/obs"
 	"rpq/internal/pattern"
-	"rpq/internal/subst"
 )
 
 // explainFor runs one existential query with profiling on and checks the
 // profile's internal consistency against the run's stats.
-func explainFor(t *testing.T, wl parWorkload, q *Query, opts Options) *Explain {
+func explainFor(t *testing.T, wl workload, q *Query, opts Options) *Explain {
 	t.Helper()
 	opts.Explain = true
 	res, err := Exist(wl.g, wl.start, q, opts)
@@ -72,7 +70,7 @@ func sameCounters(t *testing.T, name string, a, b *Explain) {
 // attempt the same matches with the same outcomes (attempts and hits equal —
 // memoization changes who answers, not what is asked).
 func TestExplainParityAcrossVariants(t *testing.T) {
-	for _, wl := range parCorpus(t) {
+	for _, wl := range corpus(t) {
 		t.Run(wl.name, func(t *testing.T) {
 			q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 			basic := explainFor(t, wl, q, Options{Algo: AlgoBasic})
@@ -97,37 +95,6 @@ func TestExplainParityAcrossVariants(t *testing.T) {
 				if basic.Transitions[i].Extensions != precomp.Transitions[i].Extensions {
 					t.Errorf("transition %d extensions: basic %d vs precomp %d",
 						i, basic.Transitions[i].Extensions, precomp.Transitions[i].Extensions)
-				}
-			}
-		})
-	}
-}
-
-// TestExplainSeqParEqual requires the parallel solver's merged profile to
-// match the sequential one exactly — the processed triple set, match
-// attempts, and their outcomes are scheduling-independent — and the worker
-// timelines to account for every pop.
-func TestExplainSeqParEqual(t *testing.T) {
-	for _, wl := range parCorpus(t) {
-		t.Run(wl.name, func(t *testing.T) {
-			q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
-			for _, algo := range []Algo{AlgoBasic, AlgoMemo, AlgoPrecomp, AlgoEnum} {
-				for _, tk := range []subst.TableKind{subst.Hash, subst.Nested} {
-					seq := explainFor(t, wl, q, Options{Algo: algo, Table: tk})
-					par := explainFor(t, wl, q, Options{Algo: algo, Table: tk, Workers: 4})
-					name := fmt.Sprintf("%v/%v", algo, tk)
-					sameCounters(t, name, seq, par)
-					if len(par.Workers) == 0 {
-						t.Errorf("%s: parallel profile has no worker timelines", name)
-					}
-					var processed int64
-					for _, w := range par.Workers {
-						processed += w.Processed
-					}
-					if algo != AlgoEnum && processed != par.Totals.Visits {
-						t.Errorf("%s: workers processed %d triples, profile visited %d",
-							name, processed, par.Totals.Visits)
-					}
 				}
 			}
 		})
@@ -197,7 +164,7 @@ edge m def(a) k
 // TestExplainOffLeavesResultBare guards the disabled path: no profile, no
 // collector allocations visible to the caller.
 func TestExplainOffLeavesResultBare(t *testing.T) {
-	wl := parCorpus(t)[0]
+	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	res, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo})
 	if err != nil {
@@ -212,7 +179,7 @@ func TestExplainOffLeavesResultBare(t *testing.T) {
 // the JSON encoding, and the annotated DOT (validated with graphviz when the
 // dot binary is installed).
 func TestExplainReportShapes(t *testing.T) {
-	wl := parCorpus(t)[3] // hand graph: tiny, stable
+	wl := corpus(t)[3] // hand graph: tiny, stable
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	ex := explainFor(t, wl, q, Options{Algo: AlgoMemo})
 
@@ -257,7 +224,7 @@ func TestExplainReportShapes(t *testing.T) {
 // TestExplainCurvesSequential checks that sequential profiles carry the
 // table-occupancy and worklist-depth curves.
 func TestExplainCurvesSequential(t *testing.T) {
-	wl := parCorpus(t)[0]
+	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
 	ex := explainFor(t, wl, q, Options{Algo: AlgoMemo})
 	if len(ex.DepthSamples) == 0 {
@@ -293,29 +260,5 @@ func TestChromeTraceFlushedOnError(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("no events in flushed trace")
-	}
-}
-
-// TestParallelReleasesWorkerGauges runs the parallel solver at four workers
-// and then at two on the same gauge set: the second run must leave no
-// rpq_worker_2_*/rpq_worker_3_* gauges registered.
-func TestParallelReleasesWorkerGauges(t *testing.T) {
-	wl := parCorpus(t)[0]
-	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
-	reg := obs.NewRegistry()
-	gauges := obs.NewSolverGauges(reg)
-	for _, workers := range []int{4, 2} {
-		if _, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo, Workers: workers, Gauges: gauges}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-	}
-	snap := reg.Snapshot()
-	for name := range snap {
-		if strings.HasPrefix(name, "rpq_worker_2_") || strings.HasPrefix(name, "rpq_worker_3_") {
-			t.Errorf("stale gauge %s after re-running with fewer workers", name)
-		}
-	}
-	if _, ok := snap["rpq_worker_1_queue_depth"]; !ok {
-		t.Errorf("active worker gauges missing from snapshot: %v", snap)
 	}
 }

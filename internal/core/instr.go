@@ -52,24 +52,6 @@ func (in instr) flush() {
 	}
 }
 
-// workerSpan emits a completed span on parallel worker id's timeline lane.
-func (in instr) workerSpan(id int, name string, d time.Duration) {
-	if in.on {
-		ev := obs.SpanEv(obs.KSpan, name, d)
-		ev.Worker = id + 1
-		in.t.Emit(ev)
-	}
-}
-
-// workerCounter emits a counter on parallel worker id's timeline lane.
-func (in instr) workerCounter(id int, name string, v int64) {
-	if in.on {
-		ev := obs.Ev(obs.KCounter, name, v)
-		ev.Worker = id + 1
-		in.t.Emit(ev)
-	}
-}
-
 // phaseBegin emits the begin event and returns the phase start time.
 func (in instr) phaseBegin(name string) time.Time {
 	if in.on {

@@ -124,7 +124,7 @@ func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error)
 		}
 		if p := opts.Progress; p != nil {
 			p(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
-				EnumSubsts: int64(enumerated), Workers: 1})
+				EnumSubsts: int64(enumerated)})
 		}
 		for _, v := range groundUniv(g, v0, q, th, &stats, ex, opts.cxl) {
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})
@@ -222,7 +222,7 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 		}
 		if p := opts.Progress; p != nil {
 			p(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
-				Substs: int64(cand.Len()), EnumSubsts: int64(i + 1), Workers: 1})
+				Substs: int64(cand.Len()), EnumSubsts: int64(i + 1)})
 		}
 		th := cand.Get(key)
 		for _, v := range groundUniv(g, v0, q, th, &stats, gc, opts.cxl) {

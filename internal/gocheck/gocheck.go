@@ -25,7 +25,8 @@ import (
 type Options struct {
 	// Checks selects catalog checks by name; empty means all.
 	Checks []string
-	// Workers bounds both the parallel CFG fan-out and the solver pool.
+	// Workers bounds the parallel per-function CFG construction; <= 0
+	// means GOMAXPROCS. Queries run on the sequential solver.
 	Workers int
 	// IncludeTests also analyzes _test.go files.
 	IncludeTests bool
@@ -210,7 +211,7 @@ func runChecks(checks []queries.GoCheck, intra, inter *gofront.Program, opts Opt
 				rep.Advisories = append(rep.Advisories, Advisory{Check: c.Name, Diagnostic: d})
 			}
 		}
-		res, err := rpq.WrapGraph(prog.Graph).Exist(pat, &rpq.Options{Workers: opts.Workers})
+		res, err := rpq.WrapGraph(prog.Graph).Exist(pat, &rpq.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("gocheck: %s: %w", c.Name, err)
 		}

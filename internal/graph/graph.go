@@ -12,10 +12,9 @@
 // query runs and is not safe for concurrent use. Once built, every accessor
 // — Out, Labels, Label, NumVertices, NumEdges, Start, VertexName, SCC — is a
 // pure read of immutable state and is safe to call from any number of
-// goroutines simultaneously; the parallel existential solver
-// (internal/core, Options.Workers > 1) relies on this to share one Graph
-// across its workers without locks. Mutating a graph while a query runs on
-// it is a data race.
+// goroutines simultaneously; the query service relies on this to run
+// concurrent queries over one Graph without locks. Mutating a graph while a
+// query runs on it is a data race.
 package graph
 
 import (

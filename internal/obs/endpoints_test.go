@@ -68,7 +68,7 @@ func TestEndpointsUnderConcurrentLoad(t *testing.T) {
 				default:
 				}
 				q := DefaultInflight().Begin("exist", "load-test", "memo")
-				q.Update("solve", int64(i), 4, 9, 2, 0, w+1)
+				q.Update("solve", int64(i), 4, 9, 2, 0)
 				g.Queries.Add(1)
 				g.QueryHist.Observe(time.Duration(i%1000) * time.Microsecond)
 				g.Sample(int64(i%10), int64(i), int64(i%5), int64(i*10))

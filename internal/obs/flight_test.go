@@ -101,7 +101,7 @@ func TestInflightLifecycle(t *testing.T) {
 	if reg.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", reg.Len())
 	}
-	q.Update("solve", 512, 17, 900, 12, -1, 4)
+	q.Update("solve", 512, 17, 900, 12, -1)
 	snaps := reg.Snapshots()
 	if len(snaps) != 1 {
 		t.Fatalf("Snapshots = %d entries, want 1", len(snaps))
@@ -110,7 +110,7 @@ func TestInflightLifecycle(t *testing.T) {
 	if s.Kind != "exist" || s.Algo != "memo" || s.Phase != "solve" {
 		t.Fatalf("snapshot identity wrong: %+v", s)
 	}
-	if s.Pops != 512 || s.Depth != 17 || s.Reach != 900 || s.Substs != 12 || s.Workers != 4 {
+	if s.Pops != 512 || s.Depth != 17 || s.Reach != 900 || s.Substs != 12 {
 		t.Fatalf("snapshot counters wrong: %+v", s)
 	}
 	if s.EnumSubsts != 0 {
@@ -134,7 +134,7 @@ func TestWatchdogDumpAndLoad(t *testing.T) {
 	for i := 0; i < 12; i++ { // overflow the ring: only the last 8 survive
 		q.Ring.Emit(Ev(KCounter, "pops", int64(i)))
 	}
-	q.Update("solve", 12, 3, 40, 5, -1, 1)
+	q.Update("solve", 12, 3, 40, 5, -1)
 
 	path, err := wd.Dump(q, "deadline", map[string]int{"visits": 40})
 	if err != nil {
@@ -228,7 +228,7 @@ func TestQueriesEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	q := DefaultInflight().Begin("universal", "(a b)*", "enumeration")
-	q.Update("enumerate", -1, -1, -1, -1, 7, 1)
+	q.Update("enumerate", -1, -1, -1, -1, 7)
 	defer q.Done()
 
 	resp, err := http.Get("http://" + srv.Addr + "/debug/rpq/queries")
@@ -310,7 +310,7 @@ func TestInflightConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := reg.Begin("exist", fmt.Sprintf("q%d", w), "memo")
-				q.Update("solve", int64(i), -1, -1, -1, -1, 1)
+				q.Update("solve", int64(i), -1, -1, -1, -1)
 				reg.Snapshots()
 				q.Done()
 			}

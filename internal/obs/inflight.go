@@ -60,7 +60,6 @@ type InflightQuery struct {
 	reach      atomic.Int64
 	substs     atomic.Int64
 	enumSubsts atomic.Int64
-	workers    atomic.Int64
 
 	// Ring, when non-nil, is the query's flight-recorder event ring; the
 	// watchdog drains it into a diagnostic bundle.
@@ -123,7 +122,7 @@ func (q *InflightQuery) Start() time.Time { return q.start }
 
 // Update publishes one progress snapshot into the handle's atomic fields.
 // Negative counter values leave the corresponding field untouched.
-func (q *InflightQuery) Update(phase string, pops, depth, reach, substs, enumSubsts int64, workers int) {
+func (q *InflightQuery) Update(phase string, pops, depth, reach, substs, enumSubsts int64) {
 	if q == nil {
 		return
 	}
@@ -145,9 +144,6 @@ func (q *InflightQuery) Update(phase string, pops, depth, reach, substs, enumSub
 	if enumSubsts >= 0 {
 		q.enumSubsts.Store(enumSubsts)
 	}
-	if workers > 0 {
-		q.workers.Store(int64(workers))
-	}
 }
 
 // QuerySnapshot is one point-in-time view of an in-flight query, shaped for
@@ -165,7 +161,6 @@ type QuerySnapshot struct {
 	Reach      int64   `json:"reach_size"`
 	Substs     int64   `json:"substs"`
 	EnumSubsts int64   `json:"enum_substs"`
-	Workers    int64   `json:"workers"`
 	// CPUMS and AllocBytes are the process CPU time and heap allocation
 	// since the query began — upper bounds under concurrent load (see the
 	// handle's cpu0 field).
@@ -204,7 +199,6 @@ func (q *InflightQuery) Snapshot() QuerySnapshot {
 		Reach:      q.reach.Load(),
 		Substs:     q.substs.Load(),
 		EnumSubsts: q.enumSubsts.Load(),
-		Workers:    q.workers.Load(),
 		CPUMS:      cpuMS,
 		AllocBytes: allocBytes,
 		TraceID:    tid.traceID,

@@ -177,8 +177,7 @@ func (r *Registry) Unregister(name string) bool {
 }
 
 // Reset removes every registered gauge — long-lived server processes call
-// it between runs so per-run metrics (e.g. per-worker gauges) don't
-// accumulate indefinitely.
+// it between runs so per-run metrics don't accumulate indefinitely.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -385,78 +384,6 @@ type SolverGauges struct {
 	DomainsHist *Histogram
 	SolveHist   *Histogram
 	EnumHist    *Histogram
-
-	// reg is where Worker registers per-worker gauges on demand; nil falls
-	// back to the default registry.
-	reg     *Registry
-	mu      sync.Mutex
-	workers map[int]*WorkerGauges
-}
-
-// WorkerGauges is the live view of one parallel-solver worker: its local
-// queue depth, triples stolen from other workers, and the count and total
-// size of cross-worker push batches it has sent.
-type WorkerGauges struct {
-	QueueDepth  *Gauge
-	Steals      *Gauge
-	Batches     *Gauge
-	BatchedMsgs *Gauge
-}
-
-// Worker returns the gauge set for parallel-solver worker i, registering
-// rpq_worker_<i>_* gauges on first use. Safe for concurrent use.
-func (s *SolverGauges) Worker(i int) *WorkerGauges {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if wg, ok := s.workers[i]; ok {
-		return wg
-	}
-	r := s.reg
-	if r == nil {
-		r = Default()
-	}
-	p := fmt.Sprintf("rpq_worker_%d_", i)
-	wg := &WorkerGauges{
-		QueueDepth:  r.Gauge(p+"queue_depth", "current worklist depth of this parallel-solver worker"),
-		Steals:      r.Gauge(p+"steals_total", "triples this worker stole from other workers' queues"),
-		Batches:     r.Gauge(p+"batches_total", "cross-worker push batches this worker sent"),
-		BatchedMsgs: r.Gauge(p+"batched_msgs_total", "cross-worker push messages this worker sent"),
-	}
-	if s.workers == nil {
-		s.workers = map[int]*WorkerGauges{}
-	}
-	s.workers[i] = wg
-	return wg
-}
-
-// ReleaseWorkers unregisters the rpq_worker_<i>_* gauges of workers with
-// index >= active. The parallel solvers call it at the end of a run with
-// the run's worker count, so a long-lived process that re-runs with fewer
-// workers does not keep exposing stale gauges from earlier, wider runs.
-func (s *SolverGauges) ReleaseWorkers(active int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.reg
-	if r == nil {
-		r = Default()
-	}
-	for i, wg := range s.workers {
-		if i < active || wg == nil {
-			continue
-		}
-		p := fmt.Sprintf("rpq_worker_%d_", i)
-		r.Unregister(p + "queue_depth")
-		r.Unregister(p + "steals_total")
-		r.Unregister(p + "batches_total")
-		r.Unregister(p + "batched_msgs_total")
-		delete(s.workers, i)
-	}
 }
 
 // NewSolverGauges registers the solver gauge set in r (the default registry
@@ -466,7 +393,6 @@ func NewSolverGauges(r *Registry) *SolverGauges {
 		r = Default()
 	}
 	return &SolverGauges{
-		reg:           r,
 		WorklistDepth: r.Gauge("rpq_worklist_depth", "current solver worklist depth"),
 		ReachSize:     r.Gauge("rpq_reach_size", "triples in the reach set of the running query"),
 		Substs:        r.Gauge("rpq_substs_interned", "distinct substitutions interned by the running query"),

@@ -71,10 +71,6 @@ type Event struct {
 	Value int64
 	// Dur is the span duration for KPhaseEnd/KSpan.
 	Dur time.Duration
-	// Worker identifies the emitting solver thread: 0 is the coordinator
-	// (or a sequential run), i > 0 is parallel worker i-1. ChromeSink maps
-	// it to the trace's tid so per-worker timelines render as lanes.
-	Worker int
 	// TraceID/SpanID are the W3C trace identity of the request that caused
 	// this event, as lowercase hex strings; empty for library runs without a
 	// trace context. Solvers never set them — the StampTrace wrapper fills

@@ -236,47 +236,6 @@ func TestFormatEvents(t *testing.T) {
 	}
 }
 
-func TestWorkerGauges(t *testing.T) {
-	r := NewRegistry()
-	sg := NewSolverGauges(r)
-	// Lazy: no worker gauges before the first Worker call.
-	if _, ok := r.Snapshot()["rpq_worker_0_queue_depth"]; ok {
-		t.Fatal("worker gauges registered eagerly")
-	}
-	// Concurrent first use returns one shared set per worker id.
-	var wg sync.WaitGroup
-	got := make([]*WorkerGauges, 8)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = sg.Worker(i % 2)
-		}(i)
-	}
-	wg.Wait()
-	for i := range got {
-		if got[i] != sg.Worker(i%2) {
-			t.Fatalf("Worker(%d) not stable", i%2)
-		}
-	}
-	sg.Worker(0).QueueDepth.Set(7)
-	sg.Worker(1).Steals.Add(3)
-	snap := r.Snapshot()
-	if snap["rpq_worker_0_queue_depth"] != 7 || snap["rpq_worker_1_steals_total"] != 3 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "rpq_worker_0_queue_depth 7") {
-		t.Fatalf("prometheus output missing worker gauge:\n%s", buf.String())
-	}
-	// Nil receiver (gauges disabled) must be safe and yield nil.
-	var none *SolverGauges
-	if none.Worker(3) != nil {
-		t.Fatal("nil SolverGauges.Worker != nil")
-	}
-}
-
 func TestRegistryUnregisterAndReset(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("a", "first").Set(1)
@@ -307,47 +266,6 @@ func TestRegistryUnregisterAndReset(t *testing.T) {
 	if len(r.Snapshot()) != 0 {
 		t.Fatalf("Reset left gauges: %v", r.Snapshot())
 	}
-}
-
-// TestReleaseWorkers is the stale-gauge guard: a run with four workers
-// followed by a run with two must not keep exposing rpq_worker_2_* and
-// rpq_worker_3_* gauges.
-func TestReleaseWorkers(t *testing.T) {
-	r := NewRegistry()
-	sg := NewSolverGauges(r)
-	for i := 0; i < 4; i++ {
-		sg.Worker(i).QueueDepth.Set(int64(i))
-	}
-	// End of the 4-worker run, then a 2-worker run.
-	sg.ReleaseWorkers(4)
-	if _, ok := r.Snapshot()["rpq_worker_3_queue_depth"]; !ok {
-		t.Fatal("ReleaseWorkers(4) removed an active worker's gauges")
-	}
-	for i := 0; i < 2; i++ {
-		sg.Worker(i).QueueDepth.Set(int64(10 + i))
-	}
-	sg.ReleaseWorkers(2)
-	snap := r.Snapshot()
-	for _, name := range []string{
-		"rpq_worker_2_queue_depth", "rpq_worker_2_steals_total",
-		"rpq_worker_2_batches_total", "rpq_worker_2_batched_msgs_total",
-		"rpq_worker_3_queue_depth",
-	} {
-		if _, ok := snap[name]; ok {
-			t.Errorf("stale gauge %s survived ReleaseWorkers(2)", name)
-		}
-	}
-	if snap["rpq_worker_0_queue_depth"] != 10 || snap["rpq_worker_1_queue_depth"] != 11 {
-		t.Fatalf("active worker gauges damaged: %v", snap)
-	}
-	// Workers 2/3 re-register cleanly on the next wide run.
-	sg.Worker(2).QueueDepth.Set(22)
-	if r.Snapshot()["rpq_worker_2_queue_depth"] != 22 {
-		t.Fatal("worker 2 did not re-register after release")
-	}
-	// Nil receiver stays safe.
-	var none *SolverGauges
-	none.ReleaseWorkers(1)
 }
 
 func TestChromeSinkFlushMidStream(t *testing.T) {

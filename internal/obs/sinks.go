@@ -45,10 +45,6 @@ func (s *NDJSONSink) Emit(e Event) {
 		buf = append(buf, `,"dur_us":`...)
 		buf = strconv.AppendInt(buf, e.Dur.Microseconds(), 10)
 	}
-	if e.Worker != 0 {
-		buf = append(buf, `,"worker":`...)
-		buf = strconv.AppendInt(buf, int64(e.Worker-1), 10)
-	}
 	if e.TraceID != "" {
 		buf = append(buf, `,"trace_id":"`...)
 		buf = append(buf, e.TraceID...)
@@ -68,10 +64,8 @@ func (s *NDJSONSink) Emit(e Event) {
 // ChromeSink writes the Chrome trace_event JSON array format, loadable in
 // chrome://tracing or https://ui.perfetto.dev. Phases become duration
 // events ("B"/"E"), retrospective spans become complete events ("X"), and
-// counters/high-water marks become counter events ("C"). Events carrying a
-// Worker id render on their own tid lane (tid 1 = coordinator, tid i+2 =
-// worker i), so parallel imbalance and steal storms are visible as gaps and
-// bursts per lane.
+// counters/high-water marks become counter events ("C"). Every event is on
+// one timeline lane (tid 1).
 //
 // Writes are buffered; Close writes the closing bracket and flushes. Flush
 // pushes buffered events without closing — solvers call it on error paths —
@@ -99,7 +93,6 @@ func (s *ChromeSink) Emit(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := e.Time.UnixMicro()
-	tid := e.Worker + 1
 	// traceArg carries the request's trace identity into the event's args so
 	// a Perfetto query can slice one request out of a multi-request trace.
 	traceArg := ""
@@ -109,20 +102,20 @@ func (s *ChromeSink) Emit(e Event) {
 	var line string
 	switch e.Kind {
 	case KPhaseBegin:
-		line = fmt.Sprintf(`{"name":%q,"ph":"B","ts":%d,"pid":%d,"tid":%d%s}`, e.Name, ts, s.pid, tid, traceArg)
+		line = fmt.Sprintf(`{"name":%q,"ph":"B","ts":%d,"pid":%d,"tid":1%s}`, e.Name, ts, s.pid, traceArg)
 	case KPhaseEnd:
-		line = fmt.Sprintf(`{"name":%q,"ph":"E","ts":%d,"pid":%d,"tid":%d%s}`, e.Name, ts, s.pid, tid, traceArg)
+		line = fmt.Sprintf(`{"name":%q,"ph":"E","ts":%d,"pid":%d,"tid":1%s}`, e.Name, ts, s.pid, traceArg)
 	case KSpan:
 		// Complete event: ts is the start, dur the length.
-		line = fmt.Sprintf(`{"name":%q,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d%s}`,
-			e.Name, ts-e.Dur.Microseconds(), e.Dur.Microseconds(), s.pid, tid, traceArg)
+		line = fmt.Sprintf(`{"name":%q,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":1%s}`,
+			e.Name, ts-e.Dur.Microseconds(), e.Dur.Microseconds(), s.pid, traceArg)
 	case KCounter, KHighWater, KTableGrowth:
 		if e.TraceID != "" {
-			line = fmt.Sprintf(`{"name":%q,"ph":"C","ts":%d,"pid":%d,"tid":%d,"args":{"value":%d,"trace_id":%q}}`,
-				e.Name, ts, s.pid, tid, e.Value, e.TraceID)
+			line = fmt.Sprintf(`{"name":%q,"ph":"C","ts":%d,"pid":%d,"tid":1,"args":{"value":%d,"trace_id":%q}}`,
+				e.Name, ts, s.pid, e.Value, e.TraceID)
 		} else {
-			line = fmt.Sprintf(`{"name":%q,"ph":"C","ts":%d,"pid":%d,"tid":%d,"args":{"value":%d}}`,
-				e.Name, ts, s.pid, tid, e.Value)
+			line = fmt.Sprintf(`{"name":%q,"ph":"C","ts":%d,"pid":%d,"tid":1,"args":{"value":%d}}`,
+				e.Name, ts, s.pid, e.Value)
 		}
 	default:
 		return
@@ -168,9 +161,6 @@ func FormatEvents(evs []Event) string {
 		}
 		if e.Value != 0 {
 			out += fmt.Sprintf(" value=%d", e.Value)
-		}
-		if e.Worker != 0 {
-			out += fmt.Sprintf(" worker=%d", e.Worker-1)
 		}
 		out += "\n"
 	}

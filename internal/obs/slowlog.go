@@ -29,7 +29,6 @@ type slowRecord struct {
 	Kind    string  `json:"kind"`
 	DurMS   float64 `json:"dur_ms"`
 	Answers int     `json:"answers"`
-	Workers int     `json:"workers,omitempty"`
 	Table   string  `json:"table,omitempty"`
 	// CPUMS and AllocBytes are the query's attributed CPU time and heap
 	// allocation (process deltas over the run; see SlowDetail).
@@ -52,8 +51,6 @@ type slowRecord struct {
 
 // SlowDetail is the optional execution context of a slow-query entry.
 type SlowDetail struct {
-	// Workers is the solver's worker count (0/1 = sequential).
-	Workers int
 	// Table names the substitution-table representation ("hash"/"nested").
 	Table string
 	// CPUTime is the process CPU time attributed to the query (0 = unknown).
@@ -78,9 +75,9 @@ func (l *SlowLog) Observe(kind, query string, d time.Duration, answers int, stat
 	return l.ObserveDetail(kind, query, d, answers, stats, SlowDetail{})
 }
 
-// ObserveDetail is Observe with execution context: worker count, table
-// representation, and — when an explain profile was collected — the hottest
-// automaton states.
+// ObserveDetail is Observe with execution context: table representation
+// and — when an explain profile was collected — the hottest automaton
+// states.
 func (l *SlowLog) ObserveDetail(kind, query string, d time.Duration, answers int, stats any, detail SlowDetail) bool {
 	if l == nil || d < l.threshold {
 		return false
@@ -91,7 +88,6 @@ func (l *SlowLog) ObserveDetail(kind, query string, d time.Duration, answers int
 		Kind:       kind,
 		DurMS:      float64(d.Microseconds()) / 1000,
 		Answers:    answers,
-		Workers:    detail.Workers,
 		Table:      detail.Table,
 		CPUMS:      float64(detail.CPUTime.Microseconds()) / 1000,
 		AllocBytes: detail.AllocBytes,

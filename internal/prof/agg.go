@@ -2,11 +2,11 @@ package prof
 
 import "sort"
 
-// SliceKeys are the pprof label keys the query layer stamps (PR 6) and the
+// SliceKeys are the pprof label keys the query layer stamps and the
 // aggregation endpoints slice by. Label slicing applies to CPU profiles only:
 // the runtime does not attach pprof labels to heap samples, so heap
 // aggregation is frame-level.
-var SliceKeys = []string{"rpq_kind", "variant", "table", "workers", "rpq_trace_id"}
+var SliceKeys = []string{"rpq_kind", "variant", "table", "rpq_trace_id"}
 
 // Frame is one aggregated function frame: Flat is the value attributed to
 // samples where the function is the leaf, Cum the value of every sample whose

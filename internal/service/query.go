@@ -35,9 +35,13 @@ type QueryRequest struct {
 // QueryOptions is the per-request solver configuration, a JSON projection
 // of rpq.Options.
 type QueryOptions struct {
-	Algorithm  string `json:"algorithm,omitempty"` // auto|basic|memo|precomp|enum|hybrid
-	Table      string `json:"table,omitempty"`     // hash|nested
-	Domains    string `json:"domains,omitempty"`   // refined|all
+	Algorithm string `json:"algorithm,omitempty"` // auto|basic|memo|precomp|enum|hybrid
+	Table     string `json:"table,omitempty"`     // hash|nested
+	Domains   string `json:"domains,omitempty"`   // refined|all
+	// Workers is accepted and ignored.
+	//
+	// Deprecated: every query runs the sequential solver. The field is kept
+	// so requests that still send "workers" decode unchanged.
 	Workers    int    `json:"workers,omitempty"`
 	Witnesses  bool   `json:"witnesses,omitempty"`
 	Backward   bool   `json:"backward,omitempty"`
@@ -93,15 +97,11 @@ func (s *Server) buildOptions(q QueryOptions) (*rpq.Options, error) {
 		Compact:   q.Compact,
 		SCCOrder:  q.SCCOrder,
 		Explain:   q.Explain,
-		Workers:   q.Workers,
 		Cache:     s.cache,
 		Gauges:    s.gauges,
 		SlowLog:   s.cfg.SlowLog,
 		Watchdog:  s.cfg.Watchdog,
 		Lint:      !s.cfg.DisableLint && !q.NoLint,
-	}
-	if opts.Workers == 0 {
-		opts.Workers = s.cfg.Workers
 	}
 	switch q.Algorithm {
 	case "", "auto":

@@ -55,9 +55,6 @@ type Config struct {
 	// findings reject a query with HTTP 400 before any solver work).
 	// Individual requests can also opt out with "no_lint": true.
 	DisableLint bool
-	// Workers is the default solver worker count applied to requests that
-	// do not set options.workers; 0 keeps the sequential solvers.
-	Workers int
 	// MaxGraphBytes bounds a graph-load request body; <= 0 means 64 MiB.
 	MaxGraphBytes int64
 	// MaxQueryBytes bounds a query request body; <= 0 means 1 MiB.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -612,5 +613,43 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	}
 	if _, ok := body["stats"]; !ok {
 		t.Fatalf("deadline response lacks partial stats: %s", rec.Body)
+	}
+}
+
+// TestWorkersOptionIgnored pins that options.workers, which untrusted
+// clients control, is accepted and ignored: a request with a huge value
+// must get the workers-0 reply and must not allocate memory in proportion
+// to the value.
+func TestWorkersOptionIgnored(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	query := func(workers int) []AnswerJSON {
+		t.Helper()
+		body := fmt.Sprintf(`{"graph":"g","pattern":"(!def(x))* use(x)","options":{"algorithm":"enum","workers":%d}}`, workers)
+		rec := doReq(h, "POST", "/api/v1/query", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("workers=%d: %d %s", workers, rec.Code, rec.Body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr.Answers
+	}
+	want := query(0)
+	if len(want) == 0 {
+		t.Fatal("workers=0 query returned no answers")
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := query(1_000_000)
+	runtime.ReadMemStats(&after)
+
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("workers=1000000 answers differ from workers=0:\n got %+v\nwant %+v", got, want)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("workers=1000000 request allocated %d MB, want < 64 MB", grew>>20)
 	}
 }

@@ -313,13 +313,10 @@ type Options struct {
 	// Witnesses attaches, to each existential answer, one start-to-vertex
 	// path witnessing it (an error trace). Worklist algorithms only.
 	Witnesses bool
-	// Workers sets the number of goroutines the existential solver uses;
-	// 0 or 1 selects the sequential algorithms. The parallel solver returns
-	// the same sorted answers, the same WorklistInserts, ReachSize, Substs,
-	// and ResultPairs as the sequential one; peak-memory and match-cache
-	// counters are approximate, and witnesses — while always valid — may
-	// pick different paths. Universal queries ignore Workers (their
-	// existential sub-queries in the hybrid algorithm do use it).
+	// Workers is ignored.
+	//
+	// Deprecated: queries always run the sequential solver. The field is
+	// kept so existing callers still compile.
 	Workers int
 	// Tracer receives structured lifecycle events from the solver: phase
 	// begin/end, worklist high-water marks, substitution-table growth
@@ -337,8 +334,8 @@ type Options struct {
 	SlowLog *SlowLog
 	// Explain collects a per-query execution profile — per-state visit
 	// counts, per-transition match attempts/hits/extensions, per-edge-label
-	// histograms, table-occupancy and worklist-depth curves, and (parallel
-	// runs) per-worker timelines — returned in Result.Explain. Costs one
+	// histograms, and table-occupancy and worklist-depth curves — returned
+	// in Result.Explain. Costs one
 	// branch per counter site when off; expect a few percent overhead when
 	// on.
 	Explain bool
@@ -407,10 +404,6 @@ type TransProfile = core.TransProfile
 // report.
 type LabelProfile = core.LabelProfile
 
-// WorkerProfile is one parallel-solver worker's timeline summary within an
-// Explain report.
-type WorkerProfile = core.WorkerProfile
-
 // ---- Observability ----
 //
 // The types below re-export the internal/obs layer so callers can trace
@@ -467,7 +460,7 @@ func TraceFromContext(ctx context.Context) (TraceContext, bool) { return obs.Tra
 
 // Progress is one live snapshot of a running query, delivered to
 // Options.Progress: the current phase, worklist pops and depth, reach-set
-// and substitution-table sizes, enumeration progress, and worker count.
+// and substitution-table sizes, and enumeration progress.
 type Progress = core.Progress
 
 // InterruptError is returned when a query is canceled or exceeds its
@@ -749,10 +742,9 @@ type runState struct {
 }
 
 // do runs fn under pprof labels identifying the query — rpq_query_id (the
-// in-flight registry id), rpq_kind, variant (algorithm), table, and workers
-// — so CPU and goroutine profiles taken while queries run attribute their
-// samples to specific queries. Labels propagate to every goroutine the
-// solver spawns, covering parallel workers. Call it once per solver
+// in-flight registry id), rpq_kind, variant (algorithm), and table — so
+// CPU and goroutine profiles taken while queries run attribute their
+// samples to specific queries. Call it once per solver
 // invocation; a re-run after an algorithm fallback gets fresh labels.
 func (rs *runState) do(ctx context.Context, co *core.Options, fn func(ctx context.Context)) {
 	labels := []string{
@@ -760,7 +752,6 @@ func (rs *runState) do(ctx context.Context, co *core.Options, fn func(ctx contex
 		"rpq_kind", rs.kind,
 		"variant", co.Algo.String(),
 		"table", co.Table.String(),
-		"workers", strconv.Itoa(co.Workers),
 	}
 	if rs.trace.IsValid() {
 		labels = append(labels, "rpq_trace_id", rs.trace.TraceIDString())
@@ -813,7 +804,7 @@ func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, 
 	}
 	iq := rs.iq
 	co.Progress = func(p core.Progress) {
-		iq.Update(p.Phase, p.Pops, p.WorklistDepth, p.Reach, p.Substs, p.EnumSubsts, p.Workers)
+		iq.Update(p.Phase, p.Pops, p.WorklistDepth, p.Reach, p.Substs, p.EnumSubsts)
 		if userProg != nil {
 			userProg(p)
 		}
@@ -935,7 +926,7 @@ func (rs *runState) finish(res *Result, err error) {
 
 	if opts != nil && stats != nil {
 		detail := obs.SlowDetail{
-			Workers: opts.Workers, Table: opts.Table.String(), Bundle: bundle,
+			Table: opts.Table.String(), Bundle: bundle,
 			CPUTime: cpu, AllocBytes: alloc,
 		}
 		if rs.trace.IsValid() {
@@ -1059,7 +1050,6 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 		SCCOrder:   opts.SCCOrder,
 		Completion: core.CompletionMode(opts.Completion),
 		Witnesses:  opts.Witnesses,
-		Workers:    opts.Workers,
 		Tracer:     opts.Tracer,
 		Gauges:     opts.Gauges,
 		Explain:    opts.Explain,

@@ -153,7 +153,7 @@ func TestGoroutineProfileHasQueryLabels(t *testing.T) {
 	if !ok {
 		t.Skip("progress callback never fired (query too small)")
 	}
-	for _, want := range []string{`"rpq_query_id":`, `"rpq_kind":"exist"`, `"variant":`, `"table":`, `"workers":`} {
+	for _, want := range []string{`"rpq_query_id":`, `"rpq_kind":"exist"`, `"variant":`, `"table":`} {
 		if !strings.Contains(text, want) {
 			t.Errorf("goroutine profile missing label %s", want)
 		}

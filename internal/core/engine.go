@@ -31,8 +31,28 @@ type engine struct {
 	memo      [][]*label.Match
 	memoBytes int64
 
+	// scratch receives the match on the unmemoized path (AlgoBasic); it is
+	// overwritten by the next match call, so callers must not retain it.
+	scratch label.Match
+
+	// tlIDs[s][i] is the dense label id of transition i of state s, resolved
+	// once per run rather than by a string-map lookup per attempt.
+	tlIDs [][]int32
+
 	// buf1 is the merge scratch buffer reused across the hot loop.
 	buf1 subst.Subst
+}
+
+// transLabelIDs resolves the label id of every transition of a.
+func transLabelIDs(a *automata.NFA) [][]int32 {
+	ids := make([][]int32, len(a.Trans))
+	for s, ts := range a.Trans {
+		ids[s] = make([]int32, len(ts))
+		for i, tr := range ts {
+			ids[s][i] = a.LabelID[tr.Label.Key()]
+		}
+	}
+	return ids
 }
 
 func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats *Stats) (*engine, error) {
@@ -53,6 +73,7 @@ func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats
 		table: table,
 		stats: stats,
 		in:    in,
+		tlIDs: transLabelIDs(auto),
 		buf1:  subst.New(q.Pars()),
 	}
 	if opts.Explain {
@@ -71,6 +92,8 @@ func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats
 	case exHook != nil:
 		e.table.SetOnGrow(exHook)
 	}
+	// AlgoPrecomp must memoize: its M_ts/M_ds tables retain the matches
+	// (see possiblyMatches).
 	if opts.Algo == AlgoMemo || opts.Algo == AlgoPrecomp {
 		e.memo = make([][]*label.Match, g.NumLabels())
 		e.memoBytes = int64(g.NumLabels()) * 24
@@ -96,8 +119,10 @@ func (e *engine) progress(phase string, pops, depth, reach int64) {
 // match computes (or recalls) the agree/disagree match of edge label el
 // (with dense id elID) against transition label tl (with dense id tlID in
 // the automaton's label space). Returns nil when the labels cannot match
-// under any substitution.
+// under any substitution. Without the memo layer the result is e.scratch,
+// valid only until the next call.
 func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32) *label.Match {
+	var m *label.Match
 	if e.memo != nil {
 		row := e.memo[elID]
 		if row == nil {
@@ -105,38 +130,28 @@ func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32)
 			e.memo[elID] = row
 			e.memoBytes += int64(len(row)) * 8
 		}
-		if m := row[tlID]; m != nil {
+		if m = row[tlID]; m != nil {
 			e.stats.MatchCacheHits++
-			if e.ex != nil {
-				e.ex.attempt(m.OK)
-			}
-			if !m.OK {
-				return nil
-			}
-			return m
+		} else {
+			e.stats.MatchCalls++
+			e.stats.MatchCacheMisses++
+			m = new(label.Match)
+			label.MatchADInto(m, tl, el)
+			row[tlID] = m
+			e.memoBytes += 48
 		}
+	} else {
 		e.stats.MatchCalls++
-		e.stats.MatchCacheMisses++
-		m := label.MatchAD(tl, el)
-		row[tlID] = &m
-		e.memoBytes += 48
-		if e.ex != nil {
-			e.ex.attempt(m.OK)
-		}
-		if !m.OK {
-			return nil
-		}
-		return &m
+		m = &e.scratch
+		label.MatchADInto(m, tl, el)
 	}
-	e.stats.MatchCalls++
-	m := label.MatchAD(tl, el)
 	if e.ex != nil {
 		e.ex.attempt(m.OK)
 	}
 	if !m.OK {
 		return nil
 	}
-	return &m
+	return m
 }
 
 // forEachMatch enumerates the substitutions θ2 under which edge label el
@@ -222,7 +237,9 @@ func (e *engine) forEachGeneric(tl, el *label.CTerm, th subst.Subst, emit func(s
 
 // possiblyMatches reports whether any substitution can make el match tl;
 // used by the M_ts/M_ds precomputation, which records matches independent of
-// the substitutions flowing through them.
+// the substitutions flowing through them. The precomputation retains the
+// result, so it requires the memo layer (AlgoPrecomp always memoizes): the
+// unmemoized match is scratch storage that the next call overwrites.
 func (e *engine) possiblyMatches(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32) *label.Match {
 	if !tl.ADCompatible() {
 		// Conservative for the generic fragment: try to find one witness.
@@ -245,6 +262,9 @@ func (e *engine) possiblyMatches(tl *label.CTerm, tlID int32, el *label.CTerm, e
 		}
 		// Marker match: callers re-run forEachMatch for generic labels.
 		return &label.Match{OK: true}
+	}
+	if e.memo == nil {
+		panic("core: possiblyMatches retains its match and needs the memo layer")
 	}
 	return e.match(tl, tlID, el, elID)
 }

@@ -134,7 +134,7 @@ func buildMTS(e *engine, v0 int32) ([][]mtsEntry, int64) {
 		v, s := unpackPair(pair, states)
 		for _, ge := range g.Out(v) {
 			for i, tr := range nfa.Trans[s] {
-				tlID := nfa.LabelID[tr.Label.Key()]
+				tlID := e.tlIDs[s][i]
 				var ti int32
 				if e.ex != nil {
 					ti = e.ex.ti(s, i)
@@ -303,7 +303,7 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 		}
 		for _, ge := range g.Out(t.v) {
 			for i, tr := range nfa.Trans[t.s] {
-				tlID := nfa.LabelID[tr.Label.Key()]
+				tlID := e.tlIDs[t.s][i]
 				to := tr.To
 				if e.ex != nil {
 					e.ex.setCur(e.ex.ti(t.s, i), ge.LabelID)
@@ -391,6 +391,7 @@ type enumState struct {
 	epoch uint32
 	wl    []int64
 	inst  []*label.CTerm
+	tlIDs [][]int32
 }
 
 // enumEagerClear restores the old O(|V|·|S|) per-substitution clear; it
@@ -402,8 +403,9 @@ func newEnumState(g *graph.Graph, nfa *automata.NFA) (*enumState, error) {
 		return nil, err
 	}
 	return &enumState{
-		seen: make([]uint32, g.NumVertices()*nfa.NumStates),
-		inst: make([]*label.CTerm, len(nfa.Labels)),
+		seen:  make([]uint32, g.NumVertices()*nfa.NumStates),
+		inst:  make([]*label.CTerm, len(nfa.Labels)),
+		tlIDs: transLabelIDs(nfa),
 	}, nil
 }
 
@@ -469,7 +471,7 @@ func (es *enumState) run(g *graph.Graph, v0 int32, nfa *automata.NFA, th subst.S
 		for _, ge := range g.Out(v) {
 			for i, tr := range nfa.Trans[s] {
 				stats.MatchCalls++
-				ok := label.MatchGround(es.inst[nfa.LabelID[tr.Label.Key()]], ge.Label, nil)
+				ok := label.MatchGround(es.inst[es.tlIDs[s][i]], ge.Label, nil)
 				if ex != nil {
 					ex.setCur(ex.ti(s, i), ge.LabelID)
 					ex.attempt(ok)

@@ -58,7 +58,7 @@ func newTripleSet(kind subst.TableKind, verts, states int) (tripleSet, error) {
 	}
 	switch kind {
 	case subst.Hash:
-		return &hashTripleSet{base: make([]map[int32]struct{}, verts*states), states: states}, nil
+		return &hashTripleSet{base: make([]keySet, verts*states), states: states}, nil
 	case subst.Nested:
 		return &nestedTripleSet{base: make([][]bool, verts*states), states: states}, nil
 	}
@@ -67,25 +67,24 @@ func newTripleSet(kind subst.TableKind, verts, states int) (tripleSet, error) {
 
 // hashTripleSet keys a hash set of substitution keys off the dense (v, s)
 // base — the "based hash representation" the paper found best overall.
+// Bytes models each base as a Go map (48 bytes plus 16 per key) so that
+// Table 3's figures do not depend on the physical layout.
 type hashTripleSet struct {
-	base   []map[int32]struct{}
+	base   []keySet
 	states int
 	n      int
 	bytes  int64
 }
 
 func (h *hashTripleSet) Add(t triple) bool {
-	idx := int(t.v)*h.states + int(t.s)
-	m := h.base[idx]
-	if m == nil {
-		m = make(map[int32]struct{})
-		h.base[idx] = m
+	ks := &h.base[int(t.v)*h.states+int(t.s)]
+	if *ks == nil {
+		*ks = newKeySet()
 		h.bytes += 48
 	}
-	if _, ok := m[t.th]; ok {
+	if !ks.add(t.th) {
 		return false
 	}
-	m[t.th] = struct{}{}
 	h.n++
 	h.bytes += 16
 	return true
@@ -97,11 +96,75 @@ func (h *hashTripleSet) Bytes() int64 { return int64(len(h.base))*8 + h.bytes }
 func (h *hashTripleSet) Release(v int32) {
 	for s := 0; s < h.states; s++ {
 		idx := int(v)*h.states + s
-		if m := h.base[idx]; m != nil {
-			h.bytes -= 48 + 16*int64(len(m))
+		if ks := h.base[idx]; ks != nil {
+			h.bytes -= 48 + 16*int64(ks.len())
 			h.base[idx] = nil
 		}
 	}
+}
+
+// keySet is one base's set of substitution keys, an open-addressed table
+// with linear probing. Slot 0 holds the element count; slots 1..cap (cap a
+// power of two) hold key+2, so 0 marks an empty slot and badSubstKey (-1)
+// is storable. The table doubles when an insert would pass 3/4 load.
+type keySet []int32
+
+const keySetInitCap = 4
+
+func newKeySet() keySet { return make(keySet, 1+keySetInitCap) }
+
+func (ks keySet) len() int { return int(ks[0]) }
+
+// add inserts key k, reporting whether it was new.
+func (ks *keySet) add(k int32) bool {
+	x := k + 2
+	slots := (*ks)[1:]
+	mask := uint32(len(slots) - 1)
+	for i := keySetHash(x) & mask; ; i = (i + 1) & mask {
+		switch slots[i] {
+		case x:
+			return false
+		case 0:
+			if 4*((*ks)[0]+1) > 3*int32(len(slots)) {
+				*ks = ks.grow()
+				ks.insert(x)
+			} else {
+				slots[i] = x
+			}
+			(*ks)[0]++
+			return true
+		}
+	}
+}
+
+// grow returns a copy of ks with twice the slots, count preserved.
+func (ks keySet) grow() keySet {
+	out := make(keySet, 1+2*(len(ks)-1))
+	out[0] = ks[0]
+	for _, x := range ks[1:] {
+		if x != 0 {
+			out.insert(x)
+		}
+	}
+	return out
+}
+
+// insert places stored value x (key+2, known absent) without touching the
+// count.
+func (ks keySet) insert(x int32) {
+	slots := ks[1:]
+	mask := uint32(len(slots) - 1)
+	i := keySetHash(x) & mask
+	for slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	slots[i] = x
+}
+
+// keySetHash spreads dense substitution keys across the table's low bits.
+func keySetHash(x int32) uint32 {
+	h := uint32(x) * 0x9E3779B9
+	return h ^ h>>16
 }
 
 // nestedTripleSet uses nested arrays: base (v, s) → boolean array indexed by

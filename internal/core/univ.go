@@ -159,7 +159,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 		if row[s] == nil {
 			entries := []dsEntry{}
 			for i, tr := range dfa.Trans[s] {
-				tlID := dfa.LabelID[tr.Label.Key()]
+				tlID := e.tlIDs[s][i]
 				var ti int32
 				if e.ex != nil {
 					ti = e.ex.ti(s, i)
@@ -255,7 +255,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 					}
 				} else {
 					for i, tr := range dfa.Trans[t.s] {
-						tlID := dfa.LabelID[tr.Label.Key()]
+						tlID := e.tlIDs[t.s][i]
 						curTarget = tr.To
 						if e.ex != nil {
 							e.ex.setCur(e.ex.ti(t.s, i), ge.LabelID)
@@ -297,12 +297,9 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 				U[v] = th.Clone()
 			} else {
 				e.stats.MergeCalls++
-				merged, ok := subst.Merge(U[v], th)
-				if !ok {
+				if !subst.MergeInto(U[v], U[v], th) {
 					badU[v] = true
 					U[v] = nil
-				} else {
-					U[v] = merged
 				}
 			}
 		} else {

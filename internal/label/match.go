@@ -1,7 +1,5 @@
 package label
 
-import "sort"
-
 // Binding maps one parameter index to one symbol key.
 type Binding struct {
 	Param int32
@@ -34,9 +32,14 @@ func (bs *Bindings) bind(p, s int32) bool {
 	return true
 }
 
-// normalize sorts the bindings by parameter index.
+// normalize sorts the bindings by parameter index. Fragments hold a few
+// bindings, so an insertion sort beats sort.Slice and does not allocate.
 func (bs Bindings) normalize() {
-	sort.Slice(bs, func(i, j int) bool { return bs[i].Param < bs[j].Param })
+	for i := 1; i < len(bs); i++ {
+		for j := i; j > 0 && bs[j].Param < bs[j-1].Param; j-- {
+			bs[j], bs[j-1] = bs[j-1], bs[j]
+		}
+	}
 }
 
 // Clone returns a copy of the bindings.
@@ -66,24 +69,14 @@ type Match struct {
 	// unifies). Empty means the negation (if any) is satisfied
 	// unconditionally.
 	Disagrees []Bindings
+	// dparams caches DisagreeParams, filled by MatchADInto.
+	dparams []int32
 }
 
 // DisagreeParams returns the sorted set of parameters occurring in any
-// disagree set.
-func (m *Match) DisagreeParams() []int32 {
-	seen := map[int32]bool{}
-	var out []int32
-	for _, d := range m.Disagrees {
-		for _, b := range d {
-			if !seen[b.Param] {
-				seen[b.Param] = true
-				out = append(out, b.Param)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// disagree set. The slice is computed once per match and must not be
+// modified.
+func (m *Match) DisagreeParams() []int32 { return m.dparams }
 
 // MatchAD matches ground edge label el against transition label tl and
 // returns the agree/disagree decomposition. Precondition: tl.ADCompatible()
@@ -91,15 +84,47 @@ func (m *Match) DisagreeParams() []int32 {
 // be ground.
 func MatchAD(tl, el *CTerm) Match {
 	var m Match
-	if !matchADRec(tl, el, &m) {
-		return Match{}
+	MatchADInto(&m, tl, el)
+	return m
+}
+
+// MatchADInto is MatchAD writing into m, reusing the capacity of its Agree,
+// Disagrees (including each inner Bindings) and parameter slices, so that
+// matching into a warmed Match does not allocate. Whatever m held before is
+// overwritten; on a failed match m.OK is false and the slices are empty.
+func MatchADInto(m *Match, tl, el *CTerm) {
+	m.Agree = m.Agree[:0]
+	m.Disagrees = m.Disagrees[:0]
+	m.dparams = m.dparams[:0]
+	if !matchADRec(tl, el, m) {
+		m.OK = false
+		m.Agree = m.Agree[:0]
+		m.Disagrees = m.Disagrees[:0]
+		return
 	}
 	m.OK = true
 	m.Agree.normalize()
 	for _, d := range m.Disagrees {
 		d.normalize()
+		for _, b := range d {
+			m.dparams = insertSorted(m.dparams, b.Param)
+		}
 	}
-	return m
+}
+
+// insertSorted adds p to the sorted set ps unless already present.
+func insertSorted(ps []int32, p int32) []int32 {
+	i := len(ps)
+	for i > 0 && ps[i-1] > p {
+		i--
+	}
+	if i > 0 && ps[i-1] == p {
+		return ps
+	}
+	ps = append(ps, 0)
+	copy(ps[i+1:], ps[i:])
+	ps[i] = p
+	return ps
 }
 
 func matchADRec(tl, el *CTerm, m *Match) bool {
@@ -125,24 +150,34 @@ func matchADRec(tl, el *CTerm, m *Match) bool {
 		}
 		return true
 	case KNeg:
-		inner := tl.Args[0]
-		alts := []*CTerm{inner}
-		if inner.Kind == KOr {
+		alts := tl.Args[:1]
+		if inner := tl.Args[0]; inner.Kind == KOr {
 			alts = inner.Args
 		}
 		for _, alt := range alts {
-			var d Bindings
-			if unifyPos(alt, el, &d) {
-				if len(d) == 0 {
-					// This alternative matches under every substitution, so
-					// the negation never holds.
-					return false
-				}
-				// The alternative matches exactly when θ agrees with all
-				// of d; record it so the caller can require disagreement.
-				m.Disagrees = append(m.Disagrees, d)
+			// Unify into the next Disagrees slot, reusing its storage.
+			n := len(m.Disagrees)
+			if n < cap(m.Disagrees) {
+				m.Disagrees = m.Disagrees[:n+1]
+				m.Disagrees[n] = m.Disagrees[n][:0]
+			} else {
+				m.Disagrees = append(m.Disagrees, nil)
 			}
-			// Alternatives that can never match el impose no constraint.
+			d := &m.Disagrees[n]
+			if !unifyPos(alt, el, d) {
+				// Alternatives that can never match el impose no
+				// constraint.
+				m.Disagrees = m.Disagrees[:n]
+				continue
+			}
+			if len(*d) == 0 {
+				// This alternative matches under every substitution, so
+				// the negation never holds.
+				return false
+			}
+			// The alternative matches exactly when θ agrees with all of
+			// d; it stays recorded so the caller can require
+			// disagreement.
 		}
 		return true
 	case KOr:

@@ -306,6 +306,21 @@ func TestBindings(t *testing.T) {
 	if bs[0].Sym == 99 {
 		t.Errorf("Clone aliases the original")
 	}
+	// normalize sorts fragments of any order.
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 8; n++ {
+		perm := rng.Perm(n)
+		bs := make(Bindings, n)
+		for i, p := range perm {
+			bs[i] = Binding{Param: int32(p), Sym: int32(10 + p)}
+		}
+		bs.normalize()
+		for i, b := range bs {
+			if b != (Binding{Param: int32(i), Sym: int32(10 + i)}) {
+				t.Fatalf("normalize(%v) = %v", perm, bs)
+			}
+		}
+	}
 }
 
 func TestCTermClassification(t *testing.T) {

@@ -99,14 +99,19 @@ type hashTable struct {
 	substs []Subst
 	bytes  int64
 	onGrow func(n int, bytes int64)
+	// buf holds the byte encoding of the substitution being looked up.
+	// Indexing byKey with string(buf) does not allocate, so only an insert
+	// builds a key string.
+	buf []byte
 }
 
 func newHashTable(pars int) *hashTable {
-	return &hashTable{pars: pars, byKey: make(map[string]int32)}
+	return &hashTable{pars: pars, byKey: make(map[string]int32), buf: make([]byte, pars*4)}
 }
 
-func hashKey(s Subst) string {
-	b := make([]byte, len(s)*4)
+// encode writes the little-endian bytes of s into t.buf and returns it.
+func (t *hashTable) encode(s Subst) []byte {
+	b := t.buf[:len(s)*4]
 	for i, v := range s {
 		u := uint32(v)
 		b[i*4] = byte(u)
@@ -114,19 +119,19 @@ func hashKey(s Subst) string {
 		b[i*4+2] = byte(u >> 16)
 		b[i*4+3] = byte(u >> 24)
 	}
-	return string(b)
+	return b
 }
 
 func (t *hashTable) Key(s Subst) int32 {
-	k := hashKey(s)
-	if id, ok := t.byKey[k]; ok {
+	b := t.encode(s)
+	if id, ok := t.byKey[string(b)]; ok {
 		return id
 	}
 	id := int32(len(t.substs))
-	t.byKey[k] = id
+	t.byKey[string(b)] = id
 	t.substs = append(t.substs, s.Clone())
 	// Key string + map entry overhead + stored substitution + slice header.
-	t.bytes += int64(len(k)) + 48 + int64(len(s)*4) + 24
+	t.bytes += int64(len(b)) + 48 + int64(len(s)*4) + 24
 	if t.onGrow != nil {
 		t.onGrow(len(t.substs), t.bytes)
 	}
@@ -134,7 +139,7 @@ func (t *hashTable) Key(s Subst) int32 {
 }
 
 func (t *hashTable) Lookup(s Subst) (int32, bool) {
-	id, ok := t.byKey[hashKey(s)]
+	id, ok := t.byKey[string(t.encode(s))]
 	return id, ok
 }
 

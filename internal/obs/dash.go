@@ -96,11 +96,6 @@ th { color: var(--text-secondary); font-weight: 500; font-size: 12px; }
 </div>
 <h1 style="font-size:15px;margin-top:20px">Queries executing now</h1>
 <div id="inflight"><p id="empty">none</p></div>
-<div id="profsec" style="display:none">
-<h1 style="font-size:15px;margin-top:20px">CPU profile <small id="profmeta" style="font-weight:400;color:var(--text-secondary)"></small></h1>
-<svg id="icicle" viewBox="0 0 1000 160" preserveAspectRatio="none" style="height:160px"></svg>
-<div class="hoverval" id="iciclehover"></div>
-</div>
 <div id="exsec" style="display:none">
 <h1 style="font-size:15px;margin-top:20px">Latency exemplars</h1>
 <div id="exemplars"></div>
@@ -313,46 +308,9 @@ function renderSLO(doc) {
   host.appendChild(t);
 }
 
-// renderIcicle draws the latest profile window's call tree as a root-down
-// icicle: each node a rect whose width is its share of the root total.
-function renderIcicle(doc) {
-  var sec = document.getElementById("profsec");
-  if (!doc || !doc.root || !doc.root.value) { sec.style.display = "none"; return; }
-  sec.style.display = "";
-  document.getElementById("profmeta").textContent =
-    "window " + doc.window + " · " + doc.profile + " (" + doc.unit + ")";
-  var svg = document.getElementById("icicle");
-  svg.innerHTML = "";
-  var total = doc.root.value, ROW = 20, MAXD = 8;
-  function draw(node, x0, x1, depth) {
-    if (depth > MAXD || x1 - x0 < 1) { return; }
-    var r = el("rect", {x: x0.toFixed(1), y: depth * ROW, width: (x1 - x0).toFixed(1),
-      height: ROW - 1, rx: 1}, svg);
-    r.setAttribute("fill", depth === 0 ? "var(--grid)" :
-      COLORS[(depth - 1) % COLORS.length]);
-    r.setAttribute("fill-opacity", depth === 0 ? "1" : (0.9 - 0.08 * depth).toFixed(2));
-    var pct = (100 * node.value / total).toFixed(1);
-    r.onmousemove = function () {
-      document.getElementById("iciclehover").textContent =
-        node.name + " — " + pct + "% (" + node.value + " " + doc.unit + ")";
-    };
-    if (x1 - x0 > 60) {
-      var t = el("text", {x: (x0 + 3).toFixed(1), y: depth * ROW + ROW - 6,
-        "font-size": 10, fill: "var(--text-primary)"}, svg);
-      t.textContent = node.name.split("/").pop();
-    }
-    var x = x0;
-    (node.children || []).forEach(function (c) {
-      var w = (x1 - x0) * c.value / node.value;
-      draw(c, x, x + w, depth + 1);
-      x += w;
-    });
-  }
-  draw(doc.root, 0, 1000, 0);
-}
-
 // renderExemplars draws the latency-bucket exemplar table: slowest buckets
-// first, each trace ID linking to its profile slice.
+// first, each with the trace ID to focus a downloaded profile window on
+// (go tool pprof -tagfocus=rpq_trace_id=<id>).
 function renderExemplars(doc) {
   var sec = document.getElementById("exsec");
   var ex = doc && doc.exemplars;
@@ -371,10 +329,7 @@ function renderExemplars(doc) {
     td1.textContent = e.value_ms.toFixed(2);
     row.appendChild(td1);
     var td2 = document.createElement("td");
-    var a = document.createElement("a");
-    a.href = "/debug/rpq/prof?trace=" + encodeURIComponent(e.trace_id);
-    a.textContent = e.trace_id;
-    td2.appendChild(a);
+    td2.textContent = e.trace_id;
     row.appendChild(td2);
     var td3 = document.createElement("td");
     td3.textContent = new Date(e.time).toLocaleTimeString();
@@ -404,12 +359,6 @@ function tick() {
     return r.json();
   }).then(renderSLO).catch(function () {
     document.getElementById("slosec").style.display = "none";
-  });
-  fetch("/debug/rpq/prof/tree").then(function (r) {
-    if (!r.ok) { throw new Error("disabled"); }
-    return r.json();
-  }).then(renderIcicle).catch(function () {
-    document.getElementById("profsec").style.display = "none";
   });
   fetch("/debug/rpq/exemplars").then(function (r) {
     if (!r.ok) { throw new Error("disabled"); }

@@ -61,7 +61,7 @@ func Serve(addr string, reg *Registry) (*http.Server, error) {
 //	/debug/rpq/ts       the retained telemetry window as rpq-tsdb/1 JSON
 //	/debug/rpq/slo      SLO burn rates as rpq-slo/1 JSON (when configured)
 //	/debug/rpq/prof     continuous-profiler windows as rpq-prof/1 JSON (when
-//	                    configured; /diff, /tree, /download subpaths)
+//	                    configured; raw pprof bytes under /download)
 //	/debug/rpq/exemplars  latency-bucket trace exemplars as JSON
 //	/debug/rpq/dash     the live HTML dashboard
 //	/debug/vars         expvar JSON (includes the registry under "rpq_metrics")
@@ -147,9 +147,9 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 		{"/debug/rpq/queries", "JSON snapshots of the queries executing right now", true},
 		{"/debug/rpq/ts", "retained telemetry window as rpq-tsdb/1 JSON (sparkline source)", o.TimeSeries != nil},
 		{"/debug/rpq/slo", "SLO burn rates per objective and window as rpq-slo/1 JSON", o.SLO != nil},
-		{"/debug/rpq/prof", "continuous-profiler windows as rpq-prof/1 JSON; ?window=N&by=rpq_kind slices frames by pprof label, /diff?a=&b= diffs windows, /tree feeds the dash icicle, /download fetches the raw pprof proto", o.Prof != nil},
+		{"/debug/rpq/prof", "continuous-profiler windows as rpq-prof/1 JSON with each window's pprof label values; /download?window=N fetches the raw pprof proto for go tool pprof", o.Prof != nil},
 		{"/debug/rpq/exemplars", "latency-bucket trace exemplars (slowest buckets first) as JSON", o.QueryHist != nil},
-		{"/debug/rpq/dash", "live HTML dashboard: sparklines, in-flight queries, SLO burn, profile icicle", true},
+		{"/debug/rpq/dash", "live HTML dashboard: sparklines, in-flight queries, SLO burn, latency exemplars", true},
 		{"/debug/vars", "expvar JSON including the registry under rpq_metrics", true},
 		{"/debug/pprof/", "standard net/http/pprof index (on-demand profiles)", true},
 	}

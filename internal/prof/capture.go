@@ -18,8 +18,21 @@ const (
 	DefaultWindow   = 10 * time.Second
 	DefaultInterval = 60 * time.Second
 	DefaultRetain   = 32
-	DefaultPinned   = 8
 )
+
+const (
+	// maxPinned bounds the anomaly-pinned windows kept beside the retained
+	// ones.
+	maxPinned = 8
+	// sloBurnThreshold is the burn rate at which WatchSLO pins the active
+	// window: burning error budget faster than the objective allows.
+	sloBurnThreshold = 1.0
+)
+
+// labelKeys are the pprof labels the query layer stamps whose values the
+// window listing reports. Labels ride on CPU samples only: the runtime does
+// not attach pprof labels to heap samples.
+var labelKeys = []string{"rpq_kind", "variant", "table", "rpq_trace_id"}
 
 // Options configures a Profiler. The zero value captures 10s windows every
 // 60s, retaining 32 windows plus up to 8 pinned ones.
@@ -31,17 +44,16 @@ type Options struct {
 	Interval time.Duration
 	// Retain bounds the unpinned windows kept in memory (0 = 32).
 	Retain int
-	// MaxPinned bounds the pinned windows kept in memory (0 = 8).
-	MaxPinned int
 	// Registry receives the profiler's own gauges (rpq_prof_*); nil means the
 	// default registry.
 	Registry *obs.Registry
 }
 
 // Profiler is the always-on continuous profiler: Start launches the capture
-// loop, Store exposes the retained windows, Handler serves them as
-// rpq-prof/1 JSON, and PinActive pins the window covering "now" (cutting the
-// in-flight capture short) for watchdog bundles and SLO breaches.
+// loop, Store exposes the retained windows, Handler lists them as rpq-prof/1
+// JSON and serves their raw bytes, and PinActive pins the window covering
+// "now" (cutting the in-flight capture short) for watchdog bundles and SLO
+// breaches.
 type Profiler struct {
 	window   time.Duration
 	interval time.Duration
@@ -52,12 +64,11 @@ type Profiler struct {
 	gPinned  *obs.Gauge // rpq_prof_pinned_total
 	gBytes   *obs.Gauge // rpq_prof_retained_bytes
 
-	mu       sync.Mutex
-	cur      *capture // non-nil while a CPU window is being captured
-	baseline []byte   // committed baseline profile for diffs, when set
-	started  bool
-	stop     chan struct{}
-	done     chan struct{}
+	mu      sync.Mutex
+	cur     *capture // non-nil while a CPU window is being captured
+	started bool
+	stop    chan struct{}
+	done    chan struct{}
 
 	sloStop chan struct{}
 	sloDone chan struct{}
@@ -87,9 +98,6 @@ func New(o Options) *Profiler {
 	if o.Retain <= 0 {
 		o.Retain = DefaultRetain
 	}
-	if o.MaxPinned <= 0 {
-		o.MaxPinned = DefaultPinned
-	}
 	reg := o.Registry
 	if reg == nil {
 		reg = obs.Default()
@@ -97,7 +105,7 @@ func New(o Options) *Profiler {
 	return &Profiler{
 		window:   o.Window,
 		interval: o.Interval,
-		store:    NewStore(o.Retain, o.MaxPinned),
+		store:    NewStore(o.Retain, maxPinned),
 		gWindows: reg.Gauge("rpq_prof_windows_total", "profile windows captured since process start"),
 		gErrors:  reg.Gauge("rpq_prof_errors_total", "profile capture failures (e.g. a competing CPU profile)"),
 		gPinned:  reg.Gauge("rpq_prof_pinned_total", "profile windows pinned by anomalies since process start"),
@@ -113,21 +121,6 @@ func (p *Profiler) Window() time.Duration { return p.window }
 
 // Interval returns the configured cycle period.
 func (p *Profiler) Interval() time.Duration { return p.interval }
-
-// SetBaseline installs a committed baseline profile (gzipped pprof proto);
-// the diff endpoint accepts b=baseline to diff a live window against it.
-func (p *Profiler) SetBaseline(profile []byte) {
-	p.mu.Lock()
-	p.baseline = profile
-	p.mu.Unlock()
-}
-
-// Baseline returns the committed baseline profile, nil when unset.
-func (p *Profiler) Baseline() []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.baseline
-}
 
 // Start launches the capture loop (idempotent): one window immediately, then
 // one per interval.
@@ -214,9 +207,7 @@ func (p *Profiler) captureWindow(stop chan struct{}) {
 		p.gErrors.Add(1)
 	} else {
 		w.CPU = cpuBuf.Bytes()
-		if prof, perr := ParseProfile(w.CPU); perr == nil {
-			w.CPUSamples = len(prof.Samples)
-		}
+		w.indexCPU()
 	}
 	var heapBuf bytes.Buffer
 	if hp := pprof.Lookup("heap"); hp != nil {
@@ -234,6 +225,24 @@ func (p *Profiler) captureWindow(stop chan struct{}) {
 	close(c.done)
 }
 
+// indexCPU decodes the window's CPU profile once, at capture, recording its
+// sample count and label values for the window listing.
+func (w *Window) indexCPU() {
+	prof, err := ParseProfile(w.CPU)
+	if err != nil {
+		return
+	}
+	w.CPUSamples = len(prof.Samples)
+	for _, key := range labelKeys {
+		if vs := LabelValues(prof, key); len(vs) > 0 {
+			if w.Labels == nil {
+				w.Labels = map[string][]string{}
+			}
+			w.Labels[key] = vs
+		}
+	}
+}
+
 // accountBytes refreshes the retained-bytes gauge.
 func (p *Profiler) accountBytes() {
 	var total int64
@@ -247,9 +256,10 @@ func (p *Profiler) accountBytes() {
 // cut short so its samples — including the anomaly that triggered the pin —
 // are flushed and retained; with no capture in flight the most recent window
 // is pinned instead. It returns the pinned window's CPU profile (gzipped
-// pprof) and id; ok is false when nothing has been captured yet. It
-// implements obs.ProfilePinner, so a Watchdog links the window into its
-// diagnostic bundles.
+// pprof) and id; ok is false when nothing has been captured yet. Only the
+// first pin of a window counts toward rpq_prof_pinned_total, so a burst of
+// anomalies inside one window counts once. It implements obs.ProfilePinner,
+// so a Watchdog links the window into its diagnostic bundles.
 func (p *Profiler) PinActive(reason string) (cpu []byte, id int64, ok bool) {
 	p.mu.Lock()
 	c := p.cur
@@ -267,10 +277,9 @@ func (p *Profiler) PinActive(reason string) (cpu []byte, id int64, ok bool) {
 	} else {
 		return nil, 0, false
 	}
-	if !p.store.Pin(id, reason) {
-		return nil, 0, false
+	if p.store.Pin(id, reason) {
+		p.gPinned.Add(1)
 	}
-	p.gPinned.Add(1)
 	w, found := p.store.Get(id)
 	if !found {
 		return nil, 0, false
@@ -279,12 +288,12 @@ func (p *Profiler) PinActive(reason string) (cpu []byte, id int64, ok bool) {
 }
 
 // WatchSLO starts a background check of the tracker's burn rates every
-// `every` (0 = 30s): when any objective's burn rate on any window reaches
-// threshold, the active profile window is pinned ("slo-burn"), with a
-// per-breach cooldown of one hour so a sustained burn does not consume the
+// `every` (0 = 30s): when any objective burns at or above sloBurnThreshold on
+// any window, the active profile window is pinned ("slo-burn") once, with a
+// cooldown of one hour so a sustained burn does not consume the
 // pinned-window budget. Stop terminates the watcher.
-func (p *Profiler) WatchSLO(tr *obs.SLOTracker, threshold float64, every time.Duration) {
-	if tr == nil || threshold <= 0 {
+func (p *Profiler) WatchSLO(tr *obs.SLOTracker, every time.Duration) {
+	if tr == nil {
 		return
 	}
 	if every <= 0 {
@@ -311,18 +320,23 @@ func (p *Profiler) WatchSLO(tr *obs.SLOTracker, threshold float64, every time.Du
 				return
 			case <-tick.C:
 			}
-			if time.Since(lastPin) < time.Hour {
-				continue
-			}
-			rep := tr.Report()
-			for _, s := range rep.SLOs {
-				for _, w := range s.Windows {
-					if w.BurnRate >= threshold {
-						p.PinActive("slo-burn")
-						lastPin = time.Now()
-					}
-				}
+			if time.Since(lastPin) >= time.Hour && p.pinIfBurning(tr.Report()) {
+				lastPin = time.Now()
 			}
 		}
 	}()
+}
+
+// pinIfBurning pins the active window once when any objective's burn rate
+// on any window reaches sloBurnThreshold, and reports whether it did.
+func (p *Profiler) pinIfBurning(rep obs.SLOReport) bool {
+	for _, s := range rep.SLOs {
+		for _, w := range s.Windows {
+			if w.BurnRate >= sloBurnThreshold {
+				p.PinActive("slo-burn")
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -13,7 +13,7 @@ import (
 func newTestProfiler(window, interval time.Duration) *Profiler {
 	return New(Options{
 		Window: window, Interval: interval,
-		Retain: 4, MaxPinned: 2,
+		Retain:   4,
 		Registry: obs.NewRegistry(),
 	})
 }
@@ -37,17 +37,19 @@ func TestCaptureWindowEndToEnd(t *testing.T) {
 		if len(w.CPU) == 0 {
 			t.Fatal("window has neither CPU bytes nor an error")
 		}
-		if _, err := ParseProfile(w.CPU); err != nil {
+		cp, err := ParseProfile(w.CPU)
+		if err != nil {
 			t.Fatalf("captured CPU profile does not decode: %v", err)
+		}
+		if w.CPUSamples != len(cp.Samples) {
+			t.Fatalf("CPUSamples = %d, profile has %d samples", w.CPUSamples, len(cp.Samples))
 		}
 	}
 	if len(w.Heap) == 0 {
 		t.Fatal("window lacks a heap snapshot")
 	}
-	if hp, err := ParseProfile(w.Heap); err != nil {
+	if _, err := ParseProfile(w.Heap); err != nil {
 		t.Fatalf("captured heap profile does not decode: %v", err)
-	} else if hp.ValueIndex("alloc_space") < 0 {
-		t.Fatalf("heap profile lacks alloc_space: %+v", hp.SampleType)
 	}
 	if w.End.Before(w.Start) {
 		t.Fatalf("window times inverted: %+v", w)
@@ -121,6 +123,48 @@ func TestPinActivePinsLatestWhenIdle(t *testing.T) {
 	}
 	if w, _ := p.store.Get(id); !w.Pinned || w.PinReason != "slo-burn" {
 		t.Fatalf("window = %+v", w)
+	}
+}
+
+// TestPinActiveCountsWindowOnce pins the same idle window twice, as a burst
+// of slow queries would: both calls return it, but the pinned gauge counts
+// one window.
+func TestPinActiveCountsWindowOnce(t *testing.T) {
+	p := newTestProfiler(time.Second, time.Minute)
+	want := p.store.Add(mkWindow(10))
+	for i := 0; i < 2; i++ {
+		if _, id, ok := p.PinActive("slow"); !ok || id != want {
+			t.Fatalf("PinActive #%d = %d, %v; want window %d", i+1, id, ok, want)
+		}
+	}
+	if got := p.gPinned.Value(); got != 1 {
+		t.Fatalf("rpq_prof_pinned_total = %d after two pins of one window, want 1", got)
+	}
+}
+
+// TestPinIfBurningPinsOncePerReport feeds one report whose objective burns
+// on both of its windows: that is one breach, so one pin.
+func TestPinIfBurningPinsOncePerReport(t *testing.T) {
+	p := newTestProfiler(time.Second, time.Minute)
+	p.store.Add(mkWindow(10))
+	rep := obs.SLOReport{SLOs: []obs.SLOStatus{{
+		Route: "query",
+		Windows: []obs.SLOWindowStatus{
+			{Window: "5m", BurnRate: 3},
+			{Window: "1h", BurnRate: 1.5},
+		},
+	}}}
+	if !p.pinIfBurning(rep) {
+		t.Fatal("pinIfBurning ignored a burning report")
+	}
+	if got := p.gPinned.Value(); got != 1 {
+		t.Fatalf("rpq_prof_pinned_total = %d, want 1", got)
+	}
+	calm := obs.SLOReport{SLOs: []obs.SLOStatus{{
+		Windows: []obs.SLOWindowStatus{{Window: "5m", BurnRate: 0.5}},
+	}}}
+	if p.pinIfBurning(calm) {
+		t.Fatal("pinIfBurning pinned below the burn threshold")
 	}
 }
 

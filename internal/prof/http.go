@@ -12,14 +12,12 @@ import (
 // Schema identifies the /debug/rpq/prof document format.
 const Schema = "rpq-prof/1"
 
-// windowInfo is one window row in the rpq-prof/1 listing, annotated with the
-// label values seen in its CPU samples so clients know what to slice by.
+// windowInfo is one window row in the rpq-prof/1 listing.
 type windowInfo struct {
 	Window
-	DurationMS int64               `json:"duration_ms"`
-	CPUBytes   int                 `json:"cpu_bytes"`
-	HeapBytes  int                 `json:"heap_bytes"`
-	Labels     map[string][]string `json:"labels,omitempty"`
+	DurationMS int64 `json:"duration_ms"`
+	CPUBytes   int   `json:"cpu_bytes"`
+	HeapBytes  int   `json:"heap_bytes"`
 }
 
 // profDoc is the rpq-prof/1 index document.
@@ -28,354 +26,78 @@ type profDoc struct {
 	Now        time.Time    `json:"now"`
 	WindowMS   int64        `json:"window_ms"`
 	IntervalMS int64        `json:"interval_ms"`
-	Baseline   bool         `json:"baseline"`
 	Windows    []windowInfo `json:"windows"`
-}
-
-// windowDoc is the per-window aggregation document
-// (?window=<id>&profile=cpu|heap&by=<label>&n=<N>).
-type windowDoc struct {
-	Schema     string      `json:"schema"`
-	Window     windowInfo  `json:"window"`
-	Profile    string      `json:"profile"`
-	SampleType []ValueType `json:"sample_type"`
-	Value      string      `json:"value_type"`
-	Unit       string      `json:"unit"`
-	By         string      `json:"by,omitempty"`
-	Top        Slice       `json:"top"`
-	Slices     []Slice     `json:"slices,omitempty"`
-}
-
-// traceDoc is the cross-window trace view (?trace=<id>): the frames of every
-// retained window's samples labeled with that trace ID.
-type traceDoc struct {
-	Schema  string  `json:"schema"`
-	TraceID string  `json:"trace_id"`
-	Windows []int64 `json:"windows"`
-	Top     Slice   `json:"top"`
-}
-
-// diffDoc is the /debug/rpq/prof/diff document.
-type diffDoc struct {
-	Schema  string     `json:"schema"`
-	A       int64      `json:"a"`
-	B       int64      `json:"b,omitempty"`
-	BIsBase bool       `json:"b_is_baseline,omitempty"`
-	Profile string     `json:"profile"`
-	Diff    DiffResult `json:"diff"`
 }
 
 // Handler serves the profiler's HTTP surface. Mount it at /debug/rpq/prof
 // (it routes on the path suffix):
 //
-//	GET .../prof                  window list (rpq-prof/1)
-//	GET .../prof?window=N         per-window top frames (&profile=cpu|heap,
-//	                              &by=<label>, &n=<topN>, &value=<sample type>)
-//	GET .../prof?trace=ID         frames labeled rpq_trace_id=ID, all windows
-//	GET .../prof/diff?a=N&b=M     frame deltas a−b (b=baseline uses the
-//	                              committed baseline profile)
-//	GET .../prof/tree?window=N    icicle tree JSON for the dash panel
+//	GET .../prof                    window list (rpq-prof/1)
 //	GET .../prof/download?window=N  raw gzipped pprof proto (&profile=cpu|heap)
+//
+// Analysis (top frames, label focus, diffs) is `go tool pprof` on the
+// downloaded bytes; docs/observability.md has the recipes.
 func (p *Profiler) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		path := strings.TrimSuffix(r.URL.Path, "/")
-		switch {
-		case strings.HasSuffix(path, "/diff"):
-			p.serveDiff(w, r)
-		case strings.HasSuffix(path, "/tree"):
-			p.serveTree(w, r)
-		case strings.HasSuffix(path, "/download"):
+		if strings.HasSuffix(strings.TrimSuffix(r.URL.Path, "/"), "/download") {
 			p.serveDownload(w, r)
-		default:
-			p.serveIndex(w, r)
+			return
 		}
+		p.serveIndex(w)
 	})
 }
 
-func (p *Profiler) windowInfo(w Window, withLabels bool) windowInfo {
-	wi := windowInfo{
-		Window:     w,
-		DurationMS: w.End.Sub(w.Start).Milliseconds(),
-		CPUBytes:   len(w.CPU),
-		HeapBytes:  len(w.Heap),
-	}
-	if withLabels && len(w.CPU) > 0 {
-		if prof, err := ParseProfile(w.CPU); err == nil {
-			labels := map[string][]string{}
-			for _, key := range SliceKeys {
-				if vs := LabelValues(prof, key); len(vs) > 0 {
-					labels[key] = vs
-				}
-			}
-			if len(labels) > 0 {
-				wi.Labels = labels
-			}
-		}
-	}
-	return wi
-}
-
-func (p *Profiler) serveIndex(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if q.Get("window") != "" {
-		p.serveWindow(w, r)
-		return
-	}
-	if tid := q.Get("trace"); tid != "" {
-		p.serveTrace(w, tid)
-		return
-	}
+func (p *Profiler) serveIndex(w http.ResponseWriter) {
 	doc := profDoc{
 		Schema:     Schema,
 		Now:        time.Now().UTC(),
 		WindowMS:   p.window.Milliseconds(),
 		IntervalMS: p.interval.Milliseconds(),
-		Baseline:   p.Baseline() != nil,
 	}
 	for _, win := range p.store.List() {
-		doc.Windows = append(doc.Windows, p.windowInfo(win, true))
-	}
-	writeJSON(w, doc)
-}
-
-// loadWindow fetches and decodes one window's profile; kind is "cpu" or
-// "heap" ("" = cpu).
-func (p *Profiler) loadWindow(idStr, kind string) (Window, *Profile, string, error) {
-	id, err := strconv.ParseInt(idStr, 10, 64)
-	if err != nil {
-		return Window{}, nil, "", fmt.Errorf("bad window id %q", idStr)
-	}
-	win, ok := p.store.Get(id)
-	if !ok {
-		return Window{}, nil, "", fmt.Errorf("window %d not retained", id)
-	}
-	if kind == "" {
-		kind = "cpu"
-	}
-	var raw []byte
-	switch kind {
-	case "cpu":
-		raw = win.CPU
-	case "heap":
-		raw = win.Heap
-	default:
-		return Window{}, nil, "", fmt.Errorf("bad profile kind %q (want cpu or heap)", kind)
-	}
-	if len(raw) == 0 {
-		return Window{}, nil, "", fmt.Errorf("window %d has no %s profile: %s", id, kind, win.Err)
-	}
-	prof, err := ParseProfile(raw)
-	if err != nil {
-		return Window{}, nil, "", fmt.Errorf("decode window %d: %v", id, err)
-	}
-	return win, prof, kind, nil
-}
-
-func topN(q string) int {
-	n, err := strconv.Atoi(q)
-	if err != nil || n <= 0 {
-		return 20
-	}
-	if n > 200 {
-		n = 200
-	}
-	return n
-}
-
-func (p *Profiler) serveWindow(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	win, prof, kind, err := p.loadWindow(q.Get("window"), q.Get("profile"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	vi := prof.DefaultValueIndex()
-	if vt := q.Get("value"); vt != "" {
-		if vi = prof.ValueIndex(vt); vi < 0 {
-			http.Error(w, fmt.Sprintf("no sample type %q", vt), http.StatusBadRequest)
-			return
-		}
-	}
-	n := topN(q.Get("n"))
-	doc := windowDoc{
-		Schema:     Schema,
-		Window:     p.windowInfo(win, false),
-		Profile:    kind,
-		SampleType: prof.SampleType,
-		Top:        TopFrames(prof, vi, n, nil),
-	}
-	if vi >= 0 && vi < len(prof.SampleType) {
-		doc.Value = prof.SampleType[vi].Type
-		doc.Unit = prof.SampleType[vi].Unit
-	}
-	if by := q.Get("by"); by != "" {
-		doc.By = by
-		doc.Slices = SliceByLabel(prof, by, vi, n)
-	}
-	writeJSON(w, doc)
-}
-
-// serveTrace aggregates, across every retained window, the CPU samples
-// labeled rpq_trace_id=tid — the jump target from a slow-log line.
-func (p *Profiler) serveTrace(w http.ResponseWriter, tid string) {
-	doc := traceDoc{Schema: Schema, TraceID: tid}
-	merged := Slice{}
-	frames := map[string]*Frame{}
-	for _, win := range p.store.List() {
-		if len(win.CPU) == 0 {
-			continue
-		}
-		prof, err := ParseProfile(win.CPU)
-		if err != nil {
-			continue
-		}
-		vi := prof.DefaultValueIndex()
-		sl := TopFrames(prof, vi, 0, func(s Sample) bool {
-			return s.Labels["rpq_trace_id"] == tid
+		doc.Windows = append(doc.Windows, windowInfo{
+			Window:     win,
+			DurationMS: win.End.Sub(win.Start).Milliseconds(),
+			CPUBytes:   len(win.CPU),
+			HeapBytes:  len(win.Heap),
 		})
-		if sl.Total == 0 && len(sl.Frames) == 0 {
-			continue
-		}
-		doc.Windows = append(doc.Windows, win.ID)
-		merged.Total += sl.Total
-		for _, f := range sl.Frames {
-			a := frames[f.Func]
-			if a == nil {
-				frames[f.Func] = &Frame{Func: f.Func, Flat: f.Flat, Cum: f.Cum}
-			} else {
-				a.Flat += f.Flat
-				a.Cum += f.Cum
-			}
-		}
 	}
-	for _, f := range frames {
-		merged.Frames = append(merged.Frames, *f)
-	}
-	sortFrames(merged.Frames)
-	if len(merged.Frames) > 50 {
-		merged.Frames = merged.Frames[:50]
-	}
-	doc.Top = merged
-	writeJSON(w, doc)
-}
-
-func sortFrames(fs []Frame) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && frameLess(fs[j], fs[j-1]); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-}
-
-func frameLess(a, b Frame) bool {
-	if a.Flat != b.Flat {
-		return a.Flat > b.Flat
-	}
-	if a.Cum != b.Cum {
-		return a.Cum > b.Cum
-	}
-	return a.Func < b.Func
-}
-
-func (p *Profiler) serveDiff(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	kind := q.Get("profile")
-	_, pa, kind, err := p.loadWindow(q.Get("a"), kind)
-	if err != nil {
-		http.Error(w, "a: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	doc := diffDoc{Schema: Schema, Profile: kind}
-	var pb *Profile
-	if bs := q.Get("b"); bs == "baseline" {
-		base := p.Baseline()
-		if base == nil {
-			http.Error(w, "no baseline profile committed", http.StatusBadRequest)
-			return
-		}
-		pb, err = ParseProfile(base)
-		if err != nil {
-			http.Error(w, "baseline: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		doc.BIsBase = true
-	} else {
-		var bwin Window
-		bwin, pb, _, err = p.loadWindow(bs, kind)
-		if err != nil {
-			http.Error(w, "b: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		doc.B = bwin.ID
-	}
-	aid, _ := strconv.ParseInt(q.Get("a"), 10, 64)
-	doc.A = aid
-	doc.Diff = Diff(pa, pb, q.Get("value"), topN(q.Get("n")))
-	writeJSON(w, doc)
-}
-
-func (p *Profiler) serveTree(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	idStr := q.Get("window")
-	if idStr == "" {
-		// Default to the latest window with a CPU profile so the dash panel
-		// needs no id bookkeeping.
-		for _, win := range p.store.List() {
-			if len(win.CPU) > 0 {
-				idStr = strconv.FormatInt(win.ID, 10)
-			}
-		}
-		if idStr == "" {
-			http.Error(w, "no windows captured yet", http.StatusNotFound)
-			return
-		}
-	}
-	win, prof, kind, err := p.loadWindow(idStr, q.Get("profile"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	vi := prof.DefaultValueIndex()
-	var filter func(Sample) bool
-	if kind == "cpu" {
-		if key, val := q.Get("by"), q.Get("eq"); key != "" && val != "" {
-			filter = func(s Sample) bool { return s.Labels[key] == val }
-		}
-	}
-	tree := StackTree(prof, vi, filter, 0.005)
-	unit := ""
-	if vi >= 0 && vi < len(prof.SampleType) {
-		unit = prof.SampleType[vi].Unit
-	}
-	writeJSON(w, struct {
-		Schema string    `json:"schema"`
-		Window int64     `json:"window"`
-		Kind   string    `json:"profile"`
-		Unit   string    `json:"unit"`
-		Root   *TreeNode `json:"root"`
-	}{Schema, win.ID, kind, unit, tree})
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(doc)
 }
 
 func (p *Profiler) serveDownload(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	win, _, kind, err := p.loadWindow(q.Get("window"), q.Get("profile"))
+	idStr := q.Get("window")
+	id, err := strconv.ParseInt(idStr, 10, 64)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("bad window id %q", idStr), http.StatusBadRequest)
 		return
 	}
-	raw := win.CPU
-	if kind == "heap" {
+	win, ok := p.store.Get(id)
+	if !ok {
+		http.Error(w, fmt.Sprintf("window %d not retained", id), http.StatusBadRequest)
+		return
+	}
+	kind := q.Get("profile")
+	var raw []byte
+	switch kind {
+	case "", "cpu":
+		kind, raw = "cpu", win.CPU
+	case "heap":
 		raw = win.Heap
+	default:
+		http.Error(w, fmt.Sprintf("bad profile kind %q (want cpu or heap)", kind), http.StatusBadRequest)
+		return
+	}
+	if len(raw) == 0 {
+		http.Error(w, fmt.Sprintf("window %d has no %s profile: %s", id, kind, win.Err), http.StatusBadRequest)
+		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition",
-		fmt.Sprintf(`attachment; filename="rpq-%s-window-%d.pb.gz"`, kind, win.ID))
+		fmt.Sprintf(`attachment; filename="rpq-%s-window-%d.pb.gz"`, kind, id))
 	w.Write(raw)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

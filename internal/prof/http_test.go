@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
@@ -8,19 +9,20 @@ import (
 )
 
 // handlerFixture returns a profiler (not started) whose store holds two
-// decodable windows: exist-shaped then violations-shaped.
+// windows indexed the way the capture loop indexes them: exist-shaped then
+// violations-shaped.
 func handlerFixture(t *testing.T) (*Profiler, int64, int64) {
 	t.Helper()
 	p := newTestProfiler(time.Second, time.Minute)
-	idA := p.store.Add(&Window{
-		Start: time.Unix(1700000000, 0), End: time.Unix(1700000010, 0),
-		CPU: encodeTestProfile(fixtureSpec("exist")),
-	})
-	idB := p.store.Add(&Window{
-		Start: time.Unix(1700000060, 0), End: time.Unix(1700000070, 0),
-		CPU: encodeTestProfile(fixtureSpec("violations")),
-	})
-	return p, idA, idB
+	add := func(start int64, kind string) int64 {
+		w := &Window{
+			Start: time.Unix(start, 0), End: time.Unix(start+10, 0),
+			CPU: encodeTestProfile(fixtureSpec(kind)),
+		}
+		w.indexCPU()
+		return p.store.Add(w)
+	}
+	return p, add(1700000000, "exist"), add(1700000060, "violations")
 }
 
 func getJSON(t *testing.T, p *Profiler, url string, out any) int {
@@ -42,8 +44,9 @@ func TestHandlerIndexSchema(t *testing.T) {
 		Schema   string `json:"schema"`
 		WindowMS int64  `json:"window_ms"`
 		Windows  []struct {
-			ID     int64               `json:"id"`
-			Labels map[string][]string `json:"labels"`
+			ID         int64               `json:"id"`
+			CPUSamples int                 `json:"cpu_samples"`
+			Labels     map[string][]string `json:"labels"`
 		} `json:"windows"`
 	}
 	if code := getJSON(t, p, "/debug/rpq/prof", &doc); code != 200 {
@@ -61,91 +64,11 @@ func TestHandlerIndexSchema(t *testing.T) {
 	if got := doc.Windows[0].Labels["rpq_kind"]; len(got) != 1 || got[0] != "exist" {
 		t.Fatalf("window labels = %v", doc.Windows[0].Labels)
 	}
-}
-
-func TestHandlerWindowSlicedByKind(t *testing.T) {
-	p, idA, _ := handlerFixture(t)
-	var doc windowDoc
-	url := "/debug/rpq/prof?window=1&by=rpq_kind&n=5"
-	if code := getJSON(t, p, url, &doc); code != 200 {
-		t.Fatalf("status %d", code)
+	if got := doc.Windows[1].Labels["rpq_trace_id"]; len(got) != 2 {
+		t.Fatalf("window trace IDs = %v", got)
 	}
-	if doc.Window.ID != idA || doc.Profile != "cpu" || doc.Value != "cpu" {
-		t.Fatalf("doc = %+v", doc)
-	}
-	if len(doc.Top.Frames) == 0 || len(doc.Top.Frames) > 5 {
-		t.Fatalf("top frames = %+v", doc.Top.Frames)
-	}
-	if len(doc.Slices) != 2 || doc.Slices[0].Value != "exist" {
-		t.Fatalf("slices = %+v", doc.Slices)
-	}
-}
-
-func TestHandlerDiffNonzero(t *testing.T) {
-	p, idA, idB := handlerFixture(t)
-	var doc diffDoc
-	url := "/debug/rpq/prof/diff?a=2&b=1"
-	if code := getJSON(t, p, url, &doc); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if doc.Schema != Schema || doc.A != idB || doc.B != idA {
-		t.Fatalf("doc = %+v", doc)
-	}
-	// exist vs violations differ in entry frames, so deltas are nonzero.
-	nonzero := false
-	for _, f := range doc.Diff.Frames {
-		if f.DeltaFlat != 0 || f.DeltaCum != 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		t.Fatal("diff of different kinds returned all-zero deltas")
-	}
-}
-
-func TestHandlerDiffBaseline(t *testing.T) {
-	p, _, _ := handlerFixture(t)
-	var doc diffDoc
-	if code := getJSON(t, p, "/debug/rpq/prof/diff?a=1&b=baseline", &doc); code != 400 {
-		t.Fatalf("diff without baseline: status %d, want 400", code)
-	}
-	p.SetBaseline(encodeTestProfile(fixtureSpec("exist")))
-	if code := getJSON(t, p, "/debug/rpq/prof/diff?a=1&b=baseline", &doc); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if !doc.BIsBase || doc.Diff.Delta != 0 {
-		t.Fatalf("baseline self-diff = %+v", doc)
-	}
-}
-
-func TestHandlerTraceView(t *testing.T) {
-	p, _, _ := handlerFixture(t)
-	var doc traceDoc
-	url := "/debug/rpq/prof?trace=bbbb1111bbbb1111bbbb1111bbbb1111"
-	if code := getJSON(t, p, url, &doc); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	// The trace appears in both windows (same fixture trace IDs).
-	if len(doc.Windows) != 2 || doc.Top.Total != 40_000_000 {
-		t.Fatalf("trace doc = %+v", doc)
-	}
-	if doc.Top.Frames[0].Func != "rpq/internal/core.memoLookup" {
-		t.Fatalf("trace top frame = %+v", doc.Top.Frames)
-	}
-}
-
-func TestHandlerTree(t *testing.T) {
-	p, _, idB := handlerFixture(t)
-	var doc struct {
-		Window int64     `json:"window"`
-		Root   *TreeNode `json:"root"`
-	}
-	// No ?window defaults to the latest window with CPU bytes.
-	if code := getJSON(t, p, "/debug/rpq/prof/tree", &doc); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if doc.Window != idB || doc.Root == nil || doc.Root.Value != 120_000_000 {
-		t.Fatalf("tree = %+v", doc)
+	if doc.Windows[0].CPUSamples != 4 {
+		t.Fatalf("cpu_samples = %d, want 4", doc.Windows[0].CPUSamples)
 	}
 }
 
@@ -157,6 +80,9 @@ func TestHandlerDownloadRoundtrips(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
+	if w, _ := p.store.Get(idA); !bytes.Equal(rec.Body.Bytes(), w.CPU) {
+		t.Fatalf("downloaded %d bytes, window %d holds %d", rec.Body.Len(), idA, len(w.CPU))
+	}
 	prof, err := ParseProfile(rec.Body.Bytes())
 	if err != nil {
 		t.Fatalf("downloaded bytes do not decode: %v", err)
@@ -164,17 +90,15 @@ func TestHandlerDownloadRoundtrips(t *testing.T) {
 	if len(prof.Samples) != 4 {
 		t.Fatalf("downloaded profile has %d samples", len(prof.Samples))
 	}
-	_ = idA
 }
 
 func TestHandlerErrors(t *testing.T) {
 	p, _, _ := handlerFixture(t)
 	for _, url := range []string{
-		"/debug/rpq/prof?window=99",
-		"/debug/rpq/prof?window=abc",
-		"/debug/rpq/prof?window=1&profile=wat",
-		"/debug/rpq/prof/diff?a=1&b=99",
 		"/debug/rpq/prof/download?window=99",
+		"/debug/rpq/prof/download?window=abc",
+		"/debug/rpq/prof/download?window=1&profile=wat",
+		"/debug/rpq/prof/download?window=1&profile=heap",
 	} {
 		req := httptest.NewRequest("GET", url, nil)
 		rec := httptest.NewRecorder()

@@ -1,12 +1,13 @@
 // Package prof is the always-on continuous profiler behind /debug/rpq/prof:
 // a duty-cycled capture loop recording short CPU-profile windows and
-// heap/alloc snapshots into a bounded ring store, a stdlib-only decoder for
-// the pprof protobuf format (gzip + wire-format walk, no dependency on
-// github.com/google/pprof or runtime/pprof internals), label-sliced flat/cum
-// aggregation over the rpq_* pprof labels the query layer stamps, and
-// frame-level diffing between windows — the tool the data-plane rewrites are
-// gated with. docs/observability.md ("Continuous profiling") documents the
-// rpq-prof/1 schema and the diff workflow.
+// heap/alloc snapshots into a bounded ring store, pinned into watchdog
+// bundles on anomalies and downloadable as raw pprof for offline analysis
+// with `go tool pprof`. A stdlib-only decoder for the pprof protobuf format
+// (gzip + wire-format walk, no dependency on github.com/google/pprof or
+// runtime/pprof internals) reads each window's sample count and the rpq_*
+// pprof labels the query layer stamps, once, at capture.
+// docs/observability.md ("Continuous profiling") documents the rpq-prof/1
+// schema and the `go tool pprof` workflow.
 package prof
 
 import (
@@ -14,80 +15,46 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"sort"
 )
 
-// ValueType is one sample-value dimension of a profile ("cpu"/"nanoseconds",
-// "alloc_space"/"bytes", ...).
-type ValueType struct {
-	Type string `json:"type"`
-	Unit string `json:"unit"`
-}
-
-// Sample is one decoded profile sample: its call stack (leaf first, inline
-// frames expanded), one value per ValueType, and the pprof labels attached to
-// it (string labels only; numeric labels are kept separately).
+// Sample is one decoded profile sample: the string pprof labels attached to
+// it (rpq_kind, variant, rpq_trace_id, ...). Stacks, values and numeric
+// labels are not decoded; `go tool pprof` reads those from the raw bytes.
 type Sample struct {
-	// Stack holds function names, leaf first.
-	Stack []string
-	// Values aligns with Profile.SampleType.
-	Values []int64
-	// Labels holds the sample's string pprof labels (rpq_kind, variant, ...).
 	Labels map[string]string
-	// NumLabels holds numeric labels (e.g. "bytes" on heap samples).
-	NumLabels map[string]int64
 }
 
-// Profile is a decoded pprof profile — the subset of the proto the
-// aggregation and diff layers need.
+// Profile is a decoded pprof profile: the subset of the proto the window
+// listing needs.
 type Profile struct {
-	SampleType    []ValueType
-	Samples       []Sample
-	TimeNanos     int64
-	DurationNanos int64
-	Period        int64
-	PeriodType    ValueType
-	// DefaultSampleType names the sample type tools should show by default
-	// ("" when the profile does not set one).
-	DefaultSampleType string
+	Samples []Sample
 }
 
-// ValueIndex returns the index of the sample-value dimension named typ, or -1.
-func (p *Profile) ValueIndex(typ string) int {
-	for i, st := range p.SampleType {
-		if st.Type == typ {
-			return i
+// LabelValues returns the distinct values of the label key across samples,
+// sorted, for the window listing.
+func LabelValues(p *Profile, key string) []string {
+	set := map[string]bool{}
+	for _, s := range p.Samples {
+		if v, ok := s.Labels[key]; ok && v != "" {
+			set[v] = true
 		}
 	}
-	return -1
-}
-
-// DefaultValueIndex picks the dimension aggregation should use when the
-// caller does not name one: "cpu" for CPU profiles, "alloc_space" for heap
-// profiles (the heap-bytes attribution the data-plane work needs), otherwise
-// the last dimension — the convention pprof itself uses.
-func (p *Profile) DefaultValueIndex() int {
-	if i := p.ValueIndex("cpu"); i >= 0 {
-		return i
+	out := make([]string, 0, len(set))
+	for v := range set {
+		out = append(out, v)
 	}
-	if i := p.ValueIndex("alloc_space"); i >= 0 {
-		return i
-	}
-	return len(p.SampleType) - 1
+	sort.Strings(out)
+	return out
 }
 
 // ---- protobuf wire walk ----
 //
 // profile.proto field numbers (github.com/google/pprof/proto/profile.proto):
 //
-//	Profile:  1 sample_type, 2 sample, 4 location, 5 function,
-//	          6 string_table, 9 time_nanos, 10 duration_nanos,
-//	          11 period_type, 12 period, 14 default_sample_type
-//	ValueType: 1 type, 2 unit (string-table indexes)
-//	Sample:   1 location_id (repeated), 2 value (repeated), 3 label
+//	Profile:  2 sample, 6 string_table
+//	Sample:   3 label
 //	Label:    1 key, 2 str, 3 num (key/str are string-table indexes)
-//	Location: 1 id, 4 line (repeated; line[0] is the leaf-most inline frame)
-//	Line:     1 function_id
-//	Function: 1 id, 2 name (string-table index)
 
 const (
 	wireVarint  = 0
@@ -100,7 +67,7 @@ const (
 // fn receives the value in v; for length-delimited fields the payload in b.
 // Fixed32/fixed64 fields are skipped (profile.proto does not use them) but
 // must still be consumed to stay in sync.
-func walkMessage(data []byte, fn func(num, typ int, v uint64, b []byte) error) error {
+func walkMessage(data []byte, fn func(num int, v uint64, b []byte) error) error {
 	for len(data) > 0 {
 		key, n := uvarint(data)
 		if n <= 0 {
@@ -115,7 +82,7 @@ func walkMessage(data []byte, fn func(num, typ int, v uint64, b []byte) error) e
 				return fmt.Errorf("prof: truncated varint in field %d", num)
 			}
 			data = data[n:]
-			if err := fn(num, typ, v, nil); err != nil {
+			if err := fn(num, v, nil); err != nil {
 				return err
 			}
 		case wireBytes:
@@ -125,7 +92,7 @@ func walkMessage(data []byte, fn func(num, typ int, v uint64, b []byte) error) e
 			}
 			payload := data[n : n+int(l)]
 			data = data[n+int(l):]
-			if err := fn(num, typ, 0, payload); err != nil {
+			if err := fn(num, 0, payload); err != nil {
 				return err
 			}
 		case wireFixed64:
@@ -158,35 +125,11 @@ func uvarint(b []byte) (uint64, int) {
 	return 0, 0
 }
 
-// ints appends the int64 values of a repeated integer field, handling both
-// packed (length-delimited) and unpacked (single varint) encodings.
-func ints(dst []int64, typ int, v uint64, b []byte) ([]int64, error) {
-	if typ == wireVarint {
-		return append(dst, int64(v)), nil
-	}
-	for len(b) > 0 {
-		x, n := uvarint(b)
-		if n <= 0 {
-			return nil, fmt.Errorf("prof: truncated packed int")
-		}
-		dst = append(dst, int64(x))
-		b = b[n:]
-	}
-	return dst, nil
-}
-
-// rawSample keeps a sample's encoded references until the tables are known.
-type rawSample struct {
-	locs   []int64
-	values []int64
-	labels []rawLabel
-}
-
-type rawLabel struct{ key, str, num int64 }
+// rawLabel keeps a label's string-table references until the table is known.
+type rawLabel struct{ key, str int64 }
 
 // ParseProfile decodes a pprof profile — gzip-compressed or raw protobuf —
-// into the Profile subset: sample types, samples with symbolized stacks and
-// labels, and the timing metadata.
+// into its samples' string labels.
 func ParseProfile(data []byte) (*Profile, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
 		zr, err := gzip.NewReader(bytes.NewReader(data))
@@ -202,107 +145,34 @@ func ParseProfile(data []byte) (*Profile, error) {
 	}
 
 	var (
-		strtab      []string
-		sampleTypes []rawLabel // reuse: key=type idx, str=unit idx
-		raws        []rawSample
-		funcs       = map[uint64]int64{} // function id -> name strtab idx
-		locFns      = map[uint64][]uint64{}
-		p           = &Profile{}
-		periodType  rawLabel
-		defaultType int64
+		strtab []string
+		raws   [][]rawLabel // per sample
 	)
-
-	err := walkMessage(data, func(num, typ int, v uint64, b []byte) error {
+	err := walkMessage(data, func(num int, v uint64, b []byte) error {
 		switch num {
-		case 1: // sample_type
-			vt, err := parseValueTypeRaw(b)
-			if err != nil {
-				return err
-			}
-			sampleTypes = append(sampleTypes, vt)
 		case 2: // sample
-			s := rawSample{}
-			err := walkMessage(b, func(num, typ int, v uint64, b []byte) error {
-				var err error
-				switch num {
-				case 1:
-					s.locs, err = ints(s.locs, typ, v, b)
-				case 2:
-					s.values, err = ints(s.values, typ, v, b)
-				case 3:
-					var l rawLabel
-					err = walkMessage(b, func(num, typ int, v uint64, b []byte) error {
-						switch num {
-						case 1:
-							l.key = int64(v)
-						case 2:
-							l.str = int64(v)
-						case 3:
-							l.num = int64(v)
-						}
-						return nil
-					})
-					s.labels = append(s.labels, l)
+			var labels []rawLabel
+			err := walkMessage(b, func(num int, v uint64, b []byte) error {
+				if num != 3 { // label
+					return nil
 				}
+				var l rawLabel
+				err := walkMessage(b, func(num int, v uint64, b []byte) error {
+					switch num {
+					case 1:
+						l.key = int64(v)
+					case 2:
+						l.str = int64(v)
+					}
+					return nil
+				})
+				labels = append(labels, l)
 				return err
 			})
-			if err != nil {
-				return err
-			}
-			raws = append(raws, s)
-		case 4: // location
-			var id uint64
-			var fns []uint64
-			err := walkMessage(b, func(num, typ int, v uint64, b []byte) error {
-				switch num {
-				case 1:
-					id = v
-				case 4: // line
-					return walkMessage(b, func(num, typ int, v uint64, b []byte) error {
-						if num == 1 {
-							fns = append(fns, v)
-						}
-						return nil
-					})
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			locFns[id] = fns
-		case 5: // function
-			var id uint64
-			var name int64
-			err := walkMessage(b, func(num, typ int, v uint64, b []byte) error {
-				switch num {
-				case 1:
-					id = v
-				case 2:
-					name = int64(v)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			funcs[id] = name
+			raws = append(raws, labels)
+			return err
 		case 6: // string_table
 			strtab = append(strtab, string(b))
-		case 9:
-			p.TimeNanos = int64(v)
-		case 10:
-			p.DurationNanos = int64(v)
-		case 11:
-			vt, err := parseValueTypeRaw(b)
-			if err != nil {
-				return err
-			}
-			periodType = vt
-		case 12:
-			p.Period = int64(v)
-		case 14:
-			defaultType = int64(v)
 		}
 		return nil
 	})
@@ -316,55 +186,19 @@ func ParseProfile(data []byte) (*Profile, error) {
 		}
 		return strtab[i]
 	}
-	for _, vt := range sampleTypes {
-		p.SampleType = append(p.SampleType, ValueType{Type: str(vt.key), Unit: str(vt.str)})
-	}
-	p.PeriodType = ValueType{Type: str(periodType.key), Unit: str(periodType.str)}
-	p.DefaultSampleType = str(defaultType)
-
-	p.Samples = make([]Sample, 0, len(raws))
-	for _, rs := range raws {
-		s := Sample{Values: rs.values}
-		for _, lid := range rs.locs {
-			for _, fid := range locFns[uint64(lid)] {
-				if name := str(funcs[fid]); name != "" {
-					s.Stack = append(s.Stack, name)
-				}
-			}
-		}
-		for _, l := range rs.labels {
+	p := &Profile{Samples: make([]Sample, len(raws))}
+	for i, labels := range raws {
+		for _, l := range labels {
+			// str == 0 (the empty string) marks a numeric label.
 			k := str(l.key)
-			if k == "" {
+			if k == "" || l.str == 0 {
 				continue
 			}
-			if l.str != 0 {
-				if s.Labels == nil {
-					s.Labels = map[string]string{}
-				}
-				s.Labels[k] = str(l.str)
-			} else {
-				if s.NumLabels == nil {
-					s.NumLabels = map[string]int64{}
-				}
-				s.NumLabels[k] = l.num
+			if p.Samples[i].Labels == nil {
+				p.Samples[i].Labels = map[string]string{}
 			}
+			p.Samples[i].Labels[k] = str(l.str)
 		}
-		p.Samples = append(p.Samples, s)
 	}
 	return p, nil
-}
-
-// parseValueTypeRaw decodes a ValueType message into its string-table refs.
-func parseValueTypeRaw(b []byte) (rawLabel, error) {
-	var vt rawLabel
-	err := walkMessage(b, func(num, typ int, v uint64, b []byte) error {
-		switch num {
-		case 1:
-			vt.key = int64(v)
-		case 2:
-			vt.str = int64(v)
-		}
-		return nil
-	})
-	return vt, err
 }

@@ -52,9 +52,12 @@ func (e *encBuf) packedInts(field int, vs []int64) {
 	e.bytesField(field, inner.b)
 }
 
+// valueType is one sample-value dimension ("cpu"/"nanoseconds", ...).
+type valueType struct{ typ, unit string }
+
 // testProfileSpec describes one synthetic profile for the encoder.
 type testProfileSpec struct {
-	sampleTypes []ValueType
+	sampleTypes []valueType
 	period      int64
 	samples     []testSample
 }
@@ -99,8 +102,8 @@ func encodeTestProfile(spec testProfileSpec) []byte {
 	var p encBuf
 	for _, st := range spec.sampleTypes {
 		var vt encBuf
-		vt.intField(1, str(st.Type))
-		vt.intField(2, str(st.Unit))
+		vt.intField(1, str(st.typ))
+		vt.intField(2, str(st.unit))
 		p.bytesField(1, vt.b)
 	}
 	for _, s := range spec.samples {
@@ -182,9 +185,9 @@ func fixtureSpec(kind string) testProfileSpec {
 		}
 	}
 	return testProfileSpec{
-		sampleTypes: []ValueType{
-			{Type: "samples", Unit: "count"},
-			{Type: "cpu", Unit: "nanoseconds"},
+		sampleTypes: []valueType{
+			{typ: "samples", unit: "count"},
+			{typ: "cpu", unit: "nanoseconds"},
 		},
 		period: 10_000_000,
 		samples: []testSample{

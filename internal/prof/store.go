@@ -24,6 +24,9 @@ type Window struct {
 	Heap []byte `json:"-"`
 	// CPUSamples counts the decoded CPU samples, for the window listing.
 	CPUSamples int `json:"cpu_samples"`
+	// Labels maps each of labelKeys to the distinct values its CPU samples
+	// carry, so clients can find the window holding a query kind or trace.
+	Labels map[string][]string `json:"labels,omitempty"`
 	// Pinned windows survive retention eviction; PinReason says what pinned
 	// them ("slow", "hung", "slo-burn", ...).
 	Pinned    bool   `json:"pinned,omitempty"`
@@ -146,16 +149,18 @@ func (s *Store) Len() int {
 }
 
 // Pin marks the window so retention eviction skips it; the first reason
-// sticks. Reports whether the id was found.
+// sticks. Reports whether this call newly pinned it: false for an unknown id
+// or a window already pinned.
 func (s *Store) Pin(id int64, reason string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, w := range s.windows {
 		if w.ID == id {
-			if !w.Pinned {
-				w.Pinned = true
-				w.PinReason = reason
+			if w.Pinned {
+				return false
 			}
+			w.Pinned = true
+			w.PinReason = reason
 			return true
 		}
 	}

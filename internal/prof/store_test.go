@@ -98,8 +98,12 @@ func TestStorePinnedBudgetBounded(t *testing.T) {
 func TestStorePinFirstReasonSticks(t *testing.T) {
 	s := NewStore(4, 2)
 	id := s.Add(mkWindow(10))
-	s.Pin(id, "slow")
-	s.Pin(id, "hung")
+	if !s.Pin(id, "slow") {
+		t.Fatal("first Pin did not report a new pin")
+	}
+	if s.Pin(id, "hung") {
+		t.Fatal("re-Pin of a pinned window reported a new pin")
+	}
 	if w, _ := s.Get(id); w.PinReason != "slow" {
 		t.Fatalf("PinReason = %q, want the first reason", w.PinReason)
 	}

@@ -559,16 +559,19 @@ type ObservabilityConfig struct {
 	// (ignored when TSInterval < 0).
 	SLOs []SLO
 	// Profiling, when non-nil, starts the always-on continuous profiler:
-	// duty-cycled CPU windows plus heap snapshots in a bounded ring, served
-	// on /debug/rpq/prof (window list, label-sliced frames, diffs, icicle
-	// tree) and pinned into watchdog bundles on anomalies.
+	// duty-cycled CPU windows plus heap snapshots in a bounded ring, listed
+	// on /debug/rpq/prof (raw bytes on /debug/rpq/prof/download, for
+	// `go tool pprof`) and pinned into watchdog bundles on anomalies and,
+	// with SLOs set, when an objective burns error budget faster than it
+	// allows.
 	Profiling *ProfilingConfig
 }
 
 // ProfilingConfig tunes the continuous profiler; see
 // ObservabilityConfig.Profiling. The zero value captures a 10s CPU window
 // every 60s — a duty cycle whose steady-state overhead stays under 2% (the
-// pinned BenchmarkExist/prof-on budget).
+// pinned BenchmarkExist/prof-on budget) — and keeps up to 8 anomaly-pinned
+// windows beside the retained ones.
 type ProfilingConfig struct {
 	// Window is the CPU-capture duration per cycle (0 = 10s).
 	Window time.Duration
@@ -577,12 +580,6 @@ type ProfilingConfig struct {
 	Interval time.Duration
 	// Retain bounds the unpinned windows kept in memory (0 = 32).
 	Retain int
-	// MaxPinned bounds the anomaly-pinned windows kept in memory (0 = 8).
-	MaxPinned int
-	// SLOBurnThreshold is the burn rate at which the active window is pinned
-	// when SLO tracking is enabled (0 = 1.0, i.e. burning error budget faster
-	// than the objective allows; < 0 disables the SLO pin hook).
-	SLOBurnThreshold float64
 }
 
 // Profiler is the running continuous profiler; see
@@ -657,10 +654,9 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 	}
 	if pc := cfg.Profiling; pc != nil {
 		out.Prof = prof.New(prof.Options{
-			Window:    pc.Window,
-			Interval:  pc.Interval,
-			Retain:    pc.Retain,
-			MaxPinned: pc.MaxPinned,
+			Window:   pc.Window,
+			Interval: pc.Interval,
+			Retain:   pc.Retain,
 		})
 	}
 	so := obs.ServeOptions{
@@ -693,13 +689,7 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 	}
 	if out.Prof != nil {
 		out.Prof.Start()
-		if out.SLO != nil && cfg.Profiling.SLOBurnThreshold >= 0 {
-			threshold := cfg.Profiling.SLOBurnThreshold
-			if threshold == 0 {
-				threshold = 1.0
-			}
-			out.Prof.WatchSLO(out.SLO, threshold, 0)
-		}
+		out.Prof.WatchSLO(out.SLO, 0)
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package rpq
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -212,12 +213,17 @@ func TestServeObservabilityWith(t *testing.T) {
 	base := "http://" + srv.Server.Addr
 
 	g := telemetryGraph(t)
-	if _, err := g.Exist(MustParsePattern("_* use(x)"), &Options{Gauges: LiveGauges()}); err != nil {
+	opts := &Options{Gauges: LiveGauges()}
+	if _, err := g.Exist(MustParsePattern("_* use(x)"), opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Universal(MustParsePattern("_* def(x) (!def(x))*"), opts); err != nil {
 		t.Fatal(err)
 	}
 	srv.Sampler.SampleOnce()
 	srv.TS.Record()
 
+	var tsBody []byte
 	for _, path := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/ts", "/debug/rpq/dash"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -231,6 +237,33 @@ func TestServeObservabilityWith(t *testing.T) {
 		if len(body) == 0 {
 			t.Fatalf("%s: empty body", path)
 		}
+		if path == "/debug/rpq/ts" {
+			tsBody = body
+		}
+	}
+
+	// The rpq-tsdb/1 window stays within its retention bound, its
+	// timestamps never decrease, and the query counter advanced.
+	var doc struct {
+		RetentionPoints int                 `json:"retention_points"`
+		Points          int                 `json:"points"`
+		TimestampsMS    []int64             `json:"timestamps_ms"`
+		Series          map[string][]*int64 `json:"series"`
+	}
+	if err := json.Unmarshal(tsBody, &doc); err != nil {
+		t.Fatalf("/debug/rpq/ts: bad JSON: %v", err)
+	}
+	if doc.Points == 0 || doc.Points > doc.RetentionPoints {
+		t.Fatalf("/debug/rpq/ts: points=%d, retention_points=%d", doc.Points, doc.RetentionPoints)
+	}
+	for i := 1; i < len(doc.TimestampsMS); i++ {
+		if doc.TimestampsMS[i] < doc.TimestampsMS[i-1] {
+			t.Fatalf("/debug/rpq/ts: timestamps decrease at %d", i)
+		}
+	}
+	qt := doc.Series["rpq_queries_total"]
+	if len(qt) == 0 || qt[len(qt)-1] == nil || *qt[len(qt)-1] <= 0 {
+		t.Fatalf("/debug/rpq/ts: last rpq_queries_total point = %v, want > 0", qt)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

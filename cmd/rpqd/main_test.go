@@ -1,0 +1,265 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// runAsRpqd is the environment variable under which the test binary runs
+// main instead of the tests, so TestRpqdProcess drives a real rpqd process
+// without a separate build step.
+const runAsRpqd = "RPQD_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsRpqd) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// heavyQuery interleaves three parameters over the heavy graph's symbols, a
+// substitution space large enough to hold a solve slot for a few hundred
+// milliseconds while the trailing literals keep the answer set modest.
+const heavyQuery = `{"graph":"heavy","pattern":"(use(x) | use(y) | use(z))* use(x) use(y) use(z)"}`
+
+// heavyGraph is a deterministic pseudo-random use graph: a cycle through
+// every vertex plus four random out-edges each, over twelve symbols.
+func heavyGraph() string {
+	const vertices, degree, symbols = 1000, 5, 12
+	var b strings.Builder
+	fmt.Fprintln(&b, "start v0")
+	seed := uint64(0x9e3779b97f4a7c15)
+	next := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int((seed >> 33) % uint64(n))
+	}
+	for v := 0; v < vertices; v++ {
+		fmt.Fprintf(&b, "edge v%d use(s%d) v%d\n", v, next(symbols), (v+1)%vertices)
+		for d := 1; d < degree; d++ {
+			fmt.Fprintf(&b, "edge v%d use(s%d) v%d\n", v, next(symbols), next(vertices))
+		}
+	}
+	return b.String()
+}
+
+// call sends one request and returns the status and body; transport errors
+// come back as status 0 so goroutines can report them without t.Fatal.
+func call(method, url, body string) (int, string) {
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return 0, err.Error()
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, err.Error()
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(raw)
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	code, body := call("GET", url, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", url, code, body)
+	}
+	if err := json.Unmarshal([]byte(body), v); err != nil {
+		t.Fatalf("GET %s: %v: %s", url, err, body)
+	}
+}
+
+// TestRpqdProcess covers what only a real rpqd process shows: a captured
+// profile window whose rpq_kind=exist samples go tool pprof attributes to
+// solver frames, the service's gauges on the observability listener, the
+// SIGTERM drain with a query in flight, and the access log file.
+func TestRpqdProcess(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "access.ndjson")
+	cmd := exec.Command(os.Args[0],
+		"-addr", "127.0.0.1:0",
+		"-obs", "127.0.0.1:0",
+		"-load", "g=../../testdata/queries/graph.txt",
+		"-log", logPath,
+		"-log-format", "json",
+		"-slowlog", filepath.Join(dir, "slow.ndjson"),
+		"-watchdog", filepath.Join(dir, "watchdog"),
+		"-drain-timeout", "1m",
+		"-prof-window", "400ms",
+		"-prof-interval", "600ms",
+	)
+	cmd.Env = append(os.Environ(), runAsRpqd+"=1")
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Only the two address lines at boot matter; the buffer holds every
+	// line rpqd prints before them, and later lines are dropped.
+	lines := make(chan string, 16)
+	exited := make(chan struct{})
+	var waitErr error
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			select {
+			case lines <- sc.Text():
+			default:
+			}
+		}
+		waitErr = cmd.Wait()
+		close(exited)
+	}()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-exited
+	})
+
+	var base, obsBase string
+	for boot := time.After(30 * time.Second); base == "" || obsBase == ""; {
+		select {
+		case l := <-lines:
+			if rest, ok := strings.CutPrefix(l, "rpqd observability on "); ok {
+				obsBase = rest
+			}
+			if rest, ok := strings.CutPrefix(l, "rpqd listening on "); ok {
+				base = rest
+			}
+		case <-exited:
+			t.Fatalf("rpqd exited before listening: %v", waitErr)
+		case <-boot:
+			t.Fatal("rpqd did not come up within 30s")
+		}
+	}
+	if code, body := call("PUT", base+"/api/v1/graphs/heavy", heavyGraph()); code != http.StatusCreated {
+		t.Fatalf("PUT heavy graph: %d %s", code, body)
+	}
+
+	// Profile window: run exist queries until a captured window holds
+	// rpq_kind=exist samples, then check its downloaded bytes with go tool
+	// pprof, which must attribute those samples to solver frames.
+	existWin := int64(-1)
+	for deadline := time.Now().Add(time.Minute); existWin < 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no profile window captured rpq_kind=exist samples within 1m")
+		}
+		if code, body := call("POST", base+"/api/v1/query", heavyQuery); code != http.StatusOK {
+			t.Fatalf("exist query: %d %s", code, body)
+		}
+		var index struct {
+			Windows []struct {
+				ID     int64               `json:"id"`
+				Labels map[string][]string `json:"labels"`
+			} `json:"windows"`
+		}
+		getJSON(t, obsBase+"/debug/rpq/prof", &index)
+		for _, w := range index.Windows {
+			for _, k := range w.Labels["rpq_kind"] {
+				if k == "exist" {
+					existWin = w.ID
+				}
+			}
+		}
+	}
+	code, raw := call("GET", fmt.Sprintf("%s/debug/rpq/prof/download?window=%d", obsBase, existWin), "")
+	if code != http.StatusOK || raw == "" {
+		t.Fatalf("download window %d: %d (%d bytes)", existWin, code, len(raw))
+	}
+	profPath := filepath.Join(dir, "exist.pb.gz")
+	if err := os.WriteFile(profPath, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	top, err := exec.Command("go", "tool", "pprof", "-top", "-cum", "-tagfocus=rpq_kind=exist", profPath).CombinedOutput()
+	if err != nil || !strings.Contains(string(top), "rpq/internal/core.") {
+		t.Fatalf("go tool pprof on window %d: err %v, no rpq/internal/core frame:\n%s", existWin, err, top)
+	}
+
+	// The service's admission counters reach the observability listener.
+	if code, body := call("GET", obsBase+"/metrics", ""); code != http.StatusOK || !strings.Contains(body, "\nrpq_svc_admitted_total ") {
+		t.Fatalf("%s/metrics: %d, no rpq_svc_admitted_total sample", obsBase, code)
+	}
+
+	// Drain: SIGTERM with a query in flight flips readyz to 503 while
+	// healthz stays 200; the query still completes and rpqd exits 0.
+	drained := make(chan string, 1)
+	go func() {
+		code, body := call("POST", base+"/api/v1/query", heavyQuery)
+		drained <- fmt.Sprintf("%d %s", code, body)
+	}()
+	for inFlight := false; !inFlight; {
+		select {
+		case got := <-drained:
+			t.Fatalf("query finished before it was seen in flight: %s", got)
+		default:
+		}
+		var listing struct {
+			Queries []json.RawMessage `json:"queries"`
+		}
+		getJSON(t, base+"/api/v1/queries", &listing)
+		inFlight = len(listing.Queries) > 0
+		time.Sleep(time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		code, body := call("GET", base+"/api/v1/readyz", "")
+		if code == http.StatusServiceUnavailable && strings.Contains(body, "not_ready") {
+			break
+		}
+		if code != http.StatusOK || i == 5000 {
+			t.Fatalf("readyz during drain (poll %d): %d %s", i, code, body)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code, body := call("GET", base+"/api/v1/healthz", ""); code != http.StatusOK {
+		t.Fatalf("healthz during drain: %d %s", code, body)
+	}
+	if got := <-drained; !strings.HasPrefix(got, "200 ") {
+		t.Fatalf("query in flight at SIGTERM: %s", got)
+	}
+	select {
+	case <-exited:
+		if waitErr != nil {
+			t.Fatalf("rpqd exit after drain: %v", waitErr)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("rpqd did not exit within 30s of draining")
+	}
+
+	// Access log: every line parses, and the graph PUT left an audit line.
+	logRaw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audited := false
+	for n, line := range bytes.Split(bytes.TrimSpace(logRaw), []byte("\n")) {
+		var l struct {
+			Stream, Action, Graph, Result string
+		}
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatalf("access log line %d: %v: %s", n+1, err, line)
+		}
+		if l.Stream == "audit" && l.Action == "load" && l.Graph == "heavy" && l.Result == "ok" {
+			audited = true
+		}
+	}
+	if !audited {
+		t.Fatalf("no audit line for the heavy-graph PUT:\n%s", logRaw)
+	}
+}

@@ -161,31 +161,6 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return h
 }
 
-// Unregister removes the gauge or histogram registered under name, so it
-// disappears from Snapshot and the Prometheus exposition. Holders of the
-// pointer can keep updating it harmlessly; re-registering the name creates a
-// fresh metric. Reports whether the name was registered.
-func (r *Registry) Unregister(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, okG := r.gauges[name]
-	_, okH := r.hists[name]
-	delete(r.gauges, name)
-	delete(r.hists, name)
-	delete(r.help, name)
-	return okG || okH
-}
-
-// Reset removes every registered gauge — long-lived server processes call
-// it between runs so per-run metrics don't accumulate indefinitely.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
-	r.help = map[string]string{}
-}
-
 // Snapshot returns the current name → value map, for expvar publication.
 // Histograms contribute <name>_count, <name>_sum_us, and the p50/p95/p99
 // bucket-midpoint estimates in microseconds.

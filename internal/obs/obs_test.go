@@ -236,38 +236,6 @@ func TestFormatEvents(t *testing.T) {
 	}
 }
 
-func TestRegistryUnregisterAndReset(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("a", "first").Set(1)
-	r.Gauge("b", "second").Set(2)
-	if !r.Unregister("a") {
-		t.Fatal("Unregister(a) = false for a registered gauge")
-	}
-	if r.Unregister("a") {
-		t.Fatal("Unregister(a) = true for an already-removed gauge")
-	}
-	snap := r.Snapshot()
-	if _, ok := snap["a"]; ok {
-		t.Fatalf("unregistered gauge still in snapshot: %v", snap)
-	}
-	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	if strings.Contains(buf.String(), "a ") {
-		t.Fatalf("unregistered gauge still exposed:\n%s", buf.String())
-	}
-	// A held pointer keeps working; re-registration yields a fresh gauge.
-	old := r.Gauge("b", "")
-	r.Unregister("b")
-	old.Set(9)
-	if fresh := r.Gauge("b", "second again"); fresh == old || fresh.Value() != 0 {
-		t.Fatal("re-registration did not create a fresh gauge")
-	}
-	r.Reset()
-	if len(r.Snapshot()) != 0 {
-		t.Fatalf("Reset left gauges: %v", r.Snapshot())
-	}
-}
-
 func TestChromeSinkFlushMidStream(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewChromeSink(&buf)

@@ -184,7 +184,7 @@ func (t *TimeSeries) ordered() []tsPoint {
 
 // tsdbDoc is the rpq-tsdb/1 JSON document: aligned arrays, one entry per
 // retained point, with null for a series that did not exist at a point
-// (series registered or unregistered mid-window).
+// (a series registered mid-window).
 type tsdbDoc struct {
 	Schema          string              `json:"schema"`
 	IntervalMS      int64               `json:"interval_ms"`

@@ -71,14 +71,6 @@ func TestTimeSeriesNullsForMissingSeries(t *testing.T) {
 	if len(b) != 2 || b[0] != nil || b[1] == nil || *b[1] != 7 {
 		t.Fatalf("series b = %v, want [null, 7]", b)
 	}
-	// And an unregistered gauge disappears from later points.
-	r.Unregister("a")
-	ts.Record()
-	doc = decodeTSDB(t, ts)
-	av := doc.Series["a"]
-	if len(av) != 3 || av[0] == nil || av[2] != nil {
-		t.Fatalf("series a = %v, want [1, 1, null]", av)
-	}
 }
 
 func TestTimeSeriesSources(t *testing.T) {

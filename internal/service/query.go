@@ -136,7 +136,12 @@ func (s *Server) buildOptions(q QueryOptions) (*rpq.Options, error) {
 		return nil, fmt.Errorf("unknown domains %q (want refined or all)", q.Domains)
 	}
 	deadline := s.cfg.DefaultDeadline
-	if q.DeadlineMS > 0 {
+	switch {
+	case q.DeadlineMS > s.cfg.MaxDeadline.Milliseconds():
+		// Compare before multiplying: a huge deadline_ms would overflow the
+		// Duration and wrap to a non-positive, i.e. unbounded, deadline.
+		deadline = s.cfg.MaxDeadline
+	case q.DeadlineMS > 0:
 		deadline = time.Duration(q.DeadlineMS) * time.Millisecond
 	}
 	if deadline > s.cfg.MaxDeadline {

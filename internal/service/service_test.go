@@ -616,6 +616,34 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
+// TestDeadlineClampedToMax pins that every deadline_ms above the cap runs
+// with MaxDeadline, including values whose conversion to a Duration would
+// overflow to a non-positive (unbounded) deadline.
+func TestDeadlineClampedToMax(t *testing.T) {
+	s := newTestServer(t, Config{MaxDeadline: time.Minute})
+	h := s.Handler()
+	var got time.Duration
+	s.hookOptions = func(o *rpq.Options) { got = o.Deadline }
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{50, 50 * time.Millisecond},
+		{60_000, time.Minute},
+		{60_001, time.Minute},
+		{9223372036855, time.Minute},       // ×1e6 wraps to about −2562047h
+		{9223372036854775807, time.Minute}, // ×1e6 wraps to −1ms
+	} {
+		body := fmt.Sprintf(`{"graph":"g","pattern":"use(x)","options":{"deadline_ms":%d}}`, c.ms)
+		if rec := doReq(h, "POST", "/api/v1/query", body); rec.Code != http.StatusOK {
+			t.Fatalf("deadline_ms=%d: %d %s", c.ms, rec.Code, rec.Body)
+		}
+		if got != c.want {
+			t.Errorf("deadline_ms=%d: opts.Deadline = %v, want %v", c.ms, got, c.want)
+		}
+	}
+}
+
 // TestWorkersOptionIgnored pins that options.workers, which untrusted
 // clients control, is accepted and ignored: a request with a huge value
 // must get the workers-0 reply and must not allocate memory in proportion

@@ -327,7 +327,7 @@ type Options struct {
 	// Gauges receives live samples of worklist depth, reach-set size,
 	// interned substitutions, and table bytes every few hundred worklist
 	// pops, so the /metrics endpoint can expose a query in flight. Use
-	// LiveGauges for a process-wide set served by ServeObservability.
+	// LiveGauges for a process-wide set served by ServeObservabilityWith.
 	Gauges *SolverGauges
 	// SlowLog, when non-nil, records queries whose wall-clock time
 	// reaches its threshold as NDJSON (one record per slow query).
@@ -454,10 +454,6 @@ func WithTrace(ctx context.Context, tc TraceContext) context.Context {
 	return obs.WithTrace(ctx, tc)
 }
 
-// TraceFromContext returns the trace context attached to ctx by WithTrace
-// (or by the service middleware), if any.
-func TraceFromContext(ctx context.Context) (TraceContext, bool) { return obs.TraceFrom(ctx) }
-
 // Progress is one live snapshot of a running query, delivered to
 // Options.Progress: the current phase, worklist pops and depth, reach-set
 // and substitution-table sizes, and enumeration progress.
@@ -494,7 +490,7 @@ func LoadBundle(dir string) (*Bundle, error) { return obs.LoadBundle(dir) }
 
 // InflightQueries returns snapshots of the queries executing right now in
 // this process, ordered by start; the same data is served as JSON at
-// /debug/rpq/queries by ServeObservability.
+// /debug/rpq/queries by ServeObservabilityWith.
 func InflightQueries() []QuerySnapshot { return obs.DefaultInflight().Snapshots() }
 
 // NewRingTracer returns a tracer retaining the last n events.
@@ -515,17 +511,8 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 
 // LiveGauges returns the process-wide solver gauge set, registered under
 // the rpq_ namespace in the default metric registry that
-// ServeObservability exposes at /metrics.
+// ServeObservabilityWith exposes at /metrics.
 func LiveGauges() *SolverGauges { return obs.NewSolverGauges(nil) }
-
-// ServeObservability starts the observability HTTP server on addr, serving
-// /metrics (Prometheus text exposition of the default registry, including
-// the latency histograms), /debug/rpq/queries (JSON snapshots of in-flight
-// queries), /debug/rpq/dash (the live dashboard, without sparkline history
-// — use ServeObservabilityWith for that), /debug/vars (expvar), and
-// /debug/pprof/. The listener binds synchronously; requests are served in
-// the background until the returned server is Closed.
-func ServeObservability(addr string) (*http.Server, error) { return obs.Serve(addr, nil) }
 
 // RuntimeSampler periodically reads runtime/metrics (heap, GC pauses,
 // goroutines, scheduler latency) into go_* gauges; see
@@ -633,11 +620,14 @@ func (s *ObservabilityServer) Close() error {
 	return nil
 }
 
-// ServeObservabilityWith starts the full observability plane on addr: the
-// endpoints of ServeObservability plus a runtime-metrics sampler and a
-// bounded time-series store, so /debug/rpq/ts serves history (rpq-tsdb/1
-// JSON) and /debug/rpq/dash draws live sparklines. Close the returned
-// server to stop everything.
+// ServeObservabilityWith starts the full observability plane on addr:
+// /metrics (Prometheus text exposition of the default registry, including
+// the latency histograms), /debug/rpq/queries (JSON snapshots of in-flight
+// queries), /debug/rpq/dash, /debug/vars (expvar) and /debug/pprof/, plus a
+// runtime-metrics sampler and a bounded time-series store, so /debug/rpq/ts
+// serves history (rpq-tsdb/1 JSON) and /debug/rpq/dash draws live
+// sparklines. The listener binds synchronously. Close the returned server to
+// stop everything.
 func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*ObservabilityServer, error) {
 	out := &ObservabilityServer{}
 	if cfg.SampleInterval >= 0 {
@@ -693,9 +683,6 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 	}
 	return out, nil
 }
-
-// FormatTrace renders trace events as an aligned human-readable table.
-func FormatTrace(evs []TraceEvent) string { return obs.FormatEvents(evs) }
 
 // flightRingSize is the capacity of the always-on per-query flight-recorder
 // event ring attached when Options.Watchdog is set.

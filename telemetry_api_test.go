@@ -205,6 +205,8 @@ func TestServeObservabilityWith(t *testing.T) {
 		SampleInterval: 5 * time.Millisecond,
 		TSInterval:     5 * time.Millisecond,
 		Retention:      time.Second,
+		SLOs:           []SLO{{Route: "query", Objective: 0.999}},
+		Profiling:      &ProfilingConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +225,8 @@ func TestServeObservabilityWith(t *testing.T) {
 	srv.Sampler.SampleOnce()
 	srv.TS.Record()
 
-	var tsBody []byte
-	for _, path := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/ts", "/debug/rpq/dash"} {
+	bodies := map[string][]byte{}
+	for _, path := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/ts", "/debug/rpq/dash", "/debug/rpq/", "/debug/rpq/slo"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -237,9 +239,39 @@ func TestServeObservabilityWith(t *testing.T) {
 		if len(body) == 0 {
 			t.Fatalf("%s: empty body", path)
 		}
-		if path == "/debug/rpq/ts" {
-			tsBody = body
+		bodies[path] = body
+	}
+
+	// The /debug/rpq/ index describes every surface and lists the
+	// profiler as enabled; the SLO report carries its schema.
+	var index struct {
+		Schema   string `json:"schema"`
+		Surfaces []struct {
+			Path    string `json:"path"`
+			Desc    string `json:"desc"`
+			Enabled bool   `json:"enabled"`
+		} `json:"surfaces"`
+	}
+	if err := json.Unmarshal(bodies["/debug/rpq/"], &index); err != nil || index.Schema != "rpq-debug/1" {
+		t.Fatalf("/debug/rpq/: schema %q, err %v", index.Schema, err)
+	}
+	profEnabled := false
+	for _, s := range index.Surfaces {
+		if s.Desc == "" {
+			t.Errorf("/debug/rpq/: surface %s has no description", s.Path)
 		}
+		if s.Path == "/debug/rpq/prof" {
+			profEnabled = s.Enabled
+		}
+	}
+	if !profEnabled {
+		t.Fatalf("/debug/rpq/ does not list /debug/rpq/prof as enabled: %s", bodies["/debug/rpq/"])
+	}
+	var slo struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(bodies["/debug/rpq/slo"], &slo); err != nil || slo.Schema != "rpq-slo/1" {
+		t.Fatalf("/debug/rpq/slo: schema %q, err %v", slo.Schema, err)
 	}
 
 	// The rpq-tsdb/1 window stays within its retention bound, its
@@ -250,7 +282,7 @@ func TestServeObservabilityWith(t *testing.T) {
 		TimestampsMS    []int64             `json:"timestamps_ms"`
 		Series          map[string][]*int64 `json:"series"`
 	}
-	if err := json.Unmarshal(tsBody, &doc); err != nil {
+	if err := json.Unmarshal(bodies["/debug/rpq/ts"], &doc); err != nil {
 		t.Fatalf("/debug/rpq/ts: bad JSON: %v", err)
 	}
 	if doc.Points == 0 || doc.Points > doc.RetentionPoints {

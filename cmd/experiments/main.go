@@ -31,9 +31,9 @@ import (
 	"rpq/internal/subst"
 )
 
-// liveGauges, when -http is set, exposes each running query's worklist
-// depth, reach size, and table bytes at /metrics.
-var liveGauges *obs.SolverGauges
+// liveProgress, when -http is set, feeds each running query's progress
+// (worklist depth, reach size, table bytes) to the gauges at /metrics.
+var liveProgress func(obs.Progress)
 
 // section labels bench entries with the table/figure/ablation being run.
 var section string
@@ -116,7 +116,7 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "experiments: observability on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr)
-		liveGauges = obs.NewSolverGauges(nil)
+		liveProgress = obs.NewSolverGauges(nil).Sample
 	}
 
 	ran := false
@@ -174,7 +174,7 @@ func main() {
 
 // run executes one query and returns the result with wall-clock time.
 func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Result, time.Duration) {
-	opts.Gauges = liveGauges
+	opts.Progress = liveProgress
 	opts.Explain = explainOn
 	opts.Deadline = queryTimeout
 	q := core.MustCompile(pattern.MustParse(pat), g.U)
@@ -396,7 +396,7 @@ func runAblation(name string) {
 		q := core.MustCompile(pattern.MustParse("(state(_) act(_))* state(_)?"), ug.U)
 		for _, cm := range []core.CompletionMode{core.Incomplete, core.CompleteTrap, core.CompleteExplicit} {
 			t0 := time.Now()
-			res, err := core.Univ(ug, ug.Start(), q, core.Options{Completion: cm, Gauges: liveGauges, Deadline: queryTimeout})
+			res, err := core.Univ(ug, ug.Start(), q, core.Options{Completion: cm, Progress: liveProgress, Deadline: queryTimeout})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				os.Exit(1)

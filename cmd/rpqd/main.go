@@ -132,7 +132,6 @@ func main() {
 		profOn        = flag.Bool("prof", true, "run the continuous profiler (effective with -obs): duty-cycled CPU windows + heap snapshots on /debug/rpq/prof")
 		profWindow    = flag.Duration("prof-window", 0, "continuous-profiler CPU capture window (0 = 10s)")
 		profInterval  = flag.Duration("prof-interval", 0, "continuous-profiler capture cadence (0 = 60s)")
-		profRetain    = flag.Int("prof-retain", 0, "continuous-profiler windows retained in memory (0 = 32)")
 	)
 	flag.Var(&loads, "load", "preload a graph: name=path or name=format:path (text, aut, aut-universal, xml, go); repeatable")
 	flag.Var(&slos, "slo", "track an SLO: route:objective[:latency], e.g. query:0.999:30s; repeatable (default query:0.999)")
@@ -197,7 +196,6 @@ func main() {
 			obsCfg.Profiling = &rpq.ProfilingConfig{
 				Window:   *profWindow,
 				Interval: *profInterval,
-				Retain:   *profRetain,
 			}
 		}
 		var err error

@@ -51,9 +51,9 @@ func main() {
 	const sig = "_* open(f, u) (!close(f, u))* exec(_, u)"
 	q := core.MustCompile(pattern.MustParse(sig), g.U)
 	res, err := core.Exist(g, g.Start(), q, core.Options{
-		Algo:   core.AlgoMemo,
-		Tracer: ring,
-		Gauges: gauges,
+		Algo:     core.AlgoMemo,
+		Tracer:   ring,
+		Progress: gauges.Sample,
 	})
 	if err != nil {
 		log.Fatal(err)

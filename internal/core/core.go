@@ -128,11 +128,6 @@ type Options struct {
 	// counters). Nil disables tracing at the cost of one nil check; see
 	// internal/obs for sinks (ring buffer, NDJSON, Chrome trace_event).
 	Tracer obs.Tracer
-	// Gauges, when non-nil, receives periodic live samples (worklist
-	// depth, reach-set size, interned substitutions, table bytes) every
-	// few hundred worklist pops, for the /metrics endpoint to expose
-	// while a query runs.
-	Gauges *obs.SolverGauges
 	// Explain collects a per-query execution profile (per-state visit
 	// counts, per-transition match attempt/hit/extension counters,
 	// per-edge-label match histograms, table growth and worklist depth
@@ -144,10 +139,11 @@ type Options struct {
 	// InterruptError wrapping ErrDeadline. It composes with the context
 	// passed to ExistContext/UnivContext (whichever fires first wins).
 	Deadline time.Duration
-	// Progress, when non-nil, receives throttled live snapshots of the
-	// running query (one every few hundred worklist pops, mirroring the
-	// gauge cadence). It should be cheap — it runs on the solver's hot
-	// path.
+	// Progress, when non-nil, is the run's one live channel: it receives a
+	// snapshot every few hundred worklist pops, once per enumerated
+	// substitution, and once when a worklist solve drains (see Progress
+	// for what each field means). It should be cheap — it runs on the
+	// solver's hot path.
 	Progress func(Progress)
 
 	// cxl is the cancellation watcher installed by ExistContext/UnivContext;
@@ -157,21 +153,7 @@ type Options struct {
 
 // Progress is one live snapshot of a running query, delivered to
 // Options.Progress.
-type Progress struct {
-	// Phase is the phase the snapshot was taken in ("solve", "enumerate").
-	Phase string `json:"phase"`
-	// Pops counts worklist pops (triples processed) so far.
-	Pops int64 `json:"pops"`
-	// WorklistDepth is the current depth of the worklist.
-	WorklistDepth int64 `json:"worklist_depth"`
-	// Reach is the current reach-set size.
-	Reach int64 `json:"reach_size"`
-	// Substs is the number of distinct substitutions interned so far.
-	Substs int64 `json:"substs"`
-	// EnumSubsts is the number of full substitutions enumerated so far
-	// (enumeration/hybrid algorithms; zero elsewhere).
-	EnumSubsts int64 `json:"enum_substs"`
-}
+type Progress = obs.Progress
 
 // Stats instruments a run with the quantities reported in the paper's
 // Tables 1-3 and Figure 3, plus the phase timings and cache counters of the

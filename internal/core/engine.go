@@ -101,19 +101,13 @@ func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats
 	return e, nil
 }
 
-// sample publishes a live gauge snapshot from the worklist loops.
-func (e *engine) sample(worklistDepth, reach int, reachBytes int64) {
-	e.in.gauges.Sample(int64(worklistDepth), int64(reach), int64(e.table.Len()),
-		reachBytes+e.table.Bytes()+e.memoBytes)
-}
-
-// progress delivers one live snapshot to Options.Progress (nil-safe). Called
-// at the gauge cadence from the sequential worklist loops.
-func (e *engine) progress(phase string, pops, depth, reach int64) {
-	if p := e.opts.Progress; p != nil {
-		p(Progress{Phase: phase, Pops: pops, WorklistDepth: depth, Reach: reach,
-			Substs: int64(e.table.Len())})
-	}
+// progress delivers one live snapshot of a worklist solve to
+// Options.Progress: every sampleMask+1 pops and once when the worklist
+// drains. Callers check that Progress is set.
+func (e *engine) progress(pops, depth int, seen tripleSet) {
+	e.opts.Progress(Progress{Phase: "solve", Pops: int64(pops), WorklistDepth: int64(depth),
+		Reach: int64(seen.Len()), Substs: int64(e.table.Len()),
+		Bytes: seen.Bytes() + e.table.Bytes() + e.memoBytes})
 }
 
 // match computes (or recalls) the agree/disagree match of edge label el

@@ -337,11 +337,8 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 			if e.ex != nil {
 				e.ex.pop(len(buckets[bi]))
 			}
-			if pops++; pops&sampleMask == 0 {
-				if e.in.gauges != nil {
-					e.sample(len(buckets[bi]), seen.Len(), seen.Bytes())
-				}
-				e.progress("solve", int64(pops), int64(len(buckets[bi])), int64(seen.Len()))
+			if pops++; pops&sampleMask == 0 && opts.Progress != nil {
+				e.progress(pops, len(buckets[bi]), seen)
 			}
 		}
 		if opts.SCCOrder {
@@ -369,8 +366,8 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 	stats.ResultPairs = len(pairs)
 	stats.Bytes = maxBytes + e.table.Bytes() + e.memoBytes + mtsBytes +
 		pairsBytes(len(pairs), q.Pars())
-	if e.in.gauges != nil {
-		e.sample(0, seen.Len(), seen.Bytes())
+	if opts.Progress != nil {
+		e.progress(pops, 0, seen)
 	}
 	sortPairs(pairs)
 	res := &Result{Pairs: pairs, Stats: stats}
@@ -534,14 +531,8 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 			interrupted = true
 			return false
 		}
-		if enumerated++; in.gauges != nil {
-			in.gauges.EnumSubsts.Set(int64(enumerated))
-			in.gauges.Sample(-1, int64(stats.WorklistInserts), -1, maxBytes)
-		}
-		if p := opts.Progress; p != nil {
-			p(Progress{Phase: "enumerate", Pops: int64(stats.WorklistInserts),
-				Reach: int64(stats.WorklistInserts), EnumSubsts: int64(enumerated)})
-		}
+		enumerated++
+		enumProgress(opts, &stats, 0, enumerated, maxBytes)
 		resHere := map[int32]bool{}
 		if !es.run(g, v0, nfa, th, resHere, &stats, ex, opts.cxl) {
 			interrupted = true

@@ -6,24 +6,35 @@ import (
 	"rpq/internal/obs"
 )
 
-// instr is the per-run instrumentation handle: a tracer (with its enabled
-// flag cached so hot paths pay one boolean test) plus the gauges sampled by
-// the solver loops. The zero value is fully disabled.
+// instr is the per-run instrumentation handle: a tracer with its enabled
+// flag cached so hot paths pay one boolean test. The zero value is fully
+// disabled.
 type instr struct {
-	t      obs.Tracer
-	on     bool
-	gauges *obs.SolverGauges
+	t  obs.Tracer
+	on bool
 }
 
 func newInstr(opts Options) instr {
-	in := instr{t: opts.Tracer, gauges: opts.Gauges}
+	in := instr{t: opts.Tracer}
 	in.on = in.t != nil && in.t.Enabled()
 	return in
 }
 
-// sampleMask throttles gauge sampling: one snapshot every sampleMask+1
+// sampleMask throttles progress delivery: one snapshot every sampleMask+1
 // worklist pops. A power of two minus one, so the test is a single AND.
 const sampleMask = 255
+
+// enumProgress reports one enumerated substitution to Options.Progress.
+// Every triple the finished ground passes inserted has been popped, so
+// their inserts count both the pops and the reach size (as
+// Stats.ReachSize counts it for the enumeration variants).
+func enumProgress(opts Options, s *Stats, substs, enumerated int, bytes int64) {
+	if p := opts.Progress; p != nil {
+		n := int64(s.WorklistInserts)
+		p(Progress{Phase: "enumerate", Pops: n, Reach: n, Substs: int64(substs),
+			EnumSubsts: int64(enumerated), Bytes: bytes})
+	}
+}
 
 // growthHook returns a table-growth tracer callback emitting snapshots at
 // power-of-two sizes (bounded event volume on any run), or nil when tracing

@@ -15,7 +15,8 @@ import (
 // both table representations and both query kinds, fills the phase timings
 // consistently, keeps DeterminismOK semantics, reports a positive Bytes
 // model, and — crucially — computes the same answers with a live tracer and
-// gauges attached as with none (observability must never change results).
+// progress hook attached as with none (observability must never change
+// results).
 func TestStatsParityAcrossAlgorithms(t *testing.T) {
 	existGraph := graph.MustReadString(figure1)
 	univGraph := graph.MustReadString(`
@@ -59,8 +60,7 @@ edge v1 def(a) v2
 				plain := runQuery(Options{Algo: v.algo, Table: tk})
 
 				ring := obs.NewRingSink(1024)
-				gauges := obs.NewSolverGauges(obs.NewRegistry())
-				traced := runQuery(Options{Algo: v.algo, Table: tk, Tracer: ring, Gauges: gauges})
+				traced := runQuery(Options{Algo: v.algo, Table: tk, Tracer: ring, Progress: func(Progress) {}})
 
 				// Observability must not perturb the answers.
 				if !reflect.DeepEqual(pairKeys(plain), pairKeys(traced)) {

@@ -205,11 +205,8 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 			e.ex.visit(t.s)
 			e.ex.pop(len(work))
 		}
-		if pops++; pops&sampleMask == 0 {
-			if e.in.gauges != nil {
-				e.sample(len(work), seen.Len(), seen.Bytes())
-			}
-			e.progress("solve", int64(pops), int64(len(work)), int64(seen.Len()))
+		if pops++; pops&sampleMask == 0 && opts.Progress != nil {
+			e.progress(pops, len(work), seen)
 		}
 
 		// Successor generation with the determinism check.
@@ -323,8 +320,8 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 	stats.ResultPairs = len(pairs)
 	stats.Bytes = seen.Bytes() + e.table.Bytes() + e.memoBytes + mdsBytes +
 		int64(g.NumVertices())*(1+24+1) + pairsBytes(len(pairs), q.Pars())
-	if e.in.gauges != nil {
-		e.sample(0, seen.Len(), seen.Bytes())
+	if opts.Progress != nil {
+		e.progress(pops, 0, seen)
 	}
 	sortPairs(pairs)
 	res := &Result{Pairs: pairs, Stats: stats}

@@ -118,14 +118,8 @@ func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error)
 		if opts.cxl.state() != cxlRunning {
 			return false
 		}
-		if enumerated++; in.gauges != nil {
-			in.gauges.EnumSubsts.Set(int64(enumerated))
-			in.gauges.Sample(-1, int64(stats.WorklistInserts), -1, stats.Bytes)
-		}
-		if p := opts.Progress; p != nil {
-			p(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
-				EnumSubsts: int64(enumerated)})
-		}
+		enumerated++
+		enumProgress(opts, &stats, 0, enumerated, stats.Bytes)
 		for _, v := range groundUniv(g, v0, q, th, &stats, ex, opts.cxl) {
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})
 		}
@@ -216,14 +210,7 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 			break
 		}
 		ground = i + 1
-		if in.gauges != nil {
-			in.gauges.EnumSubsts.Set(int64(i + 1))
-			in.gauges.Sample(-1, int64(stats.WorklistInserts), int64(cand.Len()), stats.Bytes)
-		}
-		if p := opts.Progress; p != nil {
-			p(Progress{Phase: "enumerate", Reach: int64(stats.WorklistInserts),
-				Substs: int64(cand.Len()), EnumSubsts: int64(i + 1)})
-		}
+		enumProgress(opts, &stats, ex.Stats.Substs+cand.Len(), ground, stats.Bytes)
 		th := cand.Get(key)
 		for _, v := range groundUniv(g, v0, q, th, &stats, gc, opts.cxl) {
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})

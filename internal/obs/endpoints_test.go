@@ -67,11 +67,11 @@ func TestEndpointsUnderConcurrentLoad(t *testing.T) {
 					return
 				default:
 				}
-				q := DefaultInflight().Begin("exist", "load-test", "memo")
-				q.Update("solve", int64(i), 4, 9, 2, 0)
+				q := DefaultInflight().Begin("exist", "load-test", "memo", TraceContext{})
+				q.Update(Progress{Phase: "solve", Pops: int64(i), WorklistDepth: 4, Reach: 9, Substs: 2})
 				g.Queries.Add(1)
 				g.QueryHist.Observe(time.Duration(i%1000) * time.Microsecond)
-				g.Sample(int64(i%10), int64(i), int64(i%5), int64(i*10))
+				g.Sample(Progress{WorklistDepth: int64(i % 10), Reach: int64(i), Substs: int64(i % 5), Bytes: int64(i * 10)})
 				q.Done()
 			}
 		}(w)

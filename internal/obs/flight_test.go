@@ -39,6 +39,20 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Sum(); got != wantSum {
 		t.Fatalf("Sum = %v, want %v", got, wantSum)
 	}
+
+	// Nearest rank is ceil(q·n): with 9 fast samples and 1 slow one, p99
+	// (rank ceil(9.9) = 10) is the slow sample, not the ninth fast one.
+	small := &Histogram{}
+	for i := 0; i < 9; i++ {
+		small.Observe(10 * time.Microsecond)
+	}
+	small.Observe(10 * time.Millisecond)
+	if p99 := small.Quantile(0.99); p99 < 8*time.Millisecond || p99 > 17*time.Millisecond {
+		t.Fatalf("p99 of 9×10µs + 1×10ms = %v, want within the 8.192–16.384ms bucket", p99)
+	}
+	if p90 := small.Quantile(0.90); p90 > 16*time.Microsecond {
+		t.Fatalf("p90 of 9×10µs + 1×10ms = %v, want within the 8–16µs bucket", p90)
+	}
 }
 
 func TestHistogramConcurrency(t *testing.T) {
@@ -90,11 +104,11 @@ func TestRegistryHistogramExposition(t *testing.T) {
 
 func TestInflightLifecycle(t *testing.T) {
 	reg := NewInflight()
-	q := reg.Begin("exist", "(!def(x))* use(x)", "memo")
+	q := reg.Begin("exist", "(!def(x))* use(x)", "memo", TraceContext{})
 	if reg.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", reg.Len())
 	}
-	q.Update("solve", 512, 17, 900, 12, -1)
+	q.Update(Progress{Phase: "solve", Pops: 512, WorklistDepth: 17, Reach: 900, Substs: 12})
 	snaps := reg.Snapshots()
 	if len(snaps) != 1 {
 		t.Fatalf("Snapshots = %d entries, want 1", len(snaps))
@@ -107,7 +121,7 @@ func TestInflightLifecycle(t *testing.T) {
 		t.Fatalf("snapshot counters wrong: %+v", s)
 	}
 	if s.EnumSubsts != 0 {
-		t.Fatalf("negative update should leave enum_substs at 0, got %d", s.EnumSubsts)
+		t.Fatalf("enum_substs = %d, want 0", s.EnumSubsts)
 	}
 	q.Done()
 	q.Done() // idempotent
@@ -122,12 +136,12 @@ func TestWatchdogDumpAndLoad(t *testing.T) {
 	wd := &Watchdog{Dir: dir, OnBundle: func(p string) { notified = p }}
 
 	reg := NewInflight()
-	q := reg.Begin("exist", "_* use(x)", "basic")
+	q := reg.Begin("exist", "_* use(x)", "basic", TraceContext{})
 	q.Ring = NewRingSink(8)
 	for i := 0; i < 12; i++ { // overflow the ring: only the last 8 survive
 		q.Ring.Emit(Ev(KCounter, "pops", int64(i)))
 	}
-	q.Update("solve", 12, 3, 40, 5, -1)
+	q.Update(Progress{Phase: "solve", Pops: 12, WorklistDepth: 3, Reach: 40, Substs: 5})
 
 	path, err := wd.Dump(q, "deadline", map[string]int{"visits": 40})
 	if err != nil {
@@ -166,7 +180,7 @@ func TestWatchdogPrune(t *testing.T) {
 	wd := &Watchdog{Dir: dir, MaxBundles: 2}
 	reg := NewInflight()
 	for i := 0; i < 4; i++ {
-		q := reg.Begin("exist", "p", "basic")
+		q := reg.Begin("exist", "p", "basic", TraceContext{})
 		if _, err := wd.Dump(q, "slow", nil); err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +202,7 @@ func TestWatchdogArm(t *testing.T) {
 	reg := NewInflight()
 
 	// Timer fires for a query that outlives Hung.
-	q := reg.Begin("exist", "p", "basic")
+	q := reg.Begin("exist", "p", "basic", TraceContext{})
 	stop := wd.Arm(q)
 	select {
 	case p := <-fired:
@@ -202,7 +216,7 @@ func TestWatchdogArm(t *testing.T) {
 	q.Done()
 
 	// Stopped in time: no bundle.
-	q2 := reg.Begin("exist", "p2", "basic")
+	q2 := reg.Begin("exist", "p2", "basic", TraceContext{})
 	stop2 := wd.Arm(q2)
 	stop2()
 	q2.Done()
@@ -220,8 +234,8 @@ func TestQueriesEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	q := DefaultInflight().Begin("universal", "(a b)*", "enumeration")
-	q.Update("enumerate", -1, -1, -1, -1, 7)
+	q := DefaultInflight().Begin("universal", "(a b)*", "enumeration", TraceContext{})
+	q.Update(Progress{Phase: "enumerate", EnumSubsts: 7})
 	defer q.Done()
 
 	resp, err := http.Get("http://" + srv.Addr + "/debug/rpq/queries")
@@ -277,7 +291,8 @@ func TestQueriesEndpointEmpty(t *testing.T) {
 func TestSlowLogBundleField(t *testing.T) {
 	var b strings.Builder
 	l := NewSlowLog(&b, 0)
-	l.ObserveDetail("exist", "p", time.Second, 3, nil, SlowDetail{Bundle: "/tmp/x/bundle-1"})
+	q := NewInflight().Begin("exist", "p", "basic", TraceContext{})
+	l.Observe(q, Usage{Wall: time.Second}, 3, "", nil, nil, "/tmp/x/bundle-1")
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(b.String()), &rec); err != nil {
 		t.Fatal(err)
@@ -288,7 +303,7 @@ func TestSlowLogBundleField(t *testing.T) {
 
 	b.Reset()
 	l2 := NewSlowLog(&b, 0)
-	l2.Observe("exist", "p", time.Second, 3, nil)
+	l2.Observe(q, Usage{Wall: time.Second}, 3, "", nil, nil, "")
 	if strings.Contains(b.String(), "bundle") {
 		t.Fatalf("empty bundle should be omitted: %s", b.String())
 	}
@@ -302,8 +317,8 @@ func TestInflightConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				q := reg.Begin("exist", fmt.Sprintf("q%d", w), "memo")
-				q.Update("solve", int64(i), -1, -1, -1, -1)
+				q := reg.Begin("exist", fmt.Sprintf("q%d", w), "memo", TraceContext{})
+				q.Update(Progress{Phase: "solve", Pops: int64(i)})
 				reg.Snapshots()
 				q.Done()
 			}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -118,9 +119,16 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sumUS.Load()) * time.Microsecond
 }
 
+// nearestRank is the 1-based nearest rank ceil(q·n) of the q-th quantile
+// among n samples, clamped to [1, n]. The epsilon keeps a product that
+// float math lands just above a whole number (0.95·100) on that number.
+func nearestRank(q float64, n int64) int64 {
+	return min(max(int64(math.Ceil(q*float64(n)-1e-9)), 1), n)
+}
+
 // Quantile estimates the q-th quantile (0 < q ≤ 1) as the midpoint of the
-// bucket containing that rank: 1.5·2^i µs for bucket i (1 µs for bucket 0).
-// Returns 0 when the histogram is empty.
+// bucket holding the sample at its nearest rank: 1.5·2^i µs for bucket i
+// (1 µs for bucket 0). Returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
@@ -129,13 +137,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
+	rank := nearestRank(q, total)
 	var seen int64
 	for i := 0; i < histBuckets; i++ {
 		seen += h.counts[i].Load()

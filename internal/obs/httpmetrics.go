@@ -47,16 +47,12 @@ func StatusClass(status int) string {
 	return strconv.Itoa(status/100) + "xx"
 }
 
-// Observe records one finished request. route is the stable route name (not
-// the raw URL), status the response code, kind the query kind for the query
-// route ("" for others), dur the handler wall time.
-func (m *HTTPMetrics) Observe(route string, status int, kind string, dur time.Duration) {
-	m.ObserveTrace(route, status, kind, dur, "")
-}
-
-// ObserveTrace is Observe plus the request's trace ID: when non-empty it is
-// attached to the latency bucket as an OpenMetrics exemplar, so the slow
-// buckets in /metrics carry the most recent trace that landed in them.
+// ObserveTrace records one finished request. route is the stable route name
+// (not the raw URL), status the response code, kind the query kind for the
+// query route ("" for others), dur the handler wall time. A non-empty
+// traceID is attached to the latency bucket as an OpenMetrics exemplar, so
+// the slow buckets in /metrics carry the most recent trace that landed in
+// them.
 func (m *HTTPMetrics) ObserveTrace(route string, status int, kind string, dur time.Duration, traceID string) {
 	if m == nil {
 		return

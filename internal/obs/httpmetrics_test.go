@@ -21,11 +21,11 @@ func TestHTTPMetricsObserve(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, []SLO{{Route: "query", Objective: 0.999, LatencyThreshold: 50 * time.Millisecond}})
 
-	m.Observe("query", 200, "exist", 10*time.Millisecond)
-	m.Observe("query", 200, "exist", 100*time.Millisecond) // good status, too slow
-	m.Observe("query", 500, "universal", 10*time.Millisecond)
-	m.Observe("query", 429, "exist", time.Millisecond)
-	m.Observe("stats", 200, "", time.Millisecond) // no SLO on this route
+	m.ObserveTrace("query", 200, "exist", 10*time.Millisecond, "")
+	m.ObserveTrace("query", 200, "exist", 100*time.Millisecond, "") // good status, too slow
+	m.ObserveTrace("query", 500, "universal", 10*time.Millisecond, "")
+	m.ObserveTrace("query", 429, "exist", time.Millisecond, "")
+	m.ObserveTrace("stats", 200, "", time.Millisecond, "") // no SLO on this route
 
 	snap := reg.Snapshot()
 	for key, want := range map[string]int64{
@@ -53,8 +53,8 @@ func TestHTTPMetricsObserve(t *testing.T) {
 func TestLabeledExposition(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, nil)
-	m.Observe("query", 200, "exist", 10*time.Millisecond)
-	m.Observe("stats", 404, "", time.Millisecond)
+	m.ObserveTrace("query", 200, "exist", 10*time.Millisecond, "")
+	m.ObserveTrace("stats", 404, "", time.Millisecond, "")
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)

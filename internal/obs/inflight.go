@@ -29,9 +29,37 @@ var defaultInflight = NewInflight()
 // and the rpq layer.
 func DefaultInflight() *Inflight { return defaultInflight }
 
-// InflightQuery is the live handle of one registered query. The immutable
-// identity fields are set at Begin; the progress fields are atomics updated
-// by the solver's progress callback while snapshot readers load them.
+// Progress is one live snapshot of a running query. The solvers deliver
+// it every few hundred worklist pops, once per enumerated substitution, and
+// once when a worklist solve drains; InflightQuery.Update and
+// SolverGauges.Sample each publish one. Every field keeps its meaning
+// across phases, and Pops and EnumSubsts never decrease within a run.
+type Progress struct {
+	// Phase is the phase the snapshot was taken in ("solve", "enumerate").
+	Phase string `json:"phase"`
+	// Pops counts triples processed so far: worklist pops while solving,
+	// plus the triples of the finished ground passes while enumerating.
+	Pops int64 `json:"pops"`
+	// WorklistDepth is the current depth of the worklist (0 between the
+	// ground passes of enumeration).
+	WorklistDepth int64 `json:"worklist_depth"`
+	// Reach is the reach-set size so far, counted as the run's
+	// Stats.ReachSize counts it.
+	Reach int64 `json:"reach_size"`
+	// Substs is the number of distinct substitutions interned so far.
+	Substs int64 `json:"substs"`
+	// EnumSubsts is the number of full substitutions enumerated so far
+	// (zero until an enumeration phase starts).
+	EnumSubsts int64 `json:"enum_substs"`
+	// Bytes approximates the memory held by the reach-set and
+	// substitution tables.
+	Bytes int64 `json:"table_bytes"`
+}
+
+// InflightQuery is the live handle of one registered query. The identity
+// fields and resource anchors are set at Begin and never change; the
+// progress fields are atomics updated by the solver's progress callback
+// while snapshot readers load them.
 type InflightQuery struct {
 	id    int64
 	kind  string
@@ -40,19 +68,17 @@ type InflightQuery struct {
 	start time.Time
 	reg   *Inflight
 
+	// traceID/spanID are the originating request's W3C trace identity
+	// (lowercase hex), empty when the query carries none.
+	traceID, spanID string
+
 	// cpu0/alloc0 are the process CPU time and cumulative heap allocation at
-	// Begin; Snapshot reports the deltas since then. Both are process-wide
+	// Begin; Usage reports the deltas since then. Both are process-wide
 	// counters, so under concurrent queries the deltas over-attribute shared
 	// work — they bound the query's cost. Exact attribution comes from the
 	// pprof labels the rpq layer applies around every run.
 	cpu0   time.Duration
 	alloc0 int64
-
-	// trace holds the W3C trace identity (traceIdentity) of the originating
-	// request, if any. Unlike Ring and Lint it is atomic: the query is
-	// visible on /debug/rpq/queries the moment Begin returns, so SetTrace
-	// can race a concurrent Snapshot.
-	trace atomic.Value // traceIdentity
 
 	phase      atomic.Value // string
 	pops       atomic.Int64
@@ -71,28 +97,18 @@ type InflightQuery struct {
 	Lint any
 }
 
-// traceIdentity is the request-trace pair published through an
-// InflightQuery's trace field.
-type traceIdentity struct {
-	traceID, spanID string
-}
-
-// SetTrace attaches the originating request's trace identity to the handle;
-// subsequent Snapshots report it. No-op when tc is invalid.
-func (q *InflightQuery) SetTrace(tc TraceContext) {
-	if q == nil || !tc.IsValid() {
-		return
-	}
-	q.trace.Store(traceIdentity{traceID: tc.TraceIDString(), spanID: tc.SpanIDString()})
-}
-
 // Begin registers a query and returns its live handle. kind is the query
 // form ("exist", "universal", "violations"), query a printable rendering of
-// the pattern, algo the selected algorithm.
-func (i *Inflight) Begin(kind, query, algo string) *InflightQuery {
+// the pattern, algo the selected algorithm, and tc the originating
+// request's trace context (the zero value for none). Begin is where a
+// query's clock and resource anchors are read.
+func (i *Inflight) Begin(kind, query, algo string, tc TraceContext) *InflightQuery {
 	q := &InflightQuery{
 		kind: kind, query: query, algo: algo, start: time.Now(), reg: i,
 		cpu0: ProcessCPUTime(), alloc0: HeapAllocBytes(),
+	}
+	if tc.IsValid() {
+		q.traceID, q.spanID = tc.TraceIDString(), tc.SpanIDString()
 	}
 	q.phase.Store("start")
 	i.mu.Lock()
@@ -117,33 +133,41 @@ func (q *InflightQuery) Done() {
 // ID returns the registry-unique id assigned at Begin.
 func (q *InflightQuery) ID() int64 { return q.id }
 
-// Start returns the registration time.
-func (q *InflightQuery) Start() time.Time { return q.start }
+// Kind returns the query form given to Begin.
+func (q *InflightQuery) Kind() string { return q.kind }
 
-// Update publishes one progress snapshot into the handle's atomic fields.
-// Negative counter values leave the corresponding field untouched.
-func (q *InflightQuery) Update(phase string, pops, depth, reach, substs, enumSubsts int64) {
-	if q == nil {
-		return
+// TraceID returns the originating request's trace ID, "" without one.
+func (q *InflightQuery) TraceID() string { return q.traceID }
+
+// Usage is a query's resource use since Begin: wall-clock time, and the
+// process CPU time and heap allocation deltas (upper bounds under
+// concurrent queries; see the handle's cpu0 field).
+type Usage struct {
+	Wall  time.Duration
+	CPU   time.Duration
+	Alloc int64
+}
+
+// Usage reads the query's resource use so far. The deltas are clamped at
+// zero: a zero CPU reading on platforms without getrusage must not go
+// negative.
+func (q *InflightQuery) Usage() Usage {
+	u := Usage{Wall: time.Since(q.start)}
+	if q.cpu0 > 0 {
+		u.CPU = max(ProcessCPUTime()-q.cpu0, 0)
 	}
-	if phase != "" {
-		q.phase.Store(phase)
-	}
-	if pops >= 0 {
-		q.pops.Store(pops)
-	}
-	if depth >= 0 {
-		q.depth.Store(depth)
-	}
-	if reach >= 0 {
-		q.reach.Store(reach)
-	}
-	if substs >= 0 {
-		q.substs.Store(substs)
-	}
-	if enumSubsts >= 0 {
-		q.enumSubsts.Store(enumSubsts)
-	}
+	u.Alloc = max(HeapAllocBytes()-q.alloc0, 0)
+	return u
+}
+
+// Update publishes one progress snapshot into the handle.
+func (q *InflightQuery) Update(p Progress) {
+	q.phase.Store(p.Phase)
+	q.pops.Store(p.Pops)
+	q.depth.Store(p.WorklistDepth)
+	q.reach.Store(p.Reach)
+	q.substs.Store(p.Substs)
+	q.enumSubsts.Store(p.EnumSubsts)
 }
 
 // QuerySnapshot is one point-in-time view of an in-flight query, shaped for
@@ -175,34 +199,24 @@ type QuerySnapshot struct {
 // Snapshot reads the handle's current state.
 func (q *InflightQuery) Snapshot() QuerySnapshot {
 	phase, _ := q.phase.Load().(string)
-	tid, _ := q.trace.Load().(traceIdentity)
-	var cpuMS float64
-	if q.cpu0 > 0 {
-		if d := ProcessCPUTime() - q.cpu0; d > 0 {
-			cpuMS = float64(d.Microseconds()) / 1e3
-		}
-	}
-	var allocBytes int64
-	if d := HeapAllocBytes() - q.alloc0; d > 0 {
-		allocBytes = d
-	}
+	u := q.Usage()
 	return QuerySnapshot{
 		ID:         q.id,
 		Kind:       q.kind,
 		Query:      q.query,
 		Algo:       q.algo,
 		StartedAt:  q.start.UTC().Format(time.RFC3339Nano),
-		ElapsedMS:  float64(time.Since(q.start).Microseconds()) / 1e3,
+		ElapsedMS:  float64(u.Wall.Microseconds()) / 1e3,
 		Phase:      phase,
 		Pops:       q.pops.Load(),
 		Depth:      q.depth.Load(),
 		Reach:      q.reach.Load(),
 		Substs:     q.substs.Load(),
 		EnumSubsts: q.enumSubsts.Load(),
-		CPUMS:      cpuMS,
-		AllocBytes: allocBytes,
-		TraceID:    tid.traceID,
-		SpanID:     tid.spanID,
+		CPUMS:      float64(u.CPU.Microseconds()) / 1e3,
+		AllocBytes: u.Alloc,
+		TraceID:    q.traceID,
+		SpanID:     q.spanID,
 	}
 }
 

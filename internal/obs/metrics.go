@@ -333,10 +333,11 @@ func WriteBuildInfo(w io.Writer) {
 		goVersion, path, revision, modified)
 }
 
-// SolverGauges is the live view of a running query that the solvers sample
-// every few hundred worklist pops: current worklist depth, reach-set size,
-// interned substitutions, and approximate table bytes, plus monotonic
-// query/slow-query totals maintained by the rpq layer.
+// SolverGauges is the live view of running queries, fed by Sample from the
+// solvers' Progress snapshots: current worklist depth, reach-set size,
+// interned substitutions, approximate table bytes, and enumeration
+// progress, plus monotonic query/slow-query totals maintained by the rpq
+// layer.
 type SolverGauges struct {
 	WorklistDepth *Gauge
 	ReachSize     *Gauge
@@ -385,22 +386,11 @@ func NewSolverGauges(r *Registry) *SolverGauges {
 	}
 }
 
-// Sample stores one live snapshot; any negative argument leaves the
-// corresponding gauge untouched, letting callers update a subset.
-func (s *SolverGauges) Sample(worklist, reach, substs, bytes int64) {
-	if s == nil {
-		return
-	}
-	if worklist >= 0 {
-		s.WorklistDepth.Set(worklist)
-	}
-	if reach >= 0 {
-		s.ReachSize.Set(reach)
-	}
-	if substs >= 0 {
-		s.Substs.Set(substs)
-	}
-	if bytes >= 0 {
-		s.TableBytes.Set(bytes)
-	}
+// Sample publishes one live progress snapshot into the gauges.
+func (s *SolverGauges) Sample(p Progress) {
+	s.WorklistDepth.Set(p.WorklistDepth)
+	s.ReachSize.Set(p.Reach)
+	s.Substs.Set(p.Substs)
+	s.TableBytes.Set(p.Bytes)
+	s.EnumSubsts.Set(p.EnumSubsts)
 }

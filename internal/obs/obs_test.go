@@ -142,7 +142,7 @@ func TestGaugeConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				sg.Sample(int64(j), int64(j), int64(j), int64(j))
+				sg.Sample(Progress{WorklistDepth: int64(j), Reach: int64(j), Substs: int64(j), Bytes: int64(j)})
 				sg.Queries.Add(1)
 			}
 		}(i)
@@ -200,10 +200,13 @@ func TestServeEndpoints(t *testing.T) {
 func TestSlowLog(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewSlowLog(&buf, 10*time.Millisecond)
-	if l.Observe("exist", "fast", 2*time.Millisecond, 1, nil) {
+	reg := NewInflight()
+	fast := reg.Begin("exist", "fast", "basic", TraceContext{})
+	if l.Observe(fast, Usage{Wall: 2 * time.Millisecond}, 1, "", nil, nil, "") {
 		t.Fatal("fast query recorded")
 	}
-	if !l.Observe("exist", "(!def(x))* use(x)", 25*time.Millisecond, 3, map[string]int{"worklist": 9}) {
+	slow := reg.Begin("exist", "(!def(x))* use(x)", "basic", TraceContext{})
+	if !l.Observe(slow, Usage{Wall: 25 * time.Millisecond}, 3, "", map[string]int{"worklist": 9}, nil, "") {
 		t.Fatal("slow query not recorded")
 	}
 	if l.Count() != 1 {
@@ -217,7 +220,7 @@ func TestSlowLog(t *testing.T) {
 		t.Errorf("record wrong: %v", rec)
 	}
 	var nilLog *SlowLog
-	if nilLog.Observe("exist", "q", time.Hour, 0, nil) || nilLog.Count() != 0 {
+	if nilLog.Observe(slow, Usage{Wall: time.Hour}, 0, "", nil, nil, "") || nilLog.Count() != 0 {
 		t.Error("nil SlowLog not a no-op")
 	}
 }

@@ -28,7 +28,7 @@ func TestWatchdogDumpPinsProfile(t *testing.T) {
 	pinner := &fakePinner{cpu: []byte("fake-pprof-bytes"), id: 7, ok: true}
 	wd := &Watchdog{Dir: t.TempDir(), Profiler: pinner}
 	reg := NewInflight()
-	q := reg.Begin("exist", "_* use(x)", "basic")
+	q := reg.Begin("exist", "_* use(x)", "basic", TraceContext{})
 
 	path, err := wd.Dump(q, "slow", nil)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestWatchdogDumpPinnerEmpty(t *testing.T) {
 	pinner := &fakePinner{ok: false}
 	wd := &Watchdog{Dir: t.TempDir(), Profiler: pinner}
 	reg := NewInflight()
-	q := reg.Begin("exist", "q", "basic")
+	q := reg.Begin("exist", "q", "basic", TraceContext{})
 
 	path, err := wd.Dump(q, "hung", nil)
 	if err != nil {

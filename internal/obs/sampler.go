@@ -130,7 +130,8 @@ func (s *RuntimeSampler) SampleOnce() {
 }
 
 // histQuantileUS estimates the q-th quantile of a runtime/metrics
-// seconds-valued histogram, in microseconds. The runtime's histograms are
+// seconds-valued histogram, in microseconds, from the bucket holding the
+// sample at its nearest rank. The runtime's histograms are
 // cumulative since process start; bucket boundaries may include ±Inf, which
 // are clamped to the nearest finite neighbor.
 func histQuantileUS(h *metrics.Float64Histogram, q float64) int64 {
@@ -141,10 +142,7 @@ func histQuantileUS(h *metrics.Float64Histogram, q float64) int64 {
 	if total == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := uint64(nearestRank(q, int64(total)))
 	var seen uint64
 	for i, c := range h.Counts {
 		seen += c

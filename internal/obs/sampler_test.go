@@ -88,6 +88,15 @@ func TestHistQuantileUS(t *testing.T) {
 	if got := histQuantileUS(h, 0.99); got != 1e6 {
 		t.Fatalf("p99 = %d us, want 1e6", got)
 	}
+	// Nearest rank is ceil(q·n): p99 of 9 fast samples and 1 slow one is
+	// the slow one.
+	small := &metrics.Float64Histogram{
+		Counts:  []uint64{9, 1},
+		Buckets: []float64{0, 1e-5, 1e-2},
+	}
+	if got := histQuantileUS(small, 0.99); got != 1e4 {
+		t.Fatalf("small-count p99 = %d us, want 1e4", got)
+	}
 	// Infinite upper edge clamps to the finite lower bound.
 	inf := &metrics.Float64Histogram{
 		Counts:  []uint64{1},

@@ -31,7 +31,7 @@ type slowRecord struct {
 	Answers int     `json:"answers"`
 	Table   string  `json:"table,omitempty"`
 	// CPUMS and AllocBytes are the query's attributed CPU time and heap
-	// allocation (process deltas over the run; see SlowDetail).
+	// allocation (process deltas over the run; see Usage).
 	CPUMS      float64 `json:"cpu_ms,omitempty"`
 	AllocBytes int64   `json:"alloc_bytes,omitempty"`
 	// HotStates holds the top few hottest automaton states by visit count
@@ -49,53 +49,29 @@ type slowRecord struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
-// SlowDetail is the optional execution context of a slow-query entry.
-type SlowDetail struct {
-	// Table names the substitution-table representation ("hash"/"nested").
-	Table string
-	// CPUTime is the process CPU time attributed to the query (0 = unknown).
-	CPUTime time.Duration
-	// AllocBytes is the heap allocation attributed to the query (0 = unknown).
-	AllocBytes int64
-	// HotStates is any JSON-marshallable ranking of the hottest automaton
-	// states (typically the explain profile's top 3 by visits).
-	HotStates any
-	// Bundle is the diagnostic-bundle path for this query, when the
-	// watchdog wrote one.
-	Bundle string
-	// TraceID/SpanID are the originating request's W3C trace identity
-	// (lowercase hex), empty when the run carried no trace context.
-	TraceID string
-	SpanID  string
-}
-
-// Observe records the query if it was slow; it reports whether it did.
-// stats may be any JSON-marshallable value (typically core.Stats).
-func (l *SlowLog) Observe(kind, query string, d time.Duration, answers int, stats any) bool {
-	return l.ObserveDetail(kind, query, d, answers, stats, SlowDetail{})
-}
-
-// ObserveDetail is Observe with execution context: table representation
-// and — when an explain profile was collected — the hottest automaton
-// states.
-func (l *SlowLog) ObserveDetail(kind, query string, d time.Duration, answers int, stats any, detail SlowDetail) bool {
-	if l == nil || d < l.threshold {
+// Observe records q's finished run when u.Wall reaches the threshold and
+// reports whether it did. Query, kind and trace identity come from q, the
+// duration and resource attribution from u. stats and hot may be any
+// JSON-marshallable values (typically core.Stats and the explain profile's
+// hottest states); an empty table, hot or bundle is omitted.
+func (l *SlowLog) Observe(q *InflightQuery, u Usage, answers int, table string, stats, hot any, bundle string) bool {
+	if l == nil || u.Wall < l.threshold {
 		return false
 	}
 	rec := slowRecord{
 		TS:         time.Now().UTC().Format(time.RFC3339Nano),
-		Query:      query,
-		Kind:       kind,
-		DurMS:      float64(d.Microseconds()) / 1000,
+		Query:      q.query,
+		Kind:       q.kind,
+		DurMS:      float64(u.Wall.Microseconds()) / 1000,
 		Answers:    answers,
-		Table:      detail.Table,
-		CPUMS:      float64(detail.CPUTime.Microseconds()) / 1000,
-		AllocBytes: detail.AllocBytes,
-		HotStates:  detail.HotStates,
+		Table:      table,
+		CPUMS:      float64(u.CPU.Microseconds()) / 1000,
+		AllocBytes: u.Alloc,
+		HotStates:  hot,
 		Stats:      stats,
-		Bundle:     detail.Bundle,
-		TraceID:    detail.TraceID,
-		SpanID:     detail.SpanID,
+		Bundle:     bundle,
+		TraceID:    q.traceID,
+		SpanID:     q.spanID,
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {

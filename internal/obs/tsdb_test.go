@@ -78,7 +78,7 @@ func TestTimeSeriesSources(t *testing.T) {
 	ts := NewTimeSeries(r, TimeSeriesOptions{})
 	inf := NewInflight()
 	ts.WatchInflight(inf)
-	q := inf.Begin("exist", "p", "basic")
+	q := inf.Begin("exist", "p", "basic", TraceContext{})
 	ts.Record()
 	q.Done()
 	ts.Record()

@@ -380,29 +380,11 @@ type Options struct {
 // the observability layer (docs/observability.md). It marshals to JSON.
 type Stats = core.Stats
 
-// PhaseTimings is the per-phase cost breakdown carried in Stats.Phases.
-type PhaseTimings = core.PhaseTimings
-
-// PhaseStat is one phase's wall-clock (and, under tracing, allocation)
-// cost.
-type PhaseStat = core.PhaseStat
-
 // Explain is the per-query execution profile collected under
 // Options.Explain: EXPLAIN/ANALYZE for a parametric regular path query. It
 // marshals to JSON; Format renders a text report and DOT an annotated
 // heat-map of the query automaton.
 type Explain = core.Explain
-
-// StateProfile is one automaton state's profile within an Explain report.
-type StateProfile = core.StateProfile
-
-// TransProfile is one automaton transition's profile within an Explain
-// report.
-type TransProfile = core.TransProfile
-
-// LabelProfile is one graph edge label's match histogram within an Explain
-// report.
-type LabelProfile = core.LabelProfile
 
 // ---- Observability ----
 //
@@ -434,29 +416,9 @@ type SlowLog = obs.SlowLog
 // SolverGauges is the live gauge set sampled by a running query.
 type SolverGauges = obs.SolverGauges
 
-// TraceContext is a W3C Trace Context identity (128-bit trace ID, 64-bit
-// span ID, flags). Attach one to a query's context with WithTrace and every
-// piece of telemetry the run produces — trace events, the in-flight
-// snapshot, the slow-log record, flight-recorder bundles, pprof labels —
-// carries its trace ID. The service plane does this per HTTP request.
-type TraceContext = obs.TraceContext
-
-// NewTraceContext generates a fresh sampled trace context.
-func NewTraceContext() TraceContext { return obs.NewTraceContext() }
-
-// ParseTraceparent parses a W3C traceparent header (version 00), rejecting
-// malformed values and all-zero IDs.
-func ParseTraceparent(s string) (TraceContext, error) { return obs.ParseTraceparent(s) }
-
-// WithTrace returns ctx carrying tc; pass the result to the *Context query
-// methods to stamp the run's telemetry with the request identity.
-func WithTrace(ctx context.Context, tc TraceContext) context.Context {
-	return obs.WithTrace(ctx, tc)
-}
-
 // Progress is one live snapshot of a running query, delivered to
 // Options.Progress: the current phase, worklist pops and depth, reach-set
-// and substitution-table sizes, and enumeration progress.
+// and substitution-table sizes, enumeration progress, and table bytes.
 type Progress = core.Progress
 
 // InterruptError is returned when a query is canceled or exceeds its
@@ -514,18 +476,6 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 // ServeObservabilityWith exposes at /metrics.
 func LiveGauges() *SolverGauges { return obs.NewSolverGauges(nil) }
 
-// RuntimeSampler periodically reads runtime/metrics (heap, GC pauses,
-// goroutines, scheduler latency) into go_* gauges; see
-// ServeObservabilityWith, which starts one.
-type RuntimeSampler = obs.RuntimeSampler
-
-// TimeSeries is the bounded in-process telemetry time-series store behind
-// /debug/rpq/ts and the dashboard sparklines.
-type TimeSeries = obs.TimeSeries
-
-// TimeSeriesOptions configures a TimeSeries store.
-type TimeSeriesOptions = obs.TimeSeriesOptions
-
 // ObservabilityConfig tunes the continuous-telemetry plane started by
 // ServeObservabilityWith. The zero value enables everything at the
 // defaults; a negative duration disables the corresponding component.
@@ -557,29 +507,19 @@ type ObservabilityConfig struct {
 // ProfilingConfig tunes the continuous profiler; see
 // ObservabilityConfig.Profiling. The zero value captures a 10s CPU window
 // every 60s — a duty cycle whose steady-state overhead stays under 2% (the
-// pinned BenchmarkExist/prof-on budget) — and keeps up to 8 anomaly-pinned
-// windows beside the retained ones.
+// pinned BenchmarkExist/prof-on budget). The profiler keeps the last 32
+// windows plus up to 8 anomaly-pinned ones.
 type ProfilingConfig struct {
 	// Window is the CPU-capture duration per cycle (0 = 10s).
 	Window time.Duration
 	// Interval is the capture cadence — one window starts every Interval
 	// (0 = 60s; clamped up to Window).
 	Interval time.Duration
-	// Retain bounds the unpinned windows kept in memory (0 = 32).
-	Retain int
 }
-
-// Profiler is the running continuous profiler; see
-// ObservabilityServer.Prof and internal/prof.
-type Profiler = prof.Profiler
 
 // SLO is one service-level objective for SLO burn-rate tracking; see
 // ObservabilityConfig.SLOs and internal/service.
 type SLO = obs.SLO
-
-// SLOTracker computes multi-window burn rates from the telemetry
-// time-series; see ObservabilityServer.SLO.
-type SLOTracker = obs.SLOTracker
 
 // ObservabilityServer is a running observability plane: the HTTP server
 // plus the background runtime sampler and time-series store feeding it.
@@ -587,16 +527,16 @@ type SLOTracker = obs.SLOTracker
 // callers that want to Record or SampleOnce on their own schedule.
 type ObservabilityServer struct {
 	Server  *http.Server
-	Sampler *RuntimeSampler
-	TS      *TimeSeries
+	Sampler *obs.RuntimeSampler
+	TS      *obs.TimeSeries
 	// SLO is the burn-rate tracker behind /debug/rpq/slo; nil unless
 	// ObservabilityConfig.SLOs was set alongside an enabled time-series
 	// store.
-	SLO *SLOTracker
+	SLO *obs.SLOTracker
 	// Prof is the continuous profiler behind /debug/rpq/prof; nil unless
 	// ObservabilityConfig.Profiling was set. Wire it into a Watchdog
 	// (Watchdog.Profiler = srv.Prof) to pin profile windows into bundles.
-	Prof *Profiler
+	Prof *prof.Profiler
 }
 
 // Close stops the profiler, the time-series store, the runtime sampler, and
@@ -646,7 +586,6 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 		out.Prof = prof.New(prof.Options{
 			Window:   pc.Window,
 			Interval: pc.Interval,
-			Retain:   pc.Retain,
 		})
 	}
 	so := obs.ServeOptions{
@@ -689,33 +628,17 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 const flightRingSize = 256
 
 // runState tracks one public query from beginRun to finish: the in-flight
-// registry entry, the flight-recorder ring, and the hung-query timer.
+// registry entry, which is the query's one record (identity, trace, clock
+// and resource anchors, live progress), and the hung-query timer.
 type runState struct {
 	opts     *Options
-	kind     string
-	query    string
-	t0       time.Time
 	iq       *obs.InflightQuery
-	ring     *obs.RingSink
 	stopHung func()
 	// ended guards end(): the entry points defer it so the in-flight
 	// registry entry and the hung-query timer are released on every exit
 	// path — including a panic inside a solver variant — while the normal
 	// finish path releases them exactly once.
 	ended bool
-
-	// cpu0/alloc0 anchor the run's resource attribution: process CPU time
-	// and cumulative heap allocation at beginRun. finish stamps the deltas
-	// into Stats, Explain, the gauges, and the slow log. Both counters are
-	// process-wide, so under concurrent queries the deltas over-attribute
-	// shared work; the pprof labels applied by do give exact attribution.
-	cpu0   time.Duration
-	alloc0 int64
-
-	// trace is the W3C trace context carried by the caller's ctx, if any
-	// (zero value = none). It joins the run's telemetry — events, snapshot,
-	// slow-log record, pprof labels — to the originating request.
-	trace obs.TraceContext
 }
 
 // do runs fn under pprof labels identifying the query — rpq_query_id (the
@@ -726,70 +649,62 @@ type runState struct {
 func (rs *runState) do(ctx context.Context, co *core.Options, fn func(ctx context.Context)) {
 	labels := []string{
 		"rpq_query_id", strconv.FormatInt(rs.iq.ID(), 10),
-		"rpq_kind", rs.kind,
+		"rpq_kind", rs.iq.Kind(),
 		"variant", co.Algo.String(),
 		"table", co.Table.String(),
 	}
-	if rs.trace.IsValid() {
-		labels = append(labels, "rpq_trace_id", rs.trace.TraceIDString())
+	if id := rs.iq.TraceID(); id != "" {
+		labels = append(labels, "rpq_trace_id", id)
 	}
 	pprof.Do(ctx, pprof.Labels(labels...), fn)
 }
 
 // beginRun registers the query as in-flight, splices the flight-recorder
 // ring into the core tracer when a watchdog is configured, arms the
-// hung-query timer, and chains the progress callback so every run keeps its
-// live snapshot current. It mutates co (Tracer, Progress) in place. lint is
-// the query's lint report (or nil) for watchdog bundles; it must be attached
-// here, before the hung timer arms, because the timer reads the handle
-// asynchronously. When ctx carries a trace context (obs.WithTrace — the
-// service plane attaches one per HTTP request), the run's telemetry is
-// stamped with it: the in-flight snapshot, every trace event, the pprof
-// label set, and the slow-log record. The lookup is one ctx.Value call per
-// query, so library runs without a trace pay nothing measurable.
+// hung-query timer, and installs the run's one progress fan-out: each
+// snapshot updates the in-flight handle, the gauges (when Options.Gauges
+// is set), and the caller's Options.Progress. It mutates co (Tracer,
+// Progress, Deadline) in place. lint is the query's lint report (or nil)
+// for watchdog bundles; it must be attached here, before the hung timer
+// arms, because the timer reads the handle asynchronously. When ctx
+// carries a trace context (obs.WithTrace — the service plane attaches one
+// per HTTP request), the run's telemetry is stamped with it: the in-flight
+// snapshot, every trace event, the pprof label set, and the slow-log
+// record. The lookup is one ctx.Value call per query, so library runs
+// without a trace pay nothing measurable.
 func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, co *core.Options) *runState {
-	rs := &runState{
-		opts: opts, kind: kind, query: query, t0: time.Now(), stopHung: func() {},
-		cpu0: obs.ProcessCPUTime(), alloc0: obs.HeapAllocBytes(),
+	if opts == nil {
+		opts = &Options{}
 	}
-	if tc, ok := obs.TraceFrom(ctx); ok && tc.IsValid() {
-		rs.trace = tc
-	}
-	rs.iq = obs.DefaultInflight().Begin(kind, query, co.Algo.String())
-	rs.iq.SetTrace(rs.trace)
+	tc, _ := obs.TraceFrom(ctx)
+	rs := &runState{opts: opts, stopHung: func() {}}
+	rs.iq = obs.DefaultInflight().Begin(kind, query, co.Algo.String(), tc)
 	rs.iq.Lint = lint
-	var wd *Watchdog
-	if opts != nil {
-		wd = opts.Watchdog
-	}
-	if wd.Enabled() {
-		rs.ring = obs.NewRingSink(flightRingSize)
-		rs.iq.Ring = rs.ring
+	if wd := opts.Watchdog; wd.Enabled() {
+		ring := obs.NewRingSink(flightRingSize)
+		rs.iq.Ring = ring
 		if co.Tracer != nil {
-			co.Tracer = obs.Multi{co.Tracer, rs.ring}
+			co.Tracer = obs.Multi{co.Tracer, ring}
 		} else {
-			co.Tracer = rs.ring
+			co.Tracer = ring
 		}
 		rs.stopHung = wd.Arm(rs.iq)
 	}
 	// Stamp outermost so every sink below — user tracer and flight ring
 	// alike — records the trace identity on each event.
-	co.Tracer = obs.StampTrace(co.Tracer, rs.trace)
-	var userProg func(Progress)
-	if opts != nil {
-		userProg = opts.Progress
-	}
-	iq := rs.iq
+	co.Tracer = obs.StampTrace(co.Tracer, tc)
+	iq, gauges, userProg := rs.iq, opts.Gauges, opts.Progress
 	co.Progress = func(p core.Progress) {
-		iq.Update(p.Phase, p.Pops, p.WorklistDepth, p.Reach, p.Substs, p.EnumSubsts)
+		iq.Update(p)
+		if gauges != nil {
+			gauges.Sample(p)
+		}
 		if userProg != nil {
 			userProg(p)
 		}
 	}
-	if opts != nil {
-		co.Deadline = opts.Deadline
-	}
-	if opts != nil && opts.OnBegin != nil {
+	co.Deadline = opts.Deadline
+	if opts.OnBegin != nil {
 		opts.OnBegin(rs.iq.ID())
 	}
 	return rs
@@ -809,15 +724,16 @@ func (rs *runState) end() {
 	rs.iq.Done()
 }
 
-// finish completes the run's observability: stop the hung timer, unregister
-// the in-flight entry, feed the latency histograms and query gauges, dump a
-// watchdog bundle on anomaly (deadline breach, cancellation, slow run), and
-// record the slow-query log entry (with the bundle path when one was
-// written). It handles both outcomes — res on success, err (possibly an
+// finish completes the run's observability: stop the hung timer, stamp the
+// run's resource attribution into Stats and Explain, feed the latency
+// histograms and query gauges, dump a watchdog bundle on anomaly (deadline
+// breach, cancellation, slow run), record the slow-query log entry (with
+// the bundle path when one was written), and unregister the in-flight
+// entry. It handles both outcomes — res on success, err (possibly an
 // *InterruptError carrying partial stats) on failure.
 func (rs *runState) finish(res *Result, err error) {
 	rs.stopHung()
-	d := time.Since(rs.t0)
+	u := rs.iq.Usage()
 	opts := rs.opts
 
 	var stats *Stats
@@ -833,42 +749,21 @@ func (rs *runState) finish(res *Result, err error) {
 		stats = &ie.Stats
 		explain = ie.Explain
 	}
-
-	// Stamp the run's resource attribution: CPU-time and heap-allocation
-	// deltas since beginRun (clamped at zero — the counters are monotonic
-	// but a zero CPU reading on non-unix platforms must not go negative).
-	var cpu time.Duration
-	var alloc int64
-	if rs.cpu0 > 0 {
-		if dd := obs.ProcessCPUTime() - rs.cpu0; dd > 0 {
-			cpu = dd
-		}
-	}
-	if da := obs.HeapAllocBytes() - rs.alloc0; da > 0 {
-		alloc = da
-	}
 	if stats != nil {
-		stats.CPUTime = cpu
-		stats.AllocBytes = alloc
+		stats.CPUTime = u.CPU
+		stats.AllocBytes = u.Alloc
 	}
 	if explain != nil {
-		explain.CPUTime = cpu
-		explain.AllocBytes = alloc
+		explain.CPUTime = u.CPU
+		explain.AllocBytes = u.Alloc
 	}
 
-	var gauges *SolverGauges
-	if opts != nil {
-		gauges = opts.Gauges
-	}
+	gauges := opts.Gauges
 	if gauges != nil {
 		gauges.Queries.Add(1)
-		traceID := ""
-		if rs.trace.IsValid() {
-			traceID = rs.trace.TraceIDString()
-		}
-		gauges.QueryHist.ObserveTrace(d, traceID)
-		gauges.CPUTotalUS.Add(cpu.Microseconds())
-		gauges.AllocTotal.Add(alloc)
+		gauges.QueryHist.ObserveTrace(u.Wall, rs.iq.TraceID())
+		gauges.CPUTotalUS.Add(u.CPU.Microseconds())
+		gauges.AllocTotal.Add(u.Alloc)
 		if stats != nil {
 			gauges.CompileHist.Observe(stats.Phases.Compile.Wall)
 			gauges.DomainsHist.Observe(stats.Phases.Domains.Wall)
@@ -880,14 +775,14 @@ func (rs *runState) finish(res *Result, err error) {
 	}
 
 	bundle := ""
-	if opts != nil && opts.Watchdog.Enabled() {
+	if opts.Watchdog.Enabled() {
 		reason := ""
 		switch {
 		case errors.Is(err, ErrDeadline):
 			reason = "deadline"
 		case errors.Is(err, ErrCanceled):
 			reason = "canceled"
-		case err == nil && opts.Watchdog.Slow > 0 && d >= opts.Watchdog.Slow:
+		case err == nil && opts.Watchdog.Slow > 0 && u.Wall >= opts.Watchdog.Slow:
 			reason = "slow"
 		}
 		if reason != "" {
@@ -901,22 +796,13 @@ func (rs *runState) finish(res *Result, err error) {
 		}
 	}
 
-	if opts != nil && stats != nil {
-		detail := obs.SlowDetail{
-			Table: opts.Table.String(), Bundle: bundle,
-			CPUTime: cpu, AllocBytes: alloc,
-		}
-		if rs.trace.IsValid() {
-			detail.TraceID = rs.trace.TraceIDString()
-			detail.SpanID = rs.trace.SpanIDString()
-		}
+	if stats != nil {
+		hot := any(nil)
 		if explain != nil {
-			detail.HotStates = explain.TopStates(3)
+			hot = explain.TopStates(3)
 		}
-		if opts.SlowLog.ObserveDetail(rs.kind, rs.query, d, answers, *stats, detail) {
-			if gauges != nil {
-				gauges.SlowQueries.Add(1)
-			}
+		if opts.SlowLog.Observe(rs.iq, u, answers, opts.Table.String(), stats, hot, bundle) && gauges != nil {
+			gauges.SlowQueries.Add(1)
 		}
 	}
 	rs.end()
@@ -1028,7 +914,6 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 		Completion: core.CompletionMode(opts.Completion),
 		Witnesses:  opts.Witnesses,
 		Tracer:     opts.Tracer,
-		Gauges:     opts.Gauges,
 		Explain:    opts.Explain,
 	}
 	switch opts.Algorithm {

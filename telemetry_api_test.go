@@ -132,6 +132,44 @@ func TestInflightSnapshotCarriesAttribution(t *testing.T) {
 	}
 }
 
+// TestInflightCountersNeverDecrease reads the query's in-flight snapshot
+// from inside every progress callback of a hybrid universal run (a worklist
+// solve, then an enumeration phase) and requires pops and enum_substs to
+// be non-decreasing across the phase change, as /debug/rpq/queries shows
+// them.
+func TestInflightCountersNeverDecrease(t *testing.T) {
+	g := telemetryGraph(t)
+	var id int64
+	var last QuerySnapshot
+	phases := map[string]bool{}
+	opts := &Options{
+		Algorithm: Hybrid,
+		OnBegin:   func(qid int64) { id = qid },
+		Progress: func(p Progress) {
+			for _, s := range InflightQueries() {
+				if s.ID != id {
+					continue
+				}
+				if s.Pops < last.Pops || s.EnumSubsts < last.EnumSubsts {
+					t.Fatalf("in-flight counters went backwards entering %s: pops %d -> %d, enum_substs %d -> %d",
+						s.Phase, last.Pops, s.Pops, last.EnumSubsts, s.EnumSubsts)
+				}
+				last = s
+				phases[s.Phase] = true
+			}
+		},
+	}
+	if _, err := g.Universal(MustParsePattern("_* use(x)"), opts); err != nil {
+		t.Fatal(err)
+	}
+	if !phases["solve"] || !phases["enumerate"] {
+		t.Fatalf("progress phases seen = %v, want solve and enumerate", phases)
+	}
+	if last.Pops == 0 || last.EnumSubsts == 0 {
+		t.Fatalf("final in-flight snapshot has pops %d, enum_substs %d; want both > 0", last.Pops, last.EnumSubsts)
+	}
+}
+
 // TestGoroutineProfileHasQueryLabels asserts the pprof label plumbing
 // deterministically: a goroutine profile taken while a query runs must show
 // the rpq_query_id label on the solver goroutine.

@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Checks = strings.Split(*checksFlag, ",")
 	}
 
-	rep, srcOf, err := runChecks(patterns, opts)
+	rep, prog, err := gocheck.RunWithPrograms(patterns, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "rpqcheck:", err)
 		return 2
@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		rep.WriteText(out, srcOf, *carets)
+		rep.WriteText(out, prog.Source, *carets)
 	}
 
 	if *writeBaseline != "" {
@@ -161,26 +161,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runChecks evaluates the catalog and returns the report plus a source
-// lookup for caret rendering. It re-loads nothing: gocheck retains the
-// sources inside the programs it builds, surfaced via the closure.
-func runChecks(patterns []string, opts gocheck.Options) (*gocheck.Report, func(string) (string, bool), error) {
-	rep, progs, err := gocheck.RunWithPrograms(patterns, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	srcOf := func(file string) (string, bool) {
-		for _, p := range progs {
-			if p == nil {
-				continue
-			}
-			if s, ok := p.Source(file); ok {
-				return s, true
-			}
-		}
-		return "", false
-	}
-	return rep, srcOf, nil
 }

@@ -1,0 +1,32 @@
+//go:build !race
+
+package gocheck
+
+import (
+	"path/filepath"
+	"testing"
+)
+
+// runAllocsBudget is the pinned allocation count of one Run of the whole
+// catalog over benchmod with one build worker: 11,129 on go1.24,
+// linux/amd64, plus under 1% slack. Lowering the sources twice, once per
+// graph, costs about 15,200. A rise means the front end or the checks
+// grew; lower it when a change makes the path leaner.
+const runAllocsBudget = 11200
+
+// TestRunAllocs guards the rpqcheck pass: lowering, linking and every
+// check's solve over benchmod must stay within runAllocsBudget
+// allocations. Race instrumentation changes allocation counts, hence the
+// build tag.
+func TestRunAllocs(t *testing.T) {
+	patterns := []string{filepath.Join(fixtures, "benchmod") + "/..."}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(patterns, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per run", allocs)
+	if allocs > runAllocsBudget {
+		t.Errorf("%.0f allocations per run, budget %d", allocs, runAllocsBudget)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -90,105 +91,51 @@ func Run(patterns []string, opts Options) (*Report, error) {
 	return rep, err
 }
 
-// RunWithPrograms is Run, also returning the program graphs it built
-// (intra- and interprocedural; either may be nil when no selected check
-// needed it) so callers can render source snippets or inspect the graphs.
-func RunWithPrograms(patterns []string, opts Options) (*Report, []*gofront.Program, error) {
-	checks, err := selectChecks(opts.Checks)
-	if err != nil {
-		return nil, nil, err
-	}
-	needIntra, needInter := false, false
-	for _, c := range checks {
-		if c.Interproc {
-			needInter = true
-		} else {
-			needIntra = true
-		}
-	}
-	t0 := time.Now()
-	var intra, inter *gofront.Program
-	if needIntra {
-		intra, err = gofront.Load(patterns, gofront.Config{
-			Workers: opts.Workers, IncludeTests: opts.IncludeTests,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if needInter {
-		inter, err = gofront.Load(patterns, gofront.Config{
-			Interproc: true, Workers: opts.Workers, IncludeTests: opts.IncludeTests,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	build := time.Since(t0)
-	rep, err := runChecks(checks, intra, inter, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Stats.BuildNS = build.Nanoseconds()
-	return rep, []*gofront.Program{intra, inter}, nil
+// RunWithPrograms is Run, also returning the program it lowered, so
+// callers can render source snippets or inspect the graph.
+func RunWithPrograms(patterns []string, opts Options) (*Report, *gofront.Program, error) {
+	return run(opts, func(cfg gofront.Config) (*gofront.Program, error) {
+		return gofront.Load(patterns, cfg)
+	})
 }
 
-// RunSource is Run over in-memory sources (the service loader path).
+// RunSource is Run over in-memory sources, keyed as gofront.LoadSource
+// takes them.
 func RunSource(files map[string]string, opts Options) (*Report, error) {
+	rep, _, err := run(opts, func(cfg gofront.Config) (*gofront.Program, error) {
+		return gofront.LoadSource(files, cfg)
+	})
+	return rep, err
+}
+
+// run lowers the sources once and evaluates the selected checks, each on
+// the program or, if interprocedural, on its linked copy. The copy is
+// built, and describes the graph in the stats, only when such a check is
+// selected.
+func run(opts Options, load func(gofront.Config) (*gofront.Program, error)) (*Report, *gofront.Program, error) {
 	checks, err := selectChecks(opts.Checks)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	intra, err := gofront.LoadSource(files, gofront.Config{Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	inter, err := gofront.LoadSource(files, gofront.Config{Interproc: true, Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return runChecks(checks, intra, inter, opts)
-}
-
-func selectChecks(names []string) ([]queries.GoCheck, error) {
-	all := queries.GoChecks()
-	if len(names) == 0 {
-		return all, nil
-	}
-	var out []queries.GoCheck
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		c, ok := queries.GoCheckByName(n)
-		if !ok {
-			known := make([]string, len(all))
-			for i, a := range all {
-				known[i] = a.Name
-			}
-			return nil, fmt.Errorf("gocheck: unknown check %q (have %s)", n, strings.Join(known, ", "))
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-func runChecks(checks []queries.GoCheck, intra, inter *gofront.Program, opts Options) (*Report, error) {
-	rep := &Report{Schema: "rpqcheck/1"}
-	stats := func(p *gofront.Program) {
-		if p != nil && rep.Stats.Functions == 0 {
-			rep.Stats.Functions = len(p.Funcs)
-		}
-		if p != nil && p.Graph.NumVertices() > rep.Stats.Vertices {
-			rep.Stats.Vertices = p.Graph.NumVertices()
-			rep.Stats.Edges = p.Graph.NumEdges()
-		}
-	}
-	stats(inter)
-	stats(intra)
-
 	t0 := time.Now()
+	intra, err := load(gofront.Config{Workers: opts.Workers, IncludeTests: opts.IncludeTests})
+	if err != nil {
+		return nil, nil, err
+	}
+	inter := intra
+	if slices.ContainsFunc(checks, func(c queries.GoCheck) bool { return c.Interproc }) {
+		if inter, err = intra.Linked(); err != nil {
+			return nil, nil, err
+		}
+	}
+	rep := &Report{Schema: "rpqcheck/1", Stats: Stats{
+		Functions: len(inter.Funcs),
+		Vertices:  inter.Graph.NumVertices(),
+		Edges:     inter.Graph.NumEdges(),
+		BuildNS:   time.Since(t0).Nanoseconds(),
+	}}
+
+	t0 = time.Now()
 	seen := map[string]bool{}
 	for _, c := range checks {
 		rep.Checks = append(rep.Checks, c.Name)
@@ -196,12 +143,9 @@ func runChecks(checks []queries.GoCheck, intra, inter *gofront.Program, opts Opt
 		if c.Interproc {
 			prog = inter
 		}
-		if prog == nil {
-			return nil, fmt.Errorf("gocheck: no program graph for %s", c.Name)
-		}
 		pat, err := rpq.ParsePattern(c.Pattern)
 		if err != nil {
-			return nil, fmt.Errorf("gocheck: %s: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("gocheck: %s: %w", c.Name, err)
 		}
 		// Alphabet-coverage advisories (RPQ010/011/016): schema drift
 		// between the check patterns and what the frontend emitted.
@@ -213,7 +157,7 @@ func runChecks(checks []queries.GoCheck, intra, inter *gofront.Program, opts Opt
 		}
 		res, err := rpq.WrapGraph(prog.Graph).Exist(pat, &rpq.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("gocheck: %s: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("gocheck: %s: %w", c.Name, err)
 		}
 		for _, a := range res.Answers {
 			f, ok := toFinding(c, a, prog)
@@ -249,7 +193,37 @@ func runChecks(checks []queries.GoCheck, intra, inter *gofront.Program, opts Opt
 		}
 		return a.Check < b.Check
 	})
-	return rep, nil
+	return rep, intra, nil
+}
+
+// selectChecks resolves the named checks in first-mention order, each
+// once. No names selects the whole catalog; names that are all blank are
+// an error rather than a run of no checks.
+func selectChecks(names []string) ([]queries.GoCheck, error) {
+	all := queries.GoChecks()
+	if len(names) == 0 {
+		return all, nil
+	}
+	var out []queries.GoCheck
+	for _, n := range names {
+		n = strings.TrimSpace(n)
+		if n == "" || slices.ContainsFunc(out, func(c queries.GoCheck) bool { return c.Name == n }) {
+			continue
+		}
+		c, ok := queries.GoCheckByName(n)
+		if !ok {
+			known := make([]string, len(all))
+			for i, a := range all {
+				known[i] = a.Name
+			}
+			return nil, fmt.Errorf("gocheck: unknown check %q (have %s)", n, strings.Join(known, ", "))
+		}
+		out = append(out, c)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("gocheck: no check named in %q", strings.Join(names, ","))
+	}
+	return out, nil
 }
 
 // toFinding maps one existential answer to a finding at the answer
@@ -411,7 +385,8 @@ func (b *Baseline) Write(w io.Writer) error {
 }
 
 // Diff splits the report's findings into new (not in the baseline) and
-// fixed baseline keys (no longer found).
+// fixed baseline keys: keys of a check the report ran that it no longer
+// found. Keys of checks the report did not run are neither.
 func (b *Baseline) Diff(r *Report) (news []Finding, fixed []string) {
 	have := map[string]bool{}
 	for _, k := range b.Keys {
@@ -429,7 +404,8 @@ func (b *Baseline) Diff(r *Report) (news []Finding, fixed []string) {
 		}
 	}
 	for _, k := range b.Keys {
-		if !current[k] {
+		check, _, _ := strings.Cut(k, "|")
+		if !current[k] && slices.Contains(r.Checks, check) {
 			fixed = append(fixed, k)
 		}
 	}

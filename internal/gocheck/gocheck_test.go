@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"rpq/internal/gofront"
+	"rpq/internal/queries"
 )
 
 const fixtures = "../../testdata/goprog"
@@ -237,5 +239,68 @@ func TestUnknownCheck(t *testing.T) {
 	_, err := Run([]string{filepath.Join(fixtures, "uninit")}, Options{Checks: []string{"nope"}})
 	if err == nil || !strings.Contains(err.Error(), "unknown check") {
 		t.Errorf("want unknown-check error, got %v", err)
+	}
+}
+
+// TestSelectChecks: names resolve in first-mention order, each once; a
+// selection of only blank names is an error, not a run of no checks.
+func TestSelectChecks(t *testing.T) {
+	var all []string
+	for _, c := range queries.GoChecks() {
+		all = append(all, c.Name)
+	}
+	for _, tc := range []struct {
+		names []string
+		want  []string // nil: an error is expected
+	}{
+		{nil, all},
+		{[]string{"double-lock"}, []string{"double-lock"}},
+		{[]string{"double-lock", "double-lock"}, []string{"double-lock"}},
+		{[]string{" uninit-use", "double-lock", "uninit-use "}, []string{"uninit-use", "double-lock"}},
+		{[]string{"", "double-lock", ""}, []string{"double-lock"}},
+		{[]string{"", ""}, nil},
+		{[]string{" "}, nil},
+		{[]string{"double-lock", "nope"}, nil},
+	} {
+		checks, err := selectChecks(tc.names)
+		var got []string
+		for _, c := range checks {
+			got = append(got, c.Name)
+		}
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("selectChecks(%q) = %v, want an error", tc.names, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("selectChecks(%q) = %v, %v; want %v", tc.names, got, err, tc.want)
+		}
+	}
+}
+
+// TestBaselineDiffSkipsChecksNotRun: a baseline taken over every check,
+// diffed against a run of one check, reports as fixed only that check's
+// missing keys, never the keys of checks that did not run.
+func TestBaselineDiffSkipsChecksNotRun(t *testing.T) {
+	full, _ := runFixture(t, "locks", Options{})
+	base := NewBaseline(full)
+	if !slices.ContainsFunc(full.Findings, func(f Finding) bool { return f.Check != "double-lock" }) {
+		t.Fatal("locks fixture should produce findings of a check other than double-lock")
+	}
+	rep, _ := runFixture(t, "locks", Options{Checks: []string{"double-lock"}})
+	if news, fixed := base.Diff(rep); len(news) != 0 || len(fixed) != 0 {
+		t.Errorf("one-check diff: got %d new, fixed %q; want none", len(news), fixed)
+	}
+	trimmed := *rep
+	trimmed.Findings = nil
+	_, fixed := base.Diff(&trimmed)
+	for _, k := range fixed {
+		if !strings.HasPrefix(k, "double-lock|") {
+			t.Errorf("key %q reported fixed, but its check did not run", k)
+		}
+	}
+	if len(fixed) == 0 {
+		t.Error("double-lock keys missing from the report should be fixed")
 	}
 }

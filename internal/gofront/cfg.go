@@ -81,7 +81,6 @@ type fnState struct {
 
 type ub struct {
 	fset *token.FileSet
-	cfg  Config
 	pkg  *pkgUnit
 	file *parsedFile
 	res  *unitResult
@@ -91,10 +90,9 @@ type ub struct {
 	pendingLabel string
 }
 
-func buildUnit(fset *token.FileSet, job *unitJob, cfg Config) (res *unitResult) {
+func buildUnit(fset *token.FileSet, job *unitJob) (res *unitResult) {
 	b := &ub{
 		fset: fset,
-		cfg:  cfg,
 		pkg:  job.pkg,
 		file: job.file,
 		res:  &unitResult{pos: map[string]Location{}},
@@ -889,7 +887,7 @@ func (b *ub) emitDefers(cur string, n int) string {
 		op := fn.deferred[i]
 		prev := cur
 		cur = b.step(cur, op.eff, op.node)
-		if b.cfg.Interproc && op.callee != "" {
+		if op.callee != "" {
 			b.res.links = append(b.res.links, link{kind: linkCall, from: prev, resume: cur, callee: op.callee})
 		}
 	}
@@ -926,7 +924,7 @@ func (b *ub) goStmt(cur string, x *ast.GoStmt) string {
 		desc = effectDesc(eff)
 	}
 	cur = b.step(cur, cfgschema.Go(desc), x)
-	if b.cfg.Interproc && callee != "" {
+	if callee != "" {
 		b.res.links = append(b.res.links, link{kind: linkGo, from: prev, callee: callee})
 	}
 	return cur
@@ -997,7 +995,7 @@ func (b *ub) expr(cur string, e ast.Expr) string {
 		}
 		prev := cur
 		cur = b.step(cur, eff, x)
-		if b.cfg.Interproc && callee != "" && eff.Name == "call" {
+		if callee != "" && eff.Name == "call" {
 			b.res.links = append(b.res.links, link{kind: linkCall, from: prev, resume: cur, callee: callee})
 		}
 		return cur

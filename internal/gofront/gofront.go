@@ -42,7 +42,9 @@
 // fans them out across Config.Workers goroutines and then merges the
 // results into one graph sequentially, in sorted function order, keeping
 // the merged graph (vertex numbering, label interning) byte-identical
-// across worker counts.
+// across worker counts. Each build also records its call and go sites;
+// linking them to their callees, in place (Config.Interproc) or in a copy
+// (Program.Linked), turns one lowering into the interprocedural graph.
 package gofront
 
 import (
@@ -124,6 +126,7 @@ type Program struct {
 	files  map[string]string
 	allows map[string]map[int][]string
 	funcIx map[string]int
+	links  []link // call and go sites, in unit order
 }
 
 // Location reports the source location recorded for a vertex, if the
@@ -465,6 +468,7 @@ func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, s
 	// Package-scope pre-pass: globals and top-level function names must be
 	// known before any body builds (files in one package see each other).
 	var jobs []*unitJob
+	qnames := map[string]bool{}
 	for _, k := range order {
 		u := units[k]
 		for _, pf := range u.files {
@@ -492,23 +496,19 @@ func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, s
 				if !ok || fd.Body == nil {
 					continue
 				}
-				qname := u.path + "." + funcBaseName(fd)
+				base := funcBaseName(fd)
+				qname := u.path + "." + base
 				// Build-tag variants of one function parse as duplicates
 				// without tag evaluation; keep both, disambiguated, with the
 				// first (in sorted file order) owning the plain name.
-				if _, taken := u.funcs[funcBaseName(fd)]; taken {
-					n := 2
-					for {
-						cand := fmt.Sprintf("%s~%d", qname, n)
-						if !qnameTaken(jobs, cand) {
-							qname = cand
-							break
-						}
-						n++
+				if _, taken := u.funcs[base]; taken {
+					for n := 2; qnames[qname]; n++ {
+						qname = fmt.Sprintf("%s.%s~%d", u.path, base, n)
 					}
 				} else {
-					u.funcs[funcBaseName(fd)] = qname
+					u.funcs[base] = qname
 				}
+				qnames[qname] = true
 				jobs = append(jobs, &unitJob{pkg: u, file: pf, decl: fd, qname: qname})
 			}
 		}
@@ -533,7 +533,7 @@ func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, s
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = buildUnit(fset, jobs[i], cfg)
+				results[i] = buildUnit(fset, jobs[i])
 			}
 		}()
 	}
@@ -549,15 +549,6 @@ func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, s
 	}
 
 	return mergeUnits(results, srcs, allows, cfg)
-}
-
-func qnameTaken(jobs []*unitJob, q string) bool {
-	for _, j := range jobs {
-		if j.qname == q {
-			return true
-		}
-	}
-	return false
 }
 
 func funcBaseName(fd *ast.FuncDecl) string {
@@ -674,6 +665,7 @@ func collectAllows(fset *token.FileSet, f *ast.File, file string, allows map[str
 // the only sequential stage: vertex ids and interned label ids depend on
 // insertion order, so the merged graph is deterministic exactly because
 // units arrive in sorted-job order regardless of which worker built them.
+// The units' call and go sites stay on the Program for linking.
 func mergeUnits(results []*unitResult, srcs map[string]string, allows map[string]map[int][]string, cfg Config) (*Program, error) {
 	g := graph.New()
 	const root = "root"
@@ -709,30 +701,57 @@ func mergeUnits(results []*unitResult, srcs map[string]string, allows map[string
 		for v, l := range r.pos {
 			p.pos[v] = l
 		}
+		p.links = append(p.links, r.links...)
 	}
 	if cfg.Interproc {
-		for _, r := range results {
-			for _, lk := range r.links {
-				i, ok := p.funcIx[lk.callee]
-				if !ok {
-					continue
-				}
-				fi := p.Funcs[i]
-				var err error
-				switch lk.kind {
-				case linkCall:
-					err = g.AddEdge(g.Vertex(lk.from), cfgschema.Call(lk.callee), g.Vertex(fi.Entry))
-					if err == nil {
-						err = g.AddEdge(g.Vertex(fi.Exit), cfgschema.Ret(lk.callee), g.Vertex(lk.resume))
-					}
-				case linkGo:
-					err = g.AddEdge(g.Vertex(lk.from), cfgschema.Go(lk.callee), g.Vertex(fi.Entry))
-				}
-				if err != nil {
-					return nil, fmt.Errorf("gofront: %w", err)
-				}
-			}
+		if err := p.link(g); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil
+}
+
+// Linked returns the program as Load builds it with Config.Interproc (the
+// supergraph of §5.2): a copy of its graph plus the call/ret/go link
+// edges. It shares the program's function, position, source and
+// suppression tables. A program loaded with Config.Interproc is its own
+// linked form.
+func (p *Program) Linked() (*Program, error) {
+	if p.Config.Interproc {
+		return p, nil
+	}
+	q := *p
+	q.Graph = p.Graph.Clone()
+	q.Config.Interproc = true
+	if err := q.link(q.Graph); err != nil {
+		return nil, err
+	}
+	return &q, nil
+}
+
+// link appends to g the link edges of every call and go site whose callee
+// is an analyzed function: call to the callee's entry and ret back from its
+// exit for a call, go to the entry for a go statement.
+func (p *Program) link(g *graph.Graph) error {
+	for _, lk := range p.links {
+		i, ok := p.funcIx[lk.callee]
+		if !ok {
+			continue
+		}
+		fi := p.Funcs[i]
+		var err error
+		switch lk.kind {
+		case linkCall:
+			err = g.AddEdge(g.Vertex(lk.from), cfgschema.Call(lk.callee), g.Vertex(fi.Entry))
+			if err == nil {
+				err = g.AddEdge(g.Vertex(fi.Exit), cfgschema.Ret(lk.callee), g.Vertex(lk.resume))
+			}
+		case linkGo:
+			err = g.AddEdge(g.Vertex(lk.from), cfgschema.Go(lk.callee), g.Vertex(fi.Entry))
+		}
+		if err != nil {
+			return fmt.Errorf("gofront: %w", err)
+		}
+	}
+	return nil
 }

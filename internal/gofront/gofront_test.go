@@ -3,6 +3,7 @@ package gofront
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,6 +60,61 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		if got := p.DebugDump(); got != want {
 			t.Errorf("workers=%d produced a different graph (len %d vs %d)", w, len(got), len(want))
 		}
+	}
+}
+
+// TestLinkedGolden pins the interprocedural graph of benchmod and requires
+// the linked copy of the intraprocedural program to equal the program Load
+// links in place: the same dump, label ids and universe keys. Linking the
+// copy must leave the intraprocedural graph as it was. Regenerate with
+// UPDATE_GOLDEN=1.
+func TestLinkedGolden(t *testing.T) {
+	dirs := []string{filepath.Join(fixtures, "benchmod") + "/..."}
+	inter, err := Load(dirs, Config{Interproc: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intra, err := Load(dirs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intraDump, ctors := intra.DebugDump(), intra.Graph.U.Ctors.Len()
+	linked, err := intra.Linked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "benchmod_interproc.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(inter.DebugDump()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
+	}
+	for name, p := range map[string]*Program{"Load(Interproc)": inter, "Linked": linked} {
+		if got := p.DebugDump(); got != string(want) {
+			t.Errorf("%s dump mismatch (regen with UPDATE_GOLDEN=1)\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
+		}
+	}
+	keys := func(p *Program) []string {
+		var ks []string
+		for _, c := range p.Graph.Labels() {
+			ks = append(ks, c.Key())
+		}
+		return ks
+	}
+	if !slices.Equal(keys(linked), keys(inter)) {
+		t.Errorf("label ids differ:\nlinked %v\ninter  %v", keys(linked), keys(inter))
+	}
+	lu, iu := linked.Graph.U, inter.Graph.U
+	if !slices.Equal(lu.Ctors.Names(), iu.Ctors.Names()) || !slices.Equal(lu.Syms.Names(), iu.Syms.Names()) {
+		t.Errorf("universe keys differ:\nlinked %v %v\ninter  %v %v",
+			lu.Ctors.Names(), lu.Syms.Names(), iu.Ctors.Names(), iu.Syms.Names())
+	}
+	if intra.DebugDump() != intraDump || intra.Graph.U.Ctors.Len() != ctors {
+		t.Error("Linked changed the intraprocedural graph")
 	}
 }
 
@@ -335,5 +391,23 @@ func Add(a, b int) (sum int) {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, dump)
 		}
+	}
+}
+
+// TestDuplicateFuncNames: build-tag variants of one function parse as
+// duplicates; the first in file order keeps the plain name and the others
+// are numbered from ~2.
+func TestDuplicateFuncNames(t *testing.T) {
+	p, err := LoadSource(map[string]string{
+		"go.mod": "module demo\n",
+		"a.go":   "package p\n\nfunc F() {}\n",
+		"b.go":   "package p\n\nfunc F() {}\n\nfunc G() {}\n",
+		"c.go":   "package p\n\nfunc F() {}\n",
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := names(p), []string{"demo.F", "demo.F~2", "demo.G", "demo.F~3"}; !slices.Equal(got, want) {
+		t.Errorf("funcs = %v, want %v", got, want)
 	}
 }

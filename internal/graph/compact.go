@@ -31,17 +31,13 @@ func (g *Graph) CompactFor(translabels []*label.CTerm) *Graph {
 	for id, el := range g.labels {
 		keep[id] = relevant(el)
 	}
-	out := NewIn(g.U)
-	for v := 0; v < g.NumVertices(); v++ {
-		out.Vertex(g.VertexName(int32(v)))
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, e := range g.adj[v] {
+	out := g.sameVertices(g.U)
+	for v, es := range g.adj {
+		for _, e := range es {
 			if keep[e.LabelID] {
 				out.AddEdgeC(int32(v), e.Label, e.To)
 			}
 		}
 	}
-	out.start = g.start
 	return out
 }

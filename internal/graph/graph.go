@@ -19,6 +19,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"rpq/internal/label"
 )
@@ -176,18 +178,45 @@ func (g *Graph) AddVertexLabelStr(vertex, lbl string) error {
 // vertex numbering, and label interning. The paper evaluates backward
 // queries by reversing all edges before the query (Section 2.2).
 func (g *Graph) Reverse() *Graph {
-	r := NewIn(g.U)
-	// Copy vertex interning so ids coincide.
-	for v := 0; v < g.NumVertices(); v++ {
-		r.Vertex(g.VertexName(int32(v)))
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, e := range g.adj[v] {
+	r := g.sameVertices(g.U)
+	for v, es := range g.adj {
+		for _, e := range es {
 			r.AddEdgeC(e.To, e.Label, int32(v))
 		}
 	}
-	r.start = g.start
 	return r
+}
+
+// Clone returns a copy of the graph over a copy of its universe, with the
+// same vertex, label and universe ids, so that edges added to the copy are
+// numbered as on the original but never reach it. Edge storage is shared,
+// clipped so that the copy's first append to a vertex reallocates.
+func (g *Graph) Clone() *Graph {
+	u := label.NewUniverse()
+	for _, n := range g.U.Ctors.Names() {
+		u.Ctors.Intern(n)
+	}
+	for _, n := range g.U.Syms.Names() {
+		u.Syms.Intern(n)
+	}
+	c := g.sameVertices(u)
+	for v, es := range g.adj {
+		c.adj[v] = slices.Clip(es)
+	}
+	c.labels, c.labelIDs = slices.Clone(g.labels), maps.Clone(g.labelIDs)
+	c.numEdges = g.numEdges
+	return c
+}
+
+// sameVertices returns an edgeless graph over u with g's vertex ids and
+// start vertex.
+func (g *Graph) sameVertices(u *label.Universe) *Graph {
+	c := NewIn(u)
+	for v := range g.adj {
+		c.Vertex(g.VertexName(int32(v)))
+	}
+	c.start = g.start
+	return c
 }
 
 // Reachable returns the set of vertices reachable from v0 (including v0).

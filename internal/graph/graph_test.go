@@ -120,6 +120,28 @@ func TestReverse(t *testing.T) {
 	}
 }
 
+// TestClone: the copy numbers new vertices, labels and symbols as the
+// original would, and what it adds never reaches the original.
+func TestClone(t *testing.T) {
+	g := MustReadString(figure1)
+	before, syms := g.String(), g.U.Syms.Len()
+	c := g.Clone()
+	if c.String() != before || c.Start() != g.Start() || c.NumLabels() != g.NumLabels() {
+		t.Fatalf("clone differs:\n%s\nvs\n%s", c.String(), before)
+	}
+	c.MustAddEdgeStr("v6", "use(a)", "v1") // existing label, onto shared edges
+	c.MustAddEdgeStr("v7", "ret(d)", "v8") // new vertex, label and symbol
+	g2 := MustReadString(figure1)
+	g2.MustAddEdgeStr("v6", "use(a)", "v1")
+	g2.MustAddEdgeStr("v7", "ret(d)", "v8")
+	if c.String() != g2.String() || c.NumLabels() != g2.NumLabels() || c.U.Syms.Len() != g2.U.Syms.Len() {
+		t.Errorf("clone numbered additions differently:\n%s\nvs\n%s", c.String(), g2.String())
+	}
+	if g.String() != before || g.U.Syms.Len() != syms {
+		t.Errorf("adding to the clone changed the original:\n%s", g.String())
+	}
+}
+
 func TestReachable(t *testing.T) {
 	g := MustReadString(figure1)
 	seen := g.Reachable(g.Start())

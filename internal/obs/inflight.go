@@ -80,6 +80,9 @@ type InflightQuery struct {
 	cpu0   time.Duration
 	alloc0 int64
 
+	// fellBack, once set by SetAlgo, replaces algo. Only a fallback pays
+	// for it: boxing algo into an atomic at Begin would allocate per query.
+	fellBack   atomic.Pointer[string]
 	phase      atomic.Value // string
 	pops       atomic.Int64
 	depth      atomic.Int64
@@ -99,9 +102,9 @@ type InflightQuery struct {
 
 // Begin registers a query and returns its live handle. kind is the query
 // form ("exist", "universal", "violations"), query a printable rendering of
-// the pattern, algo the selected algorithm, and tc the originating
-// request's trace context (the zero value for none). Begin is where a
-// query's clock and resource anchors are read.
+// the pattern, algo the selected algorithm (SetAlgo changes it), and tc the
+// originating request's trace context (the zero value for none). Begin is
+// where a query's clock and resource anchors are read.
 func (i *Inflight) Begin(kind, query, algo string, tc TraceContext) *InflightQuery {
 	q := &InflightQuery{
 		kind: kind, query: query, algo: algo, start: time.Now(), reg: i,
@@ -160,6 +163,10 @@ func (q *InflightQuery) Usage() Usage {
 	return u
 }
 
+// SetAlgo records that the query's solver switched to algo, as an Auto
+// universal query does when it falls back to the hybrid algorithm.
+func (q *InflightQuery) SetAlgo(algo string) { q.fellBack.Store(&algo) }
+
 // Update publishes one progress snapshot into the handle.
 func (q *InflightQuery) Update(p Progress) {
 	q.phase.Store(p.Phase)
@@ -198,13 +205,17 @@ type QuerySnapshot struct {
 
 // Snapshot reads the handle's current state.
 func (q *InflightQuery) Snapshot() QuerySnapshot {
+	algo := q.algo
+	if a := q.fellBack.Load(); a != nil {
+		algo = *a
+	}
 	phase, _ := q.phase.Load().(string)
 	u := q.Usage()
 	return QuerySnapshot{
 		ID:         q.id,
 		Kind:       q.kind,
 		Query:      q.query,
-		Algo:       q.algo,
+		Algo:       algo,
 		StartedAt:  q.start.UTC().Format(time.RFC3339Nano),
 		ElapsedMS:  float64(u.Wall.Microseconds()) / 1e3,
 		Phase:      phase,

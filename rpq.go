@@ -346,8 +346,9 @@ type Options struct {
 	Deadline time.Duration
 	// Progress, when non-nil, receives live snapshots of the run every few
 	// hundred worklist pops (and once per enumerated substitution in the
-	// enumeration phases). The callback runs on a solver goroutine — keep it
-	// cheap and do not block.
+	// enumeration phases). Pops and EnumSubsts never decrease within a
+	// query, across an Auto fallback to hybrid too. The callback runs on a
+	// solver goroutine — keep it cheap and do not block.
 	Progress func(Progress)
 	// Watchdog, when non-nil with a Dir, turns anomalies into diagnostic
 	// bundles: it attaches an always-on flight-recorder event ring to the
@@ -639,6 +640,10 @@ type runState struct {
 	// path — including a panic inside a solver variant — while the normal
 	// finish path releases them exactly once.
 	ended bool
+	// last is the latest progress snapshot the fan-out delivered; carry
+	// is the one an abandoned solver run reached, which the fan-out adds
+	// so that pops and enum_substs continue across an Auto fallback.
+	last, carry core.Progress
 }
 
 // do runs fn under pprof labels identifying the query — rpq_query_id (the
@@ -695,6 +700,9 @@ func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, 
 	co.Tracer = obs.StampTrace(co.Tracer, tc)
 	iq, gauges, userProg := rs.iq, opts.Gauges, opts.Progress
 	co.Progress = func(p core.Progress) {
+		p.Pops += rs.carry.Pops
+		p.EnumSubsts += rs.carry.EnumSubsts
+		rs.last = p
 		iq.Update(p)
 		if gauges != nil {
 			gauges.Sample(p)
@@ -708,6 +716,15 @@ func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, 
 		opts.OnBegin(rs.iq.ID())
 	}
 	return rs
+}
+
+// fallback re-targets the run at algo after the direct solver run failed
+// its determinism check: the in-flight record shows algo from here on, and
+// the counters continue from the failed run's last snapshot.
+func (rs *runState) fallback(co *core.Options, algo core.Algo) {
+	co.Algo = algo
+	rs.carry = rs.last
+	rs.iq.SetAlgo(algo.String())
 }
 
 // end releases the run's lifecycle resources: it stops the hung-query timer
@@ -1035,7 +1052,7 @@ func (g *Graph) UniversalContext(ctx context.Context, p *Pattern, opts *Options)
 		res, err = core.UnivContext(ctx, ig, start, q, co)
 	})
 	if err == core.ErrNondeterministic && (opts == nil || opts.Algorithm == Auto) {
-		co.Algo = core.AlgoHybrid
+		rs.fallback(&co, core.AlgoHybrid)
 		rs.do(ctx, &co, func(ctx context.Context) {
 			res, err = core.UnivContext(ctx, ig, start, q, co)
 		})

@@ -136,7 +136,8 @@ func TestInflightSnapshotCarriesAttribution(t *testing.T) {
 // from inside every progress callback of a hybrid universal run (a worklist
 // solve, then an enumeration phase) and requires pops and enum_substs to
 // be non-decreasing across the phase change, as /debug/rpq/queries shows
-// them.
+// them. The Auto case requires the same across the fallback from a failed
+// direct run to hybrid, and the snapshot's algo to follow the fallback.
 func TestInflightCountersNeverDecrease(t *testing.T) {
 	g := telemetryGraph(t)
 	var id int64
@@ -168,6 +169,50 @@ func TestInflightCountersNeverDecrease(t *testing.T) {
 	if last.Pops == 0 || last.EnumSubsts == 0 {
 		t.Fatalf("final in-flight snapshot has pops %d, enum_substs %d; want both > 0", last.Pops, last.EnumSubsts)
 	}
+
+	t.Run("Auto", func(t *testing.T) {
+		// 600 def edges lead to the first use edge, where _* use(x) fails
+		// the determinism check, so the direct run delivers snapshots
+		// before Auto falls back to hybrid.
+		g := NewGraph()
+		const n = 600
+		vtx := func(i int) string { return fmt.Sprintf("v%d", i) }
+		for i := 0; i < n; i++ {
+			g.MustAddEdge(vtx(i), fmt.Sprintf("def(x%d)", i%7), vtx(i+1))
+		}
+		g.MustAddEdge(vtx(n), "use(x0)", vtx(n+1))
+		g.MustAddEdge(vtx(n+1), "use(x1)", vtx(n+2))
+		g.SetStart(vtx(0))
+		var id int64
+		var last QuerySnapshot
+		algos := map[string]bool{}
+		opts := &Options{
+			Algorithm: Auto,
+			OnBegin:   func(qid int64) { id = qid },
+			Progress: func(p Progress) {
+				for _, s := range InflightQueries() {
+					if s.ID != id {
+						continue
+					}
+					if s.Pops < last.Pops || s.EnumSubsts < last.EnumSubsts {
+						t.Fatalf("in-flight counters went backwards (%s, %s): pops %d -> %d, enum_substs %d -> %d",
+							s.Algo, s.Phase, last.Pops, s.Pops, last.EnumSubsts, s.EnumSubsts)
+					}
+					last = s
+					algos[s.Algo] = true
+				}
+			},
+		}
+		if _, err := g.Universal(MustParsePattern("_* use(x)"), opts); err != nil {
+			t.Fatal(err)
+		}
+		if !algos["basic"] {
+			t.Fatalf("algos seen = %v: the direct run delivered no snapshot", algos)
+		}
+		if last.Algo != "hybrid" || last.EnumSubsts == 0 {
+			t.Fatalf("final in-flight snapshot has algo %q, enum_substs %d; want hybrid, > 0", last.Algo, last.EnumSubsts)
+		}
+	})
 }
 
 // TestGoroutineProfileHasQueryLabels asserts the pprof label plumbing

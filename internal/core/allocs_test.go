@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"rpq/internal/gen"
+	"rpq/internal/gofront"
+	"rpq/internal/graph"
 	"rpq/internal/pattern"
 	"rpq/internal/subst"
 )
@@ -51,4 +53,80 @@ func TestExistAllocsPerInsert(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExistAllocsPerReachedBase guards the bytes an existential solve
+// allocates per reached (v, s) base of the reach set, on the shape of
+// rpqcheck's solves: the uninit-use check over the benchmod Go program
+// under AlgoMemo (rpq's default for existential queries). Every reached
+// base holds one substitution key and most (edge label, transition label)
+// pairs fail to match: 170 bytes per base on go1.24, linux/amd64, where
+// slice-header base entries, a keyset per single-key base and a fresh
+// Match per failed pair took 345. The reached bases are counted by an
+// independent closure over the same matcher, which must agree with the
+// solver's ReachSize.
+func TestExistAllocsPerReachedBase(t *testing.T) {
+	const budget = 200 // bytes per reached base
+	prog, err := gofront.Load([]string{"../../testdata/goprog/benchmod/..."}, gofront.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := prog.Graph
+	q := MustCompile(pattern.MustParse("_* decl(x) (!def(x))* use(x)"), g.U)
+	bases, triples := reachedBases(t, g, g.Start(), q)
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		res, err := Exist(g, g.Start(), q, Options{Algo: AlgoMemo, Table: subst.Hash})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ReachSize != triples {
+			t.Fatalf("closure reached %d triples, solver %d", triples, res.Stats.ReachSize)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perBase := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(bases)
+	t.Logf("%d reached bases (%d triples, %d×%d dense): %.0f bytes per base",
+		bases, triples, g.NumVertices(), q.NFA.NumStates, perBase)
+	if perBase > budget {
+		t.Errorf("%.0f bytes per reached base, budget %d", perBase, budget)
+	}
+}
+
+// reachedBases computes the existential reach set of q from v0 with Go
+// maps and returns its distinct (v, s) bases and its triples.
+func reachedBases(t *testing.T, g *graph.Graph, v0 int32, q *Query) (bases, triples int) {
+	var stats Stats
+	e, err := newEngine(g, q, q.NFA, Options{Algo: AlgoBasic}, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[triple]bool{}
+	based := map[[2]int32]bool{}
+	var work []triple
+	push := func(v, s int32, th subst.Subst) {
+		tr := triple{v: v, s: s, th: e.table.Key(th)}
+		if !seen[tr] {
+			seen[tr] = true
+			based[[2]int32{v, s}] = true
+			work = append(work, tr)
+		}
+	}
+	push(v0, q.NFA.Start, subst.New(q.Pars()))
+	for len(work) > 0 {
+		tr := work[len(work)-1]
+		work = work[:len(work)-1]
+		th := e.table.Get(tr.th)
+		for _, ge := range g.Out(tr.v) {
+			for i, tl := range q.NFA.Trans[tr.s] {
+				e.forEachMatch(tl.Label, e.tlIDs[tr.s][i], ge.Label, ge.LabelID, th, func(th2 subst.Subst) bool {
+					push(ge.To, tl.To, th2)
+					return true
+				})
+			}
+		}
+	}
+	return len(based), len(seen)
 }

@@ -27,13 +27,16 @@ type engine struct {
 
 	// memo is the substitution map M_s of Section 3: match results cached
 	// by (edge label id, transition label id). Entry nil = not yet
-	// computed; entries are shared *label.Match values.
+	// computed; a failed match is &failedMatch; entries are shared
+	// *label.Match values.
 	memo      [][]*label.Match
 	memoBytes int64
 
-	// scratch receives the match on the unmemoized path (AlgoBasic); it is
-	// overwritten by the next match call, so callers must not retain it.
-	scratch label.Match
+	// scratch receives the next computed match. On the unmemoized path
+	// (AlgoBasic) it is overwritten by the next match call, so callers must
+	// not retain it; the memo keeps it only when the match succeeds, and a
+	// fresh scratch takes its place.
+	scratch *label.Match
 
 	// tlIDs[s][i] is the dense label id of transition i of state s, resolved
 	// once per run rather than by a string-map lookup per attempt.
@@ -129,15 +132,18 @@ func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32)
 		} else {
 			e.stats.MatchCalls++
 			e.stats.MatchCacheMisses++
-			m = new(label.Match)
-			label.MatchADInto(m, tl, el)
+			m = e.matchScratch(tl, el)
+			if m.OK {
+				e.scratch = nil
+			} else {
+				m = &failedMatch
+			}
 			row[tlID] = m
 			e.memoBytes += 48
 		}
 	} else {
 		e.stats.MatchCalls++
-		m = &e.scratch
-		label.MatchADInto(m, tl, el)
+		m = e.matchScratch(tl, el)
 	}
 	if e.ex != nil {
 		e.ex.attempt(m.OK)
@@ -146,6 +152,20 @@ func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32)
 		return nil
 	}
 	return m
+}
+
+// failedMatch is the memo entry of every label pair that cannot match.
+// It is shared by all engines and never written.
+var failedMatch label.Match
+
+// matchScratch matches el against tl into e.scratch, allocating a scratch
+// match when the memo kept the last one.
+func (e *engine) matchScratch(tl, el *label.CTerm) *label.Match {
+	if e.scratch == nil {
+		e.scratch = new(label.Match)
+	}
+	label.MatchADInto(e.scratch, tl, el)
+	return e.scratch
 }
 
 // forEachMatch enumerates the substitutions θ2 under which edge label el

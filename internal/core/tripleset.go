@@ -58,7 +58,7 @@ func newTripleSet(kind subst.TableKind, verts, states int) (tripleSet, error) {
 	}
 	switch kind {
 	case subst.Hash:
-		return &hashTripleSet{base: make([]keySet, verts*states), states: states}, nil
+		return &hashTripleSet{base: make([]int32, verts*states), states: states}, nil
 	case subst.Nested:
 		return &nestedTripleSet{base: make([][]bool, verts*states), states: states}, nil
 	}
@@ -67,22 +67,36 @@ func newTripleSet(kind subst.TableKind, verts, states int) (tripleSet, error) {
 
 // hashTripleSet keys a hash set of substitution keys off the dense (v, s)
 // base — the "based hash representation" the paper found best overall.
-// Bytes models each base as a Go map (48 bytes plus 16 per key) so that
-// Table 3's figures do not depend on the physical layout.
+// Most bases hold a single key, so a base entry stores that key inline
+// (key+2, so 0 marks an empty base and badSubstKey is storable); a base
+// that gets a second key moves its keys to a keySet in slab, and the entry
+// becomes -(slab index+1). Bytes models each base as a Go map (48 bytes
+// plus 16 per key) so that Table 3's figures do not depend on the
+// physical layout.
 type hashTripleSet struct {
-	base   []keySet
+	base   []int32
+	slab   []keySet
+	free   []int32 // slab indices released for reuse
 	states int
 	n      int
 	bytes  int64
 }
 
 func (h *hashTripleSet) Add(t triple) bool {
-	ks := &h.base[int(t.v)*h.states+int(t.s)]
-	if *ks == nil {
-		*ks = newKeySet()
+	e := &h.base[int(t.v)*h.states+int(t.s)]
+	x := t.th + 2
+	switch {
+	case *e == 0:
+		*e = x
 		h.bytes += 48
-	}
-	if !ks.add(t.th) {
+	case *e == x:
+		return false
+	case *e > 0:
+		ks := newKeySet()
+		ks.add(*e - 2)
+		ks.add(t.th)
+		*e = -1 - h.store(ks)
+	case !h.slab[-1-*e].add(t.th):
 		return false
 	}
 	h.n++
@@ -90,16 +104,34 @@ func (h *hashTripleSet) Add(t triple) bool {
 	return true
 }
 
+// store puts ks in a free slab slot and returns its index.
+func (h *hashTripleSet) store(ks keySet) int32 {
+	if n := len(h.free); n > 0 {
+		i := h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[i] = ks
+		return i
+	}
+	h.slab = append(h.slab, ks)
+	return int32(len(h.slab) - 1)
+}
+
 func (h *hashTripleSet) Len() int     { return h.n }
 func (h *hashTripleSet) Bytes() int64 { return int64(len(h.base))*8 + h.bytes }
 
 func (h *hashTripleSet) Release(v int32) {
 	for s := 0; s < h.states; s++ {
-		idx := int(v)*h.states + s
-		if ks := h.base[idx]; ks != nil {
-			h.bytes -= 48 + 16*int64(ks.len())
-			h.base[idx] = nil
+		e := &h.base[int(v)*h.states+s]
+		switch {
+		case *e > 0:
+			h.bytes -= 48 + 16
+		case *e < 0:
+			i := -1 - *e
+			h.bytes -= 48 + 16*int64(h.slab[i].len())
+			h.slab[i] = nil
+			h.free = append(h.free, i)
 		}
+		*e = 0
 	}
 }
 

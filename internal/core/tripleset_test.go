@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -90,9 +91,72 @@ func TestHashTripleSetMatchesMapModel(t *testing.T) {
 		}
 		check(step, "add")
 	}
-	if big := ts.(*hashTripleSet).base[0]; len(big) < 1+keySetInitCap<<6 {
+	h := ts.(*hashTripleSet)
+	if e := h.base[0]; e >= 0 {
+		t.Fatalf("base (0,0) entry %d does not point into the slab", e)
+	}
+	if big := h.slab[-1-h.base[0]]; len(big) < 1+keySetInitCap<<6 {
 		t.Fatalf("base (0,0) has %d slots; the sequence should have doubled it at least six times", len(big))
 	}
+}
+
+// TestHashTripleSetPromoteRelease walks one base through every layout: an
+// inline single key, promotion to a slab keyset on the second key, Release,
+// and a fresh inline key in the released base and slab slot. Len and Bytes
+// must equal the map model at every step.
+func TestHashTripleSetPromoteRelease(t *testing.T) {
+	const verts, states = 3, 2
+	ts, err := newTripleSet(subst.Hash, verts, states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ts.(*hashTripleSet)
+	ref := &mapTripleSet{base: make([]map[int32]struct{}, verts*states), states: states}
+	base := func(v, s int32) int32 { return h.base[int(v)*states+int(s)] }
+	step := func(what string, tr triple, want bool) {
+		t.Helper()
+		if got, model := ts.Add(tr), ref.Add(tr); got != want || model != want {
+			t.Fatalf("%s: Add(%+v) = %v, model %v, want %v", what, tr, got, model, want)
+		}
+		if ts.Len() != ref.n || ts.Bytes() != ref.Bytes() {
+			t.Fatalf("%s: Len/Bytes = %d/%d, model %d/%d", what, ts.Len(), ts.Bytes(), ref.n, ref.Bytes())
+		}
+	}
+	release := func(what string, v int32) {
+		t.Helper()
+		ts.Release(v)
+		ref.Release(v)
+		if ts.Len() != ref.n || ts.Bytes() != ref.Bytes() {
+			t.Fatalf("%s: Len/Bytes = %d/%d, model %d/%d", what, ts.Len(), ts.Bytes(), ref.n, ref.Bytes())
+		}
+	}
+
+	step("single", triple{v: 1, s: 1, th: badSubstKey}, true)
+	if e := base(1, 1); e <= 0 || len(h.slab) != 0 {
+		t.Fatalf("single key: entry %d, slab %d; want inline, empty slab", e, len(h.slab))
+	}
+	step("single again", triple{v: 1, s: 1, th: badSubstKey}, false)
+	step("promote", triple{v: 1, s: 1, th: 0}, true)
+	if e := base(1, 1); e != -1 || len(h.slab) != 1 || h.slab[0].len() != 2 {
+		t.Fatalf("promotion: entry %d, slab %d; want slab slot 0 with 2 keys", e, len(h.slab))
+	}
+	step("promoted dup", triple{v: 1, s: 1, th: badSubstKey}, false)
+	step("third", triple{v: 1, s: 1, th: 7}, true)
+	step("other vertex", triple{v: 2, s: 0, th: 7}, true)
+	release("release", 1)
+	if base(1, 0) != 0 || base(1, 1) != 0 || h.slab[0] != nil || base(2, 0) <= 0 {
+		t.Fatalf("release left entries %d/%d, slab %v, other base %d", base(1, 0), base(1, 1), h.slab[0], base(2, 0))
+	}
+	step("re-add", triple{v: 1, s: 1, th: 0}, true)
+	if e := base(1, 1); e <= 0 {
+		t.Fatalf("re-add: entry %d, want inline", e)
+	}
+	step("re-promote", triple{v: 1, s: 1, th: 3}, true)
+	if e := base(1, 1); e != -1 || len(h.slab) != 1 {
+		t.Fatalf("re-promotion: entry %d, slab %d; want the released slot 0 reused", e, len(h.slab))
+	}
+	release("release other", 2)
+	release("release again", 1)
 }
 
 // TestPrecompRetainsMatches runs the M_ts precomputation and then many more
@@ -136,6 +200,58 @@ func TestPrecompRetainsMatches(t *testing.T) {
 				t.Fatalf("%s/%v: no AD-compatible M_ts entries", w.name, kind)
 			}
 		}
+	}
+}
+
+// TestMemoSharesFailedMatch runs every AD-compatible (edge label,
+// transition label) pair of the corpus through the memo twice. Every
+// failed pair's entry is the one shared failedMatch, which match never
+// returns and which stays zero-valued; every successful pair gets its own
+// entry equal to a fresh match; and the second pass only hits.
+func TestMemoSharesFailedMatch(t *testing.T) {
+	failed := 0
+	for _, w := range corpus(t) {
+		q := MustCompile(pattern.MustParse(w.pat), w.g.U)
+		var stats Stats
+		e, err := newEngine(w.g, q, q.NFA, Options{Algo: AlgoMemo}, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			misses := stats.MatchCacheMisses
+			for elID, el := range w.g.Labels() {
+				for id, tl := range q.NFA.Labels {
+					if !tl.ADCompatible() {
+						continue
+					}
+					m := e.match(tl, int32(id), el, int32(elID))
+					entry := e.memo[elID][id]
+					fresh := label.MatchAD(tl, el)
+					switch {
+					case m == &failedMatch:
+						t.Fatalf("%s: match returned the shared failed entry", w.name)
+					case m == nil:
+						if fresh.OK || entry != &failedMatch {
+							t.Fatalf("%s: %s vs %s: nil match, fresh OK %v, entry %p", w.name,
+								tl.Format(w.g.U, q.PS), el.Format(w.g.U, nil), fresh.OK, entry)
+						}
+						failed++
+					case m != entry || !sameMatch(m, &fresh):
+						t.Fatalf("%s: %s vs %s: match %+v is not its own memo entry equal to %+v", w.name,
+							tl.Format(w.g.U, q.PS), el.Format(w.g.U, nil), *m, fresh)
+					}
+				}
+			}
+			if pass == 1 && stats.MatchCacheMisses != misses {
+				t.Fatalf("%s: second pass missed %d times", w.name, stats.MatchCacheMisses-misses)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("the corpus produced no failed matches")
+	}
+	if !reflect.DeepEqual(failedMatch, label.Match{}) {
+		t.Fatalf("shared failed entry was written: %+v", failedMatch)
 	}
 }
 

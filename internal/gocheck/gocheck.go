@@ -294,7 +294,7 @@ func (r *Report) WriteText(w io.Writer, prog func(file string) (string, bool), c
 	if len(r.Advisories) > 0 {
 		fmt.Fprintln(w, "# query/graph alphabet advisories:")
 		for _, a := range r.Advisories {
-			fmt.Fprintf(w, "# [%s] %s %s\n", a.Check, a.Diagnostic.Code, a.Diagnostic.Message)
+			fmt.Fprintf(w, "# [%s] %s\n", a.Check, a.Diagnostic)
 		}
 	}
 	fmt.Fprintf(w, "%d finding(s), %d suppressed — %d function(s), %d vertices, %d edges\n",

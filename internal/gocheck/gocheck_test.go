@@ -235,6 +235,34 @@ func TestTextAndJSONRendering(t *testing.T) {
 	}
 }
 
+// TestAdvisoryTextLines: the two lock(m) labels of double-lock each draw
+// an RPQ010 advisory on a program without locks; the text report must
+// tell them apart by their pattern positions.
+func TestAdvisoryTextLines(t *testing.T) {
+	rep, err := RunSource(map[string]string{"main.go": "package p\nfunc F() {}\n"},
+		Options{Checks: []string{"double-lock"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txt bytes.Buffer
+	rep.WriteText(&txt, nil, false)
+	seen := map[string]bool{}
+	n := 0
+	for _, line := range strings.Split(txt.String(), "\n") {
+		if !strings.HasPrefix(line, "# [double-lock] RPQ010") {
+			continue
+		}
+		if seen[line] {
+			t.Errorf("advisory line printed twice: %q", line)
+		}
+		seen[line] = true
+		n++
+	}
+	if n != 2 {
+		t.Errorf("%d double-lock RPQ010 advisory lines, want 2:\n%s", n, txt.String())
+	}
+}
+
 func TestUnknownCheck(t *testing.T) {
 	_, err := Run([]string{filepath.Join(fixtures, "uninit")}, Options{Checks: []string{"nope"}})
 	if err == nil || !strings.Contains(err.Error(), "unknown check") {

@@ -4,7 +4,8 @@ import "rpq/internal/label"
 
 // CompactFor returns a copy of the graph containing only the edges whose
 // labels some transition label of the query could possibly match — the
-// sparsity compaction of Section 5.3. Vertex ids are preserved.
+// sparsity compaction of Section 5.3. It shares the universe and the vertex
+// table, so vertex ids are preserved; only the kept edges are copied.
 //
 // Soundness: an edge no transition label can match (under any substitution)
 // can never be traversed by a matching path, so removing it does not change
@@ -31,7 +32,7 @@ func (g *Graph) CompactFor(translabels []*label.CTerm) *Graph {
 	for id, el := range g.labels {
 		keep[id] = relevant(el)
 	}
-	out := g.sameVertices(g.U)
+	out := g.edgeless(g.U)
 	for v, es := range g.adj {
 		for _, e := range es {
 			if keep[e.LabelID] {

@@ -15,6 +15,14 @@
 // goroutines simultaneously; the query service relies on this to run
 // concurrent queries over one Graph without locks. Mutating a graph while a
 // query runs on it is a data race.
+//
+// The copies (Clone, Reverse, CompactFor) share their receiver's vertex
+// table rather than re-interning every name, and taking one only reads the
+// receiver, so concurrent copies of a built graph are safe too. A vertex
+// added to either graph after the copy stays out of the other: each graph
+// reads only its own first NumVertices names, and a copy interning a new
+// name first takes a private copy of the table. Adding a vertex to the
+// original while one of its copies is read concurrently is a data race.
 package graph
 
 import (
@@ -40,12 +48,17 @@ type Graph struct {
 	// patterns compiled against this graph.
 	U *label.Universe
 
-	verts    label.Interner
-	adj      [][]Edge
-	labels   []*label.CTerm
-	labelIDs map[string]int32
-	numEdges int
-	start    int32
+	// verts interns the vertex names. Copies share it (see Clone): a graph
+	// reads only its first NumVertices names, and a graph whose table may
+	// belong to another (sharedVerts) copies it before interning a name,
+	// so what either side adds after the copy never reaches the other.
+	verts       *label.Interner
+	sharedVerts bool
+	adj         [][]Edge
+	labels      []*label.CTerm
+	labelIDs    map[string]int32
+	numEdges    int
+	start       int32
 }
 
 // New returns an empty graph over a fresh universe.
@@ -53,23 +66,38 @@ func New() *Graph { return NewIn(label.NewUniverse()) }
 
 // NewIn returns an empty graph over an existing universe.
 func NewIn(u *label.Universe) *Graph {
-	return &Graph{U: u, labelIDs: map[string]int32{}, start: -1}
+	return &Graph{U: u, verts: &label.Interner{}, labelIDs: map[string]int32{}, start: -1}
 }
 
 // Vertex interns a vertex name and returns its id.
 func (g *Graph) Vertex(name string) int32 {
+	if g.sharedVerts {
+		if v, ok := g.LookupVertex(name); ok {
+			return v
+		}
+		own := &label.Interner{}
+		for _, n := range g.verts.Names()[:len(g.adj)] {
+			own.Intern(n)
+		}
+		g.verts, g.sharedVerts = own, false
+	}
 	v := g.verts.Intern(name)
-	for int(v) >= len(g.adj) {
+	if int(v) == len(g.adj) {
 		g.adj = append(g.adj, nil)
 	}
 	return v
 }
 
 // LookupVertex returns the id of name if present.
-func (g *Graph) LookupVertex(name string) (int32, bool) { return g.verts.Lookup(name) }
+func (g *Graph) LookupVertex(name string) (int32, bool) {
+	if v, ok := g.verts.Lookup(name); ok && int(v) < len(g.adj) {
+		return v, true
+	}
+	return 0, false
+}
 
 // VertexName returns the name of vertex v.
-func (g *Graph) VertexName(v int32) string { return g.verts.Name(v) }
+func (g *Graph) VertexName(v int32) string { return g.verts.Names()[:len(g.adj)][v] }
 
 // NumVertices reports the number of vertices ("verts" in Figure 2).
 func (g *Graph) NumVertices() int { return len(g.adj) }
@@ -174,11 +202,13 @@ func (g *Graph) AddVertexLabelStr(vertex, lbl string) error {
 	return g.AddVertexLabel(g.Vertex(vertex), t)
 }
 
-// Reverse returns the graph with every edge reversed, sharing the universe,
-// vertex numbering, and label interning. The paper evaluates backward
-// queries by reversing all edges before the query (Section 2.2).
+// Reverse returns the graph with every edge reversed, sharing the universe
+// and the vertex table. The paper evaluates backward queries by reversing
+// all edges before the query (Section 2.2). Only the edges are copied;
+// the original is only read, so concurrent Reverse calls on a built graph
+// are safe.
 func (g *Graph) Reverse() *Graph {
-	r := g.sameVertices(g.U)
+	r := g.edgeless(g.U)
 	for v, es := range g.adj {
 		for _, e := range es {
 			r.AddEdgeC(e.To, e.Label, int32(v))
@@ -189,8 +219,10 @@ func (g *Graph) Reverse() *Graph {
 
 // Clone returns a copy of the graph over a copy of its universe, with the
 // same vertex, label and universe ids, so that edges added to the copy are
-// numbered as on the original but never reach it. Edge storage is shared,
-// clipped so that the copy's first append to a vertex reallocates.
+// numbered as on the original but never reach it. Edge storage and the
+// vertex table are shared: edges are clipped so that the copy's first
+// append to a vertex reallocates, and a vertex added to either graph
+// afterwards stays out of the other (see the package comment).
 func (g *Graph) Clone() *Graph {
 	u := label.NewUniverse()
 	for _, n := range g.U.Ctors.Names() {
@@ -199,7 +231,7 @@ func (g *Graph) Clone() *Graph {
 	for _, n := range g.U.Syms.Names() {
 		u.Syms.Intern(n)
 	}
-	c := g.sameVertices(u)
+	c := g.edgeless(u)
 	for v, es := range g.adj {
 		c.adj[v] = slices.Clip(es)
 	}
@@ -208,15 +240,11 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// sameVertices returns an edgeless graph over u with g's vertex ids and
-// start vertex.
-func (g *Graph) sameVertices(u *label.Universe) *Graph {
-	c := NewIn(u)
-	for v := range g.adj {
-		c.Vertex(g.VertexName(int32(v)))
-	}
-	c.start = g.start
-	return c
+// edgeless returns an edgeless graph over u sharing g's vertex table and
+// start vertex. It writes nothing to g.
+func (g *Graph) edgeless(u *label.Universe) *Graph {
+	return &Graph{U: u, verts: g.verts, sharedVerts: true, adj: make([][]Edge, len(g.adj)),
+		labelIDs: map[string]int32{}, start: g.start}
 }
 
 // Reachable returns the set of vertices reachable from v0 (including v0).

@@ -160,6 +160,13 @@ func (q *InflightQuery) Usage() Usage {
 		u.CPU = max(ProcessCPUTime()-q.cpu0, 0)
 	}
 	u.Alloc = max(HeapAllocBytes()-q.alloc0, 0)
+	if u.Alloc == 0 {
+		// No span left a cache since Begin. Flush the caches so that a
+		// query that did allocate never reads zero; the flushed figure
+		// may also count objects cached before Begin, so it over-counts
+		// like the process-wide delta itself.
+		u.Alloc = max(flushedHeapAllocBytes()-q.alloc0, 0)
+	}
 	return u
 }
 

@@ -1,6 +1,9 @@
 package obs
 
-import "runtime/metrics"
+import (
+	"runtime"
+	"runtime/metrics"
+)
 
 // heapAllocsMetric is the runtime/metrics name of the cumulative count of
 // heap-allocated bytes — the runtime.MemStats TotalAlloc figure, readable
@@ -13,7 +16,10 @@ const heapAllocsMetric = "/gc/heap/allocs:bytes"
 // to call on every query. Deltas of this figure attribute allocation to a
 // span of time; under concurrent queries the delta covers the whole
 // process, so attribution is exact only for the allocations the span
-// actually performed plus whatever ran alongside it.
+// actually performed plus whatever ran alongside it. The runtime counts a
+// small object only when the span holding it leaves its P's cache, so the
+// figure lags: a short window can read no growth although it allocated
+// (see flushedHeapAllocBytes).
 func HeapAllocBytes() int64 {
 	var s [1]metrics.Sample
 	s[0].Name = heapAllocsMetric
@@ -22,4 +28,15 @@ func HeapAllocBytes() int64 {
 		return int64(s[0].Value.Uint64())
 	}
 	return 0
+}
+
+// flushedHeapAllocBytes is HeapAllocBytes after every P's span cache has
+// been flushed, so it includes the small objects HeapAllocBytes has not
+// counted yet. runtime.ReadMemStats does the flush and stops the world to
+// do it (about 20µs on 2 vCPUs), so it is read only when HeapAllocBytes
+// shows no growth.
+func flushedHeapAllocBytes() int64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.TotalAlloc)
 }

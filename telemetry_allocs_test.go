@@ -12,11 +12,10 @@ import (
 )
 
 // telemetryAllocsBudget is the pinned allocation count of one small traced
-// query with every per-query telemetry surface attached: 189 on go1.24,
-// linux/amd64, where the average occasionally rounds down to 188. A rise
-// means the telemetry path or the solver grew; lower it when a change makes
-// the path leaner.
-const telemetryAllocsBudget = 189
+// query with every per-query telemetry surface attached: 184 on go1.24,
+// linux/amd64, plus one. A rise means the telemetry path or the solver
+// grew; lower it when a change makes the path leaner.
+const telemetryAllocsBudget = 185
 
 // TestTelemetryAllocsPerQuery guards the per-query telemetry path: one
 // existential query over the Figure 1 graph with gauges, a slow log whose

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
-	"rpq/internal/cfgschema"
-	"rpq/internal/label"
 	"rpq/internal/span"
 )
 
@@ -18,6 +18,11 @@ import (
 // function names, per-file imports), which are frozen before the fan-out —
 // so units are safe to build on parallel workers and their output depends
 // only on the AST, never on scheduling.
+//
+// A unit numbers its vertices and labels locally: vertices by creation,
+// with one name each, and labels by first use, in a table of distinct
+// values. Its edges are int32 triples over those numbers, so the merge only
+// offsets vertex ids and translates the label table once per unit.
 
 type linkKind byte
 
@@ -27,39 +32,91 @@ const (
 )
 
 // link is a deferred interprocedural edge: resolved against the merged
-// function index because the callee may live in another unit.
+// function index because the callee may live in another unit. from and
+// resume are unit-local vertex ids in a unit's result and graph vertex
+// ids on the Program.
 type link struct {
 	kind   linkKind
-	from   string // vertex the call/go edge leaves
-	resume string // vertex the ret edge returns to (linkCall only)
+	from   int32  // vertex the call/go edge leaves
+	resume int32  // vertex the ret edge returns to (linkCall only)
 	callee string // candidate qualified name
 }
 
-type uedge struct {
-	from, to string
-	t        *label.Term
+// glabel is one ground edge label of the internal/cfgschema vocabulary: a
+// constructor applied to at most two symbols. It is comparable, so a unit
+// keys its label table by value, and the merge compiles each distinct
+// label once. The zero glabel (no constructor) stands for "no label".
+type glabel struct {
+	ctor string
+	n    int
+	args [2]string
 }
 
-type unitResult struct {
-	funcs []FuncInfo // declared function first, then literals in source order
-	edges []uedge
-	pos   map[string]Location
-	links []link
-	err   error
+func lab1(ctor, x string) glabel    { return glabel{ctor: ctor, n: 1, args: [2]string{x}} }
+func lab2(ctor, x, y string) glabel { return glabel{ctor: ctor, n: 2, args: [2]string{x, y}} }
+func (l glabel) syms() []string     { return l.args[:l.n] }
+func (l glabel) none() bool         { return l.ctor == "" }
+
+// The schema labels gofront emits, one per internal/cfgschema helper
+// (TestLabelsMatchSchema pins each to its helper).
+func lNop() glabel                { return glabel{ctor: "nop"} }
+func lEntry(f string) glabel      { return lab1("entry", f) }
+func lExit(f string) glabel       { return lab1("exit", f) }
+func lDef(x string) glabel        { return lab1("def", x) }
+func lDecl(x string) glabel       { return lab1("decl", x) }
+func lUse(x string) glabel        { return lab1("use", x) }
+func lCall(f string) glabel       { return lab1("call", f) }
+func lMCall(x, m string) glabel   { return lab2("mcall", x, m) }
+func lRet(f string) glabel        { return lab1("ret", f) }
+func lDeferAt(f, s string) glabel { return lab2("defer", f, s) }
+func lGo(f string) glabel         { return lab1("go", f) }
+func lSend(x string) glabel       { return lab1("send", x) }
+func lRecv(x string) glabel       { return lab1("recv", x) }
+func lClose(x string) glabel      { return lab1("close", x) }
+func lLock(m string) glabel       { return lab1("lock", m) }
+func lUnlock(m string) glabel     { return lab1("unlock", m) }
+func lRLock(m string) glabel      { return lab1("rlock", m) }
+func lRUnlock(m string) glabel    { return lab1("runlock", m) }
+
+// uvert is one unit-local vertex: its name and, if it stands for a source
+// operation, that operation's location (Line 0 otherwise).
+type uvert struct {
+	name string
+	loc  Location
 }
+
+// uedge is one edge over unit-local vertex and label ids.
+type uedge struct{ from, to, lbl int32 }
+
+type unitResult struct {
+	funcs  []FuncInfo // declared function first, then literals in source order
+	ends   []funcEnds // unit-local entry and exit vertex of each of funcs
+	verts  []uvert
+	edges  []uedge
+	labels []glabel // distinct labels in order of first use
+	links  []link
+	err    error
+}
+
+// funcEnds are a function's entry and exit vertices.
+type funcEnds struct{ entry, exit int32 }
 
 // deferOp is one registered defer: its effect label is re-emitted, in LIFO
 // order, on every path that leaves the function after the registration.
 type deferOp struct {
-	eff    *label.Term
+	eff    glabel
 	callee string
 	node   ast.Node
 }
 
+// noVertex marks an absent vertex: a switch or select context's continue
+// target, or no fallthrough target.
+const noVertex int32 = -1
+
 // loopCtx is an enclosing for/range/switch/select statement that break (and
 // for loops, continue) can target.
 type loopCtx struct {
-	brk, cont string // cont == "" for switch/select contexts
+	brk, cont int32 // cont == noVertex for switch/select contexts
 	label     string
 }
 
@@ -67,46 +124,67 @@ type loopCtx struct {
 type fnState struct {
 	qname     string
 	nv        int
-	retJoin   string
-	exitV     string
+	retJoin   int32
+	exitV     int32
 	deferred  []deferOp
 	shadow    map[string]int
 	loops     []loopCtx
-	labels    map[string]string // goto/label name -> vertex
-	fallNext  string            // fallthrough target inside a switch clause
+	labels    map[string]int32 // goto/label name -> vertex
+	fallNext  int32            // fallthrough target inside a switch clause
 	literals  int
 	deferSite int
-	scopeBase int
 }
 
+// ub is a unit builder. Builders are pooled: a unit builds into the
+// builder's reusable tables and leaves with exact-size copies of them.
 type ub struct {
 	fset *token.FileSet
 	pkg  *pkgUnit
 	file *parsedFile
-	res  *unitResult
+	res  unitResult
 
+	labelIx      map[glabel]int32 // res.labels index
 	scopes       []map[string]string
 	fns          []*fnState
 	pendingLabel string
 }
 
+var builders = sync.Pool{New: func() any { return &ub{labelIx: map[glabel]int32{}} }}
+
 func buildUnit(fset *token.FileSet, job *unitJob) (res *unitResult) {
-	b := &ub{
-		fset: fset,
-		pkg:  job.pkg,
-		file: job.file,
-		res:  &unitResult{pos: map[string]Location{}},
-	}
-	res = b.res
+	b := builders.Get().(*ub)
+	defer builders.Put(b)
+	b.reset(fset, job)
 	defer func() {
 		if r := recover(); r != nil {
-			res.err = fmt.Errorf("gofront: internal error lowering %s: %v", job.qname, r)
+			res = &unitResult{err: fmt.Errorf("gofront: internal error lowering %s: %v", job.qname, r)}
 		}
 	}()
 	fd := job.decl
 	b.buildFunc(job.qname, fd.Recv, fd.Type, fd.Body, fd.Name)
 	b.propagateDefs()
-	return res
+	r := &b.res
+	return &unitResult{
+		funcs:  slices.Clone(r.funcs),
+		ends:   slices.Clone(r.ends),
+		verts:  slices.Clone(r.verts),
+		edges:  slices.Clone(r.edges),
+		labels: slices.Clone(r.labels),
+		links:  slices.Clone(r.links),
+	}
+}
+
+// reset empties the builder for job, keeping its tables' storage.
+func (b *ub) reset(fset *token.FileSet, job *unitJob) {
+	b.fset, b.pkg, b.file = fset, job.pkg, job.file
+	r := &b.res
+	r.funcs, r.ends, r.verts = r.funcs[:0], r.ends[:0], r.verts[:0]
+	r.edges, r.labels, r.links = r.edges[:0], r.labels[:0], r.links[:0]
+	clear(b.labelIx)
+	for len(b.scopes) > 0 {
+		b.popScope()
+	}
+	b.fns, b.pendingLabel = b.fns[:0], ""
 }
 
 // propagateDefs adds, beside every def(x) edge, parallel def edges for each
@@ -116,8 +194,8 @@ func buildUnit(fset *token.FileSet, job *unitJob) (res *unitResult) {
 // body is built), so it is parallel-safe and deterministic.
 func (b *ub) propagateDefs() {
 	defBase := map[string]bool{}
-	for _, e := range b.res.edges {
-		if s, ok := defSym(e.t); ok {
+	for _, l := range b.res.labels {
+		if s, ok := defSym(l); ok {
 			defBase[s] = true
 		}
 	}
@@ -126,16 +204,12 @@ func (b *ub) propagateDefs() {
 	}
 	ext := map[string][]string{}
 	seen := map[string]bool{}
-	for _, e := range b.res.edges {
-		if e.t.Kind != label.KApp {
-			continue
-		}
-		for _, a := range e.t.Args {
-			if a.Kind != label.KSym || seen[a.Name] {
+	for _, l := range b.res.labels {
+		for _, s := range l.syms() {
+			if seen[s] {
 				continue
 			}
-			seen[a.Name] = true
-			s := a.Name
+			seen[s] = true
 			for i := strings.LastIndexByte(s, '.'); i > 0; i = strings.LastIndexByte(s[:i], '.') {
 				if p := s[:i]; defBase[p] {
 					ext[p] = append(ext[p], s)
@@ -152,20 +226,20 @@ func (b *ub) propagateDefs() {
 	n := len(b.res.edges)
 	for i := 0; i < n; i++ {
 		e := b.res.edges[i]
-		s, ok := defSym(e.t)
+		s, ok := defSym(b.res.labels[e.lbl])
 		if !ok {
 			continue
 		}
 		for _, x := range ext[s] {
-			b.edge(e.from, cfgschema.Def(x), e.to)
+			b.edge(e.from, lDef(x), e.to)
 		}
 	}
 }
 
 // defSym extracts the symbol of a plain single-argument def label.
-func defSym(t *label.Term) (string, bool) {
-	if t.Kind == label.KApp && t.Name == "def" && len(t.Args) == 1 && t.Args[0].Kind == label.KSym {
-		return t.Args[0].Name, true
+func defSym(l glabel) (string, bool) {
+	if l.ctor == "def" && l.n == 1 {
+		return l.args[0], true
 	}
 	return "", false
 }
@@ -174,25 +248,28 @@ func defSym(t *label.Term) (string, bool) {
 // its FuncInfo. Caller scopes stay pushed, so literals resolve captured
 // names through the enclosing function.
 func (b *ub) buildFunc(qname string, recv *ast.FieldList, ftype *ast.FuncType, body *ast.BlockStmt, at ast.Node) {
+	entry := b.vertex(qname + ".entry")
 	fn := &fnState{
-		qname:     qname,
-		retJoin:   qname + ".ret",
-		exitV:     qname + ".exit",
-		shadow:    map[string]int{},
-		labels:    map[string]string{},
-		scopeBase: len(b.scopes),
+		qname:    qname,
+		retJoin:  b.vertex(qname + ".ret"),
+		exitV:    b.vertex(qname + ".exit"),
+		shadow:   map[string]int{},
+		labels:   map[string]int32{},
+		fallNext: noVertex,
 	}
 	b.fns = append(b.fns, fn)
 	b.pushScope()
 
-	entry := qname + ".entry"
+	loc := b.loc(at)
+	b.res.verts[entry].loc = loc
 	b.res.funcs = append(b.res.funcs, FuncInfo{
 		Name:    qname,
 		Package: b.pkg.path,
-		Entry:   entry,
-		Exit:    fn.exitV,
-		Loc:     b.loc(at),
+		Entry:   b.res.verts[entry].name,
+		Exit:    b.res.verts[fn.exitV].name,
+		Loc:     loc,
 	})
+	b.res.ends = append(b.res.ends, funcEnds{entry: entry, exit: fn.exitV})
 
 	// Receiver, parameters, and named results are defined at entry: they
 	// are initialized before the body runs, so they can never trip the
@@ -223,40 +300,52 @@ func (b *ub) buildFunc(qname string, recv *ast.FieldList, ftype *ast.FuncType, b
 	cur = b.stmts(cur, body.List)
 	// Falling off the end runs every registered defer, then exits.
 	cur = b.emitDefers(cur, len(fn.deferred))
-	b.edge(cur, nop(), fn.retJoin)
-	b.edge(fn.retJoin, cfgschema.ExitOf(qname), fn.exitV)
+	b.edge(cur, lNop(), fn.retJoin)
+	b.edge(fn.retJoin, lExit(qname), fn.exitV)
 
 	b.popScope()
 	b.fns = b.fns[:len(b.fns)-1]
 }
 
-func (b *ub) defIdent(cur string, n *ast.Ident) string {
+func (b *ub) defIdent(cur int32, n *ast.Ident) int32 {
 	if n.Name == "_" {
 		return cur
 	}
-	return b.step(cur, cfgschema.Def(b.declare(n.Name)), n)
+	return b.step(cur, lDef(b.declare(n.Name)), n)
 }
 
 // ---- builder plumbing ----
 
 func (b *ub) fn() *fnState { return b.fns[len(b.fns)-1] }
 
-func (b *ub) fresh() string {
+// vertex adds a unit-local vertex named name.
+func (b *ub) vertex(name string) int32 {
+	b.res.verts = append(b.res.verts, uvert{name: name})
+	return int32(len(b.res.verts) - 1)
+}
+
+func (b *ub) fresh() int32 {
 	fn := b.fn()
 	fn.nv++
-	return fn.qname + ".n" + strconv.Itoa(fn.nv)
+	return b.vertex(fn.qname + ".n" + strconv.Itoa(fn.nv))
 }
 
-func (b *ub) edge(from string, t *label.Term, to string) {
-	b.res.edges = append(b.res.edges, uedge{from: from, to: to, t: t})
+func (b *ub) edge(from int32, l glabel, to int32) {
+	id, ok := b.labelIx[l]
+	if !ok {
+		id = int32(len(b.res.labels))
+		b.labelIx[l] = id
+		b.res.labels = append(b.res.labels, l)
+	}
+	b.res.edges = append(b.res.edges, uedge{from: from, to: to, lbl: id})
 }
 
-// step adds cur -t-> fresh and records the fresh vertex's source location.
-func (b *ub) step(cur string, t *label.Term, at ast.Node) string {
+// step adds cur -l-> fresh and records the fresh vertex's source location.
+func (b *ub) step(cur int32, l glabel, at ast.Node) int32 {
 	v := b.fresh()
-	b.edge(cur, t, v)
+	b.edge(cur, l, v)
 	if at != nil {
-		b.res.pos[v] = b.loc(at)
+		b.res.verts[v].loc = b.loc(at)
 	}
 	return v
 }
@@ -272,10 +361,20 @@ func (b *ub) loc(n ast.Node) Location {
 	}
 }
 
-func nop() *label.Term { return cfgschema.Nop() }
+// pushScope opens a scope, reusing the map a popped scope left behind.
+func (b *ub) pushScope() {
+	n := len(b.scopes)
+	b.scopes = slices.Grow(b.scopes, 1)[:n+1]
+	if b.scopes[n] == nil {
+		b.scopes[n] = map[string]string{}
+	}
+}
 
-func (b *ub) pushScope() { b.scopes = append(b.scopes, map[string]string{}) }
-func (b *ub) popScope()  { b.scopes = b.scopes[:len(b.scopes)-1] }
+func (b *ub) popScope() {
+	n := len(b.scopes) - 1
+	clear(b.scopes[n])
+	b.scopes = b.scopes[:n]
+}
 
 // declare binds name in the innermost scope to a fresh qualified symbol;
 // shadowing redeclarations get #2, #3... suffixes.
@@ -383,14 +482,14 @@ var builtinFuncs = map[string]bool{
 
 // ---- statements ----
 
-func (b *ub) stmts(cur string, list []ast.Stmt) string {
+func (b *ub) stmts(cur int32, list []ast.Stmt) int32 {
 	for _, s := range list {
 		cur = b.stmt(cur, s)
 	}
 	return cur
 }
 
-func (b *ub) stmt(cur string, s ast.Stmt) string {
+func (b *ub) stmt(cur int32, s ast.Stmt) int32 {
 	switch x := s.(type) {
 	case nil:
 		return cur
@@ -409,7 +508,7 @@ func (b *ub) stmt(cur string, s ast.Stmt) string {
 		// x++ both reads and writes, but emitting the read would flag every
 		// zero-value accumulator; the write is what dataflow queries need.
 		if p, ok := b.pathOf(x.X); ok {
-			return b.step(cur, cfgschema.Def(p), x)
+			return b.step(cur, lDef(p), x)
 		}
 		return b.expr(cur, x.X)
 	case *ast.DeclStmt:
@@ -419,7 +518,7 @@ func (b *ub) stmt(cur string, s ast.Stmt) string {
 			cur = b.expr(cur, r)
 		}
 		cur = b.emitDefers(cur, len(b.fn().deferred))
-		b.edge(cur, nop(), b.fn().retJoin)
+		b.edge(cur, lNop(), b.fn().retJoin)
 		return b.fresh() // anything after a return is unreachable
 	case *ast.IfStmt:
 		return b.ifStmt(cur, x)
@@ -436,8 +535,8 @@ func (b *ub) stmt(cur string, s ast.Stmt) string {
 	case *ast.SendStmt:
 		cur = b.expr(cur, x.Value)
 		if p, ok := b.pathOf(x.Chan); ok {
-			cur = b.step(cur, cfgschema.Use(p), x.Chan)
-			return b.step(cur, cfgschema.Send(p), x)
+			cur = b.step(cur, lUse(p), x.Chan)
+			return b.step(cur, lSend(p), x)
 		}
 		return b.expr(cur, x.Chan)
 	case *ast.GoStmt:
@@ -461,16 +560,16 @@ func (b *ub) takeLabel() string {
 	return lbl
 }
 
-func (b *ub) labeled(cur string, x *ast.LabeledStmt) string {
+func (b *ub) labeled(cur int32, x *ast.LabeledStmt) int32 {
 	v := b.labelVertex(x.Label.Name)
-	b.edge(cur, nop(), v)
+	b.edge(cur, lNop(), v)
 	b.pendingLabel = x.Label.Name
 	out := b.stmt(v, x.Stmt)
 	b.pendingLabel = ""
 	return out
 }
 
-func (b *ub) labelVertex(name string) string {
+func (b *ub) labelVertex(name string) int32 {
 	fn := b.fn()
 	if v, ok := fn.labels[name]; ok {
 		return v
@@ -480,7 +579,7 @@ func (b *ub) labelVertex(name string) string {
 	return v
 }
 
-func (b *ub) branch(cur string, x *ast.BranchStmt) string {
+func (b *ub) branch(cur int32, x *ast.BranchStmt) int32 {
 	fn := b.fn()
 	name := ""
 	if x.Label != nil {
@@ -488,24 +587,24 @@ func (b *ub) branch(cur string, x *ast.BranchStmt) string {
 	}
 	switch x.Tok {
 	case token.GOTO:
-		b.edge(cur, nop(), b.labelVertex(name))
+		b.edge(cur, lNop(), b.labelVertex(name))
 		return b.fresh()
 	case token.FALLTHROUGH:
-		if fn.fallNext != "" {
-			b.edge(cur, nop(), fn.fallNext)
+		if fn.fallNext != noVertex {
+			b.edge(cur, lNop(), fn.fallNext)
 		}
 		return b.fresh()
 	case token.BREAK:
 		for i := len(fn.loops) - 1; i >= 0; i-- {
 			if name == "" || fn.loops[i].label == name {
-				b.edge(cur, nop(), fn.loops[i].brk)
+				b.edge(cur, lNop(), fn.loops[i].brk)
 				return b.fresh()
 			}
 		}
 	case token.CONTINUE:
 		for i := len(fn.loops) - 1; i >= 0; i-- {
-			if fn.loops[i].cont != "" && (name == "" || fn.loops[i].label == name) {
-				b.edge(cur, nop(), fn.loops[i].cont)
+			if fn.loops[i].cont != noVertex && (name == "" || fn.loops[i].label == name) {
+				b.edge(cur, lNop(), fn.loops[i].cont)
 				return b.fresh()
 			}
 		}
@@ -513,7 +612,7 @@ func (b *ub) branch(cur string, x *ast.BranchStmt) string {
 	return b.fresh()
 }
 
-func (b *ub) declStmt(cur string, x *ast.DeclStmt) string {
+func (b *ub) declStmt(cur int32, x *ast.DeclStmt) int32 {
 	gd, ok := x.Decl.(*ast.GenDecl)
 	if !ok {
 		return cur
@@ -539,14 +638,14 @@ func (b *ub) declStmt(cur string, x *ast.DeclStmt) string {
 						// error: the nil zero value is a meaningful initial
 						// value (append and nil-guard idioms), so count the
 						// declaration as a definition.
-						cur = b.step(cur, cfgschema.Def(sym), n)
+						cur = b.step(cur, lDef(sym), n)
 					} else {
 						// `var x T`: declared but not initialized — the
 						// decl(x) label is what uninit-use anchors on.
-						cur = b.step(cur, cfgschema.Decl(sym), n)
+						cur = b.step(cur, lDecl(sym), n)
 					}
 				} else {
-					cur = b.step(cur, cfgschema.Def(sym), n)
+					cur = b.step(cur, lDef(sym), n)
 				}
 			}
 		}
@@ -560,14 +659,14 @@ func (b *ub) declStmt(cur string, x *ast.DeclStmt) string {
 				if n.Name == "_" {
 					continue
 				}
-				cur = b.step(cur, cfgschema.Def(b.declare(n.Name)), n)
+				cur = b.step(cur, lDef(b.declare(n.Name)), n)
 			}
 		}
 	}
 	return cur
 }
 
-func (b *ub) assign(cur string, x *ast.AssignStmt) string {
+func (b *ub) assign(cur int32, x *ast.AssignStmt) int32 {
 	if c, ok := selfAppend(x); ok {
 		// x = append(x, ...) grows x in place: the self-referential read
 		// is bookkeeping, not a value use, so only the added elements are
@@ -597,7 +696,7 @@ func (b *ub) assign(cur string, x *ast.AssignStmt) string {
 			if sym == "_" {
 				continue
 			}
-			cur = b.step(cur, cfgschema.Def(sym), id)
+			cur = b.step(cur, lDef(sym), id)
 		}
 	case token.ASSIGN:
 		for _, l := range x.Lhs {
@@ -634,24 +733,24 @@ func selfAppend(x *ast.AssignStmt) (*ast.CallExpr, bool) {
 	return c, ok && a0.Name == lhs.Name
 }
 
-func (b *ub) assignTo(cur string, l ast.Expr) string {
+func (b *ub) assignTo(cur int32, l ast.Expr) int32 {
 	switch t := l.(type) {
 	case *ast.Ident:
 		if t.Name == "_" {
 			return cur
 		}
 		if sym, ok := b.resolveVarOK(t.Name); ok {
-			return b.step(cur, cfgschema.Def(sym), t)
+			return b.step(cur, lDef(sym), t)
 		}
 		return cur
 	case *ast.SelectorExpr:
 		if p, ok := b.pathOf(t); ok {
-			cur = b.step(cur, cfgschema.Def(p), t)
+			cur = b.step(cur, lDef(p), t)
 			// A field write also (partially) initializes the aggregate:
 			// `hr.fam = v` after `var hr hrow` counts as defining hr.
 			if base, ok := baseIdent(t); ok {
 				if sym, ok := b.resolveVarOK(base.Name); ok {
-					cur = b.step(cur, cfgschema.Def(sym), t)
+					cur = b.step(cur, lDef(sym), t)
 				}
 			}
 			return cur
@@ -670,7 +769,7 @@ func (b *ub) assignTo(cur string, l ast.Expr) string {
 	return cur
 }
 
-func (b *ub) ifStmt(cur string, x *ast.IfStmt) string {
+func (b *ub) ifStmt(cur int32, x *ast.IfStmt) int32 {
 	b.pushScope()
 	cur = b.stmt(cur, x.Init)
 	cur = b.expr(cur, x.Cond)
@@ -680,17 +779,17 @@ func (b *ub) ifStmt(cur string, x *ast.IfStmt) string {
 		elseEnd = b.stmt(cur, x.Else)
 	}
 	join := b.fresh()
-	b.edge(thenEnd, nop(), join)
-	b.edge(elseEnd, nop(), join)
+	b.edge(thenEnd, lNop(), join)
+	b.edge(elseEnd, lNop(), join)
 	b.popScope()
 	return join
 }
 
-func (b *ub) forStmt(cur string, x *ast.ForStmt, lbl string) string {
+func (b *ub) forStmt(cur int32, x *ast.ForStmt, lbl string) int32 {
 	fn := b.fn()
 	b.pushScope()
 	cur = b.stmt(cur, x.Init)
-	head := b.step(cur, nop(), nil)
+	head := b.step(cur, lNop(), nil)
 	cond := head
 	if x.Cond != nil {
 		cond = b.expr(head, x.Cond)
@@ -699,27 +798,27 @@ func (b *ub) forStmt(cur string, x *ast.ForStmt, lbl string) string {
 	fn.loops = append(fn.loops, loopCtx{brk: brk, cont: cont, label: lbl})
 	bodyEnd := b.stmt(cond, x.Body)
 	fn.loops = fn.loops[:len(fn.loops)-1]
-	b.edge(bodyEnd, nop(), cont)
+	b.edge(bodyEnd, lNop(), cont)
 	postEnd := b.stmt(cont, x.Post)
-	b.edge(postEnd, nop(), head)
+	b.edge(postEnd, lNop(), head)
 	if x.Cond != nil {
-		b.edge(cond, nop(), brk)
+		b.edge(cond, lNop(), brk)
 	}
 	b.popScope()
 	return brk
 }
 
-func (b *ub) rangeStmt(cur string, x *ast.RangeStmt, lbl string) string {
+func (b *ub) rangeStmt(cur int32, x *ast.RangeStmt, lbl string) int32 {
 	fn := b.fn()
 	b.pushScope()
 	cur = b.expr(cur, x.X)
-	head := b.step(cur, nop(), nil)
+	head := b.step(cur, lNop(), nil)
 	iter := head
 	bindRange := func(e ast.Expr) {
 		id, ok := e.(*ast.Ident)
 		if !ok || id.Name == "_" {
 			if p, ok := b.pathOf(e); ok && x.Tok == token.ASSIGN {
-				iter = b.step(iter, cfgschema.Def(p), e)
+				iter = b.step(iter, lDef(p), e)
 			}
 			return
 		}
@@ -731,7 +830,7 @@ func (b *ub) rangeStmt(cur string, x *ast.RangeStmt, lbl string) string {
 		} else {
 			return
 		}
-		iter = b.step(iter, cfgschema.Def(sym), id)
+		iter = b.step(iter, lDef(sym), id)
 	}
 	if x.Key != nil {
 		bindRange(x.Key)
@@ -743,14 +842,14 @@ func (b *ub) rangeStmt(cur string, x *ast.RangeStmt, lbl string) string {
 	fn.loops = append(fn.loops, loopCtx{brk: brk, cont: cont, label: lbl})
 	bodyEnd := b.stmt(iter, x.Body)
 	fn.loops = fn.loops[:len(fn.loops)-1]
-	b.edge(bodyEnd, nop(), cont)
-	b.edge(cont, nop(), head)
-	b.edge(head, nop(), brk) // empty range / iteration complete
+	b.edge(bodyEnd, lNop(), cont)
+	b.edge(cont, lNop(), head)
+	b.edge(head, lNop(), brk) // empty range / iteration complete
 	b.popScope()
 	return brk
 }
 
-func (b *ub) switchStmt(cur string, x *ast.SwitchStmt, lbl string) string {
+func (b *ub) switchStmt(cur int32, x *ast.SwitchStmt, lbl string) int32 {
 	fn := b.fn()
 	b.pushScope()
 	cur = b.stmt(cur, x.Init)
@@ -759,19 +858,19 @@ func (b *ub) switchStmt(cur string, x *ast.SwitchStmt, lbl string) string {
 	}
 	join := b.fresh()
 	clauses := clauseList(x.Body)
-	starts := make([]string, len(clauses))
+	starts := make([]int32, len(clauses))
 	hasDefault := false
 	for i, cc := range clauses {
 		starts[i] = b.fresh()
-		b.edge(cur, nop(), starts[i])
+		b.edge(cur, lNop(), starts[i])
 		if len(cc.List) == 0 {
 			hasDefault = true
 		}
 	}
 	if !hasDefault {
-		b.edge(cur, nop(), join)
+		b.edge(cur, lNop(), join)
 	}
-	fn.loops = append(fn.loops, loopCtx{brk: join, label: lbl})
+	fn.loops = append(fn.loops, loopCtx{brk: join, cont: noVertex, label: lbl})
 	for i, cc := range clauses {
 		b.pushScope()
 		c := starts[i]
@@ -782,11 +881,11 @@ func (b *ub) switchStmt(cur string, x *ast.SwitchStmt, lbl string) string {
 		if i+1 < len(clauses) {
 			fn.fallNext = starts[i+1]
 		} else {
-			fn.fallNext = ""
+			fn.fallNext = noVertex
 		}
 		end := b.stmts(c, cc.Body)
 		fn.fallNext = prevFall
-		b.edge(end, nop(), join)
+		b.edge(end, lNop(), join)
 		b.popScope()
 	}
 	fn.loops = fn.loops[:len(fn.loops)-1]
@@ -794,7 +893,7 @@ func (b *ub) switchStmt(cur string, x *ast.SwitchStmt, lbl string) string {
 	return join
 }
 
-func (b *ub) typeSwitchStmt(cur string, x *ast.TypeSwitchStmt, lbl string) string {
+func (b *ub) typeSwitchStmt(cur int32, x *ast.TypeSwitchStmt, lbl string) int32 {
 	fn := b.fn()
 	b.pushScope()
 	cur = b.stmt(cur, x.Init)
@@ -819,48 +918,48 @@ func (b *ub) typeSwitchStmt(cur string, x *ast.TypeSwitchStmt, lbl string) strin
 	join := b.fresh()
 	clauses := clauseList(x.Body)
 	hasDefault := false
-	fn.loops = append(fn.loops, loopCtx{brk: join, label: lbl})
+	fn.loops = append(fn.loops, loopCtx{brk: join, cont: noVertex, label: lbl})
 	for _, cc := range clauses {
 		if len(cc.List) == 0 {
 			hasDefault = true
 		}
 		b.pushScope()
-		c := b.step(cur, nop(), nil)
+		c := b.step(cur, lNop(), nil)
 		if bind != "" {
 			// Each clause binds its own typed copy of the switch variable.
-			c = b.step(c, cfgschema.Def(b.declare(bind)), x.Assign)
+			c = b.step(c, lDef(b.declare(bind)), x.Assign)
 		}
 		end := b.stmts(c, cc.Body)
-		b.edge(end, nop(), join)
+		b.edge(end, lNop(), join)
 		b.popScope()
 	}
 	fn.loops = fn.loops[:len(fn.loops)-1]
 	if !hasDefault {
-		b.edge(cur, nop(), join)
+		b.edge(cur, lNop(), join)
 	}
 	b.popScope()
 	return join
 }
 
-func (b *ub) selectStmt(cur string, x *ast.SelectStmt, lbl string) string {
+func (b *ub) selectStmt(cur int32, x *ast.SelectStmt, lbl string) int32 {
 	fn := b.fn()
 	join := b.fresh()
-	fn.loops = append(fn.loops, loopCtx{brk: join, label: lbl})
+	fn.loops = append(fn.loops, loopCtx{brk: join, cont: noVertex, label: lbl})
 	for _, s := range x.Body.List {
 		cc, ok := s.(*ast.CommClause)
 		if !ok {
 			continue
 		}
 		b.pushScope()
-		c := b.step(cur, nop(), nil)
+		c := b.step(cur, lNop(), nil)
 		c = b.stmt(c, cc.Comm)
 		end := b.stmts(c, cc.Body)
-		b.edge(end, nop(), join)
+		b.edge(end, lNop(), join)
 		b.popScope()
 	}
 	fn.loops = fn.loops[:len(fn.loops)-1]
 	if len(x.Body.List) == 0 {
-		b.edge(cur, nop(), join)
+		b.edge(cur, lNop(), join)
 	}
 	return join
 }
@@ -881,7 +980,7 @@ func clauseList(body *ast.BlockStmt) []*ast.CaseClause {
 // return statement emits the defers registered *before it in the walk*, so
 // an early return does not run a defer registered further down — that is
 // exactly the unlock-without-lock shape the checks must not invent.
-func (b *ub) emitDefers(cur string, n int) string {
+func (b *ub) emitDefers(cur int32, n int) int32 {
 	fn := b.fn()
 	for i := n - 1; i >= 0; i-- {
 		op := fn.deferred[i]
@@ -894,13 +993,13 @@ func (b *ub) emitDefers(cur string, n int) string {
 	return cur
 }
 
-func (b *ub) deferStmt(cur string, x *ast.DeferStmt) string {
+func (b *ub) deferStmt(cur int32, x *ast.DeferStmt) int32 {
 	fn := b.fn()
 	cur, eff, callee := b.callEffect(cur, x.Call)
-	if eff == nil {
+	if eff.none() {
 		// Deferring a fully-absorbed builtin (defer println(...)) — the
 		// registration still marks the site.
-		eff = nop()
+		eff = lNop()
 	}
 	fn.deferSite++
 	site := fn.qname + ".d" + strconv.Itoa(fn.deferSite)
@@ -908,22 +1007,22 @@ func (b *ub) deferStmt(cur string, x *ast.DeferStmt) string {
 	if desc == "" {
 		desc = effectDesc(eff)
 	}
-	cur = b.step(cur, cfgschema.DeferAt(desc, site), x)
+	cur = b.step(cur, lDeferAt(desc, site), x)
 	fn.deferred = append(fn.deferred, deferOp{eff: eff, callee: callee, node: x})
 	return cur
 }
 
-func (b *ub) goStmt(cur string, x *ast.GoStmt) string {
+func (b *ub) goStmt(cur int32, x *ast.GoStmt) int32 {
 	prev := cur
 	cur, eff, callee := b.callEffect(cur, x.Call)
 	desc := callee
 	if desc == "" {
-		if eff == nil {
-			eff = nop()
+		if eff.none() {
+			eff = lNop()
 		}
 		desc = effectDesc(eff)
 	}
-	cur = b.step(cur, cfgschema.Go(desc), x)
+	cur = b.step(cur, lGo(desc), x)
 	if callee != "" {
 		b.res.links = append(b.res.links, link{kind: linkGo, from: prev, callee: callee})
 	}
@@ -933,23 +1032,23 @@ func (b *ub) goStmt(cur string, x *ast.GoStmt) string {
 // effectDesc names a deferred/launched operation for the defer(f,s) and
 // go(f) labels when the callee is not a known function: close:pkg.f.x,
 // mcall:pkg.f.x.Done, call:cancel.
-func effectDesc(eff *label.Term) string {
-	d := eff.Name
-	for _, a := range eff.Args {
-		d += ":" + a.Name
+func effectDesc(eff glabel) string {
+	d := eff.ctor
+	for _, a := range eff.syms() {
+		d += ":" + a
 	}
 	return d
 }
 
 // ---- expressions ----
 
-func (b *ub) expr(cur string, e ast.Expr) string {
+func (b *ub) expr(cur int32, e ast.Expr) int32 {
 	switch x := e.(type) {
 	case nil:
 		return cur
 	case *ast.Ident:
 		if sym, ok := b.resolveVarOK(x.Name); ok {
-			return b.step(cur, cfgschema.Use(sym), x)
+			return b.step(cur, lUse(sym), x)
 		}
 		return cur
 	case *ast.BasicLit, *ast.Ellipsis:
@@ -958,7 +1057,7 @@ func (b *ub) expr(cur string, e ast.Expr) string {
 		return b.expr(cur, x.X)
 	case *ast.SelectorExpr:
 		if p, ok := b.pathOf(x); ok {
-			return b.step(cur, cfgschema.Use(p), x)
+			return b.step(cur, lUse(p), x)
 		}
 		// Package selector (os.Stdout) or chained expression (f().field).
 		if _, isImport := b.importOf(x.X); isImport {
@@ -973,13 +1072,13 @@ func (b *ub) expr(cur string, e ast.Expr) string {
 			// &x escapes x; without alias tracking the only safe reading is
 			// that x may be initialized through the pointer.
 			if p, ok := b.pathOf(x.X); ok {
-				return b.step(cur, cfgschema.Def(p), x)
+				return b.step(cur, lDef(p), x)
 			}
 			return b.expr(cur, x.X)
 		case token.ARROW:
 			if p, ok := b.pathOf(x.X); ok {
-				cur = b.step(cur, cfgschema.Use(p), x.X)
-				return b.step(cur, cfgschema.Recv(p), x)
+				cur = b.step(cur, lUse(p), x.X)
+				return b.step(cur, lRecv(p), x)
 			}
 			return b.expr(cur, x.X)
 		default:
@@ -990,12 +1089,12 @@ func (b *ub) expr(cur string, e ast.Expr) string {
 		return b.expr(cur, x.Y)
 	case *ast.CallExpr:
 		cur, eff, callee := b.callEffect(cur, x)
-		if eff == nil {
+		if eff.none() {
 			return cur
 		}
 		prev := cur
 		cur = b.step(cur, eff, x)
-		if callee != "" && eff.Name == "call" {
+		if callee != "" && eff.ctor == "call" {
 			b.res.links = append(b.res.links, link{kind: linkCall, from: prev, resume: cur, callee: callee})
 		}
 		return cur
@@ -1060,7 +1159,7 @@ func (b *ub) importOf(e ast.Expr) (string, bool) {
 // qualified callee candidate for interprocedural linking ("" if unknown).
 // The caller decides whether to emit the effect as a plain step (normal
 // call), re-emit it later (defer), or pair it with a go label.
-func (b *ub) callEffect(cur string, call *ast.CallExpr) (string, *label.Term, string) {
+func (b *ub) callEffect(cur int32, call *ast.CallExpr) (int32, glabel, string) {
 	fun := ast.Unparen(call.Fun)
 	// Generic instantiation f[T](...) — classify the underlying callee.
 	switch ix := fun.(type) {
@@ -1072,7 +1171,7 @@ func (b *ub) callEffect(cur string, call *ast.CallExpr) (string, *label.Term, st
 		fun = ast.Unparen(ix.X)
 	}
 
-	evalArgs := func(c string) string {
+	evalArgs := func(c int32) int32 {
 		for _, a := range call.Args {
 			c = b.expr(c, a)
 		}
@@ -1083,32 +1182,32 @@ func (b *ub) callEffect(cur string, call *ast.CallExpr) (string, *label.Term, st
 	case *ast.FuncLit:
 		qname := b.buildLiteral(f)
 		cur = evalArgs(cur)
-		return cur, cfgschema.Call(qname), qname
+		return cur, lCall(qname), qname
 
 	case *ast.Ident:
 		if _, isVar := b.resolveVarOK(f.Name); isVar {
 			// Calling a local function value: read it, then call it.
 			sym, _ := b.resolveVarOK(f.Name)
-			cur = b.step(cur, cfgschema.Use(sym), f)
+			cur = b.step(cur, lUse(sym), f)
 			cur = evalArgs(cur)
-			return cur, cfgschema.Call(sym), ""
+			return cur, lCall(sym), ""
 		}
 		switch f.Name {
 		case "close":
 			if len(call.Args) == 1 {
 				if p, ok := b.pathOf(call.Args[0]); ok {
-					return cur, cfgschema.Close(p), ""
+					return cur, lClose(p), ""
 				}
 			}
-			return evalArgs(cur), nil, ""
+			return evalArgs(cur), glabel{}, ""
 		case "panic":
 			// panic unwinds through the registered defers and leaves the
 			// function.
 			cur = evalArgs(cur)
-			cur = b.step(cur, cfgschema.Call("panic"), call)
+			cur = b.step(cur, lCall("panic"), call)
 			cur = b.emitDefers(cur, len(b.fn().deferred))
-			b.edge(cur, nop(), b.fn().retJoin)
-			return b.fresh(), nil, ""
+			b.edge(cur, lNop(), b.fn().retJoin)
+			return b.fresh(), glabel{}, ""
 		}
 		if builtinFuncs[f.Name] {
 			if (f.Name == "len" || f.Name == "cap") && len(call.Args) == 1 {
@@ -1116,18 +1215,18 @@ func (b *ub) callEffect(cur string, call *ast.CallExpr) (string, *label.Term, st
 					// len/cap read only the descriptor and are safe on zero
 					// values of every type they accept, so they do not count
 					// as value uses.
-					return cur, nil, ""
+					return cur, glabel{}, ""
 				}
 			}
-			return evalArgs(cur), nil, ""
+			return evalArgs(cur), glabel{}, ""
 		}
 		if qname, ok := b.pkg.funcs[f.Name]; ok {
 			cur = evalArgs(cur)
-			return cur, cfgschema.Call(qname), qname
+			return cur, lCall(qname), qname
 		}
 		// Unknown identifier (dot import, predeclared conversion, ...).
 		cur = evalArgs(cur)
-		return cur, cfgschema.Call(f.Name), ""
+		return cur, lCall(f.Name), ""
 
 	case *ast.SelectorExpr:
 		if impPath, ok := b.importOf(f.X); ok {
@@ -1135,14 +1234,14 @@ func (b *ub) callEffect(cur string, call *ast.CallExpr) (string, *label.Term, st
 			cur = evalArgs(cur)
 			if qn == "os.Exit" || qn == "runtime.Goexit" {
 				// No fallthrough: control does not continue past these.
-				c := b.step(cur, cfgschema.Call(qn), call)
+				c := b.step(cur, lCall(qn), call)
 				if qn == "runtime.Goexit" {
 					c = b.emitDefers(c, len(b.fn().deferred))
 				}
-				b.edge(c, nop(), b.fn().retJoin)
-				return b.fresh(), nil, ""
+				b.edge(c, lNop(), b.fn().retJoin)
+				return b.fresh(), glabel{}, ""
 			}
-			return cur, cfgschema.Call(qn), qn
+			return cur, lCall(qn), qn
 		}
 		if p, ok := b.pathOf(f.X); ok {
 			// Method call on a resolvable receiver path.
@@ -1150,28 +1249,28 @@ func (b *ub) callEffect(cur string, call *ast.CallExpr) (string, *label.Term, st
 			if len(call.Args) == 0 {
 				switch f.Sel.Name {
 				case "Close":
-					return cur, cfgschema.Close(p), ""
+					return cur, lClose(p), ""
 				case "Lock":
-					return cur, cfgschema.Lock(p), ""
+					return cur, lLock(p), ""
 				case "Unlock":
-					return cur, cfgschema.Unlock(p), ""
+					return cur, lUnlock(p), ""
 				case "RLock":
-					return cur, cfgschema.RLock(p), ""
+					return cur, lRLock(p), ""
 				case "RUnlock":
-					return cur, cfgschema.RUnlock(p), ""
+					return cur, lRUnlock(p), ""
 				}
 			}
-			return cur, cfgschema.MCall(p, f.Sel.Name), ""
+			return cur, lMCall(p, f.Sel.Name), ""
 		}
 		// Chained call (f().g(...)) or method value on a complex base:
 		// evaluate the base for its effects, then an unlinked call.
 		cur = b.expr(cur, f.X)
 		cur = evalArgs(cur)
-		return cur, cfgschema.Call(f.Sel.Name), ""
+		return cur, lCall(f.Sel.Name), ""
 	}
 
 	// Conversions (T(x), []byte(s)) and anything else: effects of operands.
 	cur = b.expr(cur, fun)
 	cur = evalArgs(cur)
-	return cur, nil, ""
+	return cur, glabel{}, ""
 }

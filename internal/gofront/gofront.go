@@ -38,13 +38,16 @@
 //
 // # Construction
 //
-// Per-function CFGs build independently — they share no state — so Load
-// fans them out across Config.Workers goroutines and then merges the
-// results into one graph sequentially, in sorted function order, keeping
-// the merged graph (vertex numbering, label interning) byte-identical
-// across worker counts. Each build also records its call and go sites;
-// linking them to their callees, in place (Config.Interproc) or in a copy
-// (Program.Linked), turns one lowering into the interprocedural graph.
+// Files parse independently, and so do per-function CFGs — they share no
+// state — so Load fans both out across Config.Workers goroutines. Each function's build numbers its vertices and labels
+// locally and keeps a table of its distinct labels. The merge then joins
+// the builds sequentially, in sorted function order: it offsets vertex
+// ids, compiles each distinct label once, and points every edge at the
+// graph's interned label. The merged graph (vertex numbering, label
+// interning) is therefore byte-identical across worker counts. Each build
+// also records its call and go sites; linking them to their callees, in
+// place (Config.Interproc) or in a copy (Program.Linked), turns one
+// lowering into the interprocedural graph.
 package gofront
 
 import (
@@ -56,11 +59,11 @@ import (
 	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"rpq/internal/cfgschema"
 	"rpq/internal/graph"
 	"rpq/internal/label"
 	"rpq/internal/span"
@@ -74,8 +77,8 @@ type Config struct {
 	Interproc bool
 	// IncludeTests also loads _test.go files.
 	IncludeTests bool
-	// Workers bounds the parallel per-function CFG builds; <= 0 means
-	// GOMAXPROCS.
+	// Workers bounds the parallel file parses and per-function CFG
+	// builds; <= 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -122,18 +125,22 @@ type Program struct {
 	// Config echoes the configuration the program was built with.
 	Config Config
 
-	pos    map[string]Location
+	pos    []Location // by vertex id; Line 0 where no operation is recorded
 	files  map[string]string
 	allows map[string]map[int][]string
 	funcIx map[string]int
-	links  []link // call and go sites, in unit order
+	ends   []funcEnds // entry and exit vertex of each of Funcs
+	links  []link     // call and go sites, in unit order
 }
 
 // Location reports the source location recorded for a vertex, if the
 // vertex corresponds to a source operation.
 func (p *Program) Location(vertex string) (Location, bool) {
-	l, ok := p.pos[vertex]
-	return l, ok
+	v, ok := p.Graph.LookupVertex(vertex)
+	if !ok || int(v) >= len(p.pos) || p.pos[v].Line == 0 {
+		return Location{}, false
+	}
+	return p.pos[v], true
 }
 
 // Source returns the loaded source text of file.
@@ -402,7 +409,6 @@ func moduleLine(gomod string) string {
 
 type parsedFile struct {
 	name    string // file path as loaded (map key / cleaned fs path)
-	src     string
 	ast     *ast.File
 	imports map[string]string // local name -> import path
 }
@@ -422,28 +428,76 @@ type unitJob struct {
 	qname string
 }
 
+// fanOut calls fn(i) for every i in [0, n) on up to workers goroutines
+// and returns when all calls have.
+func fanOut(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
 func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, string)) (*Program, error) {
-	fset := token.NewFileSet()
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	names := make([]string, 0, len(srcs))
 	for n := range srcs {
-		names = append(names, n)
+		if path.Base(n) != "go.mod" {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
+
+	// Parse every file on the pool. Files join the shared FileSet in any
+	// order, which is harmless: every Location field is file-relative. A
+	// failure reports the first failing file in sorted order.
+	fset := token.NewFileSet()
+	files := make([]*parsedFile, len(names))
+	errs := make([]error, len(names))
+	fanOut(workers, len(names), func(i int) {
+		f, err := parser.ParseFile(fset, names[i], srcs[names[i]], parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		files[i] = &parsedFile{name: names[i], ast: f, imports: importMap(f)}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("gofront: %w", err)
+		}
+	}
 
 	// Group parsed files into packages by (directory, package name).
 	type key struct{ dir, pkg string }
 	units := map[key]*pkgUnit{}
 	var order []key
 	allows := map[string]map[int][]string{}
-	for _, name := range names {
-		if path.Base(name) == "go.mod" {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, srcs[name], parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("gofront: %w", err)
-		}
-		pf := &parsedFile{name: name, src: srcs[name], ast: f, imports: importMap(f)}
+	for _, pf := range files {
+		f, name := pf.ast, pf.name
 		collectAllows(fset, f, name, allows)
 		k := key{path.Dir(filepath.ToSlash(name)), f.Name.Name}
 		u := units[k]
@@ -518,30 +572,8 @@ func build(srcs map[string]string, cfg Config, modOf func(dir string) (string, s
 	}
 
 	// Fan the independent per-function builds across the worker pool.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	results := make([]*unitResult, len(jobs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = buildUnit(fset, jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	fanOut(workers, len(jobs), func(i int) { results[i] = buildUnit(fset, jobs[i]) })
 	for _, r := range results {
 		if r.err != nil {
 			return nil, r.err
@@ -665,9 +697,23 @@ func collectAllows(fset *token.FileSet, f *ast.File, file string, allows map[str
 // the only sequential stage: vertex ids and interned label ids depend on
 // insertion order, so the merged graph is deterministic exactly because
 // units arrive in sorted-job order regardless of which worker built them.
-// The units' call and go sites stay on the Program for linking.
+// Vertices are numbered root first, then unit by unit: the function
+// entries, then each vertex in order of first appearance in the unit's
+// edges. Labels and universe names are numbered in order of first
+// compile. The units' call and go sites stay on the Program for linking.
 func mergeUnits(results []*unitResult, srcs map[string]string, allows map[string]map[int][]string, cfg Config) (*Program, error) {
+	nv, nl, nf, ns := 1, 0, 0, 0
+	for _, r := range results {
+		nv += len(r.verts)
+		nl += len(r.labels) + len(r.funcs)
+		nf += len(r.funcs)
+		for _, l := range r.labels {
+			ns += l.n
+		}
+	}
 	g := graph.New()
+	g.Grow(nv, nl)
+	g.U.Syms.Grow(ns + nf)
 	const root = "root"
 	rv := g.Vertex(root)
 	g.SetStart(rv)
@@ -676,39 +722,88 @@ func mergeUnits(results []*unitResult, srcs map[string]string, allows map[string
 		Graph:  g,
 		Root:   root,
 		Config: cfg,
-		pos:    map[string]Location{},
+		Funcs:  make([]FuncInfo, 0, nf),
+		pos:    make([]Location, 1, nv),
 		files:  srcs,
 		allows: allows,
-		funcIx: map[string]int{},
+		funcIx: make(map[string]int, nf),
+		ends:   make([]funcEnds, 0, nf),
 	}
+	var tb termBuf
+	var global, lids []int32 // unit-local vertex and label id -> graph id
 	for _, r := range results {
-		for _, fi := range r.funcs {
+		global = slices.Grow(global[:0], len(r.verts))[:len(r.verts)]
+		for i := range global {
+			global[i] = -1
+		}
+		vertex := func(l int32) int32 {
+			if v := global[l]; v >= 0 {
+				return v
+			}
+			uv := &r.verts[l]
+			v := g.Vertex(uv.name)
+			global[l] = v
+			if int(v) == len(p.pos) {
+				p.pos = append(p.pos, uv.loc)
+			} else if uv.loc.Line > 0 {
+				p.pos[v] = uv.loc
+			}
+			return v
+		}
+		for i, fi := range r.funcs {
 			if _, dup := p.funcIx[fi.Name]; dup {
 				return nil, fmt.Errorf("gofront: duplicate function %s", fi.Name)
 			}
 			p.funcIx[fi.Name] = len(p.Funcs)
 			p.Funcs = append(p.Funcs, fi)
-			if err := g.AddEdge(rv, cfgschema.EntryOf(fi.Name), g.Vertex(fi.Entry)); err != nil {
-				return nil, fmt.Errorf("gofront: %w", err)
-			}
-			p.pos[fi.Entry] = fi.Loc
+			entry := vertex(r.ends[i].entry)
+			g.AddEdgeID(rv, tb.intern(g, lEntry(fi.Name)), entry)
+		}
+		lids = lids[:0]
+		for _, l := range r.labels {
+			lids = append(lids, tb.intern(g, l))
 		}
 		for _, e := range r.edges {
-			if err := g.AddEdge(g.Vertex(e.from), e.t, g.Vertex(e.to)); err != nil {
-				return nil, fmt.Errorf("gofront: %w", err)
+			from := vertex(e.from) // before to: first-appearance numbering
+			g.AddEdgeID(from, lids[e.lbl], vertex(e.to))
+		}
+		for _, fe := range r.ends {
+			p.ends = append(p.ends, funcEnds{entry: global[fe.entry], exit: global[fe.exit]})
+		}
+		for _, lk := range r.links {
+			lk.from = global[lk.from]
+			if lk.kind == linkCall {
+				lk.resume = global[lk.resume]
 			}
+			p.links = append(p.links, lk)
 		}
-		for v, l := range r.pos {
-			p.pos[v] = l
-		}
-		p.links = append(p.links, r.links...)
 	}
 	if cfg.Interproc {
-		if err := p.link(g); err != nil {
-			return nil, err
-		}
+		p.link(g)
 	}
 	return p, nil
+}
+
+// termBuf holds the term of one glabel at a time. Compiling a term keeps
+// no reference to it, so one buffer serves every label of a merge.
+type termBuf struct {
+	app  label.Term
+	syms [2]label.Term
+	args [2]*label.Term
+}
+
+// intern compiles l against g's universe and interns it.
+func (tb *termBuf) intern(g *graph.Graph, l glabel) int32 {
+	for i, s := range l.syms() {
+		tb.syms[i] = label.Term{Kind: label.KSym, Name: s}
+		tb.args[i] = &tb.syms[i]
+	}
+	tb.app = label.Term{Kind: label.KApp, Name: l.ctor, Args: tb.args[:l.n]}
+	c, err := label.CompileGround(&tb.app, g.U)
+	if err != nil {
+		panic(err) // a constructor over symbols is ground
+	}
+	return g.InternLabel(c)
 }
 
 // Linked returns the program as Load builds it with Config.Interproc (the
@@ -723,35 +818,36 @@ func (p *Program) Linked() (*Program, error) {
 	q := *p
 	q.Graph = p.Graph.Clone()
 	q.Config.Interproc = true
-	if err := q.link(q.Graph); err != nil {
-		return nil, err
-	}
+	q.link(q.Graph)
 	return &q, nil
 }
 
 // link appends to g the link edges of every call and go site whose callee
 // is an analyzed function: call to the callee's entry and ret back from its
 // exit for a call, go to the entry for a go statement.
-func (p *Program) link(g *graph.Graph) error {
+func (p *Program) link(g *graph.Graph) {
+	var tb termBuf
+	ids := map[glabel]int32{} // a callee's labels recur at every site
+	add := func(from int32, l glabel, to int32) {
+		id, ok := ids[l]
+		if !ok {
+			id = tb.intern(g, l)
+			ids[l] = id
+		}
+		g.AddEdgeID(from, id, to)
+	}
 	for _, lk := range p.links {
 		i, ok := p.funcIx[lk.callee]
 		if !ok {
 			continue
 		}
-		fi := p.Funcs[i]
-		var err error
+		fe := p.ends[i]
 		switch lk.kind {
 		case linkCall:
-			err = g.AddEdge(g.Vertex(lk.from), cfgschema.Call(lk.callee), g.Vertex(fi.Entry))
-			if err == nil {
-				err = g.AddEdge(g.Vertex(fi.Exit), cfgschema.Ret(lk.callee), g.Vertex(lk.resume))
-			}
+			add(lk.from, lCall(lk.callee), fe.entry)
+			add(fe.exit, lRet(lk.callee), lk.resume)
 		case linkGo:
-			err = g.AddEdge(g.Vertex(lk.from), cfgschema.Go(lk.callee), g.Vertex(fi.Entry))
-		}
-		if err != nil {
-			return fmt.Errorf("gofront: %w", err)
+			add(lk.from, lGo(lk.callee), fe.entry)
 		}
 	}
-	return nil
 }

@@ -1,12 +1,17 @@
 package gofront
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"rpq/internal/cfgschema"
+	"rpq/internal/graph"
+	"rpq/internal/label"
 )
 
 const fixtures = "../../testdata/goprog"
@@ -43,23 +48,67 @@ func TestShapesGolden(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossWorkers asserts byte-identical graphs for every
-// worker count: the merge order is the contract, not the scheduling.
+// TestDeterministicAcrossWorkers asserts byte-identical programs for every
+// worker count: the merge order is the contract, not the scheduling. The
+// graph, the position of every vertex, the function list, the label keys
+// and the universe names must all agree.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	dirs := []string{filepath.Join(fixtures, "benchmod") + "/..."}
 	base, err := Load(dirs, Config{Interproc: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := base.DebugDump()
+	want := fingerprint(base)
 	for _, w := range []int{2, 3, 8} {
 		p, err := Load(dirs, Config{Interproc: true, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.DebugDump(); got != want {
-			t.Errorf("workers=%d produced a different graph (len %d vs %d)", w, len(got), len(want))
+		got := fingerprint(p)
+		for part := range want {
+			if got[part] != want[part] {
+				t.Errorf("workers=%d produced a different %s (len %d vs %d)", w, part, len(got[part]), len(want[part]))
+			}
 		}
+	}
+
+	// With several malformed files, the error names the first of them in
+	// sorted order.
+	bad := map[string]string{
+		"a.go": "package p\n\nfunc A() {}\n",
+		"b.go": "package p\n\nfunc B( {\n",
+		"c.go": "package p\n\nfunc C() {}\n",
+		"d.go": "package p\n\nfunc D() }\n",
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		if _, err := LoadSource(bad, Config{Workers: w}); err == nil || !strings.HasPrefix(err.Error(), "gofront: b.go:") {
+			t.Errorf("workers=%d: error %v, want one at b.go", w, err)
+		}
+	}
+}
+
+// fingerprint renders every part of a program the merge numbers or
+// records, keyed by part.
+func fingerprint(p *Program) map[string]string {
+	var pos, funcs, labels strings.Builder
+	g := p.Graph
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		if l, ok := p.Location(g.VertexName(v)); ok {
+			fmt.Fprintf(&pos, "%s %s %v\n", g.VertexName(v), l, l.Span)
+		}
+	}
+	for _, f := range p.Funcs {
+		fmt.Fprintf(&funcs, "%+v\n", f)
+	}
+	for _, c := range g.Labels() {
+		fmt.Fprintln(&labels, c.Key())
+	}
+	return map[string]string{
+		"graph":     p.DebugDump(),
+		"positions": pos.String(),
+		"functions": funcs.String(),
+		"labels":    labels.String(),
+		"universe":  fmt.Sprint(g.U.Ctors.Names(), g.U.Syms.Names()),
 	}
 }
 
@@ -409,5 +458,42 @@ func TestDuplicateFuncNames(t *testing.T) {
 	}
 	if got, want := names(p), []string{"demo.F", "demo.F~2", "demo.G", "demo.F~3"}; !slices.Equal(got, want) {
 		t.Errorf("funcs = %v, want %v", got, want)
+	}
+}
+
+// TestLabelsMatchSchema pins every label helper of the builder to the
+// internal/cfgschema helper of the same name, so the labels gofront emits
+// cannot drift from the shared schema.
+func TestLabelsMatchSchema(t *testing.T) {
+	pairs := []struct {
+		got  glabel
+		want *label.Term
+	}{
+		{lNop(), cfgschema.Nop()},
+		{lEntry("f"), cfgschema.EntryOf("f")},
+		{lExit("f"), cfgschema.ExitOf("f")},
+		{lDef("x"), cfgschema.Def("x")},
+		{lDecl("x"), cfgschema.Decl("x")},
+		{lUse("x"), cfgschema.Use("x")},
+		{lCall("f"), cfgschema.Call("f")},
+		{lMCall("x", "M"), cfgschema.MCall("x", "M")},
+		{lRet("f"), cfgschema.Ret("f")},
+		{lDeferAt("f", "s"), cfgschema.DeferAt("f", "s")},
+		{lGo("f"), cfgschema.Go("f")},
+		{lSend("x"), cfgschema.Send("x")},
+		{lRecv("x"), cfgschema.Recv("x")},
+		{lClose("x"), cfgschema.Close("x")},
+		{lLock("m"), cfgschema.Lock("m")},
+		{lUnlock("m"), cfgschema.Unlock("m")},
+		{lRLock("m"), cfgschema.RLock("m")},
+		{lRUnlock("m"), cfgschema.RUnlock("m")},
+	}
+	for _, p := range pairs {
+		var tb termBuf
+		g := graph.New()
+		id := tb.intern(g, p.got)
+		if got, want := g.Label(id).Format(g.U, nil), p.want.String(); got != want {
+			t.Errorf("label %s, schema helper %s", got, want)
+		}
 	}
 }

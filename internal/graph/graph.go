@@ -7,14 +7,14 @@
 //
 // # Concurrency
 //
-// A Graph is read-mostly: construction (Vertex, AddEdge*, InternLabel,
-// SetStart, the readers in io.go and the front ends) must happen before any
-// query runs and is not safe for concurrent use. Once built, every accessor
-// — Out, Labels, Label, NumVertices, NumEdges, Start, VertexName, SCC — is a
-// pure read of immutable state and is safe to call from any number of
-// goroutines simultaneously; the query service relies on this to run
-// concurrent queries over one Graph without locks. Mutating a graph while a
-// query runs on it is a data race.
+// A Graph is read-mostly: construction (Grow, Vertex, AddEdge*,
+// InternLabel, SetStart, the readers in io.go and the front ends) must
+// happen before any query runs and is not safe for concurrent use. Once
+// built, every accessor — Out, Labels, Label, NumVertices, NumEdges, Start,
+// VertexName, SCC — is a pure read of immutable state and is safe to call
+// from any number of goroutines simultaneously; the query service relies
+// on this to run concurrent queries over one Graph without locks. Mutating
+// a graph while a query runs on it is a data race.
 //
 // The copies (Clone, Reverse, CompactFor) share their receiver's vertex
 // table rather than re-interning every name, and taking one only reads the
@@ -132,14 +132,35 @@ func (g *Graph) InternLabel(c *label.CTerm) int32 {
 	return id
 }
 
-// AddEdgeC adds an edge with an already compiled ground label.
+// AddEdgeC adds an edge with an already compiled ground label. The edge
+// points at the graph's interned copy of the label, so every edge with one
+// label id shares one tree.
 func (g *Graph) AddEdgeC(from int32, c *label.CTerm, to int32) {
 	if !c.IsGround() {
 		panic(fmt.Sprintf("graph: edge label %s is not ground", c))
 	}
-	id := g.InternLabel(c)
-	g.adj[from] = append(g.adj[from], Edge{Label: c, LabelID: id, To: to})
+	g.AddEdgeID(from, g.InternLabel(c), to)
+}
+
+// AddEdgeID adds an edge whose label is already interned under id.
+func (g *Graph) AddEdgeID(from, id, to int32) {
+	g.adj[from] = append(g.adj[from], Edge{Label: g.labels[id], LabelID: id, To: to})
 	g.numEdges++
+}
+
+// Grow reserves room for vertices more vertices and labels more distinct
+// labels, so a builder that knows its totals fills the vertex table, the
+// adjacency and the label table without regrowing them. Name and label
+// indexes are presized only while empty.
+func (g *Graph) Grow(vertices, labels int) {
+	g.adj = slices.Grow(g.adj, vertices)
+	if !g.sharedVerts {
+		g.verts.Grow(vertices)
+	}
+	g.labels = slices.Grow(g.labels, labels)
+	if len(g.labelIDs) == 0 {
+		g.labelIDs = make(map[string]int32, labels)
+	}
 }
 
 // AddEdge compiles the ground term lbl against the graph's universe and adds
@@ -225,6 +246,8 @@ func (g *Graph) Reverse() *Graph {
 // afterwards stays out of the other (see the package comment).
 func (g *Graph) Clone() *Graph {
 	u := label.NewUniverse()
+	u.Ctors.Grow(g.U.Ctors.Len())
+	u.Syms.Grow(g.U.Syms.Len())
 	for _, n := range g.U.Ctors.Names() {
 		u.Ctors.Intern(n)
 	}

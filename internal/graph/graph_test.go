@@ -298,3 +298,36 @@ func TestEdgeLabelWithSpacesInFile(t *testing.T) {
 		t.Fatalf("edges = %d", g.NumEdges())
 	}
 }
+
+// TestEdgesShareInternedLabel: edges with one label id point at one
+// compiled tree, the graph's interned label, whoever compiled it first.
+func TestEdgesShareInternedLabel(t *testing.T) {
+	g := New()
+	g.MustAddEdgeStr("a", "use('x')", "b")
+	g.MustAddEdgeStr("b", "use('x')", "c")
+	a, _ := g.LookupVertex("a")
+	b, _ := g.LookupVertex("b")
+	e1, e2 := g.Out(a)[0], g.Out(b)[0]
+	if e1.LabelID != e2.LabelID {
+		t.Fatalf("label ids %d and %d, want one", e1.LabelID, e2.LabelID)
+	}
+	if e1.Label != e2.Label || e1.Label != g.Label(e1.LabelID) {
+		t.Errorf("edges with label id %d hold distinct trees", e1.LabelID)
+	}
+}
+
+// TestGrowKeepsGraph: reserving room changes no id, name or edge.
+func TestGrowKeepsGraph(t *testing.T) {
+	g := New()
+	g.Grow(4, 2)
+	g.SetStart(g.Vertex("a"))
+	g.MustAddEdgeStr("a", "def('x')", "b")
+	g.Grow(10, 10)
+	g.MustAddEdgeStr("b", "use('x')", "a")
+	if got := g.NumVertices(); got != 2 || g.NumLabels() != 2 || g.NumEdges() != 2 {
+		t.Fatalf("%d vertices, %d labels, %d edges; want 2, 2, 2", got, g.NumLabels(), g.NumEdges())
+	}
+	if v, ok := g.LookupVertex("b"); !ok || v != 1 || g.VertexName(1) != "b" {
+		t.Errorf("vertex b is %d (%v)", v, ok)
+	}
+}

@@ -24,3 +24,24 @@ func TestMatchADIntoAllocs(t *testing.T) {
 		t.Errorf("MatchADInto into a warmed Match: %v allocs per pass, want 0", n)
 	}
 }
+
+// compileGroundAllocs is the allocation count of compiling a two-symbol
+// edge label on go1.24, linux/amd64: three nodes, the argument slice and
+// the nodes' canonical keys. Boxing each node's parameter set for sorting
+// made it 11.
+const compileGroundAllocs = 8
+
+// TestCompileGroundAllocs pins the cost of compiling one edge label, which
+// every front end pays per distinct label.
+func TestCompileGroundAllocs(t *testing.T) {
+	u := NewUniverse()
+	tm := App("mcall", Sym("p.F.x"), Sym("Close"))
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := CompileGround(tm, u); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > compileGroundAllocs {
+		t.Errorf("CompileGround: %v allocs, want at most %d", n, compileGroundAllocs)
+	}
+}

@@ -2,7 +2,7 @@ package label
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -143,7 +143,7 @@ func (c *CTerm) finish() {
 	for p := range set {
 		c.params = append(c.params, p)
 	}
-	sort.Slice(c.params, func(i, j int) bool { return c.params[i] < c.params[j] })
+	slices.Sort(c.params)
 	var b strings.Builder
 	c.writeKey(&b)
 	c.key = b.String()

@@ -10,6 +10,8 @@
 // in any argument position or at the top level.
 package label
 
+import "slices"
+
 // NoSym is the sentinel for "no symbol" / "unbound".
 const NoSym int32 = -1
 
@@ -32,6 +34,15 @@ func (in *Interner) Intern(name string) int32 {
 	in.byName[name] = k
 	in.names = append(in.names, name)
 	return k
+}
+
+// Grow reserves room for n more strings. The index is presized only while
+// the interner is empty.
+func (in *Interner) Grow(n int) {
+	if len(in.byName) == 0 {
+		in.byName = make(map[string]int32, n)
+	}
+	in.names = slices.Grow(in.names, n)
 }
 
 // Lookup returns the key for name and whether it has been interned.

@@ -34,7 +34,8 @@
 //	//rpqcheck:allow all
 //
 // Exit status: 0 when clean (or all findings match the baseline), 1 when
-// findings (or new-vs-baseline findings) remain, 2 on usage or load errors.
+// findings (or new-vs-baseline findings) remain, 2 on usage or load errors
+// and when the report cannot be written.
 package main
 
 import (
@@ -101,22 +102,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	out := stdout
+	var f *os.File
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
+		if f, err = os.Create(*outPath); err != nil {
 			fmt.Fprintln(stderr, "rpqcheck:", err)
 			return 2
 		}
-		defer f.Close()
 		out = f
 	}
 	if *asJSON {
-		if err := rep.WriteJSON(out); err != nil {
-			fmt.Fprintln(stderr, "rpqcheck:", err)
-			return 2
-		}
+		err = rep.WriteJSON(out)
 	} else {
-		rep.WriteText(out, prog.Source, *carets)
+		err = rep.WriteText(out, prog.Source, *carets)
+	}
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "rpqcheck:", err)
+		return 2
 	}
 
 	if *writeBaseline != "" {

@@ -207,6 +207,20 @@ func LintForGraph(g *graph.Graph, e pattern.Expr, src string, cfg Config) []Diag
 	return l.finish()
 }
 
+// AlphabetForGraph runs only the per-label alphabet checks of
+// LintForGraph: unknown constructors (RPQ010), arity mismatches (RPQ011),
+// vacuous negations (RPQ013) and alphabet coverage under negation
+// (RPQ016). Its diagnostics are exactly LintForGraph's of those codes, in
+// the same order, without the graph-independent checks, graph-level
+// emptiness or variant advice — so it neither compiles the pattern nor
+// computes domains. It suits callers that keep only these findings, such
+// as rpqcheck's schema-drift advisories.
+func AlphabetForGraph(g *graph.Graph, e pattern.Expr, src string) []Diagnostic {
+	l := &linter{src: src, whole: pattern.SpanOf(e)}
+	l.checkAlphabet(buildAlphabet(g), buildNFA(e))
+	return l.finish()
+}
+
 // HasErrors reports whether any diagnostic has Error severity.
 func HasErrors(ds []Diagnostic) bool {
 	for _, d := range ds {

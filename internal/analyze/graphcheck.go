@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 
 	"rpq/internal/core"
 	"rpq/internal/graph"
@@ -11,51 +12,30 @@ import (
 	"rpq/internal/subst"
 )
 
-// alphabet summarizes the graph's distinct edge labels for satisfiability
-// checks: the constructors with the arity sets they occur at, and the labels
-// themselves for matching. It works directly on the graph's compiled labels
-// (matching resolves names through the universe's interning tables) so
-// building it allocates nothing per label — lint cost on large graphs is
-// dominated by the solver-shared domain estimation, not by this pass.
+// alphabet is what the satisfiability checks read of the graph: its label
+// index, for the arities each constructor occurs with, and its distinct
+// labels, for matching (which resolves names through the universe's
+// interning tables). Building it reads the graph's shared index and
+// allocates nothing per label.
 type alphabet struct {
-	u       *label.Universe
-	arities map[int32]map[int]bool // constructor id -> arities seen
-	labels  []*label.CTerm
+	u      *label.Universe
+	ix     *graph.LabelIndex
+	labels []*label.CTerm
 }
 
 func buildAlphabet(g *graph.Graph) *alphabet {
-	a := &alphabet{u: g.U, arities: map[int32]map[int]bool{}, labels: g.Labels()}
-	var walk func(c *label.CTerm)
-	walk = func(c *label.CTerm) {
-		if c.Kind != label.KApp {
-			return
-		}
-		s := a.arities[c.Ctor]
-		if s == nil {
-			s = map[int]bool{}
-			a.arities[c.Ctor] = s
-		}
-		s[len(c.Args)] = true
-		for _, arg := range c.Args {
-			walk(arg)
-		}
-	}
-	for _, c := range a.labels {
-		walk(c)
-	}
-	return a
+	return &alphabet{u: g.U, ix: g.LabelIndex(), labels: g.Labels()}
 }
 
-// ctorArities resolves a pattern-side constructor name against the arity
-// index. The distinct-constructor set is small, so a linear scan with name
-// lookups beats building a string-keyed mirror of the table per lint.
-func (a *alphabet) ctorArities(name string) (map[int]bool, bool) {
-	for id, s := range a.arities {
-		if a.u.Ctors.Name(id) == name {
-			return s, true
-		}
+// ctorArities resolves a pattern-side constructor name to the sorted
+// arities it occurs with in the graph's labels; false if it occurs in none.
+func (a *alphabet) ctorArities(name string) ([]int32, bool) {
+	id, ok := a.u.Ctors.Lookup(name)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	arities := a.ix.Arities(id)
+	return arities, len(arities) > 0
 }
 
 // couldMatch reports whether the pattern term t can match the ground edge
@@ -108,27 +88,13 @@ func (a *alphabet) graphSat(t *label.Term) bool {
 	return false
 }
 
-// checkGraph runs the graph-dependent checks: constructor/arity
-// satisfiability (RPQ010, RPQ011), vacuous negations (RPQ013), graph-level
-// emptiness (RPQ012), and variant advice from the cost model (RPQ014,
-// RPQ015).
+// checkGraph runs the graph-dependent checks: the per-label alphabet
+// checks (checkAlphabet), graph-level emptiness (RPQ012), and variant
+// advice from the cost model (RPQ014, RPQ015).
 func (l *linter) checkGraph(g *graph.Graph, e pattern.Expr) {
 	a := buildAlphabet(g)
 	n := buildNFA(e)
-
-	// Per-label alphabet findings, deduplicated by (code, message) so a
-	// label under a star reports once.
-	seen := map[string]bool{}
-	once := func(code string, sev Severity, sp span.Span, msg, hint string) {
-		key := code + "\x00" + msg + "\x00" + fmt.Sprint(sp)
-		if !seen[key] {
-			seen[key] = true
-			l.report(code, sev, sp, msg, hint)
-		}
-	}
-	for _, lt := range n.labeledTrans() {
-		l.checkLabelAlphabet(a, lt.tr.term, lt.tr.sp, once)
-	}
+	l.checkAlphabet(a, n)
 
 	// Graph-level emptiness: the pattern has accepting paths, but none
 	// survive against this graph's alphabet.
@@ -143,6 +109,25 @@ func (l *linter) checkGraph(g *graph.Graph, e pattern.Expr) {
 	l.adviseVariant(g, e)
 }
 
+// checkAlphabet runs the per-label alphabet checks on every transition
+// label: constructor/arity satisfiability (RPQ010, RPQ011), vacuous
+// negations (RPQ013) and alphabet coverage under negation (RPQ016).
+// Findings are deduplicated by (code, message, span), so a label under a
+// star reports once.
+func (l *linter) checkAlphabet(a *alphabet, n *anfa) {
+	seen := map[string]bool{}
+	once := func(code string, sev Severity, sp span.Span, msg, hint string) {
+		key := code + "\x00" + msg + "\x00" + fmt.Sprint(sp)
+		if !seen[key] {
+			seen[key] = true
+			l.report(code, sev, sp, msg, hint)
+		}
+	}
+	for _, lt := range n.labeledTrans() {
+		l.checkLabelAlphabet(a, lt.tr.term, lt.tr.sp, once)
+	}
+}
+
 // checkLabelAlphabet reports the alphabet findings for one transition label.
 func (l *linter) checkLabelAlphabet(a *alphabet, t *label.Term, sp span.Span,
 	once func(code string, sev Severity, sp span.Span, msg, hint string)) {
@@ -155,7 +140,7 @@ func (l *linter) checkLabelAlphabet(a *alphabet, t *label.Term, sp span.Span,
 				once(CodeUnknownCtor, Warning, sp,
 					fmt.Sprintf("constructor %s never occurs in the graph; the label cannot match", t.Name),
 					"check the constructor name against the graph's edge labels")
-			} else if !arities[len(t.Args)] {
+			} else if !slices.Contains(arities, int32(len(t.Args))) {
 				once(CodeArityMismatch, Warning, sp,
 					fmt.Sprintf("constructor %s occurs in the graph only with arity %s, not %d",
 						t.Name, formatArities(arities), len(t.Args)),
@@ -235,7 +220,7 @@ func (l *linter) checkLabelAlphabet(a *alphabet, t *label.Term, sp span.Span,
 					once(CodeAlphabetCoverage, Warning, sp,
 						fmt.Sprintf("negated constructor %s never occurs in the graph; the negation excludes less than written", t.Name),
 						"if the operation can occur, the front end may emit a different constructor; internal/cfgschema lists the canonical names (e.g. lock/unlock, not acq/rel)")
-				} else if !arities[len(t.Args)] {
+				} else if !slices.Contains(arities, int32(len(t.Args))) {
 					once(CodeAlphabetCoverage, Warning, sp,
 						fmt.Sprintf("negated constructor %s occurs in the graph only with arity %s, not %d; the negation excludes less than written",
 							t.Name, formatArities(arities), len(t.Args)),
@@ -256,21 +241,11 @@ func (l *linter) checkLabelAlphabet(a *alphabet, t *label.Term, sp span.Span,
 	walkCover(t, false)
 }
 
-func formatArities(s map[int]bool) string {
-	var out []int
-	for k := range s {
-		out = append(out, k)
+func formatArities(arities []int32) string {
+	if len(arities) == 1 {
+		return fmt.Sprint(arities[0])
 	}
-	// Small sets; simple insertion sort keeps this dependency-free.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if len(out) == 1 {
-		return fmt.Sprint(out[0])
-	}
-	return fmt.Sprint(out)
+	return fmt.Sprint(arities)
 }
 
 // adviseVariant evaluates the Figure 2 cost model for the query on this

@@ -60,13 +60,14 @@ func TestExistAllocsPerInsert(t *testing.T) {
 // rpqcheck's solves: the uninit-use check over the benchmod Go program
 // under AlgoMemo (rpq's default for existential queries). Every reached
 // base holds one substitution key and most (edge label, transition label)
-// pairs fail to match: 170 bytes per base on go1.24, linux/amd64, where
+// pairs fail to match: 134 bytes per base on go1.24, linux/amd64, where
+// a domain table rebuilt from every graph label per solve took 170, and
 // slice-header base entries, a keyset per single-key base and a fresh
-// Match per failed pair took 345. The reached bases are counted by an
+// Match per failed pair 345. The reached bases are counted by an
 // independent closure over the same matcher, which must agree with the
 // solver's ReachSize.
 func TestExistAllocsPerReachedBase(t *testing.T) {
-	const budget = 200 // bytes per reached base
+	const budget = 135 // bytes per reached base
 	prog, err := gofront.Load([]string{"../../testdata/goprog/benchmod/..."}, gofront.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -129,4 +130,33 @@ func reachedBases(t *testing.T, g *graph.Graph, v0 int32, q *Query) (bases, trip
 		}
 	}
 	return len(based), len(seen)
+}
+
+// TestComputeDomainsAllocs guards the refined-domain computation on a
+// graph whose label index is built: a second ComputeDomains over benchmod
+// allocates the Domains slice and one union per parameter that occurs at
+// several positions, nothing per graph label. A single-position domain is
+// the index's own slice.
+func TestComputeDomainsAllocs(t *testing.T) {
+	prog, err := gofront.Load([]string{"../../testdata/goprog/benchmod/..."}, gofront.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := prog.Graph
+	for _, c := range []struct {
+		pat    string
+		unions int
+	}{
+		{"_* decl(x) (!def(x))* use(x)", 1},
+		{"_* close(x) (!def(x))* (close(x) | send(x) | mcall(x, _))", 1},
+		{"(!lock(m))* unlock(m)", 0},
+		{"_* defer(f, s) _* defer(f, s)", 0},
+	} {
+		q := MustCompile(pattern.MustParse(c.pat), g.U)
+		ComputeDomains(q, g, DomainsRefined)
+		allocs := testing.AllocsPerRun(10, func() { ComputeDomains(q, g, DomainsRefined) })
+		if want := float64(1 + c.unions); allocs != want {
+			t.Errorf("%q: %.0f allocations per ComputeDomains, want %.0f", c.pat, allocs, want)
+		}
+	}
 }

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -364,80 +365,65 @@ func (q *Query) BuildWall() time.Duration {
 var ErrNondeterministic = fmt.Errorf("core: universal determinism check failed; use the hybrid or enumeration algorithm")
 
 // ComputeDomains derives the candidate symbol sets for each parameter
-// against a graph, per the options' DomainMode.
+// against a graph, per the options' DomainMode. A refined domain is the
+// sorted union of the symbols the graph's label index lists at the
+// (constructor, argument index) positions where the parameter occurs,
+// positive occurrences preferred (Section 5.3). A parameter that occurs at
+// one position gets the index's own slice, so the result is read-only.
 func ComputeDomains(q *Query, g *graph.Graph, mode DomainMode) subst.Domains {
 	pars := q.Pars()
 	if mode == DomainsAllSymbols || pars == 0 {
 		return subst.Uniform(pars, g.U.AllSymbols())
 	}
-	// Collect the (constructor, argument index) positions at which each
-	// parameter occurs, preferring positive occurrences.
-	type pos struct {
-		ctor int32
-		arg  int
-	}
-	positive := make([]map[pos]bool, pars)
-	anywhere := make([]map[pos]bool, pars)
-	for i := range positive {
-		positive[i] = map[pos]bool{}
-		anywhere[i] = map[pos]bool{}
-	}
-	for _, tl := range q.NFA.Labels {
-		tl.PositivePositions(func(p, ctor int32, arg int) {
-			positive[p][pos{ctor, arg}] = true
-		})
-		tl.AllPositions(func(p, ctor int32, arg int) {
-			anywhere[p][pos{ctor, arg}] = true
-		})
-	}
-	// Collect the symbols occurring at each position across the graph's
-	// distinct labels.
-	atPos := map[pos]map[int32]bool{}
-	var scan func(c *label.CTerm)
-	scan = func(c *label.CTerm) {
-		if c.Kind != label.KApp {
-			return
-		}
-		for i, a := range c.Args {
-			switch a.Kind {
-			case label.KSym:
-				key := pos{c.Ctor, i}
-				if atPos[key] == nil {
-					atPos[key] = map[int32]bool{}
-				}
-				atPos[key][a.Sym] = true
-			case label.KApp:
-				scan(a)
-			}
-		}
-	}
-	for _, el := range g.Labels() {
-		scan(el)
-	}
+	ix := g.LabelIndex()
 	doms := make(subst.Domains, pars)
-	for p := 0; p < pars; p++ {
-		use := positive[p]
-		if len(use) == 0 {
-			use = anywhere[p]
-		}
-		if len(use) == 0 {
+	for p := range doms {
+		use := paramPositions(q, int32(p), make([]position, 0, 8))
+		switch len(use) {
+		case 0:
 			doms[p] = g.U.AllSymbols()
-			continue
-		}
-		set := map[int32]bool{}
-		for k := range use {
-			for s := range atPos[k] {
-				set[s] = true
+		case 1:
+			doms[p] = ix.Symbols(use[0].ctor, use[0].arg)
+		default:
+			n := 0
+			for _, k := range use {
+				n += len(ix.Symbols(k.ctor, k.arg))
 			}
+			dom := make([]int32, 0, n)
+			for _, k := range use {
+				dom = append(dom, ix.Symbols(k.ctor, k.arg)...)
+			}
+			slices.Sort(dom)
+			doms[p] = slices.Compact(dom)
 		}
-		dom := make([]int32, 0, len(set))
-		for s := range set {
-			dom = append(dom, s)
-		}
-		sort.Slice(dom, func(i, j int) bool { return dom[i] < dom[j] })
-		doms[p] = dom
 	}
 	return doms
+}
+
+// position is a (constructor, argument index) pair of a label.
+type position struct {
+	ctor int32
+	arg  int
+}
+
+// paramPositions appends to buf the distinct positions at which parameter
+// p occurs positively in the query's transition labels or, if it never
+// does, the positions at which it occurs at all.
+func paramPositions(q *Query, p int32, buf []position) []position {
+	add := func(param, ctor int32, arg int) {
+		if k := (position{ctor, arg}); param == p && !slices.Contains(buf, k) {
+			buf = append(buf, k)
+		}
+	}
+	for _, tl := range q.NFA.Labels {
+		tl.PositivePositions(add)
+	}
+	if len(buf) == 0 {
+		for _, tl := range q.NFA.Labels {
+			tl.AllPositions(add)
+		}
+	}
+	return buf
 }
 
 // sortPairs orders result pairs canonically.

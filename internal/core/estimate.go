@@ -54,16 +54,11 @@ func EstimateQuery(q *Query, g *graph.Graph, mode DomainMode) Estimate {
 		States:      nfa.NumStates,
 		Symbs:       g.U.NumSymbols(),
 		Pars:        q.Pars(),
-		LabelSize:   nfa.MaxLabelSize(),
+		LabelSize:   max(nfa.MaxLabelSize(), g.LabelIndex().MaxLabelSize()),
 		EdgeLabels:  g.NumLabels(),
 		TransLabels: len(nfa.Labels),
 		GraphEdges:  g.NumEdges(),
 		PatternSize: nfa.NumTrans(),
-	}
-	for _, el := range g.Labels() {
-		if s := el.Size(); s > e.LabelSize {
-			e.LabelSize = s
-		}
 	}
 	for _, tl := range nfa.Labels {
 		if lp := len(tl.Params()); lp > e.LabelPars {

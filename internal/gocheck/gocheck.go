@@ -6,6 +6,7 @@
 package gocheck
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -149,7 +150,7 @@ func run(opts Options, load func(gofront.Config) (*gofront.Program, error)) (*Re
 		}
 		// Alphabet-coverage advisories (RPQ010/011/016): schema drift
 		// between the check patterns and what the frontend emitted.
-		for _, d := range analyze.LintForGraph(prog.Graph, pat.Expr(), c.Pattern, analyze.Config{}) {
+		for _, d := range analyze.AlphabetForGraph(prog.Graph, pat.Expr(), c.Pattern) {
 			switch d.Code {
 			case analyze.CodeUnknownCtor, analyze.CodeArityMismatch, analyze.CodeAlphabetCoverage:
 				rep.Advisories = append(rep.Advisories, Advisory{Check: c.Name, Diagnostic: d})
@@ -277,28 +278,31 @@ func shortSym(sym string) string {
 // ---- rendering ----
 
 // WriteText renders the report in vet style: pos: message [check], with an
-// optional caret snippet from the loaded sources.
-func (r *Report) WriteText(w io.Writer, prog func(file string) (string, bool), carets bool) {
+// optional caret snippet from the loaded sources. It returns the first
+// write error.
+func (r *Report) WriteText(w io.Writer, prog func(file string) (string, bool), carets bool) error {
+	bw := bufio.NewWriter(w)
 	for _, f := range r.Findings {
 		suffix := ""
 		if f.Suppressed {
 			suffix = " (suppressed)"
 		}
-		fmt.Fprintf(w, "%s: %s [%s]%s\n", f.Pos(), f.Message, f.Check, suffix)
+		fmt.Fprintf(bw, "%s: %s [%s]%s\n", f.Pos(), f.Message, f.Check, suffix)
 		if carets && prog != nil {
 			if src, ok := prog(f.File); ok {
-				fmt.Fprint(w, indent(span.Caret(src, f.Span), "\t"))
+				fmt.Fprint(bw, indent(span.Caret(src, f.Span), "\t"))
 			}
 		}
 	}
 	if len(r.Advisories) > 0 {
-		fmt.Fprintln(w, "# query/graph alphabet advisories:")
+		fmt.Fprintln(bw, "# query/graph alphabet advisories:")
 		for _, a := range r.Advisories {
-			fmt.Fprintf(w, "# [%s] %s\n", a.Check, a.Diagnostic)
+			fmt.Fprintf(bw, "# [%s] %s\n", a.Check, a.Diagnostic)
 		}
 	}
-	fmt.Fprintf(w, "%d finding(s), %d suppressed — %d function(s), %d vertices, %d edges\n",
+	fmt.Fprintf(bw, "%d finding(s), %d suppressed — %d function(s), %d vertices, %d edges\n",
 		len(r.Findings), r.Suppressed, r.Stats.Functions, r.Stats.Vertices, r.Stats.Edges)
+	return bw.Flush()
 }
 
 func indent(s, pad string) string {

@@ -13,8 +13,10 @@
 // built, every accessor — Out, Labels, Label, NumVertices, NumEdges, Start,
 // VertexName, SCC — is a pure read of immutable state and is safe to call
 // from any number of goroutines simultaneously; the query service relies
-// on this to run concurrent queries over one Graph without locks. Mutating
-// a graph while a query runs on it is a data race.
+// on this to run concurrent queries over one Graph without locks. The one
+// lazily built part, the label index (LabelIndex), is published atomically
+// and is safe to read concurrently too. Mutating a graph while a query
+// runs on it is a data race.
 //
 // The copies (Clone, Reverse, CompactFor) share their receiver's vertex
 // table rather than re-interning every name, and taking one only reads the
@@ -23,12 +25,15 @@
 // reads only its own first NumVertices names, and a copy interning a new
 // name first takes a private copy of the table. Adding a vertex to the
 // original while one of its copies is read concurrently is a data race.
+// Clone and CompactFor build their own label index on first read; Reverse
+// shares its receiver's (see Reverse).
 package graph
 
 import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync/atomic"
 
 	"rpq/internal/label"
 )
@@ -59,6 +64,9 @@ type Graph struct {
 	labelIDs    map[string]int32
 	numEdges    int
 	start       int32
+
+	// index is the label index, built on first read (see LabelIndex).
+	index atomic.Pointer[LabelIndex]
 }
 
 // New returns an empty graph over a fresh universe.
@@ -226,14 +234,20 @@ func (g *Graph) AddVertexLabelStr(vertex, lbl string) error {
 // Reverse returns the graph with every edge reversed, sharing the universe
 // and the vertex table. The paper evaluates backward queries by reversing
 // all edges before the query (Section 2.2). Only the edges are copied;
-// the original is only read, so concurrent Reverse calls on a built graph
-// are safe.
+// the original is only read, apart from building its label index once,
+// so concurrent Reverse calls on a built graph are safe. The reverse
+// shares the receiver's label index when it carries every label; a label
+// interned without an edge does not survive, and a reverse without it
+// gets an index of its own.
 func (g *Graph) Reverse() *Graph {
 	r := g.edgeless(g.U)
 	for v, es := range g.adj {
 		for _, e := range es {
 			r.AddEdgeC(e.To, e.Label, int32(v))
 		}
+	}
+	if len(r.labels) == len(g.labels) {
+		r.index.Store(g.LabelIndex())
 	}
 	return r
 }

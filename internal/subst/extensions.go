@@ -3,7 +3,9 @@ package subst
 // Domains assigns each parameter a candidate symbol set. Index i is the
 // domain of parameter i. The paper bounds the number of substitutions by
 // symbs^pars; Section 5.3 refines symbs to per-parameter domain sizes, which
-// this type realizes.
+// this type realizes. Domains are read-only: a domain may be shared with
+// other domains or with the graph it was computed on (core.ComputeDomains
+// hands out the graph's label-index slices), so no consumer modifies one.
 type Domains [][]int32
 
 // Uniform builds domains giving every one of pars parameters the same

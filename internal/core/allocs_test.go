@@ -3,6 +3,7 @@
 package core
 
 import (
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -60,14 +61,15 @@ func TestExistAllocsPerInsert(t *testing.T) {
 // rpqcheck's solves: the uninit-use check over the benchmod Go program
 // under AlgoMemo (rpq's default for existential queries). Every reached
 // base holds one substitution key and most (edge label, transition label)
-// pairs fail to match: 134 bytes per base on go1.24, linux/amd64, where
-// a domain table rebuilt from every graph label per solve took 170, and
-// slice-header base entries, a keyset per single-key base and a fresh
-// Match per failed pair 345. The reached bases are counted by an
+// pairs fail to match: 50 bytes per base on go1.24, linux/amd64, where
+// a heap Match per successful memo miss, pointer memo rows and a
+// string-keyed substitution table took 134, a domain table rebuilt from
+// every graph label per solve 170, and slice-header base entries, a
+// keyset per single-key base and a fresh Match per failed pair 345. The reached bases are counted by an
 // independent closure over the same matcher, which must agree with the
 // solver's ReachSize.
 func TestExistAllocsPerReachedBase(t *testing.T) {
-	const budget = 135 // bytes per reached base
+	const budget = 51 // bytes per reached base
 	prog, err := gofront.Load([]string{"../../testdata/goprog/benchmod/..."}, gofront.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +159,44 @@ func TestComputeDomainsAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() { ComputeDomains(q, g, DomainsRefined) })
 		if want := float64(1 + c.unions); allocs != want {
 			t.Errorf("%q: %.0f allocations per ComputeDomains, want %.0f", c.pat, allocs, want)
+		}
+	}
+}
+
+// TestMemoMissAllocs guards the memo's miss path: matching every (edge
+// label, transition label) pair of benchmod against each of the five
+// rpqcheck patterns on a fresh engine allocates only code-row chunks and
+// slab growth, so the count does not grow with the number of misses.
+func TestMemoMissAllocs(t *testing.T) {
+	prog, err := gofront.Load([]string{"../../testdata/goprog/benchmod/..."}, gofront.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := prog.Graph
+	for _, pat := range benchmodPatterns[:5] {
+		q := MustCompile(pattern.MustParse(pat), g.U)
+		var stats Stats
+		e, err := newEngine(g, q, q.NFA, Options{Algo: AlgoMemo, Table: subst.Hash}, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for elID, el := range g.Labels() {
+			for id, tl := range q.NFA.Labels {
+				e.match(tl, int32(id), el, int32(elID))
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		allocs := m1.Mallocs - m0.Mallocs
+		// Each slab growth at least multiplies its capacity by 1.25, so
+		// 2·log2(cap) bounds the regrowths; 8 covers the matcher's
+		// scratch warming up.
+		budget := uint64(len(e.memo.chunks) + 2*bits.Len(uint(cap(e.slab))) + 8)
+		t.Logf("%q: %d misses, %d chunks, slab %d: %d allocations (budget %d)",
+			pat, stats.MatchCacheMisses, len(e.memo.chunks), len(e.slab), allocs, budget)
+		if allocs > budget {
+			t.Errorf("%q: %d allocations for %d misses, budget %d", pat, allocs, stats.MatchCacheMisses, budget)
 		}
 	}
 }

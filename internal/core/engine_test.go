@@ -96,7 +96,7 @@ edge v1 use(a) v2
 		t.Fatalf("second match recomputed (calls %d -> %d)", calls, stats.MatchCalls)
 	}
 	if m1 != m2 {
-		t.Fatalf("memo returned different pointers")
+		t.Fatalf("memo returned codes %d then %d", m1, m2)
 	}
 	// Non-matching pairs are cached too (negative caching).
 	var defTl *label.CTerm
@@ -109,11 +109,11 @@ edge v1 use(a) v2
 		t.Fatal("use(x) label not found")
 	}
 	useID := q.NFA.LabelID[defTl.Key()]
-	if got := e.match(defTl, useID, el, elID); got != nil {
-		t.Fatalf("use(x) matched def(a): %+v", got)
+	if got := e.match(defTl, useID, el, elID); got != codeFailed {
+		t.Fatalf("use(x) matched def(a): code %d", got)
 	}
 	calls = stats.MatchCalls
-	if e.match(defTl, useID, el, elID) != nil || stats.MatchCalls != calls {
+	if e.match(defTl, useID, el, elID) != codeFailed || stats.MatchCalls != calls {
 		t.Fatalf("negative result not cached")
 	}
 }

@@ -101,11 +101,11 @@ func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts 
 
 // mtsEntry is one element of the target-and-substitution map M_ts: from the
 // keyed ⟨v, s⟩ pair, a successful match leads to ⟨v1, s1⟩. AD-compatible
-// labels carry their cached match; generic labels are stored unresolved and
+// labels carry their match code; generic labels hold codePossible and are
 // re-matched per substitution.
 type mtsEntry struct {
 	v1, s1 int32
-	m      *label.Match // nil for generic labels
+	code   int32
 	tl     *label.CTerm
 	el     *label.CTerm
 	// ti/elID attribute the entry's solve-time work to the originating
@@ -140,15 +140,11 @@ func buildMTS(e *engine, v0 int32) ([][]mtsEntry, int64) {
 					ti = e.ex.ti(s, i)
 					e.ex.setCur(ti, ge.LabelID)
 				}
-				m := e.possiblyMatches(tr.Label, tlID, ge.Label, ge.LabelID)
-				if m == nil {
+				c := e.possiblyMatches(tr.Label, tlID, ge.Label, ge.LabelID)
+				if c == codeFailed {
 					continue
 				}
-				entry := mtsEntry{v1: ge.To, s1: tr.To, tl: tr.Label, el: ge.Label, ti: ti, elID: ge.LabelID}
-				if tr.Label.ADCompatible() {
-					entry.m = m
-				}
-				mts[pair] = append(mts[pair], entry)
+				mts[pair] = append(mts[pair], mtsEntry{v1: ge.To, s1: tr.To, code: c, tl: tr.Label, el: ge.Label, ti: ti, elID: ge.LabelID})
 				mtsBytes += 48
 				np := packPair(ge.To, tr.To, states)
 				if !seenPair[np] {
@@ -293,8 +289,8 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 					push(entry.v1, entry.s1, th2, t, entry.el, t.v)
 					return true
 				}
-				if entry.m != nil {
-					e.applyMatch(entry.m, th, emit)
+				if entry.code != codePossible {
+					e.applyMatch(entry.code, th, emit)
 				} else {
 					e.forEachGeneric(entry.tl, entry.el, th, emit)
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -160,9 +159,8 @@ func TestHashTripleSetPromoteRelease(t *testing.T) {
 }
 
 // TestPrecompRetainsMatches runs the M_ts precomputation and then many more
-// matches through the same engine: the stored entries must keep the agree
-// and disagree sets of their own label pair. AlgoPrecomp memoizes, so no
-// entry aliases the scratch match that later calls overwrite.
+// matches through the same engine: the stored entries' codes must keep
+// decoding to the agree and disagree sets of their own label pair.
 func TestPrecompRetainsMatches(t *testing.T) {
 	for _, w := range corpus(t) {
 		for _, kind := range []subst.TableKind{subst.Hash, subst.Nested} {
@@ -185,14 +183,17 @@ func TestPrecompRetainsMatches(t *testing.T) {
 			n := 0
 			for _, entries := range mts {
 				for _, en := range entries {
-					if en.m == nil {
+					if !en.tl.ADCompatible() {
+						if en.code != codePossible {
+							t.Fatalf("%s/%v: generic M_ts entry holds code %d", w.name, kind, en.code)
+						}
 						continue
 					}
 					n++
 					fresh := label.MatchAD(en.tl, en.el)
-					if !sameMatch(en.m, &fresh) {
+					if got := decodeMatch(e.slab, en.code); !sameMatch(got, &fresh) {
 						t.Fatalf("%s/%v: stored M_ts match for %s vs %s changed: %+v, want %+v",
-							w.name, kind, en.tl.Format(w.g.U, q.PS), en.el.Format(w.g.U, nil), *en.m, fresh)
+							w.name, kind, en.tl.Format(w.g.U, q.PS), en.el.Format(w.g.U, nil), got, fresh)
 					}
 				}
 			}
@@ -205,11 +206,11 @@ func TestPrecompRetainsMatches(t *testing.T) {
 
 // TestMemoSharesFailedMatch runs every AD-compatible (edge label,
 // transition label) pair of the corpus through the memo twice. Every
-// failed pair's entry is the one shared failedMatch, which match never
-// returns and which stays zero-valued; every successful pair gets its own
-// entry equal to a fresh match; and the second pass only hits.
+// failed pair's slot holds codeFailed; every successful pair's code
+// decodes equal to a fresh match, and every unconditional success holds
+// the shared codeUncond; and the second pass only hits.
 func TestMemoSharesFailedMatch(t *testing.T) {
-	failed := 0
+	failed, uncond, records := 0, 0, 0
 	for _, w := range corpus(t) {
 		q := MustCompile(pattern.MustParse(w.pat), w.g.U)
 		var stats Stats
@@ -224,21 +225,28 @@ func TestMemoSharesFailedMatch(t *testing.T) {
 					if !tl.ADCompatible() {
 						continue
 					}
-					m := e.match(tl, int32(id), el, int32(elID))
-					entry := e.memo[elID][id]
+					c := e.match(tl, int32(id), el, int32(elID))
+					row, _ := e.memo.row(int32(elID))
 					fresh := label.MatchAD(tl, el)
+					pair := func() string { return tl.Format(w.g.U, q.PS) + " vs " + el.Format(w.g.U, nil) }
 					switch {
-					case m == &failedMatch:
-						t.Fatalf("%s: match returned the shared failed entry", w.name)
-					case m == nil:
-						if fresh.OK || entry != &failedMatch {
-							t.Fatalf("%s: %s vs %s: nil match, fresh OK %v, entry %p", w.name,
-								tl.Format(w.g.U, q.PS), el.Format(w.g.U, nil), fresh.OK, entry)
+					case row[id] != c:
+						t.Fatalf("%s: %s: match returned %d, memo slot holds %d", w.name, pair(), c, row[id])
+					case !fresh.OK:
+						if c != codeFailed {
+							t.Fatalf("%s: %s: failed pair holds code %d", w.name, pair(), c)
 						}
 						failed++
-					case m != entry || !sameMatch(m, &fresh):
-						t.Fatalf("%s: %s vs %s: match %+v is not its own memo entry equal to %+v", w.name,
-							tl.Format(w.g.U, q.PS), el.Format(w.g.U, nil), *m, fresh)
+					case len(fresh.Agree) == 0 && len(fresh.Disagrees) == 0:
+						if c != codeUncond {
+							t.Fatalf("%s: %s: unconditional pair holds code %d", w.name, pair(), c)
+						}
+						uncond++
+					default:
+						if got := decodeMatch(e.slab, c); c < slabHeader || !sameMatch(got, &fresh) {
+							t.Fatalf("%s: %s: code %d decodes to %+v, want %+v", w.name, pair(), c, got, fresh)
+						}
+						records++
 					}
 				}
 			}
@@ -247,11 +255,8 @@ func TestMemoSharesFailedMatch(t *testing.T) {
 			}
 		}
 	}
-	if failed == 0 {
-		t.Fatal("the corpus produced no failed matches")
-	}
-	if !reflect.DeepEqual(failedMatch, label.Match{}) {
-		t.Fatalf("shared failed entry was written: %+v", failedMatch)
+	if failed == 0 || uncond == 0 || records == 0 {
+		t.Fatalf("the corpus produced %d failed, %d unconditional and %d recorded matches; want each", failed, uncond, records)
 	}
 }
 
@@ -274,16 +279,48 @@ func TestPossiblyMatchesNeedsMemo(t *testing.T) {
 	e.possiblyMatches(q.NFA.Labels[0], 0, ge.Label, ge.LabelID)
 }
 
-// sameMatch reports whether two matches agree, ignoring the fields of
-// failed ones.
-func sameMatch(a, b *label.Match) bool {
+// decodedMatch is a match code read back from the slab.
+type decodedMatch struct {
+	OK        bool
+	Agree     label.Bindings
+	Disagrees []label.Bindings
+	DParams   []int32
+}
+
+// decodeMatch reads the record of code c back into bindings.
+func decodeMatch(slab []int32, c int32) decodedMatch {
+	if c == codeFailed {
+		return decodedMatch{}
+	}
+	pairs := func(p []int32) label.Bindings {
+		bs := label.Bindings{}
+		for i := 0; i < len(p); i += 2 {
+			bs = append(bs, label.Binding{Param: p[i], Sym: p[i+1]})
+		}
+		return bs
+	}
+	rec := slab[c:]
+	na, nd, np := 2*rec[0], rec[1], rec[2]
+	m := decodedMatch{OK: true, Agree: pairs(rec[3 : 3+na]), DParams: rec[3+na : 3+na+np]}
+	d := rec[3+na+np:]
+	for range nd {
+		n := 2 * d[0]
+		m.Disagrees = append(m.Disagrees, pairs(d[1:1+n]))
+		d = d[1+n:]
+	}
+	return m
+}
+
+// sameMatch reports whether a decoded match equals a computed one,
+// ignoring the fields of failed ones.
+func sameMatch(a decodedMatch, b *label.Match) bool {
 	if a.OK != b.OK {
 		return false
 	}
-	if !a.OK {
+	if !b.OK {
 		return true
 	}
 	return slices.Equal(a.Agree, b.Agree) &&
 		slices.EqualFunc(a.Disagrees, b.Disagrees, slices.Equal) &&
-		slices.Equal(a.DisagreeParams(), b.DisagreeParams())
+		slices.Equal(a.DParams, b.DisagreeParams())
 }

@@ -86,11 +86,13 @@ func UnivContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts O
 }
 
 // dsEntry is one element of the determinism-and-substitution map M_ds,
-// keyed by (edge label id, state): a match from that state's transitions.
+// keyed by (edge label id, state): a match from that state's transitions,
+// as a match code (codePossible for a generic label, re-matched per
+// substitution).
 type dsEntry struct {
-	s1 int32
-	m  *label.Match // nil for generic labels
-	tl *label.CTerm
+	s1   int32
+	code int32
+	tl   *label.CTerm
 	// ti attributes the entry's solve-time work to the originating DFA
 	// transition in the explain profile; meaningful only when explaining.
 	ti int32
@@ -165,15 +167,11 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 					ti = e.ex.ti(s, i)
 					e.ex.setCur(ti, elID)
 				}
-				m := e.possiblyMatches(tr.Label, tlID, el, elID)
-				if m == nil {
+				c := e.possiblyMatches(tr.Label, tlID, el, elID)
+				if c == codeFailed {
 					continue
 				}
-				de := dsEntry{s1: tr.To, tl: tr.Label, ti: ti}
-				if tr.Label.ADCompatible() {
-					de.m = m
-				}
-				entries = append(entries, de)
+				entries = append(entries, dsEntry{s1: tr.To, code: c, tl: tr.Label, ti: ti})
 				mdsBytes += 32
 			}
 			row[s] = entries
@@ -241,8 +239,8 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 						if e.ex != nil {
 							e.ex.setCur(de.ti, ge.LabelID)
 						}
-						if de.m != nil {
-							ok = e.applyMatch(de.m, th, emit)
+						if de.code != codePossible {
+							ok = e.applyMatch(de.code, th, emit)
 						} else {
 							ok = e.forEachGeneric(de.tl, ge.Label, th, emit)
 						}

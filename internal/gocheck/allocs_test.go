@@ -8,15 +8,17 @@ import (
 )
 
 // runAllocsBudget is the pinned allocation count of one Run of the whole
-// catalog over benchmod with one build worker: 5,790 on go1.24,
-// linux/amd64, plus under 1% slack. A full lint per check (compile, cost
-// estimate, domains) and a domain table rebuilt from every label per
-// query cost 7,842; string-keyed front-end units compiled per edge 9,393;
-// a Match per failed memo miss, a keyset per reached base and re-interned
-// vertex names per graph copy about 11,100; lowering the sources twice,
-// once per graph, about 15,200. A rise means the front end or the checks
-// grew; lower it when a change makes the path leaner.
-const runAllocsBudget = 5840
+// catalog over benchmod with one build worker: 4,066 on go1.24,
+// linux/amd64, plus under 1% slack. A heap Match per successful memo
+// miss, pointer memo rows and per-substitution hash-table keys cost 5,790;
+// a full lint per check (compile, cost estimate, domains) and a domain
+// table rebuilt from every label per query 7,842; string-keyed front-end
+// units compiled per edge 9,393; a Match per failed memo miss, a keyset
+// per reached base and re-interned vertex names per graph copy about
+// 11,100; lowering the sources twice, once per graph, about 15,200. A
+// rise means the front end or the checks grew; lower it when a change
+// makes the path leaner.
+const runAllocsBudget = 4100
 
 // TestRunAllocs guards the rpqcheck pass: lowering, linking and every
 // check's solve over benchmod must stay within runAllocsBudget

@@ -5,8 +5,8 @@ package subst
 import "testing"
 
 // TestHashTableLookupAllocs guards the hash table's hot path: Key and
-// Lookup on an already-interned substitution encode into the table's
-// reused buffer and do not allocate. Race instrumentation changes
+// Lookup on an already-interned substitution hash its values and probe the
+// index in place, without allocating. Race instrumentation changes
 // allocation counts, hence the build tag.
 func TestHashTableLookupAllocs(t *testing.T) {
 	tb := mustNewTable(t, Hash, 3, 16)

@@ -119,31 +119,34 @@ func MergeInto(dst, s, t Subst) bool {
 	return true
 }
 
-// MergeBindings computes merge(s, bs) for a bindings fragment, writing into
-// dst (same length as s; may alias s). Reports false on conflict.
-func MergeBindings(dst, s Subst, bs label.Bindings) bool {
+// MergeBindings computes merge(s, bs) for a bindings fragment given as
+// flat (parameter, symbol) pairs, writing into dst (same length as s; may
+// alias s). Reports false on conflict.
+func MergeBindings(dst, s Subst, bs []int32) bool {
 	if len(dst) == 0 {
 		return len(bs) == 0
 	}
 	if &dst[0] != &s[0] {
 		copy(dst, s)
 	}
-	for _, b := range bs {
-		if cur := dst[b.Param]; cur != NoSym && cur != b.Sym {
+	for i := 0; i+1 < len(bs); i += 2 {
+		p, sym := bs[i], bs[i+1]
+		if cur := dst[p]; cur != NoSym && cur != sym {
 			return false
 		}
-		dst[b.Param] = b.Sym
+		dst[p] = sym
 	}
 	return true
 }
 
 // Contradicts reports whether merge(s, bs) = badsubst, i.e. s disagrees with
-// at least one binding in bs on a parameter bound in both. This is the
-// disagree test of Section 3: a label with a single negation matches under s
-// iff s is consistent with agree and Contradicts(s, disagree).
-func Contradicts(s Subst, bs label.Bindings) bool {
-	for _, b := range bs {
-		if v := s[b.Param]; v != NoSym && v != b.Sym {
+// at least one binding of the flat (parameter, symbol) pairs bs on a
+// parameter bound in both. This is the disagree test of Section 3: a label
+// with a single negation matches under s iff s is consistent with agree and
+// Contradicts(s, disagree).
+func Contradicts(s Subst, bs []int32) bool {
+	for i := 0; i+1 < len(bs); i += 2 {
+		if v := s[bs[i]]; v != NoSym && v != bs[i+1] {
 			return true
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"rpq/internal/label"
 )
 
 // genSubst produces a random substitution over pars parameters with symbol
@@ -110,12 +108,12 @@ func TestMergeProperties(t *testing.T) {
 
 func TestMergeBindingsAndContradicts(t *testing.T) {
 	s := Subst{0, NoSym, 2}
-	bs := label.Bindings{{Param: 1, Sym: 9}}
+	bs := []int32{1, 9}
 	dst := s.Clone()
 	if !MergeBindings(dst, s, bs) || dst[1] != 9 {
 		t.Fatalf("MergeBindings = %v", dst)
 	}
-	conflict := label.Bindings{{Param: 0, Sym: 5}}
+	conflict := []int32{0, 5}
 	dst = s.Clone()
 	if MergeBindings(dst, s, conflict) {
 		t.Fatalf("conflicting MergeBindings succeeded")
@@ -126,7 +124,7 @@ func TestMergeBindingsAndContradicts(t *testing.T) {
 	if !Contradicts(s, conflict) {
 		t.Errorf("Contradicts false for conflicting binding")
 	}
-	if Contradicts(s, label.Bindings{{Param: 0, Sym: 0}}) {
+	if Contradicts(s, []int32{0, 0}) {
 		t.Errorf("Contradicts true for agreeing binding")
 	}
 }

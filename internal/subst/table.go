@@ -17,7 +17,7 @@ var ErrCapacity = errors.New("int32 key capacity exceeded")
 type TableKind int
 
 const (
-	// Hash uses hash tables keyed on the substitution's bytes.
+	// Hash uses hash tables keyed on the substitution's values.
 	Hash TableKind = iota
 	// Nested uses nested arrays (a trie over symbol keys, one level per
 	// parameter), the "based" representation of Schonberg et al. as used in
@@ -93,60 +93,101 @@ func checkTableDims(pars, symbols int) error {
 
 // ---- hash representation ----
 
+// hashTable interns substitutions into one flat value array, pars values
+// per key, indexed by an open-addressed table of key+1 slots (0 = empty)
+// probed linearly from a hash of the values and confirmed against the
+// stored substitution. Neither array holds pointers, and every parameter
+// count, zero included, takes the same path.
 type hashTable struct {
 	pars   int
-	byKey  map[string]int32
-	substs []Subst
+	n      int32
+	vals   []int32 // key k's values are vals[k*pars : (k+1)*pars]
+	index  []int32 // power-of-two length; key+1, or 0 for an empty slot
 	bytes  int64
 	onGrow func(n int, bytes int64)
-	// buf holds the byte encoding of the substitution being looked up.
-	// Indexing byKey with string(buf) does not allocate, so only an insert
-	// builds a key string.
-	buf []byte
 }
+
+// hashTableInitSlots is the index size of an empty table.
+const hashTableInitSlots = 16
 
 func newHashTable(pars int) *hashTable {
-	return &hashTable{pars: pars, byKey: make(map[string]int32), buf: make([]byte, pars*4)}
+	return &hashTable{pars: pars, index: make([]int32, hashTableInitSlots)}
 }
 
-// encode writes the little-endian bytes of s into t.buf and returns it.
-func (t *hashTable) encode(s Subst) []byte {
-	b := t.buf[:len(s)*4]
-	for i, v := range s {
-		u := uint32(v)
-		b[i*4] = byte(u)
-		b[i*4+1] = byte(u >> 8)
-		b[i*4+2] = byte(u >> 16)
-		b[i*4+3] = byte(u >> 24)
+// hashSubst mixes the values of s into a 64-bit hash.
+func hashSubst(s Subst) uint64 {
+	h := uint64(len(s))
+	for _, v := range s {
+		h = (h ^ uint64(uint32(v))) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
 	}
-	return b
+	return h
+}
+
+// find returns the index slot of s: the slot holding its key, or the empty
+// slot where it would be inserted.
+func (t *hashTable) find(s Subst) int {
+	mask := len(t.index) - 1
+	for i := int(hashSubst(s)) & mask; ; i = (i + 1) & mask {
+		k := t.index[i]
+		if k == 0 || Subst(t.vals[int(k-1)*t.pars:int(k)*t.pars]).Equal(s) {
+			return i
+		}
+	}
 }
 
 func (t *hashTable) Key(s Subst) int32 {
-	b := t.encode(s)
-	if id, ok := t.byKey[string(b)]; ok {
-		return id
+	i := t.find(s)
+	if k := t.index[i]; k != 0 {
+		return k - 1
 	}
-	id := int32(len(t.substs))
-	t.byKey[string(b)] = id
-	t.substs = append(t.substs, s.Clone())
-	// Key string + map entry overhead + stored substitution + slice header.
-	t.bytes += int64(len(b)) + 48 + int64(len(s)*4) + 24
+	id := t.n
+	t.n++
+	t.vals = append(t.vals, s...)
+	t.index[i] = id + 1
+	if 2*int(t.n) > len(t.index) {
+		t.rehash()
+	}
+	// Key bytes + map entry overhead + stored substitution + slice header:
+	// the Table 3 model of a string-keyed map, kept for comparability.
+	t.bytes += int64(len(s))*8 + 72
 	if t.onGrow != nil {
-		t.onGrow(len(t.substs), t.bytes)
+		t.onGrow(int(t.n), t.bytes)
 	}
 	return id
 }
 
-func (t *hashTable) Lookup(s Subst) (int32, bool) {
-	id, ok := t.byKey[string(t.encode(s))]
-	return id, ok
+// rehash doubles the index and reinserts every key.
+func (t *hashTable) rehash() {
+	t.index = make([]int32, 2*len(t.index))
+	mask := len(t.index) - 1
+	for k := int32(0); k < t.n; k++ {
+		i := int(hashSubst(t.vals[int(k)*t.pars:int(k+1)*t.pars])) & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = k + 1
+	}
 }
 
-func (t *hashTable) Get(k int32) Subst { return t.substs[k] }
-func (t *hashTable) Len() int          { return len(t.substs) }
-func (t *hashTable) Bytes() int64      { return t.bytes }
-func (t *hashTable) Kind() TableKind   { return Hash }
+func (t *hashTable) Lookup(s Subst) (int32, bool) {
+	k := t.index[t.find(s)]
+	if k == 0 {
+		return 0, false
+	}
+	return k - 1, true
+}
+
+// Get returns a capped subslice of the value array: a later insert appends
+// past it or copies the array, and never writes into it.
+func (t *hashTable) Get(k int32) Subst {
+	lo, hi := int(k)*t.pars, int(k+1)*t.pars
+	return t.vals[lo:hi:hi]
+}
+
+func (t *hashTable) Len() int        { return int(t.n) }
+func (t *hashTable) Bytes() int64    { return t.bytes }
+func (t *hashTable) Kind() TableKind { return Hash }
 
 func (t *hashTable) SetOnGrow(fn func(n int, bytes int64)) { t.onGrow = fn }
 

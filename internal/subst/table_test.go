@@ -3,6 +3,7 @@ package subst
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -52,5 +53,65 @@ func TestNestedAscendingKeysLinear(t *testing.T) {
 	// Bytes stays consistent with geometric growth: linear in n.
 	if b := tb.Bytes(); b <= 0 || b > 64*n {
 		t.Fatalf("Bytes = %d", b)
+	}
+}
+
+// TestHashTableModel runs seeded random Key, Lookup and Get calls on the
+// hash table at 0, 1, 2 and 5 parameters against a map keyed by the
+// substitution's string form, through several index resizes. A Get result
+// taken before 10k further Key calls must be unchanged after them.
+func TestHashTableModel(t *testing.T) {
+	for _, pars := range []int{0, 1, 2, 5} {
+		rng := rand.New(rand.NewSource(int64(pars) + 1))
+		tb := mustNewTable(t, Hash, pars, 64)
+		ht := tb.(*hashTable)
+		ref := map[string]int32{}
+		var keys []Subst
+		gen := func() Subst { return genSubst(rng, pars, 64) }
+		early := tb.Get(tb.Key(New(pars)))
+		ref[New(pars).String()] = 0
+		keys = append(keys, New(pars))
+		earlyWant := early.Clone()
+		resizes, slots := 0, len(ht.index)
+		for inserts := 0; inserts < 10_000; {
+			s := gen()
+			want, known := ref[s.String()]
+			switch rng.Intn(3) {
+			case 0:
+				got, ok := tb.Lookup(s)
+				if ok != known || (ok && got != want) {
+					t.Fatalf("pars %d: Lookup(%v) = %d, %v; model %d, %v", pars, s, got, ok, want, known)
+				}
+			default:
+				inserts++
+				got := tb.Key(s)
+				if !known {
+					want = int32(len(keys))
+					ref[s.String()] = want
+					keys = append(keys, s)
+				}
+				if got != want {
+					t.Fatalf("pars %d: Key(%v) = %d, model %d", pars, s, got, want)
+				}
+			}
+			if k := rng.Intn(len(keys)); !tb.Get(int32(k)).Equal(keys[k]) {
+				t.Fatalf("pars %d: Get(%d) = %v, model %v", pars, k, tb.Get(int32(k)), keys[k])
+			}
+			if len(ht.index) != slots {
+				resizes, slots = resizes+1, len(ht.index)
+			}
+		}
+		if tb.Len() != len(keys) {
+			t.Fatalf("pars %d: Len = %d, model %d", pars, tb.Len(), len(keys))
+		}
+		if want := int64(len(keys)) * int64(8*pars+72); tb.Bytes() != want {
+			t.Fatalf("pars %d: Bytes = %d, model %d", pars, tb.Bytes(), want)
+		}
+		if pars >= 1 && resizes < 3 {
+			t.Fatalf("pars %d: %d index resizes over %d keys, want several", pars, resizes, len(keys))
+		}
+		if !early.Equal(earlyWant) || cap(early) != pars {
+			t.Fatalf("pars %d: early Get result changed to %v (cap %d), want %v", pars, early, cap(early), earlyWant)
+		}
 	}
 }

@@ -12,10 +12,9 @@
 // and the start vertex. Graphs in the Aldébaran .aut format are accepted
 // with -aut.
 //
-// Observability flags (docs/observability.md): -http serves /metrics, the
-// live dashboard (/debug/rpq/dash), the telemetry time-series
-// (/debug/rpq/ts, cadence -sample, window -retain), /debug/rpq/queries,
-// /debug/vars, and /debug/pprof during the run; -trace
+// Observability flags (docs/observability.md): -http serves /metrics
+// (runtime gauges sampled every -sample), /debug/rpq/queries,
+// /debug/rpq/exemplars, /debug/vars, and /debug/pprof during the run; -trace
 // records a Chrome trace_event file for chrome://tracing; -events streams
 // NDJSON trace events; -slow logs slow queries; -stats selects text, json,
 // or csv run statistics; -explain prints a per-state/per-label execution
@@ -60,9 +59,8 @@ func main() {
 		start     = flag.String("start", "", "start vertex (default: graph's start; backward: after exit())")
 		compact   = flag.Bool("compact", false, "drop query-irrelevant edges first (existential)")
 		statsFmt  = flag.String("stats", "", "print run statistics: text|json|csv")
-		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/{queries,ts,dash}, /debug/vars, and /debug/pprof on this address during the run")
-		sample    = flag.Duration("sample", time.Second, "with -http, runtime-metrics sampling and time-series snapshot cadence (0 disables both)")
-		retain    = flag.Duration("retain", 10*time.Minute, "with -http, telemetry time-series retention window")
+		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/{queries,exemplars}, /debug/vars, and /debug/pprof on this address during the run")
+		sample    = flag.Duration("sample", time.Second, "with -http, runtime-metrics sampling cadence (0 disables the sampler)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing)")
 		eventsOut = flag.String("events", "", "stream structured trace events as NDJSON to this file (- for stderr)")
 		slow      = flag.Duration("slow", 0, "log queries at or above this duration as NDJSON to stderr")
@@ -127,16 +125,16 @@ func main() {
 	// Observability wiring: live HTTP endpoints, trace sinks, slow log,
 	// progress ticker, watchdog.
 	if *httpAddr != "" {
-		cfg := rpq.ObservabilityConfig{SampleInterval: *sample, TSInterval: *sample, Retention: *retain}
+		cfg := rpq.ObservabilityConfig{SampleInterval: *sample}
 		if *sample == 0 {
-			cfg.SampleInterval, cfg.TSInterval = -1, -1
+			cfg.SampleInterval = -1
 		}
 		srv, err := rpq.ServeObservabilityWith(*httpAddr, cfg)
 		if err != nil {
 			fail("%v", err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "rpq: observability on http://%s (dashboard: http://%s/debug/rpq/dash)\n",
+		fmt.Fprintf(os.Stderr, "rpq: observability on http://%s (index: http://%s/debug/rpq/)\n",
 			srv.Server.Addr, srv.Server.Addr)
 		opts.Gauges = rpq.LiveGauges()
 	}

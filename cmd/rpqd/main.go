@@ -4,7 +4,9 @@
 // in-flight query listing and cancellation, with a shared compiled-query
 // cache and admission control in front of the solver. An optional second
 // listener serves the observability plane (/metrics, /debug/rpq/queries,
-// /debug/rpq/ts, /debug/rpq/dash). On SIGINT/SIGTERM the daemon drains:
+// /debug/rpq/prof; the index is at /debug/rpq/). Each -slo objective adds
+// the rpq_http_slo_total/rpq_http_slo_good counters for its route to
+// /metrics. On SIGINT/SIGTERM the daemon drains:
 // new requests get 503, in-flight queries run up to -drain-timeout and are
 // then canceled, and only afterwards does the observability plane close, so
 // the last queries' metrics remain scrapeable to the end.
@@ -65,8 +67,13 @@ func (s *sloFlags) Set(v string) error {
 	if len(parts) < 2 || len(parts) > 3 {
 		return fmt.Errorf("want route:objective or route:objective:latency, got %q", v)
 	}
+	if parts[0] == "" {
+		return fmt.Errorf("route must be non-empty, got %q", v)
+	}
+	// Written as a negated range so NaN, which every comparison rejects,
+	// fails it too.
 	obj, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || obj <= 0 || obj >= 1 {
+	if err != nil || !(obj > 0 && obj < 1) {
 		return fmt.Errorf("objective must be a fraction in (0,1), got %q", parts[1])
 	}
 	slo := rpq.SLO{Route: parts[0], Objective: obj}
@@ -191,7 +198,7 @@ func main() {
 
 	var obsSrv *rpq.ObservabilityServer
 	if *obsAddr != "" {
-		obsCfg := rpq.ObservabilityConfig{SLOs: slos}
+		obsCfg := rpq.ObservabilityConfig{}
 		if *profOn {
 			obsCfg.Profiling = &rpq.ProfilingConfig{
 				Window:   *profWindow,

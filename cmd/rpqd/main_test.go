@@ -14,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"rpq"
 )
 
 // runAsRpqd is the environment variable under which the test binary runs
@@ -261,5 +263,47 @@ func TestRpqdProcess(t *testing.T) {
 	}
 	if !audited {
 		t.Fatalf("no audit line for the heavy-graph PUT:\n%s", logRaw)
+	}
+}
+
+// TestSLOFlagsSet pins the -slo syntax: route:objective[:latency] with a
+// non-empty route, an objective strictly inside (0,1), and a positive
+// latency threshold.
+func TestSLOFlagsSet(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want *rpq.SLO // nil: Set must reject in
+	}{
+		{"query:0.999", &rpq.SLO{Route: "query", Objective: 0.999}},
+		{"query:0.99:30s", &rpq.SLO{Route: "query", Objective: 0.99, LatencyThreshold: 30 * time.Second}},
+		{"graph_load:0.5:250ms", &rpq.SLO{Route: "graph_load", Objective: 0.5, LatencyThreshold: 250 * time.Millisecond}},
+		{"query", nil},
+		{"query:", nil},
+		{"query:0.9:1s:x", nil},
+		{":0.9", nil},
+		{":0.9:1s", nil},
+		{"query:0", nil},
+		{"query:1", nil},
+		{"query:1.5", nil},
+		{"query:-0.5", nil},
+		{"query:NaN", nil},
+		{"query:nan", nil},
+		{"query:Inf", nil},
+		{"query:-Inf", nil},
+		{"query:high", nil},
+		{"query:0.9:soon", nil},
+		{"query:0.9:0s", nil},
+		{"query:0.9:-1s", nil},
+	} {
+		var s sloFlags
+		err := s.Set(tc.in)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("Set(%q) accepted %+v, want an error", tc.in, s)
+		case tc.want != nil && err != nil:
+			t.Errorf("Set(%q): %v", tc.in, err)
+		case tc.want != nil && (len(s) != 1 || s[0] != *tc.want):
+			t.Errorf("Set(%q) = %+v, want [%+v]", tc.in, s, *tc.want)
+		}
 	}
 }

@@ -22,17 +22,11 @@ type ServeOptions struct {
 	// Inflight is the in-flight query registry served on /debug/rpq/queries;
 	// nil means DefaultInflight().
 	Inflight *Inflight
-	// TimeSeries, when non-nil, is exported on /debug/rpq/ts and feeds the
-	// dashboard's sparklines. The server does not start or stop it.
-	TimeSeries *TimeSeries
-	// SLO, when non-nil, is served on /debug/rpq/slo and feeds the
-	// dashboard's burn-rate panel.
-	SLO *SLOTracker
 	// Prof, when non-nil, is the continuous profiler's HTTP surface
 	// (prof.Profiler.Handler()), mounted at /debug/rpq/prof.
 	Prof http.Handler
-	// QueryHist, when non-nil, feeds the /debug/rpq/exemplars endpoint and
-	// the dashboard's trace-exemplar table (typically SolverGauges.QueryHist).
+	// QueryHist, when non-nil, feeds the /debug/rpq/exemplars endpoint
+	// (typically SolverGauges.QueryHist).
 	QueryHist *Histogram
 }
 
@@ -58,12 +52,9 @@ func Serve(addr string, reg *Registry) (*http.Server, error) {
 //	                    rpq_build_info
 //	/debug/rpq/         JSON index of every debug surface with descriptions
 //	/debug/rpq/queries  JSON snapshots of the queries executing right now
-//	/debug/rpq/ts       the retained telemetry window as rpq-tsdb/1 JSON
-//	/debug/rpq/slo      SLO burn rates as rpq-slo/1 JSON (when configured)
 //	/debug/rpq/prof     continuous-profiler windows as rpq-prof/1 JSON (when
 //	                    configured; raw pprof bytes under /download)
 //	/debug/rpq/exemplars  latency-bucket trace exemplars as JSON
-//	/debug/rpq/dash     the live HTML dashboard
 //	/debug/vars         expvar JSON (includes the registry under "rpq_metrics")
 //	/debug/pprof/       the standard pprof profile index
 //
@@ -105,22 +96,6 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 		enc.SetIndent("", "  ")
 		enc.Encode(map[string]any{"queries": snaps})
 	})
-	mux.HandleFunc("/debug/rpq/ts", func(w http.ResponseWriter, r *http.Request) {
-		if o.TimeSeries == nil {
-			http.Error(w, "time-series store not enabled on this server", http.StatusNotImplemented)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		o.TimeSeries.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/rpq/slo", func(w http.ResponseWriter, r *http.Request) {
-		if o.SLO == nil {
-			http.Error(w, "SLO tracking not enabled on this server", http.StatusNotImplemented)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		o.SLO.WriteJSON(w)
-	})
 	if o.Prof != nil {
 		mux.Handle("/debug/rpq/prof", o.Prof)
 		mux.Handle("/debug/rpq/prof/", o.Prof)
@@ -140,16 +115,14 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 		enc.Encode(map[string]any{"exemplars": ex})
 	})
 	// The debug index: every surface this server can expose, with one-line
-	// descriptions, so operators stop guessing URLs.
+	// descriptions, so operators stop guessing URLs. It is also the source
+	// of the plain-text list served at /.
 	surfaces := []debugSurface{
 		{"/metrics", "Prometheus text exposition: gauges, latency summaries + _hist bucket families with trace exemplars, rpq_build_info", true},
 		{"/debug/rpq/", "this index", true},
 		{"/debug/rpq/queries", "JSON snapshots of the queries executing right now", true},
-		{"/debug/rpq/ts", "retained telemetry window as rpq-tsdb/1 JSON (sparkline source)", o.TimeSeries != nil},
-		{"/debug/rpq/slo", "SLO burn rates per objective and window as rpq-slo/1 JSON", o.SLO != nil},
 		{"/debug/rpq/prof", "continuous-profiler windows as rpq-prof/1 JSON with each window's pprof label values; /download?window=N fetches the raw pprof proto for go tool pprof", o.Prof != nil},
 		{"/debug/rpq/exemplars", "latency-bucket trace exemplars (slowest buckets first) as JSON", o.QueryHist != nil},
-		{"/debug/rpq/dash", "live HTML dashboard: sparklines, in-flight queries, SLO burn, latency exemplars", true},
 		{"/debug/vars", "expvar JSON including the registry under rpq_metrics", true},
 		{"/debug/pprof/", "standard net/http/pprof index (on-demand profiles)", true},
 	}
@@ -163,7 +136,6 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 		enc.SetIndent("", "  ")
 		enc.Encode(map[string]any{"schema": "rpq-debug/1", "surfaces": surfaces})
 	})
-	mux.Handle("/debug/rpq/dash", DashHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -175,7 +147,10 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "rpq observability\n\n/metrics\n/debug/rpq/\n/debug/rpq/queries\n/debug/rpq/ts\n/debug/rpq/slo\n/debug/rpq/prof\n/debug/rpq/exemplars\n/debug/rpq/dash\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "rpq observability\n\n")
+		for _, s := range surfaces {
+			fmt.Fprintln(w, s.Path)
+		}
 	})
 	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
 	go srv.Serve(ln)

@@ -16,9 +16,8 @@ import (
 //     means no server error and, when the objective carries a latency
 //     threshold, a duration at or under it.
 //
-// All families are labeled registry metrics, so they appear in /metrics, in
-// Snapshot, and therefore in every tsdb point — which is what the SLO
-// burn-rate tracker consumes.
+// All families are labeled registry metrics, so they appear in /metrics and
+// in Snapshot; a scraper derives SLO burn rates from the two SLO counters.
 type HTTPMetrics struct {
 	reg  *Registry
 	slos map[string]SLO

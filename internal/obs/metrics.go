@@ -114,7 +114,7 @@ func joinLabels(fam, labels, extra string) string {
 // family, creating it on first use. The help text is attached to the family:
 // WritePrometheus renders one HELP/TYPE header per family followed by every
 // label combination's sample, and Snapshot exposes each combination under
-// its MetricKey, so labeled families flow into the tsdb unchanged.
+// its MetricKey.
 func (r *Registry) LabeledGauge(family, help string, kv ...string) *Gauge {
 	name := MetricKey(family, kv...)
 	r.mu.Lock()

@@ -10,8 +10,8 @@ import (
 // RuntimeSampler periodically reads a fixed set of runtime/metrics samples —
 // live heap, cumulative allocation, goroutine count, GC cycles and pause
 // quantiles, scheduler latency quantiles — into gauges of a Registry, so the
-// runtime's behavior shows up in /metrics, the time-series store, and the
-// dashboard next to the query-engine metrics. All reads go through
+// runtime's behavior shows up in /metrics next to the query-engine
+// metrics. All reads go through
 // runtime/metrics: none of them stop the world, unlike the
 // runtime.ReadMemStats sampling this replaces.
 //

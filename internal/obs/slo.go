@@ -1,18 +1,10 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
-// SLOSchema identifies the JSON shape served at /debug/rpq/slo; bump it when
-// the document changes so consumers fail loudly instead of misreading.
-const SLOSchema = "rpq-slo/1"
-
-// Metric families the HTTP middleware maintains for SLO accounting; the
-// burn-rate tracker reads them back out of the tsdb window.
+// Metric families the HTTP middleware maintains for SLO accounting. A
+// scraper derives the burn rate over any window from their deltas:
+// (1 - Δgood/Δtotal) / (1 - objective).
 const (
 	SLOTotalFamily = "rpq_http_slo_total"
 	SLOGoodFamily  = "rpq_http_slo_good"
@@ -39,144 +31,4 @@ func (s SLO) Good(status int, dur time.Duration) bool {
 		return false
 	}
 	return s.LatencyThreshold == 0 || dur <= s.LatencyThreshold
-}
-
-// SLOWindowStatus is the burn-rate readout of one objective over one
-// trailing window.
-type SLOWindowStatus struct {
-	// Window is the nominal window ("5m", "1h").
-	Window string `json:"window"`
-	// SpanMS is the span the retained history actually covered — shorter
-	// than the nominal window until enough history accumulates.
-	SpanMS int64 `json:"span_ms"`
-	// Total/Bad are the SLO-eligible and budget-burning request counts over
-	// the span.
-	Total int64 `json:"total"`
-	Bad   int64 `json:"bad"`
-	// BadFraction is Bad/Total (0 when Total is 0).
-	BadFraction float64 `json:"bad_fraction"`
-	// BurnRate is BadFraction divided by the error budget (1-objective): 1.0
-	// burns the budget exactly at the sustainable rate, >1 exhausts it
-	// early. A 14.4x burn on the 5m window is the classic page threshold.
-	BurnRate float64 `json:"burn_rate"`
-}
-
-// SLOStatus is one objective's full readout.
-type SLOStatus struct {
-	Route     string  `json:"route"`
-	Objective float64 `json:"objective"`
-	// LatencyThresholdMS is the latency component of "good", 0 = none.
-	LatencyThresholdMS int64 `json:"latency_threshold_ms,omitempty"`
-	// Windows holds one entry per configured window, short to long. A
-	// window with no usable history is omitted.
-	Windows []SLOWindowStatus `json:"windows"`
-	// BudgetRemaining is the unburned error-budget fraction over the
-	// longest usable window, clamped to [0,1]: 1 = untouched, 0 = exhausted
-	// (or blown).
-	BudgetRemaining float64 `json:"error_budget_remaining"`
-}
-
-// SLOReport is the /debug/rpq/slo document.
-type SLOReport struct {
-	Schema string      `json:"schema"`
-	SLOs   []SLOStatus `json:"slos"`
-}
-
-// SLOTracker computes multi-window burn rates for a set of objectives from
-// the counter series the HTTP middleware records into a TimeSeries ring. It
-// holds no state of its own — every Report reads the ring fresh.
-type SLOTracker struct {
-	ts      *TimeSeries
-	slos    []SLO
-	windows []time.Duration
-}
-
-// DefaultSLOWindows are the classic multi-window burn-rate pair: a short
-// window that reacts fast and a long window that filters blips.
-var DefaultSLOWindows = []time.Duration{5 * time.Minute, time.Hour}
-
-// NewSLOTracker returns a tracker over ts for the given objectives, using
-// DefaultSLOWindows when windows is empty.
-func NewSLOTracker(ts *TimeSeries, slos []SLO, windows ...time.Duration) *SLOTracker {
-	if len(windows) == 0 {
-		windows = DefaultSLOWindows
-	}
-	return &SLOTracker{ts: ts, slos: slos, windows: windows}
-}
-
-// SLOs returns the configured objectives.
-func (t *SLOTracker) SLOs() []SLO { return t.slos }
-
-// windowName renders a duration compactly ("5m", "1h", "90s").
-func windowName(d time.Duration) string {
-	switch {
-	case d%time.Hour == 0:
-		return fmt.Sprintf("%dh", d/time.Hour)
-	case d%time.Minute == 0:
-		return fmt.Sprintf("%dm", d/time.Minute)
-	}
-	return fmt.Sprintf("%ds", d/time.Second)
-}
-
-// Report computes the current burn-rate readout for every objective.
-func (t *SLOTracker) Report() SLOReport {
-	rep := SLOReport{Schema: SLOSchema}
-	for _, s := range t.slos {
-		st := SLOStatus{
-			Route:              s.Route,
-			Objective:          s.Objective,
-			LatencyThresholdMS: s.LatencyThreshold.Milliseconds(),
-			Windows:            []SLOWindowStatus{},
-			BudgetRemaining:    1,
-		}
-		budget := 1 - s.Objective
-		totalKey := MetricKey(SLOTotalFamily, "route", s.Route)
-		goodKey := MetricKey(SLOGoodFamily, "route", s.Route)
-		for _, w := range t.windows {
-			totalD, span, ok := t.ts.SeriesDelta(totalKey, w)
-			if !ok {
-				continue
-			}
-			goodD, _, okGood := t.ts.SeriesDelta(goodKey, w)
-			if !okGood {
-				// A route that has served only bad requests never registers
-				// the good counter; treat it as zero good.
-				goodD = 0
-			}
-			bad := totalD - goodD
-			if bad < 0 {
-				bad = 0
-			}
-			ws := SLOWindowStatus{Window: windowName(w), SpanMS: span.Milliseconds(), Total: totalD, Bad: bad}
-			if totalD > 0 {
-				ws.BadFraction = float64(bad) / float64(totalD)
-			}
-			if budget > 0 {
-				ws.BurnRate = ws.BadFraction / budget
-			} else if ws.BadFraction > 0 {
-				// A 100% objective has no budget; any badness burns
-				// infinitely fast. Report a sentinel large rate instead of
-				// +Inf, which JSON cannot carry.
-				ws.BurnRate = 1e9
-			}
-			st.Windows = append(st.Windows, ws)
-			// Budget remaining tracks the longest usable window; windows are
-			// configured short to long, so the last one wins.
-			rem := 1 - ws.BurnRate
-			if rem < 0 {
-				rem = 0
-			}
-			if rem > 1 {
-				rem = 1
-			}
-			st.BudgetRemaining = rem
-		}
-		rep.SLOs = append(rep.SLOs, st)
-	}
-	return rep
-}
-
-// WriteJSON writes the current report as JSON.
-func (t *SLOTracker) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(t.Report())
 }

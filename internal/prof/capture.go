@@ -20,14 +20,8 @@ const (
 	DefaultRetain   = 32
 )
 
-const (
-	// maxPinned bounds the anomaly-pinned windows kept beside the retained
-	// ones.
-	maxPinned = 8
-	// sloBurnThreshold is the burn rate at which WatchSLO pins the active
-	// window: burning error budget faster than the objective allows.
-	sloBurnThreshold = 1.0
-)
+// maxPinned bounds the anomaly-pinned windows kept beside the retained ones.
+const maxPinned = 8
 
 // labelKeys are the pprof labels the query layer stamps whose values the
 // window listing reports. Labels ride on CPU samples only: the runtime does
@@ -52,8 +46,7 @@ type Options struct {
 // Profiler is the always-on continuous profiler: Start launches the capture
 // loop, Store exposes the retained windows, Handler lists them as rpq-prof/1
 // JSON and serves their raw bytes, and PinActive pins the window covering
-// "now" (cutting the in-flight capture short) for watchdog bundles and SLO
-// breaches.
+// "now" (cutting the in-flight capture short) for watchdog bundles.
 type Profiler struct {
 	window   time.Duration
 	interval time.Duration
@@ -69,9 +62,6 @@ type Profiler struct {
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
-
-	sloStop chan struct{}
-	sloDone chan struct{}
 }
 
 // capture tracks one in-flight CPU window so PinActive can cut it short and
@@ -153,8 +143,8 @@ func (p *Profiler) Start() {
 	}()
 }
 
-// Stop terminates the capture loop (ending an in-flight window) and the SLO
-// watcher, and waits for both to exit. The retained windows stay readable.
+// Stop terminates the capture loop (ending an in-flight window) and waits for
+// it to exit. The retained windows stay readable.
 func (p *Profiler) Stop() {
 	p.mu.Lock()
 	if !p.started {
@@ -163,15 +153,9 @@ func (p *Profiler) Stop() {
 	}
 	p.started = false
 	stop, done := p.stop, p.done
-	sloStop, sloDone := p.sloStop, p.sloDone
-	p.sloStop, p.sloDone = nil, nil
 	p.mu.Unlock()
 	close(stop)
 	<-done
-	if sloStop != nil {
-		close(sloStop)
-		<-sloDone
-	}
 }
 
 // captureWindow records one CPU window (ended early by stop or a pin) plus
@@ -285,58 +269,4 @@ func (p *Profiler) PinActive(reason string) (cpu []byte, id int64, ok bool) {
 		return nil, 0, false
 	}
 	return w.CPU, id, true
-}
-
-// WatchSLO starts a background check of the tracker's burn rates every
-// `every` (0 = 30s): when any objective burns at or above sloBurnThreshold on
-// any window, the active profile window is pinned ("slo-burn") once, with a
-// cooldown of one hour so a sustained burn does not consume the
-// pinned-window budget. Stop terminates the watcher.
-func (p *Profiler) WatchSLO(tr *obs.SLOTracker, every time.Duration) {
-	if tr == nil {
-		return
-	}
-	if every <= 0 {
-		every = 30 * time.Second
-	}
-	p.mu.Lock()
-	if p.sloStop != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.sloStop = make(chan struct{})
-	p.sloDone = make(chan struct{})
-	stop, done := p.sloStop, p.sloDone
-	p.mu.Unlock()
-
-	go func() {
-		defer close(done)
-		var lastPin time.Time
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			if time.Since(lastPin) >= time.Hour && p.pinIfBurning(tr.Report()) {
-				lastPin = time.Now()
-			}
-		}
-	}()
-}
-
-// pinIfBurning pins the active window once when any objective's burn rate
-// on any window reaches sloBurnThreshold, and reports whether it did.
-func (p *Profiler) pinIfBurning(rep obs.SLOReport) bool {
-	for _, s := range rep.SLOs {
-		for _, w := range s.Windows {
-			if w.BurnRate >= sloBurnThreshold {
-				p.PinActive("slo-burn")
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -117,11 +117,11 @@ func TestPinActivePinsLatestWhenIdle(t *testing.T) {
 	}
 	defer p.Stop()
 
-	_, id, ok := p.PinActive("slo-burn")
+	_, id, ok := p.PinActive("hung")
 	if !ok {
 		t.Fatal("PinActive failed with a completed window retained")
 	}
-	if w, _ := p.store.Get(id); !w.Pinned || w.PinReason != "slo-burn" {
+	if w, _ := p.store.Get(id); !w.Pinned || w.PinReason != "hung" {
 		t.Fatalf("window = %+v", w)
 	}
 }
@@ -139,32 +139,6 @@ func TestPinActiveCountsWindowOnce(t *testing.T) {
 	}
 	if got := p.gPinned.Value(); got != 1 {
 		t.Fatalf("rpq_prof_pinned_total = %d after two pins of one window, want 1", got)
-	}
-}
-
-// TestPinIfBurningPinsOncePerReport feeds one report whose objective burns
-// on both of its windows: that is one breach, so one pin.
-func TestPinIfBurningPinsOncePerReport(t *testing.T) {
-	p := newTestProfiler(time.Second, time.Minute)
-	p.store.Add(mkWindow(10))
-	rep := obs.SLOReport{SLOs: []obs.SLOStatus{{
-		Route: "query",
-		Windows: []obs.SLOWindowStatus{
-			{Window: "5m", BurnRate: 3},
-			{Window: "1h", BurnRate: 1.5},
-		},
-	}}}
-	if !p.pinIfBurning(rep) {
-		t.Fatal("pinIfBurning ignored a burning report")
-	}
-	if got := p.gPinned.Value(); got != 1 {
-		t.Fatalf("rpq_prof_pinned_total = %d, want 1", got)
-	}
-	calm := obs.SLOReport{SLOs: []obs.SLOStatus{{
-		Windows: []obs.SLOWindowStatus{{Window: "5m", BurnRate: 0.5}},
-	}}}
-	if p.pinIfBurning(calm) {
-		t.Fatal("pinIfBurning pinned below the burn threshold")
 	}
 }
 

@@ -28,11 +28,12 @@ type Window struct {
 	// carry, so clients can find the window holding a query kind or trace.
 	Labels map[string][]string `json:"labels,omitempty"`
 	// Pinned windows survive retention eviction; PinReason says what pinned
-	// them ("slow", "hung", "slo-burn", ...).
+	// them (the watchdog's bundle reason: "slow", "deadline", "canceled",
+	// "hung").
 	Pinned    bool   `json:"pinned,omitempty"`
 	PinReason string `json:"pin_reason,omitempty"`
-	// Cut reports the window was ended early by a pin (watchdog or SLO
-	// breach) rather than running its full duration.
+	// Cut reports the window was ended early by a watchdog pin rather than
+	// running its full duration.
 	Cut bool `json:"cut,omitempty"`
 	// Err records a capture failure (e.g. another CPU profile was running).
 	Err string `json:"error,omitempty"`

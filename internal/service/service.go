@@ -78,8 +78,8 @@ type Config struct {
 	Logger *slog.Logger
 	// SLOs configures which routes get SLO event counters
 	// (rpq_http_slo_total/rpq_http_slo_good) and what counts as a good
-	// request on them; the observability plane's burn-rate tracker consumes
-	// those counters from the tsdb.
+	// request on them. /metrics exports the counters; burn rates are the
+	// scraper's to compute.
 	SLOs []obs.SLO
 }
 

@@ -74,7 +74,7 @@ func TestInflightDrainsOnProgressPanic(t *testing.T) {
 }
 
 // TestServeObservabilityWithStartupFailure pins the startup-failure path: a
-// bind error must return without leaving the runtime sampler or time-series
+// bind error must return without leaving the runtime sampler or profiler
 // goroutines running.
 func TestServeObservabilityWithStartupFailure(t *testing.T) {
 	// Occupy a port so the observability bind fails deterministically.
@@ -88,8 +88,7 @@ func TestServeObservabilityWithStartupFailure(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		srv, err := ServeObservabilityWith(ln.Addr().String(), ObservabilityConfig{
 			SampleInterval: time.Millisecond,
-			TSInterval:     time.Millisecond,
-			Retention:      time.Second,
+			Profiling:      &ProfilingConfig{Window: time.Millisecond, Interval: time.Millisecond},
 		})
 		if err == nil {
 			srv.Close()
@@ -99,7 +98,7 @@ func TestServeObservabilityWithStartupFailure(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	// Any leaked sampler or time-series goroutine would persist; give the
+	// Any leaked sampler or profiler goroutine would persist; give the
 	// scheduler a moment to settle, then compare.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -484,24 +484,10 @@ type ObservabilityConfig struct {
 	// SampleInterval is the runtime-metrics sampling cadence (0 = 1s,
 	// < 0 = no runtime sampler).
 	SampleInterval time.Duration
-	// TSInterval is the time-series snapshot cadence (0 = 1s, < 0 = no
-	// time-series store, which also leaves the dashboard without history).
-	TSInterval time.Duration
-	// Retention is the time-series window to keep in memory (0 = 10m).
-	// The store's footprint is bounded by Retention/TSInterval points no
-	// matter how long the process runs.
-	Retention time.Duration
-	// SLOs, when non-empty, enables SLO burn-rate tracking over the
-	// time-series window: /debug/rpq/slo serves the multi-window readout and
-	// the dashboard gains a burn-rate panel. Requires the time-series store
-	// (ignored when TSInterval < 0).
-	SLOs []SLO
 	// Profiling, when non-nil, starts the always-on continuous profiler:
 	// duty-cycled CPU windows plus heap snapshots in a bounded ring, listed
 	// on /debug/rpq/prof (raw bytes on /debug/rpq/prof/download, for
-	// `go tool pprof`) and pinned into watchdog bundles on anomalies and,
-	// with SLOs set, when an objective burns error budget faster than it
-	// allows.
+	// `go tool pprof`) and pinned into watchdog bundles on anomalies.
 	Profiling *ProfilingConfig
 }
 
@@ -518,39 +504,31 @@ type ProfilingConfig struct {
 	Interval time.Duration
 }
 
-// SLO is one service-level objective for SLO burn-rate tracking; see
-// ObservabilityConfig.SLOs and internal/service.
+// SLO is one service-level objective: the service plane counts its requests
+// under rpq_http_slo_total/rpq_http_slo_good; see internal/service.
 type SLO = obs.SLO
 
 // ObservabilityServer is a running observability plane: the HTTP server
-// plus the background runtime sampler and time-series store feeding it.
-// Close stops all three; the components are exported for tests and for
-// callers that want to Record or SampleOnce on their own schedule.
+// plus the background runtime sampler feeding it and the optional profiler.
+// Close stops them all; the components are exported for tests and for
+// callers that want to SampleOnce on their own schedule.
 type ObservabilityServer struct {
 	Server  *http.Server
 	Sampler *obs.RuntimeSampler
-	TS      *obs.TimeSeries
-	// SLO is the burn-rate tracker behind /debug/rpq/slo; nil unless
-	// ObservabilityConfig.SLOs was set alongside an enabled time-series
-	// store.
-	SLO *obs.SLOTracker
 	// Prof is the continuous profiler behind /debug/rpq/prof; nil unless
 	// ObservabilityConfig.Profiling was set. Wire it into a Watchdog
 	// (Watchdog.Profiler = srv.Prof) to pin profile windows into bundles.
 	Prof *prof.Profiler
 }
 
-// Close stops the profiler, the time-series store, the runtime sampler, and
-// the HTTP server, in that order. No background goroutine survives it.
+// Close stops the profiler, the runtime sampler, and the HTTP server, in
+// that order. No background goroutine survives it.
 func (s *ObservabilityServer) Close() error {
 	if s == nil {
 		return nil
 	}
 	if s.Prof != nil {
 		s.Prof.Stop()
-	}
-	if s.TS != nil {
-		s.TS.Stop()
 	}
 	if s.Sampler != nil {
 		s.Sampler.Stop()
@@ -564,24 +542,14 @@ func (s *ObservabilityServer) Close() error {
 // ServeObservabilityWith starts the full observability plane on addr:
 // /metrics (Prometheus text exposition of the default registry, including
 // the latency histograms), /debug/rpq/queries (JSON snapshots of in-flight
-// queries), /debug/rpq/dash, /debug/vars (expvar) and /debug/pprof/, plus a
-// runtime-metrics sampler and a bounded time-series store, so /debug/rpq/ts
-// serves history (rpq-tsdb/1 JSON) and /debug/rpq/dash draws live
-// sparklines. The listener binds synchronously. Close the returned server to
-// stop everything.
+// queries), /debug/rpq/exemplars, /debug/vars (expvar) and /debug/pprof/,
+// plus a runtime-metrics sampler whose go_* gauges join /metrics, and, when
+// configured, the continuous profiler on /debug/rpq/prof. The listener binds
+// synchronously. Close the returned server to stop everything.
 func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*ObservabilityServer, error) {
 	out := &ObservabilityServer{}
 	if cfg.SampleInterval >= 0 {
 		out.Sampler = obs.NewRuntimeSampler(nil, cfg.SampleInterval)
-	}
-	if cfg.TSInterval >= 0 {
-		out.TS = obs.NewTimeSeries(nil, obs.TimeSeriesOptions{
-			Interval: cfg.TSInterval, Retention: cfg.Retention,
-		})
-		out.TS.WatchInflight(obs.DefaultInflight())
-	}
-	if out.TS != nil && len(cfg.SLOs) > 0 {
-		out.SLO = obs.NewSLOTracker(out.TS, cfg.SLOs)
 	}
 	if pc := cfg.Profiling; pc != nil {
 		out.Prof = prof.New(prof.Options{
@@ -589,37 +557,23 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 			Interval: pc.Interval,
 		})
 	}
-	so := obs.ServeOptions{
-		TimeSeries: out.TS,
-		SLO:        out.SLO,
-		QueryHist:  obs.NewSolverGauges(nil).QueryHist,
-	}
+	so := obs.ServeOptions{QueryHist: obs.NewSolverGauges(nil).QueryHist}
 	if out.Prof != nil {
 		so.Prof = out.Prof.Handler()
 	}
 	srv, err := obs.ServeWith(addr, so)
 	if err != nil {
-		// Failed startup (e.g. the port is already bound) must not leak the
-		// telemetry components: stop whichever were already running so no
-		// sampler or time-series goroutine outlives the error return.
-		if out.TS != nil {
-			out.TS.Stop()
-		}
-		if out.Sampler != nil {
-			out.Sampler.Stop()
-		}
+		// Failed startup (e.g. the port is already bound) returns before any
+		// component starts, so no sampler or profiler goroutine outlives the
+		// error return.
 		return nil, err
 	}
 	out.Server = srv
 	if out.Sampler != nil {
 		out.Sampler.Start()
 	}
-	if out.TS != nil {
-		out.TS.Start()
-	}
 	if out.Prof != nil {
 		out.Prof.Start()
-		out.Prof.WatchSLO(out.SLO, 0)
 	}
 	return out, nil
 }

@@ -286,9 +286,6 @@ func TestCPUProfileHasQueryLabels(t *testing.T) {
 func TestServeObservabilityWith(t *testing.T) {
 	srv, err := ServeObservabilityWith("127.0.0.1:0", ObservabilityConfig{
 		SampleInterval: 5 * time.Millisecond,
-		TSInterval:     5 * time.Millisecond,
-		Retention:      time.Second,
-		SLOs:           []SLO{{Route: "query", Objective: 0.999}},
 		Profiling:      &ProfilingConfig{},
 	})
 	if err != nil {
@@ -306,27 +303,25 @@ func TestServeObservabilityWith(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Sampler.SampleOnce()
-	srv.TS.Record()
 
-	bodies := map[string][]byte{}
-	for _, path := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/ts", "/debug/rpq/dash", "/debug/rpq/", "/debug/rpq/slo"} {
+	get := func(path string) (int, []byte) {
+		t.Helper()
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
+		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: HTTP %d", path, resp.StatusCode)
-		}
-		if len(body) == 0 {
-			t.Fatalf("%s: empty body", path)
-		}
-		bodies[path] = body
+		return resp.StatusCode, body
 	}
 
-	// The /debug/rpq/ index describes every surface and lists the
-	// profiler as enabled; the SLO report carries its schema.
+	// The /debug/rpq/ index describes every surface and, with the full
+	// stack running, lists each as enabled; each answers 200 with a body,
+	// and / lists exactly the index paths.
+	code, body := get("/debug/rpq/")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/rpq/: HTTP %d", code)
+	}
 	var index struct {
 		Schema   string `json:"schema"`
 		Surfaces []struct {
@@ -335,50 +330,47 @@ func TestServeObservabilityWith(t *testing.T) {
 			Enabled bool   `json:"enabled"`
 		} `json:"surfaces"`
 	}
-	if err := json.Unmarshal(bodies["/debug/rpq/"], &index); err != nil || index.Schema != "rpq-debug/1" {
+	if err := json.Unmarshal(body, &index); err != nil || index.Schema != "rpq-debug/1" {
 		t.Fatalf("/debug/rpq/: schema %q, err %v", index.Schema, err)
 	}
-	profEnabled := false
+	paths := map[string]bool{}
+	rootList := "rpq observability\n\n"
 	for _, s := range index.Surfaces {
+		paths[s.Path] = true
+		rootList += s.Path + "\n"
 		if s.Desc == "" {
 			t.Errorf("/debug/rpq/: surface %s has no description", s.Path)
 		}
-		if s.Path == "/debug/rpq/prof" {
-			profEnabled = s.Enabled
+		if !s.Enabled {
+			t.Errorf("/debug/rpq/: %s disabled on the full stack", s.Path)
+		}
+		if code, body := get(s.Path); code != http.StatusOK || len(body) == 0 {
+			t.Errorf("%s: HTTP %d, %d bytes", s.Path, code, len(body))
 		}
 	}
-	if !profEnabled {
-		t.Fatalf("/debug/rpq/ does not list /debug/rpq/prof as enabled: %s", bodies["/debug/rpq/"])
+	for _, p := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/prof", "/debug/rpq/exemplars"} {
+		if !paths[p] {
+			t.Errorf("/debug/rpq/ does not list %s", p)
+		}
 	}
-	var slo struct {
-		Schema string `json:"schema"`
+	if code, body := get("/"); code != http.StatusOK || string(body) != rootList {
+		t.Errorf("/: HTTP %d\n%s\nwant\n%s", code, body, rootList)
 	}
-	if err := json.Unmarshal(bodies["/debug/rpq/slo"], &slo); err != nil || slo.Schema != "rpq-slo/1" {
-		t.Fatalf("/debug/rpq/slo: schema %q, err %v", slo.Schema, err)
+	// The time-series, burn-rate and dashboard routes are gone; /metrics
+	// is the one telemetry surface.
+	for _, p := range []string{"/debug/rpq/ts", "/debug/rpq/slo", "/debug/rpq/dash"} {
+		if code, _ := get(p); code != http.StatusNotFound {
+			t.Errorf("%s: HTTP %d, want 404", p, code)
+		}
 	}
 
-	// The rpq-tsdb/1 window stays within its retention bound, its
-	// timestamps never decrease, and the query counter advanced.
-	var doc struct {
-		RetentionPoints int                 `json:"retention_points"`
-		Points          int                 `json:"points"`
-		TimestampsMS    []int64             `json:"timestamps_ms"`
-		Series          map[string][]*int64 `json:"series"`
-	}
-	if err := json.Unmarshal(bodies["/debug/rpq/ts"], &doc); err != nil {
-		t.Fatalf("/debug/rpq/ts: bad JSON: %v", err)
-	}
-	if doc.Points == 0 || doc.Points > doc.RetentionPoints {
-		t.Fatalf("/debug/rpq/ts: points=%d, retention_points=%d", doc.Points, doc.RetentionPoints)
-	}
-	for i := 1; i < len(doc.TimestampsMS); i++ {
-		if doc.TimestampsMS[i] < doc.TimestampsMS[i-1] {
-			t.Fatalf("/debug/rpq/ts: timestamps decrease at %d", i)
+	// The query counter advanced and the sampler's runtime gauges joined
+	// the exposition.
+	_, metrics := get("/metrics")
+	for _, want := range []string{"rpq_queries_total ", "go_goroutines "} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Errorf("/metrics missing %q", want)
 		}
-	}
-	qt := doc.Series["rpq_queries_total"]
-	if len(qt) == 0 || qt[len(qt)-1] == nil || *qt[len(qt)-1] <= 0 {
-		t.Fatalf("/debug/rpq/ts: last rpq_queries_total point = %v, want > 0", qt)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -389,21 +381,20 @@ func TestServeObservabilityWith(t *testing.T) {
 func TestObservabilityConfigDisables(t *testing.T) {
 	srv, err := ServeObservabilityWith("127.0.0.1:0", ObservabilityConfig{
 		SampleInterval: -1,
-		TSInterval:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Sampler != nil || srv.TS != nil {
-		t.Fatal("negative intervals must disable sampler and time-series store")
+	if srv.Sampler != nil || srv.Prof != nil {
+		t.Fatal("a negative interval must disable the sampler, and nil Profiling the profiler")
 	}
-	resp, err := http.Get("http://" + srv.Server.Addr + "/debug/rpq/ts")
+	resp, err := http.Get("http://" + srv.Server.Addr + "/debug/rpq/prof")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("/debug/rpq/ts with store disabled: HTTP %d, want 501", resp.StatusCode)
+		t.Fatalf("/debug/rpq/prof with profiling disabled: HTTP %d, want 501", resp.StatusCode)
 	}
 }

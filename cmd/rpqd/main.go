@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -67,8 +68,8 @@ func (s *sloFlags) Set(v string) error {
 	if len(parts) < 2 || len(parts) > 3 {
 		return fmt.Errorf("want route:objective or route:objective:latency, got %q", v)
 	}
-	if parts[0] == "" {
-		return fmt.Errorf("route must be non-empty, got %q", v)
+	if routes := service.RouteNames(); !slices.Contains(routes, parts[0]) {
+		return fmt.Errorf("unknown route %q (want one of %s)", parts[0], strings.Join(routes, ", "))
 	}
 	// Written as a negated range so NaN, which every comparison rejects,
 	// fails it too.

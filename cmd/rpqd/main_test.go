@@ -267,8 +267,8 @@ func TestRpqdProcess(t *testing.T) {
 }
 
 // TestSLOFlagsSet pins the -slo syntax: route:objective[:latency] with a
-// non-empty route, an objective strictly inside (0,1), and a positive
-// latency threshold.
+// route the service serves, an objective strictly inside (0,1), and a
+// positive latency threshold.
 func TestSLOFlagsSet(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -277,6 +277,8 @@ func TestSLOFlagsSet(t *testing.T) {
 		{"query:0.999", &rpq.SLO{Route: "query", Objective: 0.999}},
 		{"query:0.99:30s", &rpq.SLO{Route: "query", Objective: 0.99, LatencyThreshold: 30 * time.Second}},
 		{"graph_load:0.5:250ms", &rpq.SLO{Route: "graph_load", Objective: 0.5, LatencyThreshold: 250 * time.Millisecond}},
+		{"qurey:0.99", nil},
+		{"Query:0.99", nil},
 		{"query", nil},
 		{"query:", nil},
 		{"query:0.9:1s:x", nil},

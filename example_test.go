@@ -177,25 +177,3 @@ func ExampleOptions() {
 	// memo v3 {l1↦m, l2↦n}
 	// precomputation v3 {l1↦m, l2↦n}
 }
-
-// The MiniC and MiniPy front ends emit the same labels, so one automaton
-// analyzes both languages (the paper's Section 6 demonstration).
-func ExampleFromMiniPy() {
-	g, err := rpq.FromMiniPy(`
-def main():
-    a = 1
-    b = a + c
-`, rpq.MiniPyConfig{})
-	if err != nil {
-		panic(err)
-	}
-	res, err := g.Exist(rpq.MustParsePattern("(!def(x))* use(x)"), nil)
-	if err != nil {
-		panic(err)
-	}
-	for _, a := range res.Answers {
-		fmt.Println("uninitialized:", a.Bindings[0].Symbol)
-	}
-	// Output:
-	// uninitialized: c
-}

@@ -1,14 +1,14 @@
 // Package cfgschema fixes the shared label schema that every program
-// front end (internal/minic, internal/minipy, internal/gofront) emits and
-// that the analysis catalog (internal/queries) is written against. The
-// schema is the contract that makes catalog queries frontend-agnostic: a
-// pattern such as "(!def(x))* use(x)" runs unchanged on a MiniC program, a
-// MiniPy module, or a real Go package because every front end lowers to the
-// same constructor names and arities.
+// front end (internal/minic, internal/gofront) emits and that the analysis
+// catalog (internal/queries) is written against. The schema is the
+// contract that makes catalog queries frontend-agnostic: a pattern such as
+// "(!def(x))* use(x)" runs unchanged on a MiniC program or a real Go
+// package because every front end lowers to the same constructor names and
+// arities.
 //
 // Before this package existed the conventions lived implicitly in each
-// front end, and they had drifted: MiniC and MiniPy emitted the paper's
-// acq(m)/rel(m) labels for locking while the Go frontend's schema mandates
+// front end, and they had drifted: MiniC emitted the paper's acq(m)/rel(m)
+// labels for locking while the Go frontend's schema mandates
 // lock(m)/unlock(m). The canonical names are lock/unlock; Canonical maps
 // the paper's historical spellings onto them, and the front ends accept
 // acq/rel in source while emitting the canonical labels, so one locking
@@ -34,7 +34,7 @@ type Ctor struct {
 	// Arities lists the argument counts the constructor occurs with.
 	Arities []int
 	// Emitters names the front ends that emit the constructor
-	// ("minic", "minipy", "gofront", "lts").
+	// ("minic", "gofront", "lts").
 	Emitters []string
 	// Doc says what an edge with this label means.
 	Doc string
@@ -43,34 +43,34 @@ type Ctor struct {
 // Schema returns the full shared constructor table, in documentation order.
 func Schema() []Ctor {
 	return []Ctor{
-		{"nop", []int{0}, []string{"minic", "minipy", "gofront"}, "control-flow-only edge (joins, loop back-edges)"},
-		{"entry", []int{0, 1}, []string{"minic", "minipy", "gofront"}, "program entry self-loop (arity 0, Section 5.1 backward queries) or function entry entry(f) (arity 1, gofront's per-function roots)"},
-		{"exit", []int{0, 1}, []string{"minic", "minipy", "gofront"}, "function/program exit; exit(f) carries the function name in multi-function graphs"},
-		{"def", []int{1, 2}, []string{"minic", "minipy", "gofront"}, "definition of variable x; def(x,k) additionally records a constant value (MiniC ConstDefs)"},
+		{"nop", []int{0}, []string{"minic", "gofront"}, "control-flow-only edge (joins, loop back-edges)"},
+		{"entry", []int{0, 1}, []string{"minic", "gofront"}, "program entry self-loop (arity 0, Section 5.1 backward queries) or function entry entry(f) (arity 1, gofront's per-function roots)"},
+		{"exit", []int{0, 1}, []string{"minic", "gofront"}, "function/program exit; exit(f) carries the function name in multi-function graphs"},
+		{"def", []int{1, 2}, []string{"minic", "gofront"}, "definition of variable x; def(x,k) additionally records a constant value (MiniC ConstDefs)"},
 		{"decl", []int{1}, []string{"gofront"}, "declaration without initialization (Go `var x T`); the uninit-use check reads a use after decl with no intervening def as a possible zero-value read"},
-		{"use", []int{1, 2}, []string{"minic", "minipy", "gofront"}, "read of variable x; use(x,l) carries a distinct use-site number (MiniC/MiniPy UseSites)"},
-		{"call", []int{1}, []string{"minic", "minipy", "gofront"}, "call of function f (intraprocedural step, and the interprocedural edge into f's entry)"},
+		{"use", []int{1, 2}, []string{"minic", "gofront"}, "read of variable x; use(x,l) carries a distinct use-site number (MiniC UseSites)"},
+		{"call", []int{1}, []string{"minic", "gofront"}, "call of function f (intraprocedural step, and the interprocedural edge into f's entry)"},
 		{"mcall", []int{2}, []string{"gofront"}, "method call mcall(x, m): method m invoked on receiver path x (gofront; receiver identity is syntactic)"},
 		{"ret", []int{1}, []string{"minic", "gofront"}, "interprocedural return edge from f's exit back to the call site's resume vertex"},
 		{"defer", []int{2}, []string{"gofront"}, "defer registration defer(f, s): deferred callee f at unique site s; the deferred effect itself is re-emitted on paths to exit"},
 		{"go", []int{1}, []string{"gofront"}, "goroutine launch go(f); interprocedurally also an edge into f's entry (no matching ret)"},
 		{"send", []int{1}, []string{"gofront"}, "channel send on x (panics after close(x))"},
 		{"recv", []int{1}, []string{"gofront"}, "channel receive from x"},
-		{"close", []int{1}, []string{"minic", "minipy", "gofront"}, "closing resource x: MiniC/MiniPy close(f) effect calls, Go close(ch) and x.Close()"},
-		{"lock", []int{1}, []string{"minic", "minipy", "gofront"}, "acquire mutex m (canonical; the paper spells it acq(m), which front ends still accept in source)"},
-		{"unlock", []int{1}, []string{"minic", "minipy", "gofront"}, "release mutex m (canonical; paper spelling rel(m))"},
+		{"close", []int{1}, []string{"minic", "gofront"}, "closing resource x: MiniC close(f) effect calls, Go close(ch) and x.Close()"},
+		{"lock", []int{1}, []string{"minic", "gofront"}, "acquire mutex m (canonical; the paper spells it acq(m), which front ends still accept in source)"},
+		{"unlock", []int{1}, []string{"minic", "gofront"}, "release mutex m (canonical; paper spelling rel(m))"},
 		{"rlock", []int{1}, []string{"gofront"}, "acquire read lock on m (Go RLock; deliberately distinct from lock so re-entrant read locking is not flagged)"},
 		{"runlock", []int{1}, []string{"gofront"}, "release read lock on m"},
-		{"open", []int{1}, []string{"minic", "minipy"}, "open resource f (Section 2.2 file discipline)"},
-		{"access", []int{1}, []string{"minic", "minipy"}, "access resource f"},
-		{"malloc", []int{1}, []string{"minic", "minipy"}, "allocate pointer p"},
-		{"free", []int{1}, []string{"minic", "minipy"}, "free pointer p"},
-		{"deref", []int{1}, []string{"minic", "minipy"}, "dereference pointer p"},
+		{"open", []int{1}, []string{"minic"}, "open resource f (Section 2.2 file discipline)"},
+		{"access", []int{1}, []string{"minic"}, "access resource f"},
+		{"malloc", []int{1}, []string{"minic"}, "allocate pointer p"},
+		{"free", []int{1}, []string{"minic"}, "free pointer p"},
+		{"deref", []int{1}, []string{"minic"}, "dereference pointer p"},
 		{"exp", []int{3}, []string{"minic"}, "binary expression exp(a, op, b) over two variables (available-expressions query)"},
-		{"save", []int{1}, []string{"minic", "minipy"}, "save interrupt level (Section 2.2 interrupt discipline)"},
-		{"restore", []int{1}, []string{"minic", "minipy"}, "restore interrupt level"},
-		{"change", []int{0}, []string{"minic", "minipy"}, "change interrupt level"},
-		{"seteuid", []int{1}, []string{"minic", "minipy"}, "set effective uid (Section 2.2 setuid discipline)"},
+		{"save", []int{1}, []string{"minic"}, "save interrupt level (Section 2.2 interrupt discipline)"},
+		{"restore", []int{1}, []string{"minic"}, "restore interrupt level"},
+		{"change", []int{0}, []string{"minic"}, "change interrupt level"},
+		{"seteuid", []int{1}, []string{"minic"}, "set effective uid (Section 2.2 setuid discipline)"},
 		{"state", []int{1}, []string{"lts"}, "LTS state label (Section 2.3 transformation)"},
 		{"act", []int{1}, []string{"lts"}, "LTS action label"},
 	}

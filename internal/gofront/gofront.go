@@ -276,7 +276,9 @@ func SplitSource(body string) map[string]string {
 	}
 	for _, line := range strings.SplitAfter(body, "\n") {
 		trimmed := strings.TrimRight(line, "\n")
-		if strings.HasPrefix(trimmed, marker) && strings.HasSuffix(trimmed, " --") {
+		// At least 6 bytes, so the "-- " prefix and " --" suffix cannot
+		// overlap (as they do in "-- --").
+		if len(trimmed) >= 6 && strings.HasPrefix(trimmed, marker) && strings.HasSuffix(trimmed, " --") {
 			flush()
 			name = strings.TrimSpace(trimmed[len(marker) : len(trimmed)-len(" --")])
 			continue

@@ -302,6 +302,13 @@ func helper() {}
 		t.Errorf("intra-package call not linked")
 	}
 
+	// The "-- " prefix and " --" suffix overlap here; it is no marker.
+	for _, body := range []string{"-- --", "-- --\n", "-- -- x\n-- --"} {
+		if got := SplitSource(body); len(got) != 1 || got["main.go"] != body {
+			t.Errorf("SplitSource(%q) = %v, want the body as main.go", body, got)
+		}
+	}
+
 	single := SplitSource("package solo\n\nfunc F() {}\n")
 	if len(single) != 1 || single["main.go"] == "" {
 		t.Fatalf("plain body should become main.go, got %v", single)

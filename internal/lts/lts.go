@@ -52,6 +52,9 @@ func ReadAUT(r io.Reader) (*LTS, error) {
 	if _, err := fmt.Sscanf(header, "des (%d, %d, %d)", &initial, &ntrans, &nstates); err != nil {
 		return nil, fmt.Errorf("lts: bad header %q: %v", header, err)
 	}
+	if nstates < 0 || initial < 0 || initial >= nstates {
+		return nil, fmt.Errorf("lts: header %q: initial state must lie in [0, states)", header)
+	}
 	l := &LTS{Initial: int32(initial), NumStates: nstates}
 	line := 1
 	for sc.Scan() {
@@ -152,12 +155,18 @@ func sanitizeAction(a string) string {
 func (l *LTS) ForExistential() *graph.Graph {
 	g := graph.New()
 	for i := 0; i < l.NumStates; i++ {
-		v := g.Vertex(stateName(int32(i)))
-		g.MustAddEdgeStr(stateName(int32(i)), fmt.Sprintf("state(%s)", stateName(int32(i))), stateName(int32(i)))
-		_ = v
+		name := stateName(int32(i))
+		v := g.Vertex(name)
+		if err := g.AddEdge(v, label.App("state", label.Sym(name)), v); err != nil {
+			panic(err)
+		}
 	}
+	// State i is vertex i: the loop above interned the states in order.
 	for _, t := range l.Trans {
-		g.MustAddEdgeStr(stateName(t.From), fmt.Sprintf("act(%s)", sanitizeAction(t.Action)), stateName(t.To))
+		a := label.App("act", label.Sym(sanitizeAction(t.Action)))
+		if err := g.AddEdge(t.From, a, t.To); err != nil {
+			panic(err)
+		}
 	}
 	g.SetStart(l.Initial)
 	return g

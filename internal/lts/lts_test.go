@@ -42,6 +42,10 @@ func TestReadAUTErrors(t *testing.T) {
 		"des (0, 1, 2)\n(0, \"a\", 5)\n", // state out of range
 		"des (0, 1, 2)\n(x, \"a\", 1)\n",
 		"des (0, 1, 2)\nbroken\n",
+		"des (0, 0, 0)\n",  // no states, so no initial state
+		"des (0, 0, -1)\n", // negative state count
+		"des (2, 0, 2)\n",  // initial state past the last state
+		"des (-1, 0, 2)\n", // negative initial state
 	}
 	for _, in := range bad {
 		if _, err := ReadAUTString(in); err == nil {
@@ -69,6 +73,39 @@ func TestForExistentialShape(t *testing.T) {
 	// 5 state self-loops + 6 act edges.
 	if g.NumEdges() != 11 {
 		t.Fatalf("edges = %d, want 11", g.NumEdges())
+	}
+}
+
+// TestForExistentialActions builds the existential graph for actions that
+// sanitize to text the ground-label parser would reject (the wildcard _,
+// signed and dotted numbers); each must become a plain act symbol.
+func TestForExistentialActions(t *testing.T) {
+	for _, tc := range []struct{ action, want string }{
+		{"open", "act('open')"},
+		{"_", "act('_')"},
+		{"!", "act('_')"},
+		{"?", "act('_')"},
+		{"-1", "act('-1')"},
+		{"1.5", "act('1.5')"},
+		{".", "act('.')"},
+		{"-", "act('-')"},
+		{"1e5", "act('1e5')"},
+		{"0x1F", "act('0x1F')"},
+	} {
+		l := &LTS{NumStates: 2, Trans: []Transition{{From: 0, Action: tc.action, To: 1}}}
+		g := l.ForExistential()
+		if g.NumVertices() != 2 || g.NumEdges() != 3 {
+			t.Fatalf("%q: %d vertices, %d edges; want 2, 3", tc.action, g.NumVertices(), g.NumEdges())
+		}
+		var acts []string
+		for _, e := range g.Out(0) {
+			if e.To == 1 {
+				acts = append(acts, e.Label.Format(g.U, nil))
+			}
+		}
+		if len(acts) != 1 || acts[0] != tc.want {
+			t.Errorf("action %q: edge labels %v, want [%s]", tc.action, acts, tc.want)
+		}
 	}
 }
 

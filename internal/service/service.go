@@ -15,6 +15,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,22 +197,45 @@ func (s *Server) Ready() bool { return s.ready.Load() && !s.Draining() }
 // Cache exposes the shared compiled-query cache (for stats and tests).
 func (s *Server) Cache() *rpq.QueryCache { return s.cache }
 
+// routes are the service's HTTP routes. Each name is the route's label on
+// the RED metrics and access log, and the name an SLO objective refers to.
+var routes = []struct {
+	pattern, name string
+	handle        func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"GET /api/v1/healthz", "healthz", (*Server).handleHealth},
+	{"GET /api/v1/readyz", "readyz", (*Server).handleReady},
+	{"GET /api/v1/stats", "stats", (*Server).handleStats},
+	{"GET /api/v1/graphs", "graphs_list", (*Server).handleListGraphs},
+	{"PUT /api/v1/graphs/{name}", "graph_load", (*Server).handleLoadGraph},
+	{"POST /api/v1/graphs/{name}", "graph_load", (*Server).handleLoadGraph},
+	{"GET /api/v1/graphs/{name}", "graph_get", (*Server).handleGetGraph},
+	{"DELETE /api/v1/graphs/{name}", "graph_delete", (*Server).handleDeleteGraph},
+	{"POST /api/v1/query", "query", (*Server).handleQuery},
+	{"GET /api/v1/queries", "queries_list", (*Server).handleListQueries},
+	{"POST /api/v1/queries/{id}/cancel", "query_cancel", (*Server).handleCancelQuery},
+}
+
+// RouteNames returns the distinct route names, in registration order.
+func RouteNames() []string {
+	var names []string
+	for _, rt := range routes {
+		if !slices.Contains(names, rt.name) {
+			names = append(names, rt.name)
+		}
+	}
+	return names
+}
+
 // Handler returns the service's HTTP routes, each wrapped in the
-// request-telemetry middleware under a stable route name (the RED metric
-// and access-log "route" label).
+// request-telemetry middleware under its route name.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/v1/healthz", s.instrument("healthz", s.handleHealth))
-	mux.HandleFunc("GET /api/v1/readyz", s.instrument("readyz", s.handleReady))
-	mux.HandleFunc("GET /api/v1/stats", s.instrument("stats", s.handleStats))
-	mux.HandleFunc("GET /api/v1/graphs", s.instrument("graphs_list", s.handleListGraphs))
-	mux.HandleFunc("PUT /api/v1/graphs/{name}", s.instrument("graph_load", s.handleLoadGraph))
-	mux.HandleFunc("POST /api/v1/graphs/{name}", s.instrument("graph_load", s.handleLoadGraph))
-	mux.HandleFunc("GET /api/v1/graphs/{name}", s.instrument("graph_get", s.handleGetGraph))
-	mux.HandleFunc("DELETE /api/v1/graphs/{name}", s.instrument("graph_delete", s.handleDeleteGraph))
-	mux.HandleFunc("POST /api/v1/query", s.instrument("query", s.handleQuery))
-	mux.HandleFunc("GET /api/v1/queries", s.instrument("queries_list", s.handleListQueries))
-	mux.HandleFunc("POST /api/v1/queries/{id}/cancel", s.instrument("query_cancel", s.handleCancelQuery))
+	for _, rt := range routes {
+		mux.HandleFunc(rt.pattern, s.instrument(rt.name, func(w http.ResponseWriter, r *http.Request) {
+			rt.handle(s, w, r)
+		}))
+	}
 	return mux
 }
 

@@ -104,6 +104,11 @@ func TestCatalogCRUD(t *testing.T) {
 	if rec = doReq(h, "PUT", "/api/v1/graphs/ok", "not a graph"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("PUT junk body: %d %s", rec.Code, rec.Body)
 	}
+	// An AUT header without a valid initial state is a bad graph, not a
+	// panic that drops the connection.
+	if rec = doReq(h, "PUT", "/api/v1/graphs/ok?format=aut-universal", "des (0, 0, 0)\n"); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad_graph") {
+		t.Fatalf("PUT AUT without states: %d %s", rec.Code, rec.Body)
+	}
 }
 
 // TestGoGraphLoader loads real Go source through the "go" format and runs a

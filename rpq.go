@@ -42,7 +42,6 @@ import (
 	"rpq/internal/graph"
 	"rpq/internal/lts"
 	"rpq/internal/minic"
-	"rpq/internal/minipy"
 	"rpq/internal/obs"
 	"rpq/internal/pattern"
 	"rpq/internal/prof"
@@ -1083,29 +1082,6 @@ func FromMiniC(src string, cfg MiniCConfig) (*Graph, error) {
 		Interproc:        cfg.Interproc,
 		EntryLoop:        cfg.EntryLoop,
 		AssignEqualities: cfg.AssignEqualities,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{g: g}, nil
-}
-
-// MiniPyConfig controls the MiniPy front-end's labeling.
-type MiniPyConfig struct {
-	// UseSites labels uses as use(x, l) with distinct site numbers.
-	UseSites bool
-	// EntryLoop adds the entry() self-loop at the program entry.
-	EntryLoop bool
-}
-
-// FromMiniPy builds a program graph from MiniPy (Python-like) source. The
-// labeling matches FromMiniC's, so the same query automata analyze both
-// languages — the property the paper demonstrates with its C and Python
-// front ends.
-func FromMiniPy(src string, cfg MiniPyConfig) (*Graph, error) {
-	g, err := minipy.Build(src, minipy.Config{
-		UseSites:  cfg.UseSites,
-		EntryLoop: cfg.EntryLoop,
 	})
 	if err != nil {
 		return nil, err

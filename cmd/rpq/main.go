@@ -12,20 +12,20 @@
 // and the start vertex. Graphs in the Aldébaran .aut format are accepted
 // with -aut.
 //
-// Observability flags (docs/observability.md): -http serves /metrics
-// (runtime gauges sampled every -sample), /debug/rpq/queries,
-// /debug/rpq/exemplars, /debug/vars, and /debug/pprof during the run; -trace
-// records a Chrome trace_event file for chrome://tracing; -events streams
-// NDJSON trace events; -slow logs slow queries; -stats selects text, json,
-// or csv run statistics; -explain prints a per-state/per-label execution
-// profile as text, JSON, or an annotated Graphviz heat-map of the query
-// automaton.
+// Observability flags (docs/observability.md): -stats selects text, json,
+// or csv run statistics, the run's one record; -trace writes the same
+// record's phases and counters as a Chrome trace_event file for
+// chrome://tracing; -http serves /metrics (runtime gauges sampled every
+// -sample), /debug/rpq/queries, /debug/rpq/exemplars, /debug/vars, and
+// /debug/pprof during the run; -slow logs slow queries; -explain prints a
+// per-state/per-label execution profile as text, JSON, or an annotated
+// Graphviz heat-map of the query automaton.
 //
 // In-flight control: -timeout bounds the query's wall time, Ctrl-C cancels
 // it — both stop the run with partial statistics; -progress prints a live
-// stderr ticker; -watchdog writes diagnostic bundles (flight-recorder
-// events, goroutine/heap dumps) on deadline breach, cancellation, hung
-// queries (-hung), or slow runs.
+// stderr ticker; -watchdog writes diagnostic bundles (progress snapshot,
+// goroutine/heap dumps) on deadline breach, cancellation, hung queries
+// (-hung), or slow runs.
 package main
 
 import (
@@ -61,8 +61,7 @@ func main() {
 		statsFmt  = flag.String("stats", "", "print run statistics: text|json|csv")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/{queries,exemplars}, /debug/vars, and /debug/pprof on this address during the run")
 		sample    = flag.Duration("sample", time.Second, "with -http, runtime-metrics sampling cadence (0 disables the sampler)")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing)")
-		eventsOut = flag.String("events", "", "stream structured trace events as NDJSON to this file (- for stderr)")
+		traceOut  = flag.String("trace", "", "after the run, write its phases and counters as a Chrome trace_event JSON file (load in chrome://tracing)")
 		slow      = flag.Duration("slow", 0, "log queries at or above this duration as NDJSON to stderr")
 		timeout   = flag.Duration("timeout", 0, "bound the query's wall-clock time; exceeding it stops the run with partial stats")
 		progress  = flag.Bool("progress", false, "print a live progress ticker for the running query on stderr")
@@ -122,8 +121,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Observability wiring: live HTTP endpoints, trace sinks, slow log,
-	// progress ticker, watchdog.
+	// Observability wiring: live HTTP endpoints, slow log, progress ticker,
+	// watchdog.
 	if *httpAddr != "" {
 		cfg := rpq.ObservabilityConfig{SampleInterval: *sample}
 		if *sample == 0 {
@@ -169,34 +168,6 @@ func main() {
 				}
 			}
 		}()
-	}
-	var tracers rpq.MultiTracer
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		ct := rpq.NewChromeTracer(f)
-		defer ct.Close()
-		tracers = append(tracers, ct)
-	}
-	if *eventsOut != "" {
-		w := os.Stderr
-		if *eventsOut != "-" {
-			f, err := os.Create(*eventsOut)
-			if err != nil {
-				fail("%v", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		tracers = append(tracers, rpq.NewNDJSONTracer(w))
-	}
-	if len(tracers) == 1 {
-		opts.Tracer = tracers[0]
-	} else if len(tracers) > 1 {
-		opts.Tracer = tracers
 	}
 	if *slow > 0 {
 		opts.SlowLog = rpq.NewSlowLog(os.Stderr, *slow)
@@ -266,37 +237,36 @@ func main() {
 	}
 
 	var res *rpq.Result
+	var err error
 	switch {
 	case *violation != "":
-		var err error
 		res, err = g.ViolationsContext(ctx, *violation, *withExit, opts)
-		if err != nil {
-			failQuery(err)
-		}
 	case *analysis != "":
-		a, err := rpq.AnalysisByName(*analysis)
-		if err != nil {
-			fail("%v", err)
+		a, aerr := rpq.AnalysisByName(*analysis)
+		if aerr != nil {
+			fail("%v", aerr)
 		}
 		res, err = g.RunAnalysisContext(ctx, a, opts)
-		if err != nil {
-			failQuery(err)
-		}
 	case *patt != "":
-		p, err := rpq.ParsePattern(*patt)
-		if err != nil {
-			fail("%v", err)
+		p, perr := rpq.ParsePattern(*patt)
+		if perr != nil {
+			fail("%v", perr)
 		}
 		if *universal {
 			res, err = g.UniversalContext(ctx, p, opts)
 		} else {
 			res, err = g.ExistContext(ctx, p, opts)
 		}
-		if err != nil {
-			failQuery(err)
-		}
 	default:
 		fail("one of -pattern, -analysis, or -violations is required")
+	}
+	if *traceOut != "" {
+		if terr := writeTraceFile(*traceOut, res, err); terr != nil {
+			fail("%v", terr)
+		}
+	}
+	if err != nil {
+		failQuery(err)
 	}
 
 	if *explain != "" {
@@ -439,12 +409,8 @@ func printStats(format string, res *rpq.Result) {
 		fmt.Fprintf(os.Stderr, "answers=%d worklist=%d reach=%d substs=%d match=%d hits=%d misses=%d merge=%d bytes=%d determinism=%v\n",
 			len(res.Answers), s.WorklistInserts, s.ReachSize, s.Substs, s.MatchCalls,
 			s.MatchCacheHits, s.MatchCacheMisses, s.MergeCalls, s.Bytes, s.DeterminismOK)
-		fmt.Fprintf(os.Stderr, "phases: compile=%s domains=%s solve=%s enumerate=%s",
+		fmt.Fprintf(os.Stderr, "phases: compile=%s domains=%s solve=%s enumerate=%s\n",
 			s.Phases.Compile.Wall, s.Phases.Domains.Wall, s.Phases.Solve.Wall, s.Phases.Enumerate.Wall)
-		if s.Phases.Solve.AllocBytes > 0 {
-			fmt.Fprintf(os.Stderr, " solve-alloc=%dB", s.Phases.Solve.AllocBytes)
-		}
-		fmt.Fprintln(os.Stderr)
 	case "json":
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -458,12 +424,12 @@ func printStats(format string, res *rpq.Result) {
 		cols := []string{"answers", "worklist_inserts", "reach_size", "substs", "match_calls",
 			"match_cache_hits", "match_cache_misses", "merge_calls", "enum_substs", "result_pairs",
 			"bytes", "peak_triples", "determinism_ok",
-			"compile_ns", "domains_ns", "solve_ns", "enumerate_ns", "solve_alloc_bytes"}
+			"compile_ns", "domains_ns", "solve_ns", "enumerate_ns"}
 		vals := []any{len(res.Answers), s.WorklistInserts, s.ReachSize, s.Substs, s.MatchCalls,
 			s.MatchCacheHits, s.MatchCacheMisses, s.MergeCalls, s.EnumSubsts, s.ResultPairs,
 			s.Bytes, s.PeakTriples, s.DeterminismOK,
 			int64(s.Phases.Compile.Wall), int64(s.Phases.Domains.Wall),
-			int64(s.Phases.Solve.Wall), int64(s.Phases.Enumerate.Wall), s.Phases.Solve.AllocBytes}
+			int64(s.Phases.Solve.Wall), int64(s.Phases.Enumerate.Wall)}
 		fmt.Println(strings.Join(cols, ","))
 		parts := make([]string, len(vals))
 		for i, v := range vals {

@@ -134,9 +134,9 @@ func main() {
 		slowThreshold = flag.Duration("slow", time.Second, "slow-query threshold for -slowlog")
 		logPath       = flag.String("log", "", `structured log destination: file path or "-" for stdout (empty = disabled)`)
 		logFormat     = flag.String("log-format", "json", "structured log format: json (NDJSON) or text")
-		watchdogDir   = flag.String("watchdog", "", "write flight-recorder bundles for anomalous queries under this directory")
+		watchdogDir   = flag.String("watchdog", "", "write diagnostic bundles for anomalous queries under this directory")
 		watchdogSlow  = flag.Duration("watchdog-slow", 2*time.Second, "slow-query threshold for -watchdog bundles")
-		watchdogMax   = flag.Int("watchdog-max", 32, "max flight-recorder bundles kept in -watchdog (0 = unbounded)")
+		watchdogMax   = flag.Int("watchdog-max", 32, "max diagnostic bundles kept in -watchdog (0 = unbounded)")
 		profOn        = flag.Bool("prof", true, "run the continuous profiler (effective with -obs): duty-cycled CPU windows + heap snapshots on /debug/rpq/prof")
 		profWindow    = flag.Duration("prof-window", 0, "continuous-profiler CPU capture window (0 = 10s)")
 		profInterval  = flag.Duration("prof-interval", 0, "continuous-profiler capture cadence (0 = 60s)")

@@ -76,7 +76,7 @@ func allowedLines(fset *token.FileSet, f *ast.File) map[int]map[string]bool {
 }
 
 // checkNoPrint flags fmt.Print* and time.Now calls: solver hot paths must
-// report through tracers/stats, and clock reads outside the instrumented
+// report through stats, and clock reads outside the instrumented
 // phase helpers have a history of becoming per-pop overhead. Suppress
 // deliberate sites with //rpqvet:allow print or //rpqvet:allow timenow.
 func checkNoPrint(fset *token.FileSet, f *ast.File) []finding {
@@ -104,7 +104,7 @@ func checkNoPrint(fset *token.FileSet, f *ast.File) []finding {
 		}
 		switch {
 		case pkg.Name == "fmt" && strings.HasPrefix(sel.Sel.Name, "Print"):
-			report("print", fmt.Sprintf("fmt.%s in solver core: emit through the tracer or return it in stats", sel.Sel.Name))
+			report("print", fmt.Sprintf("fmt.%s in solver core: return it in stats or explain", sel.Sel.Name))
 		case pkg.Name == "time" && sel.Sel.Name == "Now":
 			report("timenow", "time.Now in solver core outside instr.go: use the phase-timing helpers, or annotate //rpqvet:allow timenow if this is deliberate coarse timing")
 		}

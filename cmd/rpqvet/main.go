@@ -3,7 +3,7 @@
 //
 //	noprint      internal/core hot paths must not call fmt.Print* or
 //	             time.Now outside the phase-timing helpers (instr.go);
-//	             solver output goes through tracers and stats, and
+//	             solver output goes through stats and explain, and
 //	             ad-hoc clock reads have shown up as per-pop overhead.
 //	ctxvariant   every exported solver entry point in internal/core that
 //	             takes Options must have a Context-taking companion

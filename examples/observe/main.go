@@ -1,10 +1,10 @@
 // Observe: running an intrusion-detection query with the observability
-// layer attached — a ring-buffer tracer capturing the solver's lifecycle
-// events, live gauges, the per-phase timing breakdown recorded in
-// core.Stats, and a deadline-bounded rerun showing cancellation with
-// partial statistics. See docs/observability.md for the full surface
-// (Chrome traces, NDJSON streams, Prometheus /metrics, pprof, watchdog
-// bundles).
+// layer attached — the per-phase timings and counters recorded in
+// core.Stats, the execution profile's table-growth and worklist-depth
+// curves, live gauges fed by the progress hook, and a canceled rerun
+// showing partial statistics. See docs/observability.md for the full
+// surface (Prometheus /metrics, pprof, watchdog bundles, Chrome traces
+// from rpq -trace).
 package main
 
 import (
@@ -43,16 +43,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A ring buffer keeps the last N structured events in memory; gauges
-	// expose live solver state (and back /metrics when obs.Serve is up).
-	ring := obs.NewRingSink(256)
+	// Gauges hold live solver state, fed by the progress hook; they back
+	// /metrics when an observability server is up.
 	gauges := obs.NewSolverGauges(obs.Default())
 
 	const sig = "_* open(f, u) (!close(f, u))* exec(_, u)"
 	q := core.MustCompile(pattern.MustParse(sig), g.U)
 	res, err := core.Exist(g, g.Start(), q, core.Options{
 		Algo:     core.AlgoMemo,
-		Tracer:   ring,
+		Explain:  true,
 		Progress: gauges.Sample,
 	})
 	if err != nil {
@@ -70,16 +69,26 @@ func main() {
 	fmt.Printf("\nphase timings:\n")
 	fmt.Printf("  compile    %12v\n", s.Phases.Compile.Wall)
 	fmt.Printf("  domains    %12v\n", s.Phases.Domains.Wall)
-	fmt.Printf("  solve      %12v  (alloc %d B)\n", s.Phases.Solve.Wall, s.Phases.Solve.AllocBytes)
+	fmt.Printf("  solve      %12v\n", s.Phases.Solve.Wall)
 	fmt.Printf("  enumerate  %12v\n", s.Phases.Enumerate.Wall)
 	fmt.Printf("counters: worklist=%d reach=%d substs=%d match=%d (hits=%d misses=%d) bytes=%d\n",
 		s.WorklistInserts, s.ReachSize, s.Substs, s.MatchCalls,
 		s.MatchCacheHits, s.MatchCacheMisses, s.Bytes)
 
-	// The captured trace, rendered as a human-readable table. The same
-	// events can be streamed as NDJSON or recorded as a Chrome trace.
-	fmt.Printf("\ntrace (%d events captured):\n", ring.Total())
-	fmt.Print(obs.FormatEvents(ring.Snapshot()))
+	// The execution profile's curves: substitution-table occupancy at each
+	// power-of-two size, and sampled worklist depth.
+	ex := res.Explain
+	fmt.Printf("\ntable growth (%d points):\n", len(ex.TableCurve))
+	for _, pt := range ex.TableCurve {
+		fmt.Printf("  substs=%-4d bytes=%d\n", pt.Substs, pt.Bytes)
+	}
+	fmt.Printf("worklist depth (%d samples, pop:depth):", len(ex.DepthSamples))
+	for _, d := range ex.DepthSamples {
+		fmt.Printf(" %d:%d", d.Pop, d.Depth)
+	}
+	fmt.Println()
+	fmt.Printf("live gauges at the last sample: reach=%d substs=%d table bytes=%d\n",
+		gauges.ReachSize.Value(), gauges.Substs.Value(), gauges.TableBytes.Value())
 
 	// Cancellation: the same query under an already-canceled context stops
 	// at the first check and returns an InterruptError carrying whatever

@@ -5,6 +5,7 @@ package core
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rpq/internal/gen"
@@ -65,7 +66,8 @@ func TestExistAllocsPerInsert(t *testing.T) {
 // a heap Match per successful memo miss, pointer memo rows and a
 // string-keyed substitution table took 134, a domain table rebuilt from
 // every graph label per solve 170, and slice-header base entries, a
-// keyset per single-key base and a fresh Match per failed pair 345. The reached bases are counted by an
+// keyset per single-key base and a fresh Match per failed pair 345. The
+// guard reads the least of ten solves. The reached bases are counted by an
 // independent closure over the same matcher, which must agree with the
 // solver's ReachSize.
 func TestExistAllocsPerReachedBase(t *testing.T) {
@@ -77,22 +79,27 @@ func TestExistAllocsPerReachedBase(t *testing.T) {
 	g := prog.Graph
 	q := MustCompile(pattern.MustParse("_* decl(x) (!def(x))* use(x)"), g.U)
 	bases, triples := reachedBases(t, g, g.Start(), q)
+	// TotalAlloc is process-wide: another goroutine allocating during a
+	// solve only adds to that solve's figure, and the solves themselves
+	// are deterministic, so the least of several is the solve's own cost.
 	const runs = 10
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for range runs {
+	perSolve := make([]float64, runs)
+	for i := range perSolve {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		res, err := Exist(g, g.Start(), q, Options{Algo: AlgoMemo, Table: subst.Hash})
+		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.ReachSize != triples {
 			t.Fatalf("closure reached %d triples, solver %d", triples, res.Stats.ReachSize)
 		}
+		perSolve[i] = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(bases)
 	}
-	runtime.ReadMemStats(&m1)
-	perBase := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(bases)
-	t.Logf("%d reached bases (%d triples, %d×%d dense): %.0f bytes per base",
-		bases, triples, g.NumVertices(), q.NFA.NumStates, perBase)
+	perBase := slices.Min(perSolve)
+	t.Logf("%d reached bases (%d triples, %d×%d dense): %.0f bytes per base (per solve: %.1f)",
+		bases, triples, g.NumVertices(), q.NFA.NumStates, perBase, perSolve)
 	if perBase > budget {
 		t.Errorf("%.0f bytes per reached base, budget %d", perBase, budget)
 	}

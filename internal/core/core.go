@@ -124,11 +124,6 @@ type Options struct {
 	// enumeration and by universal queries (whose answers quantify over
 	// all paths).
 	Witnesses bool
-	// Tracer receives structured lifecycle events (phase begin/end,
-	// worklist high-water marks, table-growth snapshots, end-of-run
-	// counters). Nil disables tracing at the cost of one nil check; see
-	// internal/obs for sinks (ring buffer, NDJSON, Chrome trace_event).
-	Tracer obs.Tracer
 	// Explain collects a per-query execution profile (per-state visit
 	// counts, per-transition match attempt/hit/extension counters,
 	// per-edge-label match histograms, table growth and worklist depth
@@ -216,8 +211,8 @@ type Stats struct {
 	Phases PhaseTimings `json:"phases"`
 }
 
-// PhaseTimings is the wall-clock (and, when tracing, allocation) breakdown
-// of one query run into its coarse phases.
+// PhaseTimings is the wall-clock breakdown of one query run into its coarse
+// phases.
 type PhaseTimings struct {
 	// Compile covers pattern normalization and automaton construction —
 	// the ε-free NFA, plus the opaque-label determinization for universal
@@ -234,13 +229,10 @@ type PhaseTimings struct {
 	Enumerate PhaseStat `json:"enumerate"`
 }
 
-// PhaseStat is the cost of one phase. AllocBytes is the heap allocation
-// delta across the phase; it is sampled (via runtime/metrics, which does
-// not stop the world) only when a Tracer is installed, and only for the
-// Solve phase, preserving the zero-cost always-on path.
+// PhaseStat is the cost of one phase: its wall time. Stats.AllocBytes is
+// the query's allocation figure.
 type PhaseStat struct {
-	Wall       time.Duration `json:"wall_ns"`
-	AllocBytes int64         `json:"alloc_bytes,omitempty"`
+	Wall time.Duration `json:"wall_ns"`
 }
 
 // WitnessStep is one edge of a witnessing path.

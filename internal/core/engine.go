@@ -18,7 +18,6 @@ type engine struct {
 	doms  subst.Domains
 	table subst.Table
 	stats *Stats
-	in    instr
 
 	// ex collects the per-state/per-transition/per-label execution profile
 	// when Options.Explain is set; nil otherwise, so every counting site
@@ -61,10 +60,9 @@ func transLabelIDs(a *automata.NFA) [][]int32 {
 }
 
 func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats *Stats) (*engine, error) {
-	in := newInstr(opts)
-	tDoms := in.phaseBegin("domains")
+	tDoms := phaseStart()
 	doms := ComputeDomains(q, g, opts.Domains)
-	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
+	stats.Phases.Domains.Wall = phaseWall(tDoms)
 	table, err := subst.NewTable(opts.Table, q.Pars(), g.U.NumSymbols())
 	if err != nil {
 		return nil, err
@@ -77,26 +75,13 @@ func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats
 		doms:  doms,
 		table: table,
 		stats: stats,
-		in:    in,
 		tlIDs: transLabelIDs(auto),
 		buf1:  subst.New(q.Pars()),
 		slab:  make([]int32, slabHeader),
 	}
 	if opts.Explain {
 		e.ex = newExplainCollector(auto, g.NumLabels())
-	}
-	traceHook := e.in.growthHook()
-	var exHook func(int, int64)
-	if e.ex != nil {
-		exHook = e.ex.tableGrowth()
-	}
-	switch {
-	case traceHook != nil && exHook != nil:
-		e.table.SetOnGrow(func(n int, b int64) { traceHook(n, b); exHook(n, b) })
-	case traceHook != nil:
-		e.table.SetOnGrow(traceHook)
-	case exHook != nil:
-		e.table.SetOnGrow(exHook)
+		e.table.SetOnGrow(e.ex.tableGrowth())
 	}
 	// AlgoPrecomp must memoize: its M_ts/M_ds tables retain the matches
 	// (see possiblyMatches).

@@ -66,10 +66,7 @@ func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts 
 		defer release()
 		opts.cxl = cxl
 	}
-	in := newInstr(opts)
-	in.span("compile", q.CompileWall)
-	a0 := in.allocSnapshot()
-	t0 := in.phaseBegin("solve")
+	t0 := phaseStart()
 	var res *Result
 	var err error
 	if opts.Algo == AlgoEnum {
@@ -78,24 +75,18 @@ func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts 
 		res, err = existWorklist(g, v0, q, opts)
 	}
 	if err != nil {
-		// Close the phase and flush buffered trace events so a failing run
-		// still yields a complete, parseable trace. Interrupted runs get
-		// their phase walls stamped into the partial stats.
-		d := in.phaseEnd("solve", t0)
+		// Interrupted runs get their phase walls stamped into the partial
+		// stats.
+		d := phaseWall(t0)
 		var ie *InterruptError
 		if errors.As(err, &ie) {
 			ie.Stats.Phases.Solve.Wall = d
 			ie.Stats.Phases.Compile.Wall = q.BuildWall()
 		}
-		in.flush()
 		return nil, err
 	}
-	res.Stats.Phases.Solve.Wall = in.phaseEnd("solve", t0)
-	if a1 := in.allocSnapshot(); a1 > a0 {
-		res.Stats.Phases.Solve.AllocBytes = int64(a1 - a0)
-	}
+	res.Stats.Phases.Solve.Wall = phaseWall(t0)
 	res.Stats.Phases.Compile.Wall = q.BuildWall()
-	in.finish(&res.Stats)
 	return res, nil
 }
 
@@ -313,7 +304,7 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 	}
 
 	var maxBytes int64
-	pops, nextHW := 0, 1
+	pops := 0
 	for bi := range buckets {
 		for len(buckets[bi]) > 0 {
 			if e.opts.cxl.state() != cxlRunning {
@@ -329,7 +320,6 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 			t := buckets[bi][len(buckets[bi])-1]
 			buckets[bi] = buckets[bi][:len(buckets[bi])-1]
 			processTriple(t)
-			e.in.highWater(len(buckets[bi]), &nextHW)
 			if e.ex != nil {
 				e.ex.pop(len(buckets[bi]))
 			}
@@ -502,10 +492,9 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 	var stats Stats
 	stats.DeterminismOK = true
 	nfa := q.NFA
-	in := newInstr(opts)
-	tDoms := in.phaseBegin("domains")
+	tDoms := phaseStart()
 	doms := ComputeDomains(q, g, opts.Domains)
-	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
+	stats.Phases.Domains.Wall = phaseWall(tDoms)
 	stats.EnumSubsts = doms.Count()
 
 	es, err := newEnumState(g, nfa)
@@ -521,7 +510,7 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 
 	enumerated := 0
 	interrupted := false
-	tEnum := in.phaseBegin("enumerate")
+	tEnum := phaseStart()
 	subst.ForEachFull(q.Pars(), doms, func(th subst.Subst) bool {
 		if opts.cxl.state() != cxlRunning {
 			interrupted = true
@@ -542,7 +531,7 @@ func existEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error
 		}
 		return true
 	})
-	stats.Phases.Enumerate.Wall = in.phaseEnd("enumerate", tEnum)
+	stats.Phases.Enumerate.Wall = phaseWall(tEnum)
 	if interrupted {
 		stats.ReachSize = stats.WorklistInserts
 		stats.ResultPairs = len(pairs)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rpq/internal/graph"
-	"rpq/internal/obs"
 	"rpq/internal/pattern"
 	"rpq/internal/subst"
 )
@@ -14,9 +13,9 @@ import (
 // TestStatsParityAcrossAlgorithms checks that every algorithm variant, over
 // both table representations and both query kinds, fills the phase timings
 // consistently, keeps DeterminismOK semantics, reports a positive Bytes
-// model, and — crucially — computes the same answers with a live tracer and
-// progress hook attached as with none (observability must never change
-// results).
+// model, and — crucially — computes the same answers with the explain
+// profile and a progress hook attached as with none (observability must
+// never change results).
 func TestStatsParityAcrossAlgorithms(t *testing.T) {
 	existGraph := graph.MustReadString(figure1)
 	univGraph := graph.MustReadString(`
@@ -59,19 +58,23 @@ edge v1 def(a) v2
 
 				plain := runQuery(Options{Algo: v.algo, Table: tk})
 
-				ring := obs.NewRingSink(1024)
-				traced := runQuery(Options{Algo: v.algo, Table: tk, Tracer: ring, Progress: func(Progress) {}})
+				progressCalls := 0
+				observed := runQuery(Options{Algo: v.algo, Table: tk, Explain: true,
+					Progress: func(Progress) { progressCalls++ }})
 
 				// Observability must not perturb the answers.
-				if !reflect.DeepEqual(pairKeys(plain), pairKeys(traced)) {
-					t.Fatalf("tracer changed answers:\nplain:  %v\ntraced: %v",
-						pairKeys(plain), pairKeys(traced))
+				if !reflect.DeepEqual(pairKeys(plain), pairKeys(observed)) {
+					t.Fatalf("explain and progress changed answers:\nplain:    %v\nobserved: %v",
+						pairKeys(plain), pairKeys(observed))
 				}
-				if ring.Total() == 0 {
-					t.Fatal("ring tracer recorded no events")
+				if observed.Explain == nil {
+					t.Fatal("Explain set but no profile returned")
+				}
+				if progressCalls == 0 {
+					t.Fatal("Progress set but never called")
 				}
 
-				for _, res := range []*Result{plain, traced} {
+				for _, res := range []*Result{plain, observed} {
 					s := res.Stats
 					if !s.DeterminismOK {
 						t.Fatalf("DeterminismOK = false on a deterministic query")
@@ -100,13 +103,6 @@ edge v1 def(a) v2
 						t.Fatalf("Enumerate wall %v exceeds Solve wall %v",
 							s.Phases.Enumerate.Wall, s.Phases.Solve.Wall)
 					}
-				}
-
-				// AllocBytes is sampled only when tracing (ReadMemStats is too
-				// costly for the always-on path).
-				if plain.Stats.Phases.Solve.AllocBytes != 0 {
-					t.Fatalf("untraced run reported AllocBytes = %d, want 0",
-						plain.Stats.Phases.Solve.AllocBytes)
 				}
 			})
 		}

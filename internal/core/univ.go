@@ -46,10 +46,7 @@ func UnivContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts O
 		defer release()
 		opts.cxl = cxl
 	}
-	in := newInstr(opts)
-	in.span("compile", q.CompileWall)
-	a0 := in.allocSnapshot()
-	t0 := in.phaseBegin("solve")
+	t0 := phaseStart()
 	var res *Result
 	var err error
 	switch opts.Algo {
@@ -63,25 +60,18 @@ func UnivContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts O
 		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algo)
 	}
 	if err != nil {
-		// Close the phase and flush buffered trace events so a failing run
-		// (e.g. a determinism-check abort) still yields a parseable trace.
 		// Interrupted runs get their phase walls stamped into the partial
 		// stats.
-		d := in.phaseEnd("solve", t0)
+		d := phaseWall(t0)
 		var ie *InterruptError
 		if errors.As(err, &ie) {
 			ie.Stats.Phases.Solve.Wall = d
 			ie.Stats.Phases.Compile.Wall = q.BuildWall()
 		}
-		in.flush()
 		return nil, err
 	}
-	res.Stats.Phases.Solve.Wall = in.phaseEnd("solve", t0)
-	if a1 := in.allocSnapshot(); a1 > a0 {
-		res.Stats.Phases.Solve.AllocBytes = int64(a1 - a0)
-	}
+	res.Stats.Phases.Solve.Wall = phaseWall(t0)
 	res.Stats.Phases.Compile.Wall = q.BuildWall()
-	in.finish(&res.Stats)
 	return res, nil
 }
 
@@ -185,7 +175,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 	badU := make([]bool, g.NumVertices())
 
 	var detErr error
-	pops, nextHW := 0, 1
+	pops := 0
 	for len(work) > 0 && detErr == nil {
 		if e.opts.cxl.state() != cxlRunning {
 			stats.ReachSize = seen.Len()
@@ -198,7 +188,6 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 		}
 		t := work[len(work)-1]
 		work = work[:len(work)-1]
-		e.in.highWater(len(work), &nextHW)
 		if e.ex != nil {
 			e.ex.visit(t.s)
 			e.ex.pop(len(work))

@@ -102,10 +102,9 @@ func groundUniv(g *graph.Graph, v0 int32, q *Query, th subst.Subst, stats *Stats
 func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error) {
 	var stats Stats
 	stats.DeterminismOK = true
-	in := newInstr(opts)
-	tDoms := in.phaseBegin("domains")
+	tDoms := phaseStart()
 	doms := ComputeDomains(q, g, opts.Domains)
-	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
+	stats.Phases.Domains.Wall = phaseWall(tDoms)
 	stats.EnumSubsts = doms.Count()
 	var ex *explainCollector
 	if opts.Explain {
@@ -113,7 +112,7 @@ func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error)
 	}
 	var pairs []Pair
 	enumerated := 0
-	tEnum := in.phaseBegin("enumerate")
+	tEnum := phaseStart()
 	subst.ForEachFull(q.Pars(), doms, func(th subst.Subst) bool {
 		if opts.cxl.state() != cxlRunning {
 			return false
@@ -125,7 +124,7 @@ func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error)
 		}
 		return true
 	})
-	stats.Phases.Enumerate.Wall = in.phaseEnd("enumerate", tEnum)
+	stats.Phases.Enumerate.Wall = phaseWall(tEnum)
 	if opts.cxl.state() != cxlRunning {
 		stats.ReachSize = stats.WorklistInserts
 		stats.ResultPairs = len(pairs)
@@ -167,10 +166,9 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 	stats.MergeCalls = ex.Stats.MergeCalls
 	stats.Bytes = ex.Stats.Bytes
 
-	in := newInstr(opts)
-	tDoms := in.phaseBegin("domains")
+	tDoms := phaseStart()
 	doms := ComputeDomains(q, g, opts.Domains)
-	stats.Phases.Domains.Wall = in.phaseEnd("domains", tDoms)
+	stats.Phases.Domains.Wall = phaseWall(tDoms)
 	// Deduplicate candidate full substitutions across all existential
 	// result substitutions.
 	cand, err := subst.NewTable(subst.Hash, q.Pars(), g.U.NumSymbols())
@@ -204,7 +202,7 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 	}
 	var pairs []Pair
 	ground := 0
-	tEnum := in.phaseBegin("enumerate")
+	tEnum := phaseStart()
 	for i, key := range order {
 		if opts.cxl.state() != cxlRunning {
 			break
@@ -216,7 +214,7 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})
 		}
 	}
-	stats.Phases.Enumerate.Wall = in.phaseEnd("enumerate", tEnum)
+	stats.Phases.Enumerate.Wall = phaseWall(tEnum)
 	if opts.cxl.state() != cxlRunning {
 		stats.ReachSize = stats.WorklistInserts
 		stats.ResultPairs = len(pairs)

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -36,6 +37,10 @@ type LTS struct {
 // Invisible is the conventional name of the internal action.
 const Invisible = "i"
 
+// maxStates is the largest state count ReadAUT accepts: ForUniversal builds
+// two vertices per state, and vertex ids are int32.
+const maxStates = math.MaxInt32 / 2
+
 // ReadAUT parses the Aldébaran format:
 //
 //	des (initial, transitions, states)
@@ -54,6 +59,9 @@ func ReadAUT(r io.Reader) (*LTS, error) {
 	}
 	if nstates < 0 || initial < 0 || initial >= nstates {
 		return nil, fmt.Errorf("lts: header %q: initial state must lie in [0, states)", header)
+	}
+	if nstates > maxStates {
+		return nil, fmt.Errorf("lts: header %q: %d states, at most %d fit int32 vertex ids", header, nstates, maxStates)
 	}
 	l := &LTS{Initial: int32(initial), NumStates: nstates}
 	line := 1
@@ -92,11 +100,11 @@ func parseAUTTransition(s string) (Transition, error) {
 	if c1 < 0 || c2 <= c1 {
 		return Transition{}, fmt.Errorf("bad transition %q", s)
 	}
-	from, err := strconv.Atoi(strings.TrimSpace(body[:c1]))
+	from, err := strconv.ParseInt(strings.TrimSpace(body[:c1]), 10, 32)
 	if err != nil {
 		return Transition{}, fmt.Errorf("bad source in %q", s)
 	}
-	to, err := strconv.Atoi(strings.TrimSpace(body[c2+1:]))
+	to, err := strconv.ParseInt(strings.TrimSpace(body[c2+1:]), 10, 32)
 	if err != nil {
 		return Transition{}, fmt.Errorf("bad target in %q", s)
 	}

@@ -46,11 +46,19 @@ func TestReadAUTErrors(t *testing.T) {
 		"des (0, 0, -1)\n", // negative state count
 		"des (2, 0, 2)\n",  // initial state past the last state
 		"des (-1, 0, 2)\n", // negative initial state
+		// State ids past int32: 2^32 once truncated to the self-loop (0, "a", 0).
+		"des (0, 1, 1)\n(4294967296, \"a\", 0)\n",
+		"des (0, 1, 1)\n(0, \"a\", -4294967296)\n",
+		"des (0, 0, 1073741824)\n", // one state more than int32 vertex ids number twice over
 	}
 	for _, in := range bad {
 		if _, err := ReadAUTString(in); err == nil {
 			t.Errorf("ReadAUTString(%q) succeeded, want error", in)
 		}
+	}
+	// The largest state count is accepted; ReadAUT builds no state.
+	if l, err := ReadAUTString("des (0, 0, 1073741823)\n"); err != nil || l.NumStates != maxStates {
+		t.Errorf("largest header: %v, %v", l, err)
 	}
 }
 

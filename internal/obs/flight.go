@@ -1,26 +1,24 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
 // BundleSchema identifies the diagnostic-bundle layout written by
 // Watchdog.Dump; bump it when the file set or meta shape changes.
-const BundleSchema = "rpq-bundle/1"
+const BundleSchema = "rpq-bundle/2"
 
 // Watchdog turns anomalies — deadline breaches, cancellations, hung or slow
-// queries — into diagnostic bundles: a directory holding the query's
-// flight-recorder events, its live progress snapshot, goroutine and heap
-// dumps, and (when available) the partial explain profile. The zero value is
+// queries — into diagnostic bundles: a directory holding the query's live
+// progress snapshot, goroutine and heap dumps, and (when available) the
+// partial explain profile. The zero value is
 // inert; set Dir to enable dumping.
 type Watchdog struct {
 	// Dir is the directory bundles are written under (created on demand).
@@ -56,12 +54,10 @@ type ProfilePinner interface {
 
 // BundleMeta is the meta.json of a bundle.
 type BundleMeta struct {
-	Schema     string        `json:"schema"`
-	Reason     string        `json:"reason"`
-	WrittenAt  string        `json:"written_at"`
-	Query      QuerySnapshot `json:"query"`
-	RingEvents int           `json:"ring_events"`
-	RingTotal  int           `json:"ring_total"`
+	Schema    string        `json:"schema"`
+	Reason    string        `json:"reason"`
+	WrittenAt string        `json:"written_at"`
+	Query     QuerySnapshot `json:"query"`
 	// ProfileWindow is the id of the continuous-profiler window pinned for
 	// this bundle (written as profile.pb.gz); 0 when no profiler was attached
 	// or nothing had been captured yet.
@@ -74,7 +70,6 @@ func (w *Watchdog) Enabled() bool { return w != nil && w.Dir != "" }
 // Dump writes one diagnostic bundle for q and returns its directory:
 //
 //	meta.json       BundleMeta (schema, reason, progress snapshot)
-//	events.ndjson   the flight-recorder ring contents, oldest first
 //	goroutines.txt  full goroutine stacks (pprof debug=2)
 //	heap.pprof      heap profile in pprof binary format
 //	profile.pb.gz   the pinned continuous-profiler CPU window, when a
@@ -95,14 +90,8 @@ func (w *Watchdog) Dump(q *InflightQuery, reason string, explain any) (string, e
 	w.mu.Unlock()
 
 	snap := QuerySnapshot{}
-	var events []Event
-	ringTotal := 0
 	if q != nil {
 		snap = q.Snapshot()
-		if q.Ring != nil {
-			events = q.Ring.Snapshot()
-			ringTotal = q.Ring.Total()
-		}
 	}
 	name := fmt.Sprintf("%s-q%d-%s-%d", time.Now().UTC().Format("20060102T150405"), snap.ID, reason, seq)
 	dir := filepath.Join(w.Dir, name)
@@ -126,8 +115,6 @@ func (w *Watchdog) Dump(q *InflightQuery, reason string, explain any) (string, e
 		Reason:        reason,
 		WrittenAt:     time.Now().UTC().Format(time.RFC3339Nano),
 		Query:         snap,
-		RingEvents:    len(events),
-		RingTotal:     ringTotal,
 		ProfileWindow: profWindow,
 	}
 	if err := writeJSONFile(filepath.Join(dir, "meta.json"), meta); err != nil {
@@ -138,18 +125,6 @@ func (w *Watchdog) Dump(q *InflightQuery, reason string, explain any) (string, e
 		if err := os.WriteFile(filepath.Join(dir, "profile.pb.gz"), profCPU, 0o644); err != nil {
 			return dir, fmt.Errorf("obs: write profile.pb.gz: %w", err)
 		}
-	}
-
-	ef, err := os.Create(filepath.Join(dir, "events.ndjson"))
-	if err != nil {
-		return dir, fmt.Errorf("obs: create events.ndjson: %w", err)
-	}
-	sink := NewNDJSONSink(ef)
-	for _, e := range events {
-		sink.Emit(e)
-	}
-	if err := ef.Close(); err != nil {
-		return dir, err
 	}
 
 	gf, err := os.Create(filepath.Join(dir, "goroutines.txt"))
@@ -235,8 +210,6 @@ type Bundle struct {
 	Dir string
 	// Meta is meta.json.
 	Meta BundleMeta
-	// Events holds events.ndjson decoded line by line.
-	Events []map[string]any
 	// Goroutines is the full text of goroutines.txt.
 	Goroutines string
 	// Explain holds explain.json when present, else nil.
@@ -263,21 +236,6 @@ func LoadBundle(dir string) (*Bundle, error) {
 	}
 	if b.Meta.Schema != BundleSchema {
 		return nil, fmt.Errorf("obs: unknown bundle schema %q", b.Meta.Schema)
-	}
-	if ef, err := os.Open(filepath.Join(dir, "events.ndjson")); err == nil {
-		sc := bufio.NewScanner(ef)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var ev map[string]any
-			if err := json.Unmarshal([]byte(line), &ev); err == nil {
-				b.Events = append(b.Events, ev)
-			}
-		}
-		ef.Close()
 	}
 	if gb, err := os.ReadFile(filepath.Join(dir, "goroutines.txt")); err == nil {
 		b.Goroutines = string(gb)

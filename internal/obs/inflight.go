@@ -90,13 +90,10 @@ type InflightQuery struct {
 	substs     atomic.Int64
 	enumSubsts atomic.Int64
 
-	// Ring, when non-nil, is the query's flight-recorder event ring; the
-	// watchdog drains it into a diagnostic bundle.
-	Ring *RingSink
 	// Lint, when non-nil, holds the static-analysis findings for the query
 	// (a JSON-marshalable value set by the public layer before the query
-	// starts); the watchdog writes it into bundles as lint.json. Like Ring
-	// it must be set before Watchdog.Arm and never mutated afterwards.
+	// starts); the watchdog writes it into bundles as lint.json. It must be
+	// set before Watchdog.Arm and never mutated afterwards.
 	Lint any
 }
 

@@ -14,9 +14,9 @@ import (
 // every span of one distributed request, a 64-bit span ID naming this
 // process's own unit of work, and the sampled flag. It is the request-scoped
 // key that joins an HTTP request to everything the engine records about it —
-// trace events, in-flight snapshots, slow-log records, flight-recorder
-// bundles, and pprof labels. The zero value is invalid (IsValid reports
-// false); obtain one with NewTraceContext or ParseTraceparent.
+// in-flight snapshots, slow-log records, watchdog bundles, and pprof labels.
+// The zero value is invalid (IsValid reports false); obtain one with
+// NewTraceContext or ParseTraceparent.
 type TraceContext struct {
 	// TraceID is the 128-bit request identity, propagated unchanged across
 	// process hops.
@@ -176,31 +176,3 @@ func TraceFrom(ctx context.Context) (TraceContext, bool) {
 // SpanUint64 returns the span ID as a uint64 (big-endian), for callers that
 // want a numeric form.
 func (tc TraceContext) SpanUint64() uint64 { return binary.BigEndian.Uint64(tc.SpanID[:]) }
-
-// stampedTracer forwards events to an inner tracer with the trace identity
-// filled in, so sinks spliced below it (NDJSON files, Chrome traces, the
-// flight-recorder ring) record which request each event belongs to.
-type stampedTracer struct {
-	inner   Tracer
-	traceID string
-	spanID  string
-}
-
-// StampTrace wraps t so every event it records carries tc's trace and span
-// IDs. A nil t or an invalid tc returns t unchanged.
-func StampTrace(t Tracer, tc TraceContext) Tracer {
-	if t == nil || !tc.IsValid() {
-		return t
-	}
-	return &stampedTracer{inner: t, traceID: tc.TraceIDString(), spanID: tc.SpanIDString()}
-}
-
-// Enabled implements Tracer.
-func (s *stampedTracer) Enabled() bool { return s.inner.Enabled() }
-
-// Emit implements Tracer.
-func (s *stampedTracer) Emit(e Event) {
-	e.TraceID = s.traceID
-	e.SpanID = s.spanID
-	s.inner.Emit(e)
-}

@@ -124,39 +124,3 @@ func TestWithTraceAndTraceFrom(t *testing.T) {
 		t.Fatalf("TraceFrom = %+v, %v", got, ok)
 	}
 }
-
-// sliceTracer records emitted events for assertions.
-type sliceTracer struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-func (s *sliceTracer) Enabled() bool { return true }
-func (s *sliceTracer) Emit(e Event) {
-	s.mu.Lock()
-	s.events = append(s.events, e)
-	s.mu.Unlock()
-}
-
-func TestStampTrace(t *testing.T) {
-	tc := NewTraceContext()
-	if got := StampTrace(nil, tc); got != nil {
-		t.Fatal("stamping a nil tracer returned non-nil")
-	}
-	inner := &sliceTracer{}
-	if got := StampTrace(inner, TraceContext{}); got != Tracer(inner) {
-		t.Fatal("stamping with an invalid trace should return the tracer unchanged")
-	}
-	st := StampTrace(inner, tc)
-	st.Emit(Event{Name: "phase"})
-	if len(inner.events) != 1 {
-		t.Fatalf("forwarded %d events", len(inner.events))
-	}
-	e := inner.events[0]
-	if e.TraceID != tc.TraceIDString() || e.SpanID != tc.SpanIDString() {
-		t.Fatalf("stamped event: trace=%q span=%q", e.TraceID, e.SpanID)
-	}
-	if !st.Enabled() {
-		t.Fatal("stamped tracer lost Enabled")
-	}
-}

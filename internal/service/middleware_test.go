@@ -205,7 +205,7 @@ func TestReadyzSplit(t *testing.T) {
 	}
 }
 
-// TestTraceEndToEnd holds a traced query in flight with the gate tracer and
+// TestTraceEndToEnd holds a traced query in flight with the progress gate and
 // follows its trace ID through every surface: the response headers, the
 // in-flight snapshot, the slow-query log, the access log, and the watchdog
 // bundle's meta.json.
@@ -218,8 +218,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		Watchdog: &rpq.Watchdog{Dir: wdDir, Slow: time.Nanosecond},
 	})
 	h := s.Handler()
-	gate := newGateTracer()
-	s.hookOptions = func(o *rpq.Options) { o.Tracer = gate }
+	gate := newProgressGate()
+	s.hookOptions = gate.hook
 
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})

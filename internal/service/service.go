@@ -62,8 +62,8 @@ type Config struct {
 	MaxQueryBytes int64
 	// SlowLog, when non-nil, records slow queries for every request.
 	SlowLog *rpq.SlowLog
-	// Watchdog, when non-nil, attaches the flight recorder / anomaly-bundle
-	// watchdog to every request.
+	// Watchdog, when non-nil, attaches the anomaly-bundle watchdog to every
+	// request.
 	Watchdog *rpq.Watchdog
 	// Registry receives the service gauges (rpq_svc_*) and the solver
 	// gauges; nil means the default registry, which is what the
@@ -161,7 +161,7 @@ type Server struct {
 	// hold slots deterministically.
 	hookAdmitted func(ctx context.Context)
 	// hookOptions, when non-nil, runs on the built rpq.Options just before
-	// the solve — tests use it to inject blocking tracers.
+	// the solve — tests use it to hold a query at its progress hook.
 	hookOptions func(*rpq.Options)
 }
 

@@ -358,25 +358,31 @@ func TestBurstAbove429(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before burst, %d after", before, runtime.NumGoroutine())
 }
 
-// gateTracer blocks the solver at its first trace event until released,
-// holding a query deterministically in flight. Enabled() reports true so
-// the solver emits events.
-type gateTracer struct {
+// progressGate blocks the solver at its first progress snapshot until
+// released, holding a query deterministically in flight. Its hook runs the
+// query under the enumeration algorithm, which reports progress before each
+// substitution and checks for cancellation between substitutions, so a
+// query canceled or past its deadline while held stops at the next one
+// (the test graph gives x two substitutions).
+type progressGate struct {
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func newGateTracer() *gateTracer {
-	return &gateTracer{entered: make(chan struct{}), release: make(chan struct{})}
+func newProgressGate() *progressGate {
+	return &progressGate{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gateTracer) Enabled() bool { return true }
-func (g *gateTracer) Emit(rpq.TraceEvent) {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
-	})
+// hook installs the gate on a query's options (Server.hookOptions).
+func (g *progressGate) hook(o *rpq.Options) {
+	o.Algorithm = rpq.Enumerate
+	o.Progress = func(rpq.Progress) {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
 }
 
 // TestClientDisconnectCancelsQuery pins satellite 4: a dropped HTTP request
@@ -385,8 +391,8 @@ func (g *gateTracer) Emit(rpq.TraceEvent) {
 func TestClientDisconnectCancelsQuery(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1})
 	h := s.Handler()
-	gate := newGateTracer()
-	s.hookOptions = func(o *rpq.Options) { o.Tracer = gate }
+	gate := newProgressGate()
+	s.hookOptions = gate.hook
 
 	ctx, cancelReq := context.WithCancel(context.Background())
 	req := httptest.NewRequest("POST", "/api/v1/query",
@@ -454,8 +460,8 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 func TestCancelEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	gate := newGateTracer()
-	s.hookOptions = func(o *rpq.Options) { o.Tracer = gate }
+	gate := newProgressGate()
+	s.hookOptions = gate.hook
 
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
@@ -509,8 +515,8 @@ func TestCancelEndpoint(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	gate := newGateTracer()
-	s.hookOptions = func(o *rpq.Options) { o.Tracer = gate }
+	gate := newProgressGate()
+	s.hookOptions = gate.hook
 
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
@@ -548,8 +554,8 @@ func TestShutdownDrains(t *testing.T) {
 func TestShutdownCancelsOnDeadline(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	gate := newGateTracer()
-	s.hookOptions = func(o *rpq.Options) { o.Tracer = gate }
+	gate := newProgressGate()
+	s.hookOptions = gate.hook
 
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
@@ -595,8 +601,8 @@ func waitUntil(t *testing.T, cond func() bool) {
 func TestDeadlineMapsTo504(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	gate := newGateTracer()
-	s.hookOptions = func(o *rpq.Options) { o.Tracer = gate }
+	gate := newProgressGate()
+	s.hookOptions = gate.hook
 
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})

@@ -54,8 +54,8 @@ type Table interface {
 	// Kind reports the representation.
 	Kind() TableKind
 	// SetOnGrow installs a callback invoked after each newly interned
-	// substitution with the new length and byte figures. The observability
-	// layer uses it for table-growth snapshots; a nil callback (the
+	// substitution with the new length and byte figures. The explain
+	// profile uses it for its table-occupancy curve; a nil callback (the
 	// default) costs one nil check per intern.
 	SetOnGrow(func(n int, bytes int64))
 }

@@ -6,21 +6,13 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"rpq/internal/obs"
 )
-
-// panicTracer panics on the first event it receives — standing in for a bug
-// inside a solver variant. The rpq layer must still drain the in-flight
-// registry on that exit path.
-type panicTracer struct{}
-
-func (panicTracer) Enabled() bool  { return true }
-func (panicTracer) Emit(obs.Event) { panic("tracer boom") }
 
 // TestInflightDrainsOnSolverPanic pins the deferred-Done lifecycle fix: a
 // panic escaping any solver variant must not leave a ghost entry in
-// /debug/rpq/queries.
+// /debug/rpq/queries. The panic comes from the progress hook, which every
+// worklist solve calls at least once, when its worklist drains — standing
+// in for a bug inside a solver variant.
 func TestInflightDrainsOnSolverPanic(t *testing.T) {
 	g := figure1Graph(t)
 	if n := len(InflightQueries()); n != 0 {
@@ -40,7 +32,7 @@ func TestInflightDrainsOnSolverPanic(t *testing.T) {
 			t.Fatalf("%s: %d ghost in-flight entries after solver panic", name, n)
 		}
 	}
-	opts := func() *Options { return &Options{Tracer: panicTracer{}} }
+	opts := func() *Options { return &Options{Progress: func(Progress) { panic("solver boom") }} }
 	p := MustParsePattern("(!def(x))* use(x)")
 	run("exist", func() { g.Exist(p, opts()) })
 	run("universal", func() { g.Universal(p, opts()) })
@@ -58,8 +50,7 @@ func TestInflightDrainsOnSolverPanic(t *testing.T) {
 func TestInflightDrainsOnProgressPanic(t *testing.T) {
 	g := figure1Graph(t)
 	p := MustParsePattern("(!def(x))* use(x)")
-	// A tracer that does nothing keeps the traced (instrumented) path live
-	// while Progress fires per enumerated substitution.
+	// Under enumeration, Progress fires once per enumerated substitution.
 	opts := &Options{
 		Algorithm: Enumerate,
 		Progress:  func(Progress) { panic("progress boom") },

@@ -48,14 +48,14 @@ func newestBundle(t *testing.T, dir string) *Bundle {
 	return b
 }
 
-// TestWatchdogBundleLinksProfileWindow is the gate-tracer test for the
+// TestWatchdogBundleLinksProfileWindow is the gate test for the
 // watchdog↔profiler link: a slow query run under a continuous profiler must
-// produce a flight-recorder bundle whose profile.pb.gz carries CPU samples
+// produce a watchdog bundle whose profile.pb.gz carries CPU samples
 // labeled with that query's trace ID — even though the watchdog fires while
 // the profile window is still being captured (the pin cuts it short).
 func TestWatchdogBundleLinksProfileWindow(t *testing.T) {
 	if testing.Short() {
-		t.Skip("gate-tracer test burns CPU for profile samples")
+		t.Skip("gate test burns CPU for profile samples")
 	}
 
 	// window == interval keeps a capture in flight continuously, so the

@@ -317,12 +317,6 @@ type Options struct {
 	// Deprecated: queries always run the sequential solver. The field is
 	// kept so existing callers still compile.
 	Workers int
-	// Tracer receives structured lifecycle events from the solver: phase
-	// begin/end, worklist high-water marks, substitution-table growth
-	// snapshots, and end-of-run counters. Nil (the default) disables
-	// tracing; the no-op path costs one branch per query. See
-	// NewRingTracer, NewNDJSONTracer, and NewChromeTracer for sinks.
-	Tracer Tracer
 	// Gauges receives live samples of worklist depth, reach-set size,
 	// interned substitutions, and table bytes every few hundred worklist
 	// pops, so the /metrics endpoint can expose a query in flight. Use
@@ -350,9 +344,9 @@ type Options struct {
 	// solver goroutine — keep it cheap and do not block.
 	Progress func(Progress)
 	// Watchdog, when non-nil with a Dir, turns anomalies into diagnostic
-	// bundles: it attaches an always-on flight-recorder event ring to the
-	// query, arms a hung-query timer (Watchdog.Hung), and dumps a bundle on
-	// deadline breach, cancellation, or a slow run (Watchdog.Slow).
+	// bundles: it arms a hung-query timer (Watchdog.Hung) and dumps a
+	// bundle on deadline breach, cancellation, or a slow run
+	// (Watchdog.Slow).
 	Watchdog *Watchdog
 	// Lint runs the static query analyzer before solving and rejects the
 	// query with a *LintError if it has error-severity findings (a provably
@@ -388,27 +382,9 @@ type Explain = core.Explain
 
 // ---- Observability ----
 //
-// The types below re-export the internal/obs layer so callers can trace
-// runs, expose live metrics, and log slow queries; docs/observability.md
-// documents the event schema and metric names.
-
-// Tracer receives solver trace events; see Options.Tracer.
-type Tracer = obs.Tracer
-
-// TraceEvent is one structured trace event.
-type TraceEvent = obs.Event
-
-// RingTracer retains the last N events in memory.
-type RingTracer = obs.RingSink
-
-// NDJSONTracer streams events as NDJSON, one object per line.
-type NDJSONTracer = obs.NDJSONSink
-
-// ChromeTracer writes Chrome trace_event JSON for chrome://tracing.
-type ChromeTracer = obs.ChromeSink
-
-// MultiTracer fans events out to several tracers.
-type MultiTracer = obs.Multi
+// The types below re-export the internal/obs layer so callers can expose
+// live metrics, watch queries in flight, and log slow queries;
+// docs/observability.md documents the metric names and the bundle layout.
 
 // SlowLog records slow queries as NDJSON; see Options.SlowLog.
 type SlowLog = obs.SlowLog
@@ -454,16 +430,6 @@ func LoadBundle(dir string) (*Bundle, error) { return obs.LoadBundle(dir) }
 // this process, ordered by start; the same data is served as JSON at
 // /debug/rpq/queries by ServeObservabilityWith.
 func InflightQueries() []QuerySnapshot { return obs.DefaultInflight().Snapshots() }
-
-// NewRingTracer returns a tracer retaining the last n events.
-func NewRingTracer(n int) *RingTracer { return obs.NewRingSink(n) }
-
-// NewNDJSONTracer returns a tracer streaming NDJSON events to w.
-func NewNDJSONTracer(w io.Writer) *NDJSONTracer { return obs.NewNDJSONSink(w) }
-
-// NewChromeTracer returns a tracer writing Chrome trace_event JSON to w;
-// call Close when the run finishes to terminate the JSON array.
-func NewChromeTracer(w io.Writer) *ChromeTracer { return obs.NewChromeSink(w) }
 
 // NewSlowLog returns a slow-query log writing NDJSON records to w for
 // queries taking threshold or longer.
@@ -577,10 +543,6 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 	return out, nil
 }
 
-// flightRingSize is the capacity of the always-on per-query flight-recorder
-// event ring attached when Options.Watchdog is set.
-const flightRingSize = 256
-
 // runState tracks one public query from beginRun to finish: the in-flight
 // registry entry, which is the query's one record (identity, trace, clock
 // and resource anchors, live progress), and the hung-query timer.
@@ -617,18 +579,16 @@ func (rs *runState) do(ctx context.Context, co *core.Options, fn func(ctx contex
 	pprof.Do(ctx, pprof.Labels(labels...), fn)
 }
 
-// beginRun registers the query as in-flight, splices the flight-recorder
-// ring into the core tracer when a watchdog is configured, arms the
-// hung-query timer, and installs the run's one progress fan-out: each
-// snapshot updates the in-flight handle, the gauges (when Options.Gauges
-// is set), and the caller's Options.Progress. It mutates co (Tracer,
-// Progress, Deadline) in place. lint is the query's lint report (or nil)
+// beginRun registers the query as in-flight, arms the hung-query timer
+// when a watchdog is configured, and installs the run's one progress
+// fan-out: each snapshot updates the in-flight handle, the gauges (when
+// Options.Gauges is set), and the caller's Options.Progress. It mutates co
+// (Progress, Deadline) in place. lint is the query's lint report (or nil)
 // for watchdog bundles; it must be attached here, before the hung timer
 // arms, because the timer reads the handle asynchronously. When ctx
 // carries a trace context (obs.WithTrace — the service plane attaches one
 // per HTTP request), the run's telemetry is stamped with it: the in-flight
-// snapshot, every trace event, the pprof label set, and the slow-log
-// record. The lookup is one ctx.Value call per query, so library runs
+// snapshot, the pprof label set, and the slow-log record. The lookup is one ctx.Value call per query, so library runs
 // without a trace pay nothing measurable.
 func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, co *core.Options) *runState {
 	if opts == nil {
@@ -639,18 +599,8 @@ func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, 
 	rs.iq = obs.DefaultInflight().Begin(kind, query, co.Algo.String(), tc)
 	rs.iq.Lint = lint
 	if wd := opts.Watchdog; wd.Enabled() {
-		ring := obs.NewRingSink(flightRingSize)
-		rs.iq.Ring = ring
-		if co.Tracer != nil {
-			co.Tracer = obs.Multi{co.Tracer, ring}
-		} else {
-			co.Tracer = ring
-		}
 		rs.stopHung = wd.Arm(rs.iq)
 	}
-	// Stamp outermost so every sink below — user tracer and flight ring
-	// alike — records the trace identity on each event.
-	co.Tracer = obs.StampTrace(co.Tracer, tc)
 	iq, gauges, userProg := rs.iq, opts.Gauges, opts.Progress
 	co.Progress = func(p core.Progress) {
 		p.Pops += rs.carry.Pops
@@ -883,7 +833,6 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 		SCCOrder:   opts.SCCOrder,
 		Completion: core.CompletionMode(opts.Completion),
 		Witnesses:  opts.Witnesses,
-		Tracer:     opts.Tracer,
 		Explain:    opts.Explain,
 	}
 	switch opts.Algorithm {

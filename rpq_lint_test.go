@@ -55,16 +55,14 @@ func TestLintForGraphPublicAPI(t *testing.T) {
 
 // TestLintGateRejectsBeforeSolve pins the acceptance criterion: with
 // Options.Lint set, an error-severity pattern is rejected with a *LintError
-// before any solver work — the tracer sees zero events and the progress
-// callback never fires (zero worklist pops).
+// before any solver work — the progress callback never fires (zero
+// worklist pops).
 func TestLintGateRejectsBeforeSolve(t *testing.T) {
 	g := lintTestGraph()
 	p := rpq.MustParsePattern("!_ use(x)") // unsatisfiable label => empty language
-	ring := rpq.NewRingTracer(64)
 	progressCalls := 0
 	opts := &rpq.Options{
 		Lint:     true,
-		Tracer:   ring,
 		Progress: func(rpq.Progress) { progressCalls++ },
 	}
 	res, err := g.Exist(p, opts)
@@ -84,9 +82,6 @@ func TestLintGateRejectsBeforeSolve(t *testing.T) {
 	}
 	if !strings.Contains(le.Error(), "RPQ001") {
 		t.Errorf("LintError.Error() = %q, want it to name RPQ001", le.Error())
-	}
-	if n := len(ring.Snapshot()); n != 0 {
-		t.Errorf("tracer saw %d events, want 0 (no solver work)", n)
 	}
 	if progressCalls != 0 {
 		t.Errorf("progress fired %d times, want 0 (zero pops)", progressCalls)

@@ -15,14 +15,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"rpq/internal/core"
 	"rpq/internal/gen"
 	"rpq/internal/graph"
-	"rpq/internal/obs"
 	"rpq/internal/pattern"
-	"rpq/internal/prof"
 	"rpq/internal/queries"
 	"rpq/internal/subst"
 )
@@ -120,26 +117,6 @@ func BenchmarkExist(b *testing.B) {
 			benchQuery(b, w.bwd, w.bwdStart, bwdUninitPattern, bench.opts)
 		})
 	}
-
-	// Continuous-profiler overhead: prof-on must stay within ~2% of
-	// prof-off (the CI bench job compares the pair). The profiler runs at
-	// the default 10s/60s duty cycle scaled down so a benchmark iteration
-	// actually overlaps capture windows.
-	b.Run("prof-off", func(b *testing.B) {
-		w := progWorkload(b, spec)
-		benchQuery(b, w.bwd, w.bwdStart, bwdUninitPattern, core.Options{Algo: core.AlgoMemo})
-	})
-	b.Run("prof-on", func(b *testing.B) {
-		p := prof.New(prof.Options{
-			Window:   50 * time.Millisecond,
-			Interval: 300 * time.Millisecond,
-			Registry: obs.NewRegistry(),
-		})
-		p.Start()
-		defer p.Stop()
-		w := progWorkload(b, spec)
-		benchQuery(b, w.bwd, w.bwdStart, bwdUninitPattern, core.Options{Algo: core.AlgoMemo})
-	})
 }
 
 // ---- Table 1: uninitialized-use detection ----

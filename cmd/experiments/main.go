@@ -109,7 +109,7 @@ func main() {
 	queryTimeout = *timeout
 
 	if *httpAddr != "" {
-		srv, err := obs.Serve(*httpAddr, nil)
+		srv, err := obs.ServeWith(*httpAddr, obs.ServeOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)

@@ -4,7 +4,9 @@
 // in-flight query listing and cancellation, with a shared compiled-query
 // cache and admission control in front of the solver. An optional second
 // listener serves the observability plane (/metrics, /debug/rpq/queries,
-// /debug/rpq/prof; the index is at /debug/rpq/). Each -slo objective adds
+// /debug/pprof/; the index is at /debug/rpq/); CPU profiles are taken on
+// demand from /debug/pprof/profile, whose samples carry each query's pprof
+// labels (rpq_kind, variant, table, rpq_trace_id). Each -slo objective adds
 // the rpq_http_slo_total/rpq_http_slo_good counters for its route to
 // /metrics. On SIGINT/SIGTERM the daemon drains:
 // new requests get 503, in-flight queries run up to -drain-timeout and are
@@ -137,9 +139,6 @@ func main() {
 		watchdogDir   = flag.String("watchdog", "", "write diagnostic bundles for anomalous queries under this directory")
 		watchdogSlow  = flag.Duration("watchdog-slow", 2*time.Second, "slow-query threshold for -watchdog bundles")
 		watchdogMax   = flag.Int("watchdog-max", 32, "max diagnostic bundles kept in -watchdog (0 = unbounded)")
-		profOn        = flag.Bool("prof", true, "run the continuous profiler (effective with -obs): duty-cycled CPU windows + heap snapshots on /debug/rpq/prof")
-		profWindow    = flag.Duration("prof-window", 0, "continuous-profiler CPU capture window (0 = 10s)")
-		profInterval  = flag.Duration("prof-interval", 0, "continuous-profiler capture cadence (0 = 60s)")
 	)
 	flag.Var(&loads, "load", "preload a graph: name=path or name=format:path (text, aut, aut-universal, xml, go); repeatable")
 	flag.Var(&slos, "slo", "track an SLO: route:objective[:latency], e.g. query:0.999:30s; repeatable (default query:0.999)")
@@ -199,25 +198,12 @@ func main() {
 
 	var obsSrv *rpq.ObservabilityServer
 	if *obsAddr != "" {
-		obsCfg := rpq.ObservabilityConfig{}
-		if *profOn {
-			obsCfg.Profiling = &rpq.ProfilingConfig{
-				Window:   *profWindow,
-				Interval: *profInterval,
-			}
-		}
 		var err error
-		obsSrv, err = rpq.ServeObservabilityWith(*obsAddr, obsCfg)
+		obsSrv, err = rpq.ServeObservabilityWith(*obsAddr, rpq.ObservabilityConfig{})
 		if err != nil {
 			fatal("observability: %v", err)
 		}
 		fmt.Printf("rpqd observability on http://%s\n", obsSrv.Server.Addr)
-		// Link the profiler into the watchdog before the API listener comes
-		// up: every bundle then carries the profile window covering its
-		// anomaly (meta.profile_window + profile.pb.gz).
-		if cfg.Watchdog != nil && obsSrv.Prof != nil {
-			cfg.Watchdog.Profiler = obsSrv.Prof
-		}
 	}
 
 	ln, err := net.Listen("tcp", *addr)

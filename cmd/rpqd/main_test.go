@@ -83,10 +83,10 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// TestRpqdProcess covers what only a real rpqd process shows: a captured
-// profile window whose rpq_kind=exist samples go tool pprof attributes to
-// solver frames, the service's gauges on the observability listener, the
-// SIGTERM drain with a query in flight, and the access log file.
+// TestRpqdProcess covers what only a real rpqd process shows: a CPU profile
+// from /debug/pprof/profile whose rpq_kind=exist samples go tool pprof
+// attributes to solver frames, the service's gauges on the observability
+// listener, the SIGTERM drain with a query in flight, and the access log file.
 func TestRpqdProcess(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "access.ndjson")
@@ -99,8 +99,6 @@ func TestRpqdProcess(t *testing.T) {
 		"-slowlog", filepath.Join(dir, "slow.ndjson"),
 		"-watchdog", filepath.Join(dir, "watchdog"),
 		"-drain-timeout", "1m",
-		"-prof-window", "400ms",
-		"-prof-interval", "600ms",
 	)
 	cmd.Env = append(os.Environ(), runAsRpqd+"=1")
 	cmd.Stderr = os.Stderr
@@ -152,43 +150,43 @@ func TestRpqdProcess(t *testing.T) {
 		t.Fatalf("PUT heavy graph: %d %s", code, body)
 	}
 
-	// Profile window: run exist queries until a captured window holds
-	// rpq_kind=exist samples, then check its downloaded bytes with go tool
-	// pprof, which must attribute those samples to solver frames.
-	existWin := int64(-1)
-	for deadline := time.Now().Add(time.Minute); existWin < 0; {
+	// CPU profile: fetch /debug/pprof/profile while exist queries run, and
+	// check its bytes with go tool pprof, which must attribute the
+	// rpq_kind=exist samples to solver frames. Sampling is statistical, so a
+	// profile that caught no solver sample is taken again until the deadline.
+	profPath := filepath.Join(dir, "cpu.pb.gz")
+	var top []byte
+	for deadline := time.Now().Add(time.Minute); !strings.Contains(string(top), "rpq/internal/core."); {
 		if time.Now().After(deadline) {
-			t.Fatal("no profile window captured rpq_kind=exist samples within 1m")
+			t.Fatalf("no CPU profile attributed rpq_kind=exist samples to rpq/internal/core within 1m; last go tool pprof output:\n%s", top)
 		}
-		if code, body := call("POST", base+"/api/v1/query", heavyQuery); code != http.StatusOK {
-			t.Fatalf("exist query: %d %s", code, body)
-		}
-		var index struct {
-			Windows []struct {
-				ID     int64               `json:"id"`
-				Labels map[string][]string `json:"labels"`
-			} `json:"windows"`
-		}
-		getJSON(t, obsBase+"/debug/rpq/prof", &index)
-		for _, w := range index.Windows {
-			for _, k := range w.Labels["rpq_kind"] {
-				if k == "exist" {
-					existWin = w.ID
+		stop, queried := make(chan struct{}), make(chan string, 1)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					queried <- ""
+					return
+				default:
+				}
+				if code, body := call("POST", base+"/api/v1/query", heavyQuery); code != http.StatusOK {
+					queried <- fmt.Sprintf("exist query: %d %s", code, body)
+					return
 				}
 			}
+		}()
+		code, raw := call("GET", obsBase+"/debug/pprof/profile?seconds=1", "")
+		close(stop)
+		if msg := <-queried; msg != "" {
+			t.Fatal(msg)
 		}
-	}
-	code, raw := call("GET", fmt.Sprintf("%s/debug/rpq/prof/download?window=%d", obsBase, existWin), "")
-	if code != http.StatusOK || raw == "" {
-		t.Fatalf("download window %d: %d (%d bytes)", existWin, code, len(raw))
-	}
-	profPath := filepath.Join(dir, "exist.pb.gz")
-	if err := os.WriteFile(profPath, []byte(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	top, err := exec.Command("go", "tool", "pprof", "-top", "-cum", "-tagfocus=rpq_kind=exist", profPath).CombinedOutput()
-	if err != nil || !strings.Contains(string(top), "rpq/internal/core.") {
-		t.Fatalf("go tool pprof on window %d: err %v, no rpq/internal/core frame:\n%s", existWin, err, top)
+		if code != http.StatusOK || raw == "" {
+			t.Fatalf("GET /debug/pprof/profile: %d (%d bytes) %.200s", code, len(raw), raw)
+		}
+		if err := os.WriteFile(profPath, []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		top, _ = exec.Command("go", "tool", "pprof", "-top", "-cum", "-tagfocus=rpq_kind=exist", profPath).CombinedOutput()
 	}
 
 	// The service's admission counters reach the observability listener.

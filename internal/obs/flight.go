@@ -13,7 +13,7 @@ import (
 
 // BundleSchema identifies the diagnostic-bundle layout written by
 // Watchdog.Dump; bump it when the file set or meta shape changes.
-const BundleSchema = "rpq-bundle/2"
+const BundleSchema = "rpq-bundle/3"
 
 // Watchdog turns anomalies — deadline breaches, cancellations, hung or slow
 // queries — into diagnostic bundles: a directory holding the query's live
@@ -34,22 +34,9 @@ type Watchdog struct {
 	MaxBundles int
 	// OnBundle, when non-nil, is called with each written bundle's path.
 	OnBundle func(path string)
-	// Profiler, when non-nil, links the continuous profiler into bundles:
-	// each dump pins the profile window covering the anomaly (cutting an
-	// in-flight capture short so its samples are flushed) and writes its CPU
-	// profile as profile.pb.gz.
-	Profiler ProfilePinner
 
 	mu  sync.Mutex
 	seq int
-}
-
-// ProfilePinner is what a Watchdog needs from the continuous profiler
-// (implemented by *prof.Profiler): pin the window covering "now" and return
-// its CPU profile bytes and window id. ok is false when nothing has been
-// captured yet.
-type ProfilePinner interface {
-	PinActive(reason string) (cpu []byte, id int64, ok bool)
 }
 
 // BundleMeta is the meta.json of a bundle.
@@ -58,10 +45,6 @@ type BundleMeta struct {
 	Reason    string        `json:"reason"`
 	WrittenAt string        `json:"written_at"`
 	Query     QuerySnapshot `json:"query"`
-	// ProfileWindow is the id of the continuous-profiler window pinned for
-	// this bundle (written as profile.pb.gz); 0 when no profiler was attached
-	// or nothing had been captured yet.
-	ProfileWindow int64 `json:"profile_window,omitempty"`
 }
 
 // Enabled reports whether the watchdog can write bundles.
@@ -72,8 +55,6 @@ func (w *Watchdog) Enabled() bool { return w != nil && w.Dir != "" }
 //	meta.json       BundleMeta (schema, reason, progress snapshot)
 //	goroutines.txt  full goroutine stacks (pprof debug=2)
 //	heap.pprof      heap profile in pprof binary format
-//	profile.pb.gz   the pinned continuous-profiler CPU window, when a
-//	                Profiler is attached (meta.profile_window has its id)
 //	explain.json    partial explain profile, when explain is non-nil
 //	lint.json       the query's static-analysis findings, when q.Lint is set
 //
@@ -99,32 +80,14 @@ func (w *Watchdog) Dump(q *InflightQuery, reason string, explain any) (string, e
 		return "", fmt.Errorf("obs: create bundle dir: %w", err)
 	}
 
-	// Pin the profile window before writing meta.json: pinning cuts an
-	// in-flight capture short (flushing the samples that cover the anomaly),
-	// and meta must carry the pinned window's id.
-	var profCPU []byte
-	var profWindow int64
-	if w.Profiler != nil {
-		if cpu, id, ok := w.Profiler.PinActive(reason); ok {
-			profCPU, profWindow = cpu, id
-		}
-	}
-
 	meta := BundleMeta{
-		Schema:        BundleSchema,
-		Reason:        reason,
-		WrittenAt:     time.Now().UTC().Format(time.RFC3339Nano),
-		Query:         snap,
-		ProfileWindow: profWindow,
+		Schema:    BundleSchema,
+		Reason:    reason,
+		WrittenAt: time.Now().UTC().Format(time.RFC3339Nano),
+		Query:     snap,
 	}
 	if err := writeJSONFile(filepath.Join(dir, "meta.json"), meta); err != nil {
 		return dir, err
-	}
-
-	if len(profCPU) > 0 {
-		if err := os.WriteFile(filepath.Join(dir, "profile.pb.gz"), profCPU, 0o644); err != nil {
-			return dir, fmt.Errorf("obs: write profile.pb.gz: %w", err)
-		}
 	}
 
 	gf, err := os.Create(filepath.Join(dir, "goroutines.txt"))
@@ -217,9 +180,6 @@ type Bundle struct {
 	// Lint holds the raw lint.json when present, else nil; the rpq layer
 	// decodes it into []analyze.Diagnostic.
 	Lint json.RawMessage
-	// Profile holds profile.pb.gz (the pinned continuous-profiler CPU window,
-	// gzipped pprof proto) when present, else nil.
-	Profile []byte
 }
 
 // LoadBundle reads a bundle directory written by Dump. Missing optional
@@ -245,9 +205,6 @@ func LoadBundle(dir string) (*Bundle, error) {
 	}
 	if lb, err := os.ReadFile(filepath.Join(dir, "lint.json")); err == nil {
 		b.Lint = json.RawMessage(lb)
-	}
-	if pb, err := os.ReadFile(filepath.Join(dir, "profile.pb.gz")); err == nil {
-		b.Profile = pb
 	}
 	return b, nil
 }

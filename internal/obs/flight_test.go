@@ -221,7 +221,7 @@ func TestWatchdogArm(t *testing.T) {
 }
 
 func TestQueriesEndpoint(t *testing.T) {
-	srv, err := Serve("localhost:0", nil)
+	srv, err := ServeWith("localhost:0", ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestQueriesEndpoint(t *testing.T) {
 }
 
 func TestQueriesEndpointEmpty(t *testing.T) {
-	srv, err := Serve("localhost:0", nil)
+	srv, err := ServeWith("localhost:0", ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ type ServeOptions struct {
 	// Inflight is the in-flight query registry served on /debug/rpq/queries;
 	// nil means DefaultInflight().
 	Inflight *Inflight
-	// Prof, when non-nil, is the continuous profiler's HTTP surface
-	// (prof.Profiler.Handler()), mounted at /debug/rpq/prof.
-	Prof http.Handler
 	// QueryHist, when non-nil, feeds the /debug/rpq/exemplars endpoint
 	// (typically SolverGauges.QueryHist).
 	QueryHist *Histogram
@@ -38,12 +35,6 @@ type debugSurface struct {
 	Enabled bool `json:"enabled"`
 }
 
-// Serve starts the observability HTTP server on addr with default options;
-// see ServeWith.
-func Serve(addr string, reg *Registry) (*http.Server, error) {
-	return ServeWith(addr, ServeOptions{Registry: reg})
-}
-
 // ServeWith starts the observability HTTP server on addr (e.g.
 // "localhost:6060") serving:
 //
@@ -52,18 +43,17 @@ func Serve(addr string, reg *Registry) (*http.Server, error) {
 //	                    rpq_build_info
 //	/debug/rpq/         JSON index of every debug surface with descriptions
 //	/debug/rpq/queries  JSON snapshots of the queries executing right now
-//	/debug/rpq/prof     continuous-profiler windows as rpq-prof/1 JSON (when
-//	                    configured; raw pprof bytes under /download)
 //	/debug/rpq/exemplars  latency-bucket trace exemplars as JSON
 //	/debug/vars         expvar JSON (includes the registry under "rpq_metrics")
-//	/debug/pprof/       the standard pprof profile index
+//	/debug/pprof/       the standard pprof profile index and on-demand
+//	                    profiles (CPU samples carry the per-query labels)
 //
 // The listener is bound synchronously — a bad address fails here, not
 // later — and requests are served on a background goroutine. The returned
 // server can be Closed to stop it.
 //
 // The expvar "rpq_metrics" variable is process-global (expvar.Publish panics
-// on duplicates) and is bound to the registry of the first Serve call.
+// on duplicates) and is bound to the registry of the first ServeWith call.
 func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 	reg := o.Registry
 	if reg == nil {
@@ -96,14 +86,6 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 		enc.SetIndent("", "  ")
 		enc.Encode(map[string]any{"queries": snaps})
 	})
-	if o.Prof != nil {
-		mux.Handle("/debug/rpq/prof", o.Prof)
-		mux.Handle("/debug/rpq/prof/", o.Prof)
-	} else {
-		mux.HandleFunc("/debug/rpq/prof", func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "continuous profiling not enabled on this server", http.StatusNotImplemented)
-		})
-	}
 	mux.HandleFunc("/debug/rpq/exemplars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		ex := o.QueryHist.Exemplars()
@@ -121,7 +103,6 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 		{"/metrics", "Prometheus text exposition: gauges, latency summaries + _hist bucket families with trace exemplars, rpq_build_info", true},
 		{"/debug/rpq/", "this index", true},
 		{"/debug/rpq/queries", "JSON snapshots of the queries executing right now", true},
-		{"/debug/rpq/prof", "continuous-profiler windows as rpq-prof/1 JSON with each window's pprof label values; /download?window=N fetches the raw pprof proto for go tool pprof", o.Prof != nil},
 		{"/debug/rpq/exemplars", "latency-bucket trace exemplars (slowest buckets first) as JSON", o.QueryHist != nil},
 		{"/debug/vars", "expvar JSON including the registry under rpq_metrics", true},
 		{"/debug/pprof/", "standard net/http/pprof index (on-demand profiles)", true},

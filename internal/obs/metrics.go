@@ -296,7 +296,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d", joinLabels(fam+"_bucket", hw.labels, fmt.Sprintf("le=%q", strconv.FormatFloat(le, 'g', -1, 64))), cum)
 			// OpenMetrics exemplar: the most recent trace ID that landed in
 			// this bucket, so a slow bucket jumps straight to its trace (and
-			// from there to the pinned profile slice).
+			// from there to the CPU samples labelled rpq_trace_id).
 			if e := hw.exemplars[i]; e != nil {
 				fmt.Fprintf(w, " # {trace_id=%q} %g %d.%03d",
 					e.TraceID, e.Value.Seconds(), e.Time.Unix(), e.Time.Nanosecond()/1e6)

@@ -71,7 +71,7 @@ func TestGaugeConcurrency(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("rpq_worklist_depth", "d").Set(7)
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ func TestInflightDrainsOnProgressPanic(t *testing.T) {
 }
 
 // TestServeObservabilityWithStartupFailure pins the startup-failure path: a
-// bind error must return without leaving the runtime sampler or profiler
-// goroutines running.
+// bind error must return without leaving the runtime sampler goroutine
+// running.
 func TestServeObservabilityWithStartupFailure(t *testing.T) {
 	// Occupy a port so the observability bind fails deterministically.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -79,7 +79,6 @@ func TestServeObservabilityWithStartupFailure(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		srv, err := ServeObservabilityWith(ln.Addr().String(), ObservabilityConfig{
 			SampleInterval: time.Millisecond,
-			Profiling:      &ProfilingConfig{Window: time.Millisecond, Interval: time.Millisecond},
 		})
 		if err == nil {
 			srv.Close()
@@ -89,7 +88,7 @@ func TestServeObservabilityWithStartupFailure(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	// Any leaked sampler or profiler goroutine would persist; give the
+	// Any leaked sampler goroutine would persist; give the
 	// scheduler a moment to settle, then compare.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

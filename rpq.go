@@ -44,7 +44,6 @@ import (
 	"rpq/internal/minic"
 	"rpq/internal/obs"
 	"rpq/internal/pattern"
-	"rpq/internal/prof"
 	"rpq/internal/queries"
 	"rpq/internal/subst"
 	"rpq/internal/xmldata"
@@ -449,24 +448,6 @@ type ObservabilityConfig struct {
 	// SampleInterval is the runtime-metrics sampling cadence (0 = 1s,
 	// < 0 = no runtime sampler).
 	SampleInterval time.Duration
-	// Profiling, when non-nil, starts the always-on continuous profiler:
-	// duty-cycled CPU windows plus heap snapshots in a bounded ring, listed
-	// on /debug/rpq/prof (raw bytes on /debug/rpq/prof/download, for
-	// `go tool pprof`) and pinned into watchdog bundles on anomalies.
-	Profiling *ProfilingConfig
-}
-
-// ProfilingConfig tunes the continuous profiler; see
-// ObservabilityConfig.Profiling. The zero value captures a 10s CPU window
-// every 60s — a duty cycle whose steady-state overhead stays under 2% (the
-// pinned BenchmarkExist/prof-on budget). The profiler keeps the last 32
-// windows plus up to 8 anomaly-pinned ones.
-type ProfilingConfig struct {
-	// Window is the CPU-capture duration per cycle (0 = 10s).
-	Window time.Duration
-	// Interval is the capture cadence — one window starts every Interval
-	// (0 = 60s; clamped up to Window).
-	Interval time.Duration
 }
 
 // SLO is one service-level objective: the service plane counts its requests
@@ -474,26 +455,19 @@ type ProfilingConfig struct {
 type SLO = obs.SLO
 
 // ObservabilityServer is a running observability plane: the HTTP server
-// plus the background runtime sampler feeding it and the optional profiler.
-// Close stops them all; the components are exported for tests and for
-// callers that want to SampleOnce on their own schedule.
+// plus the background runtime sampler feeding it. Close stops both; the
+// components are exported for tests and for callers that want to
+// SampleOnce on their own schedule.
 type ObservabilityServer struct {
 	Server  *http.Server
 	Sampler *obs.RuntimeSampler
-	// Prof is the continuous profiler behind /debug/rpq/prof; nil unless
-	// ObservabilityConfig.Profiling was set. Wire it into a Watchdog
-	// (Watchdog.Profiler = srv.Prof) to pin profile windows into bundles.
-	Prof *prof.Profiler
 }
 
-// Close stops the profiler, the runtime sampler, and the HTTP server, in
-// that order. No background goroutine survives it.
+// Close stops the runtime sampler, then the HTTP server. No background
+// goroutine survives it.
 func (s *ObservabilityServer) Close() error {
 	if s == nil {
 		return nil
-	}
-	if s.Prof != nil {
-		s.Prof.Stop()
 	}
 	if s.Sampler != nil {
 		s.Sampler.Stop()
@@ -507,38 +481,24 @@ func (s *ObservabilityServer) Close() error {
 // ServeObservabilityWith starts the full observability plane on addr:
 // /metrics (Prometheus text exposition of the default registry, including
 // the latency histograms), /debug/rpq/queries (JSON snapshots of in-flight
-// queries), /debug/rpq/exemplars, /debug/vars (expvar) and /debug/pprof/,
-// plus a runtime-metrics sampler whose go_* gauges join /metrics, and, when
-// configured, the continuous profiler on /debug/rpq/prof. The listener binds
-// synchronously. Close the returned server to stop everything.
+// queries), /debug/rpq/exemplars, /debug/vars (expvar) and /debug/pprof/
+// (on-demand profiles whose CPU samples carry each query's pprof labels),
+// plus a runtime-metrics sampler whose go_* gauges join /metrics. The
+// listener binds synchronously. Close the returned server to stop everything.
 func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*ObservabilityServer, error) {
 	out := &ObservabilityServer{}
 	if cfg.SampleInterval >= 0 {
 		out.Sampler = obs.NewRuntimeSampler(nil, cfg.SampleInterval)
 	}
-	if pc := cfg.Profiling; pc != nil {
-		out.Prof = prof.New(prof.Options{
-			Window:   pc.Window,
-			Interval: pc.Interval,
-		})
-	}
-	so := obs.ServeOptions{QueryHist: obs.NewSolverGauges(nil).QueryHist}
-	if out.Prof != nil {
-		so.Prof = out.Prof.Handler()
-	}
-	srv, err := obs.ServeWith(addr, so)
+	srv, err := obs.ServeWith(addr, obs.ServeOptions{QueryHist: obs.NewSolverGauges(nil).QueryHist})
 	if err != nil {
-		// Failed startup (e.g. the port is already bound) returns before any
-		// component starts, so no sampler or profiler goroutine outlives the
-		// error return.
+		// Failed startup (e.g. the port is already bound) returns before the
+		// sampler starts, so no sampler goroutine outlives the error return.
 		return nil, err
 	}
 	out.Server = srv
 	if out.Sampler != nil {
 		out.Sampler.Start()
-	}
-	if out.Prof != nil {
-		out.Prof.Start()
 	}
 	return out, nil
 }

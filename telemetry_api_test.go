@@ -3,6 +3,7 @@ package rpq
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -217,30 +218,43 @@ func TestInflightCountersNeverDecrease(t *testing.T) {
 
 // TestGoroutineProfileHasQueryLabels asserts the pprof label plumbing
 // deterministically: a goroutine profile taken while a query runs must show
-// the rpq_query_id label on the solver goroutine.
+// the rpq_query_id label on the solver goroutine, and, for a query run
+// under a trace context, the rpq_trace_id label with that trace's ID.
 func TestGoroutineProfileHasQueryLabels(t *testing.T) {
 	g := telemetryGraph(t)
-	var prof atomic.Value // string
-	opts := &Options{Progress: func(Progress) {
-		if prof.Load() != nil {
-			return
-		}
-		var buf bytes.Buffer
-		// debug=1 renders labels as "labels: {...}" per goroutine.
-		pprof.Lookup("goroutine").WriteTo(&buf, 1)
-		prof.Store(buf.String())
-	}}
-	if _, err := g.Exist(MustParsePattern("_* use(x)"), opts); err != nil {
-		t.Fatal(err)
-	}
-	text, ok := prof.Load().(string)
-	if !ok {
-		t.Skip("progress callback never fired (query too small)")
-	}
-	for _, want := range []string{`"rpq_query_id":`, `"rpq_kind":"exist"`, `"variant":`, `"table":`} {
-		if !strings.Contains(text, want) {
-			t.Errorf("goroutine profile missing label %s", want)
-		}
+	tc := obs.NewTraceContext()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		want []string
+	}{
+		{"untraced", context.Background(), []string{`"rpq_query_id":`, `"rpq_kind":"exist"`, `"variant":`, `"table":`}},
+		{"traced", obs.WithTrace(context.Background(), tc), []string{`"rpq_query_id":`, `"rpq_trace_id":"` + tc.TraceIDString() + `"`}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var prof atomic.Value // string
+			opts := &Options{Progress: func(Progress) {
+				if prof.Load() != nil {
+					return
+				}
+				var buf bytes.Buffer
+				// debug=1 renders labels as "labels: {...}" per goroutine.
+				pprof.Lookup("goroutine").WriteTo(&buf, 1)
+				prof.Store(buf.String())
+			}}
+			if _, err := g.ExistContext(c.ctx, MustParsePattern("_* use(x)"), opts); err != nil {
+				t.Fatal(err)
+			}
+			text, ok := prof.Load().(string)
+			if !ok {
+				t.Skip("progress callback never fired (query too small)")
+			}
+			for _, want := range c.want {
+				if !strings.Contains(text, want) {
+					t.Errorf("goroutine profile missing label %s", want)
+				}
+			}
+		})
 	}
 }
 
@@ -286,7 +300,6 @@ func TestCPUProfileHasQueryLabels(t *testing.T) {
 func TestServeObservabilityWith(t *testing.T) {
 	srv, err := ServeObservabilityWith("127.0.0.1:0", ObservabilityConfig{
 		SampleInterval: 5 * time.Millisecond,
-		Profiling:      &ProfilingConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +361,7 @@ func TestServeObservabilityWith(t *testing.T) {
 			t.Errorf("%s: HTTP %d, %d bytes", s.Path, code, len(body))
 		}
 	}
-	for _, p := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/prof", "/debug/rpq/exemplars"} {
+	for _, p := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/exemplars"} {
 		if !paths[p] {
 			t.Errorf("/debug/rpq/ does not list %s", p)
 		}
@@ -357,10 +370,15 @@ func TestServeObservabilityWith(t *testing.T) {
 		t.Errorf("/: HTTP %d\n%s\nwant\n%s", code, body, rootList)
 	}
 	// The time-series, burn-rate and dashboard routes are gone; /metrics
-	// is the one telemetry surface.
-	for _, p := range []string{"/debug/rpq/ts", "/debug/rpq/slo", "/debug/rpq/dash"} {
+	// is the one telemetry surface. The continuous-profiler route is gone;
+	// /debug/pprof/ is the one profile surface.
+	for _, name := range []string{"ts", "slo", "dash", "prof"} {
+		p := "/debug/rpq/" + name
 		if code, _ := get(p); code != http.StatusNotFound {
 			t.Errorf("%s: HTTP %d, want 404", p, code)
+		}
+		if paths[p] {
+			t.Errorf("/debug/rpq/ still lists %s", p)
 		}
 	}
 
@@ -386,15 +404,7 @@ func TestObservabilityConfigDisables(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Sampler != nil || srv.Prof != nil {
-		t.Fatal("a negative interval must disable the sampler, and nil Profiling the profiler")
-	}
-	resp, err := http.Get("http://" + srv.Server.Addr + "/debug/rpq/prof")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("/debug/rpq/prof with profiling disabled: HTTP %d, want 501", resp.StatusCode)
+	if srv.Sampler != nil {
+		t.Fatal("a negative interval must disable the sampler")
 	}
 }

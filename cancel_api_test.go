@@ -2,8 +2,8 @@ package rpq
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -80,69 +80,55 @@ func TestProgressAndInflightPublic(t *testing.T) {
 	}
 }
 
-// TestWatchdogBundlePublic forces a deadline breach with a watchdog attached
-// and requires a loadable bundle plus a slow-log record pointing at it.
-func TestWatchdogBundlePublic(t *testing.T) {
-	g := figure1Graph(t)
-	p := MustParsePattern("(!def(x))* use(x)")
-	dir := t.TempDir()
+// TestSlowLogRecordsDeadline breaches a 1 ms deadline on a query far below
+// the slow-log threshold: the interrupted run still leaves exactly one
+// record, naming the reason and carrying the partial stats. The progress
+// callback sleeps past the deadline once, so the breach does not depend on
+// the machine's speed.
+func TestSlowLogRecordsDeadline(t *testing.T) {
+	g := telemetryGraph(t)
+	p := MustParsePattern("_* use(x)")
 	var slow strings.Builder
-	opts := &Options{
-		Deadline: time.Nanosecond,
-		Watchdog: &Watchdog{Dir: dir},
-		SlowLog:  NewSlowLog(&slow, 0),
-		Explain:  true,
-	}
-	_, err := g.Exist(p, opts)
+	sl := NewSlowLog(&slow, time.Hour)
+	slept := false
+	_, err := g.Exist(p, &Options{
+		Deadline: time.Millisecond,
+		SlowLog:  sl,
+		Progress: func(Progress) {
+			if !slept {
+				slept = true
+				time.Sleep(20 * time.Millisecond)
+			}
+		},
+	})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("got %v, want deadline breach", err)
 	}
-	entries, rerr := os.ReadDir(dir)
-	if rerr != nil || len(entries) != 1 {
-		t.Fatalf("bundle dir entries = %v (%v), want exactly 1", entries, rerr)
+	lines := strings.Split(strings.TrimSpace(slow.String()), "\n")
+	if len(lines) != 1 || sl.Count() != 1 {
+		t.Fatalf("slow log = %q (count %d), want exactly one record", slow.String(), sl.Count())
 	}
-	b, lerr := LoadBundle(dir + "/" + entries[0].Name())
-	if lerr != nil {
-		t.Fatal(lerr)
+	var rec struct {
+		Kind        string `json:"kind"`
+		Interrupted string `json:"interrupted"`
+		Stats       *struct {
+			WorklistInserts int `json:"worklist_inserts"`
+		} `json:"stats"`
 	}
-	if b.Meta.Reason != "deadline" || b.Meta.Query.Kind != "exist" {
-		t.Fatalf("bundle meta = %+v", b.Meta)
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("decode %q: %v", lines[0], err)
 	}
-	if b.Explain == nil {
-		t.Fatal("bundle missing partial explain profile")
+	if rec.Kind != "exist" || rec.Interrupted != "deadline" || rec.Stats == nil || rec.Stats.WorklistInserts == 0 {
+		t.Fatalf("slow-log record = %s, want kind exist, interrupted deadline and partial stats", lines[0])
 	}
-	if !strings.Contains(slow.String(), entries[0].Name()) {
-		t.Fatalf("slow-log record does not reference the bundle: %s", slow.String())
-	}
-}
 
-// TestWatchdogSlowBundle checks the slow-run trigger on a successful query.
-func TestWatchdogSlowBundle(t *testing.T) {
-	g := figure1Graph(t)
-	p := MustParsePattern("(!def(x))* use(x)")
-	dir := t.TempDir()
-	res, err := g.Exist(p, &Options{Watchdog: &Watchdog{Dir: dir, Slow: time.Nanosecond}})
-	if err != nil {
+	// A completed run below the threshold writes nothing.
+	slow.Reset()
+	if _, err := g.Exist(p, &Options{SlowLog: sl}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Answers) == 0 {
-		t.Fatal("query returned no answers")
-	}
-	entries, rerr := os.ReadDir(dir)
-	if rerr != nil || len(entries) != 1 {
-		t.Fatalf("bundle dir entries = %v (%v), want exactly 1", entries, rerr)
-	}
-	b, lerr := LoadBundle(dir + "/" + entries[0].Name())
-	if lerr != nil {
-		t.Fatal(lerr)
-	}
-	if b.Meta.Reason != "slow" {
-		t.Fatalf("reason = %q, want slow", b.Meta.Reason)
-	}
-	// meta.json carries the query's last progress snapshot: the worklist
-	// drained, so the solve phase and its pops are recorded.
-	if q := b.Meta.Query; q.Phase != "solve" || q.Pops == 0 || q.Reach == 0 {
-		t.Fatalf("bundle progress snapshot = %+v, want phase solve with pops and reach", q)
+	if slow.Len() != 0 || sl.Count() != 1 {
+		t.Fatalf("fast completed run logged: %q", slow.String())
 	}
 }
 

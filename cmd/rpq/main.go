@@ -17,15 +17,13 @@
 // record's phases and counters as a Chrome trace_event file for
 // chrome://tracing; -http serves /metrics (runtime gauges sampled every
 // -sample), /debug/rpq/queries, /debug/rpq/exemplars, /debug/vars, and
-// /debug/pprof during the run; -slow logs slow queries; -explain prints a
-// per-state/per-label execution profile as text, JSON, or an annotated
-// Graphviz heat-map of the query automaton.
+// /debug/pprof during the run; -slow logs slow and interrupted queries;
+// -explain prints a per-state/per-label execution profile as text, JSON, or
+// an annotated Graphviz heat-map of the query automaton.
 //
 // In-flight control: -timeout bounds the query's wall time, Ctrl-C cancels
 // it — both stop the run with partial statistics; -progress prints a live
-// stderr ticker; -watchdog writes diagnostic bundles (progress snapshot,
-// goroutine/heap dumps) on deadline breach, cancellation, hung queries
-// (-hung), or slow runs.
+// stderr ticker.
 package main
 
 import (
@@ -62,11 +60,9 @@ func main() {
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/{queries,exemplars}, /debug/vars, and /debug/pprof on this address during the run")
 		sample    = flag.Duration("sample", time.Second, "with -http, runtime-metrics sampling cadence (0 disables the sampler)")
 		traceOut  = flag.String("trace", "", "after the run, write its phases and counters as a Chrome trace_event JSON file (load in chrome://tracing)")
-		slow      = flag.Duration("slow", 0, "log queries at or above this duration as NDJSON to stderr")
+		slow      = flag.Duration("slow", 0, "log queries at or above this duration, and interrupted ones, as NDJSON to stderr")
 		timeout   = flag.Duration("timeout", 0, "bound the query's wall-clock time; exceeding it stops the run with partial stats")
 		progress  = flag.Bool("progress", false, "print a live progress ticker for the running query on stderr")
-		wdDir     = flag.String("watchdog", "", "write diagnostic bundles under this directory on deadline breach, cancellation, hung, or slow queries")
-		hung      = flag.Duration("hung", 0, "with -watchdog, dump a bundle if the query is still running after this long")
 		explain   = flag.String("explain", "", "print an execution profile instead of answers: text|json|dot")
 		jsonOut   = flag.Bool("json", false, "emit answers as JSON")
 		dotOut    = flag.Bool("dot", false, "emit the graph as Graphviz DOT with answers highlighted, instead of listing answers")
@@ -121,8 +117,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Observability wiring: live HTTP endpoints, slow log, progress ticker,
-	// watchdog.
+	// Observability wiring: live HTTP endpoints, slow log, progress ticker.
 	if *httpAddr != "" {
 		cfg := rpq.ObservabilityConfig{SampleInterval: *sample}
 		if *sample == 0 {
@@ -136,18 +131,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rpq: observability on http://%s (index: http://%s/debug/rpq/)\n",
 			srv.Server.Addr, srv.Server.Addr)
 		opts.Gauges = rpq.LiveGauges()
-	}
-	if *wdDir != "" {
-		opts.Watchdog = &rpq.Watchdog{
-			Dir:  *wdDir,
-			Hung: *hung,
-			Slow: *slow,
-			OnBundle: func(path string) {
-				fmt.Fprintf(os.Stderr, "rpq: diagnostic bundle written: %s\n", path)
-			},
-		}
-	} else if *hung > 0 {
-		fail("-hung requires -watchdog")
 	}
 	if *progress {
 		done := make(chan struct{})

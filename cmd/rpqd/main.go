@@ -132,13 +132,10 @@ func main() {
 		cacheSize     = flag.Int("cache-size", 0, "compiled-query cache capacity (0 = 128)")
 		noLint        = flag.Bool("no-lint", false, "disable the lint request-validation gate")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before canceling them")
-		slowLogPath   = flag.String("slowlog", "", "append slow-query NDJSON records to this file")
+		slowLogPath   = flag.String("slowlog", "", "append NDJSON records of slow and interrupted queries to this file")
 		slowThreshold = flag.Duration("slow", time.Second, "slow-query threshold for -slowlog")
 		logPath       = flag.String("log", "", `structured log destination: file path or "-" for stdout (empty = disabled)`)
 		logFormat     = flag.String("log-format", "json", "structured log format: json (NDJSON) or text")
-		watchdogDir   = flag.String("watchdog", "", "write diagnostic bundles for anomalous queries under this directory")
-		watchdogSlow  = flag.Duration("watchdog-slow", 2*time.Second, "slow-query threshold for -watchdog bundles")
-		watchdogMax   = flag.Int("watchdog-max", 32, "max diagnostic bundles kept in -watchdog (0 = unbounded)")
 	)
 	flag.Var(&loads, "load", "preload a graph: name=path or name=format:path (text, aut, aut-universal, xml, go); repeatable")
 	flag.Var(&slos, "slo", "track an SLO: route:objective[:latency], e.g. query:0.999:30s; repeatable (default query:0.999)")
@@ -164,9 +161,6 @@ func main() {
 		}
 		defer f.Close()
 		cfg.SlowLog = rpq.NewSlowLog(f, *slowThreshold)
-	}
-	if *watchdogDir != "" {
-		cfg.Watchdog = &rpq.Watchdog{Dir: *watchdogDir, Slow: *watchdogSlow, MaxBundles: *watchdogMax}
 	}
 	logger, logCloser, err := openLogger(*logPath, *logFormat)
 	if err != nil {

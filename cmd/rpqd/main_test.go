@@ -97,7 +97,6 @@ func TestRpqdProcess(t *testing.T) {
 		"-log", logPath,
 		"-log-format", "json",
 		"-slowlog", filepath.Join(dir, "slow.ndjson"),
-		"-watchdog", filepath.Join(dir, "watchdog"),
 		"-drain-timeout", "1m",
 	)
 	cmd.Env = append(os.Environ(), runAsRpqd+"=1")

@@ -3,7 +3,7 @@
 // core.Stats, the execution profile's table-growth and worklist-depth
 // curves, live gauges fed by the progress hook, and a canceled rerun
 // showing partial statistics. See docs/observability.md for the full
-// surface (Prometheus /metrics, pprof, watchdog bundles, Chrome traces
+// surface (Prometheus /metrics, pprof, the slow-query log, Chrome traces
 // from rpq -trace).
 package main
 

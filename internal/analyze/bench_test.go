@@ -7,8 +7,8 @@ import (
 	"rpq/internal/pattern"
 )
 
-// The lint pass must stay far below solve cost — the Options.Lint gate and
-// the watchdog both run it inline ahead of real queries. These benchmarks
+// The lint pass must stay far below solve cost — the Options.Lint gate runs
+// it inline ahead of real queries. These benchmarks
 // pin its cost on the same pinned workload cmd/bench uses (2000-edge
 // C-dataflow graph), where the solve phase is in the tens of milliseconds:
 // pattern-only lint is microseconds, graph lint sub-millisecond (dominated

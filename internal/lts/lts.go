@@ -41,6 +41,20 @@ const Invisible = "i"
 // two vertices per state, and vertex ids are int32.
 const maxStates = math.MaxInt32 / 2
 
+// StateBoundError rejects an AUT header that declares more states than its
+// transitions can name: each transition names at most two states, and the
+// initial state needs none, so a body with n transitions has at most 2n+1
+// states worth building. Without the bound a few header bytes would make
+// ForExistential or ForUniversal allocate one vertex per declared state.
+type StateBoundError struct {
+	States, Transitions int
+}
+
+func (e *StateBoundError) Error() string {
+	return fmt.Sprintf("lts: header declares %d states, but %d transitions name at most %d",
+		e.States, e.Transitions, 2*e.Transitions+1)
+}
+
 // ReadAUT parses the Aldébaran format:
 //
 //	des (initial, transitions, states)
@@ -85,6 +99,9 @@ func ReadAUT(r io.Reader) (*LTS, error) {
 	}
 	if len(l.Trans) != ntrans {
 		return nil, fmt.Errorf("lts: header declares %d transitions, found %d", ntrans, len(l.Trans))
+	}
+	if nstates > 2*len(l.Trans)+1 {
+		return nil, &StateBoundError{States: nstates, Transitions: len(l.Trans)}
 	}
 	return l, nil
 }

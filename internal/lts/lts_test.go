@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -56,9 +57,35 @@ func TestReadAUTErrors(t *testing.T) {
 			t.Errorf("ReadAUTString(%q) succeeded, want error", in)
 		}
 	}
-	// The largest state count is accepted; ReadAUT builds no state.
-	if l, err := ReadAUTString("des (0, 0, 1073741823)\n"); err != nil || l.NumStates != maxStates {
-		t.Errorf("largest header: %v, %v", l, err)
+	// The largest state count that fits int32 vertex ids is still refused
+	// when no transition names those states.
+	var sb *StateBoundError
+	if _, err := ReadAUTString("des (0, 0, 1073741823)\n"); !errors.As(err, &sb) || sb.States != maxStates {
+		t.Errorf("largest header without transitions: %v, want *StateBoundError", err)
+	}
+}
+
+// TestReadAUTStateBound: a header may declare every state its transitions
+// name plus the initial state, 2n+1 for n transitions, and no more.
+func TestReadAUTStateBound(t *testing.T) {
+	for _, in := range []string{
+		"des (0, 0, 1)\n",
+		"des (0, 1, 3)\n(0, \"a\", 1)\n",
+		"des (0, 2, 5)\n(1, \"a\", 2)\n(3, \"b\", 4)\n",
+	} {
+		if _, err := ReadAUTString(in); err != nil {
+			t.Errorf("ReadAUTString(%q): %v", in, err)
+		}
+	}
+	for _, in := range []string{
+		"des (0, 0, 2)\n",
+		"des (0, 1, 4)\n(0, \"a\", 1)\n",
+		"des (0, 0, 2000000)\n",
+	} {
+		var sb *StateBoundError
+		if _, err := ReadAUTString(in); !errors.As(err, &sb) {
+			t.Errorf("ReadAUTString(%q) = %v, want *StateBoundError", in, err)
+		}
 	}
 }
 

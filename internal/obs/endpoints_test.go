@@ -16,7 +16,7 @@ func startTestServer(t *testing.T) (base string, reg *Registry) {
 	t.Helper()
 	reg = NewRegistry()
 	sampler := NewRuntimeSampler(reg, 5*time.Millisecond)
-	srv, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: reg, QueryHist: NewSolverGauges(reg).QueryHist})
+	srv, err := serve("127.0.0.1:0", reg, NewSolverGauges(reg).QueryHist)
 	if err != nil {
 		t.Fatalf("ServeWith: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestServerShutdownNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	reg := NewRegistry()
 	sampler := NewRuntimeSampler(reg, time.Millisecond)
-	srv, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: reg})
+	srv, err := serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatalf("ServeWith: %v", err)
 	}

@@ -16,12 +16,6 @@ var publishOnce sync.Once
 
 // ServeOptions configures the observability HTTP server.
 type ServeOptions struct {
-	// Registry is the metric registry served on /metrics and /debug/vars;
-	// nil means Default().
-	Registry *Registry
-	// Inflight is the in-flight query registry served on /debug/rpq/queries;
-	// nil means DefaultInflight().
-	Inflight *Inflight
 	// QueryHist, when non-nil, feeds the /debug/rpq/exemplars endpoint
 	// (typically SolverGauges.QueryHist).
 	QueryHist *Histogram
@@ -36,7 +30,8 @@ type debugSurface struct {
 }
 
 // ServeWith starts the observability HTTP server on addr (e.g.
-// "localhost:6060") serving:
+// "localhost:6060") for the process-wide registries, Default() and
+// DefaultInflight(), serving:
 //
 //	/metrics            Prometheus text exposition of the live gauges and
 //	                    latency histograms (summary + _hist families), plus
@@ -53,16 +48,14 @@ type debugSurface struct {
 // server can be Closed to stop it.
 //
 // The expvar "rpq_metrics" variable is process-global (expvar.Publish panics
-// on duplicates) and is bound to the registry of the first ServeWith call.
+// on duplicates) and is bound to the registry of the first server started.
 func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
-	reg := o.Registry
-	if reg == nil {
-		reg = Default()
-	}
-	inflight := o.Inflight
-	if inflight == nil {
-		inflight = DefaultInflight()
-	}
+	return serve(addr, Default(), o.QueryHist)
+}
+
+// serve is ServeWith over an explicit metric registry, so tests can serve a
+// private one; hist may be nil.
+func serve(addr string, reg *Registry, hist *Histogram) (*http.Server, error) {
 	publishOnce.Do(func() {
 		expvar.Publish("rpq_metrics", expvar.Func(func() any { return reg.Snapshot() }))
 	})
@@ -78,7 +71,7 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 	})
 	mux.HandleFunc("/debug/rpq/queries", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		snaps := inflight.Snapshots()
+		snaps := DefaultInflight().Snapshots()
 		if snaps == nil {
 			snaps = []QuerySnapshot{}
 		}
@@ -88,7 +81,7 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 	})
 	mux.HandleFunc("/debug/rpq/exemplars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		ex := o.QueryHist.Exemplars()
+		ex := hist.Exemplars()
 		if ex == nil {
 			ex = []Exemplar{}
 		}
@@ -103,7 +96,7 @@ func ServeWith(addr string, o ServeOptions) (*http.Server, error) {
 		{"/metrics", "Prometheus text exposition: gauges, latency summaries + _hist bucket families with trace exemplars, rpq_build_info", true},
 		{"/debug/rpq/", "this index", true},
 		{"/debug/rpq/queries", "JSON snapshots of the queries executing right now", true},
-		{"/debug/rpq/exemplars", "latency-bucket trace exemplars (slowest buckets first) as JSON", o.QueryHist != nil},
+		{"/debug/rpq/exemplars", "latency-bucket trace exemplars (slowest buckets first) as JSON", hist != nil},
 		{"/debug/vars", "expvar JSON including the registry under rpq_metrics", true},
 		{"/debug/pprof/", "standard net/http/pprof index (on-demand profiles)", true},
 	}

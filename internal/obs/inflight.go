@@ -9,8 +9,8 @@ import (
 
 // Inflight tracks the queries currently executing in the process so they can
 // be introspected mid-run (the /debug/rpq/queries endpoint, progress
-// tickers, watchdog bundles). Begin registers a query and returns its live
-// handle; Done removes it. All methods are safe for concurrent use.
+// tickers). Begin registers a query and returns its live handle; Done
+// removes it. All methods are safe for concurrent use.
 type Inflight struct {
 	mu   sync.Mutex
 	next int64
@@ -25,8 +25,8 @@ func NewInflight() *Inflight {
 // defaultInflight backs DefaultInflight.
 var defaultInflight = NewInflight()
 
-// DefaultInflight returns the process-wide in-flight registry used by Serve
-// and the rpq layer.
+// DefaultInflight returns the process-wide in-flight registry used by
+// ServeWith and the rpq layer.
 func DefaultInflight() *Inflight { return defaultInflight }
 
 // Progress is one live snapshot of a running query. The solvers deliver
@@ -89,12 +89,6 @@ type InflightQuery struct {
 	reach      atomic.Int64
 	substs     atomic.Int64
 	enumSubsts atomic.Int64
-
-	// Lint, when non-nil, holds the static-analysis findings for the query
-	// (a JSON-marshalable value set by the public layer before the query
-	// starts); the watchdog writes it into bundles as lint.json. It must be
-	// set before Watchdog.Arm and never mutated afterwards.
-	Lint any
 }
 
 // Begin registers a query and returns its live handle. kind is the query

@@ -1,13 +1,13 @@
 // Package obs is the query engine's observability layer: live metrics with
 // a Prometheus-style text exposition, the in-flight query registry,
-// expvar/pprof HTTP endpoints, a slow-query log and the watchdog's
-// diagnostic bundles. It depends only on the standard library.
+// expvar/pprof HTTP endpoints and a slow-query log. It depends only on the
+// standard library.
 //
 // The per-query record is core.Stats (counters and phase walls), returned
 // with every result; obs holds what lives beside a run rather than in it.
 // Solvers sample live gauges (SolverGauges) backed by an atomic Registry,
 // which the HTTP server exposes at /metrics while a query is running. An
 // Inflight registry tracks each running query's progress for
-// /debug/rpq/queries and for Watchdog bundles. A SlowLog records queries
-// whose wall-clock time crosses a threshold.
+// /debug/rpq/queries. A SlowLog records queries whose wall-clock time
+// crosses a threshold, and every interrupted query.
 package obs

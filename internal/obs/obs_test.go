@@ -71,7 +71,7 @@ func TestGaugeConcurrency(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("rpq_worklist_depth", "d").Set(7)
-	srv, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: reg})
+	srv, err := serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,5 +124,30 @@ func TestSlowLog(t *testing.T) {
 	var nilLog *SlowLog
 	if nilLog.Observe(slow, Usage{Wall: time.Hour}, 0, "", nil, nil, "") || nilLog.Count() != 0 {
 		t.Error("nil SlowLog not a no-op")
+	}
+}
+
+// TestSlowLogInterrupted: an interrupted run is recorded whatever its
+// duration, with its reason; a completed one never carries the field.
+func TestSlowLogInterrupted(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewSlowLog(&buf, time.Hour)
+	q := NewInflight().Begin("exist", "p", "memo", TraceContext{})
+	if !l.Observe(q, Usage{Wall: time.Millisecond}, 0, "", nil, nil, "canceled") {
+		t.Fatal("fast interrupted query not recorded")
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec["interrupted"] != "canceled" {
+		t.Fatalf("interrupted = %v, want canceled", rec["interrupted"])
+	}
+
+	buf.Reset()
+	l = NewSlowLog(&buf, 0)
+	l.Observe(q, Usage{Wall: time.Second}, 3, "", nil, nil, "")
+	if strings.Contains(buf.String(), "interrupted") {
+		t.Fatalf("completed run carries interrupted: %s", buf.String())
 	}
 }

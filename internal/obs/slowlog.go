@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// SlowLog records queries whose wall-clock time crosses a threshold, one
-// NDJSON record per slow query. A nil *SlowLog is a valid no-op, so callers
-// thread it unconditionally.
+// SlowLog records queries whose wall-clock time crosses a threshold, and
+// every interrupted query whatever its duration, one NDJSON record per
+// query. It is the one record of an anomalous query written after the run.
+// A nil *SlowLog is a valid no-op, so callers thread it unconditionally.
 type SlowLog struct {
 	mu        sync.Mutex
 	w         io.Writer
@@ -17,7 +18,8 @@ type SlowLog struct {
 	n         int
 }
 
-// NewSlowLog returns a log writing to w for queries at or above threshold.
+// NewSlowLog returns a log writing to w for queries at or above threshold
+// and for interrupted queries.
 func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 	return &SlowLog{w: w, threshold: threshold}
 }
@@ -39,9 +41,9 @@ type slowRecord struct {
 	// its cost without a rerun.
 	HotStates any `json:"hot_states,omitempty"`
 	Stats     any `json:"stats,omitempty"`
-	// Bundle is the diagnostic-bundle directory the watchdog wrote for this
-	// query, when one was produced.
-	Bundle string `json:"bundle,omitempty"`
+	// Interrupted is why the run stopped early ("deadline" or "canceled");
+	// empty for a run that completed.
+	Interrupted string `json:"interrupted,omitempty"`
 	// TraceID/SpanID are the W3C trace identity of the originating request,
 	// when the run carried one, so a slow entry is greppable by the same key
 	// as the access log and trace sinks.
@@ -49,29 +51,31 @@ type slowRecord struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
-// Observe records q's finished run when u.Wall reaches the threshold and
-// reports whether it did. Query, kind and trace identity come from q, the
-// duration and resource attribution from u. stats and hot may be any
-// JSON-marshallable values (typically core.Stats and the explain profile's
-// hottest states); an empty table, hot or bundle is omitted.
-func (l *SlowLog) Observe(q *InflightQuery, u Usage, answers int, table string, stats, hot any, bundle string) bool {
-	if l == nil || u.Wall < l.threshold {
+// Observe records q's finished run when u.Wall reaches the threshold or
+// interrupted is set, and reports whether it did. Query, kind and trace
+// identity come from q, the duration and resource attribution from u.
+// stats and hot may be any JSON-marshallable values (typically core.Stats
+// and the explain profile's hottest states); interrupted names why the run
+// stopped early ("deadline", "canceled"). An empty table, hot or
+// interrupted is omitted.
+func (l *SlowLog) Observe(q *InflightQuery, u Usage, answers int, table string, stats, hot any, interrupted string) bool {
+	if l == nil || (u.Wall < l.threshold && interrupted == "") {
 		return false
 	}
 	rec := slowRecord{
-		TS:         time.Now().UTC().Format(time.RFC3339Nano),
-		Query:      q.query,
-		Kind:       q.kind,
-		DurMS:      float64(u.Wall.Microseconds()) / 1000,
-		Answers:    answers,
-		Table:      table,
-		CPUMS:      float64(u.CPU.Microseconds()) / 1000,
-		AllocBytes: u.Alloc,
-		HotStates:  hot,
-		Stats:      stats,
-		Bundle:     bundle,
-		TraceID:    q.traceID,
-		SpanID:     q.spanID,
+		TS:          time.Now().UTC().Format(time.RFC3339Nano),
+		Query:       q.query,
+		Kind:        q.kind,
+		DurMS:       float64(u.Wall.Microseconds()) / 1000,
+		Answers:     answers,
+		Table:       table,
+		CPUMS:       float64(u.CPU.Microseconds()) / 1000,
+		AllocBytes:  u.Alloc,
+		HotStates:   hot,
+		Stats:       stats,
+		Interrupted: interrupted,
+		TraceID:     q.traceID,
+		SpanID:      q.spanID,
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -85,7 +89,7 @@ func (l *SlowLog) Observe(q *InflightQuery, u Usage, answers int, table string, 
 	return true
 }
 
-// Count reports how many slow queries were recorded.
+// Count reports how many records were written.
 func (l *SlowLog) Count() int {
 	if l == nil {
 		return 0

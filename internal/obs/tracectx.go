@@ -14,7 +14,7 @@ import (
 // every span of one distributed request, a 64-bit span ID naming this
 // process's own unit of work, and the sampled flag. It is the request-scoped
 // key that joins an HTTP request to everything the engine records about it —
-// in-flight snapshots, slow-log records, watchdog bundles, and pprof labels.
+// in-flight snapshots, slow-log records, and pprof labels.
 // The zero value is invalid (IsValid reports false); obtain one with
 // NewTraceContext or ParseTraceparent.
 type TraceContext struct {

@@ -68,8 +68,8 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 //   - assigns a request ID and sets the X-RPQ-Request-Id, X-RPQ-Trace-Id,
 //     and traceparent response headers before the handler can write;
 //   - threads the trace through the request context (obs.WithTrace), so the
-//     rpq entry points stamp it into events, snapshots, slow-log records,
-//     bundles, and pprof labels;
+//     rpq entry points stamp it into in-flight snapshots, slow-log records,
+//     and pprof labels;
 //   - records the per-route RED metrics after the handler returns;
 //   - emits one structured access-log line.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {

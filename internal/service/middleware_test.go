@@ -6,8 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -207,15 +205,12 @@ func TestReadyzSplit(t *testing.T) {
 
 // TestTraceEndToEnd holds a traced query in flight with the progress gate and
 // follows its trace ID through every surface: the response headers, the
-// in-flight snapshot, the slow-query log, the access log, and the watchdog
-// bundle's meta.json.
+// in-flight snapshot, the slow-query log, and the access log.
 func TestTraceEndToEnd(t *testing.T) {
 	var slowBuf, logBuf bytes.Buffer
-	wdDir := t.TempDir()
 	s := newTestServer(t, Config{
-		SlowLog:  rpq.NewSlowLog(&slowBuf, time.Nanosecond),
-		Logger:   slog.New(slog.NewJSONHandler(&logBuf, nil)),
-		Watchdog: &rpq.Watchdog{Dir: wdDir, Slow: time.Nanosecond},
+		SlowLog: rpq.NewSlowLog(&slowBuf, time.Nanosecond),
+		Logger:  slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	})
 	h := s.Handler()
 	gate := newProgressGate()
@@ -303,25 +298,4 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("no access line for trace %s:\n%s", tpTraceID, logBuf.String())
 	}
 
-	// Surface 5: the watchdog's slow-query bundle (threshold 1ns).
-	metas, _ := filepath.Glob(filepath.Join(wdDir, "*", "meta.json"))
-	if len(metas) != 1 {
-		t.Fatalf("watchdog bundles = %v, want exactly one", metas)
-	}
-	raw, err := os.ReadFile(metas[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta struct {
-		Reason string `json:"reason"`
-		Query  struct {
-			TraceID string `json:"trace_id"`
-		} `json:"query"`
-	}
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		t.Fatalf("decode %s: %v", metas[0], err)
-	}
-	if meta.Reason != "slow" || meta.Query.TraceID != tpTraceID {
-		t.Fatalf("bundle meta.json: %s", raw)
-	}
 }

@@ -100,7 +100,6 @@ func (s *Server) buildOptions(q QueryOptions) (*rpq.Options, error) {
 		Cache:     s.cache,
 		Gauges:    s.gauges,
 		SlowLog:   s.cfg.SlowLog,
-		Watchdog:  s.cfg.Watchdog,
 		Lint:      !s.cfg.DisableLint && !q.NoLint,
 	}
 	switch q.Algorithm {

@@ -60,11 +60,9 @@ type Config struct {
 	MaxGraphBytes int64
 	// MaxQueryBytes bounds a query request body; <= 0 means 1 MiB.
 	MaxQueryBytes int64
-	// SlowLog, when non-nil, records slow queries for every request.
-	SlowLog *rpq.SlowLog
-	// Watchdog, when non-nil, attaches the anomaly-bundle watchdog to every
+	// SlowLog, when non-nil, records slow and interrupted queries for every
 	// request.
-	Watchdog *rpq.Watchdog
+	SlowLog *rpq.SlowLog
 	// Registry receives the service gauges (rpq_svc_*) and the solver
 	// gauges; nil means the default registry, which is what the
 	// observability server exposes.

@@ -111,6 +111,29 @@ func TestCatalogCRUD(t *testing.T) {
 	}
 }
 
+// TestAUTStateBoundRefused: a 16-byte AUT header declaring two million
+// states and no transitions is refused as a bad graph before any vertex is
+// built, in both transforms.
+func TestAUTStateBoundRefused(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, format := range []string{"aut", "aut-universal"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := doReq(h, "PUT", "/api/v1/graphs/big?format="+format, "des (0, 0, 2000000)")
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad_graph") {
+			t.Fatalf("%s: PUT = %d %s, want 400 bad_graph", format, rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Fatalf("%s: refused load allocated %d bytes", format, alloc)
+		}
+		if rec = doReq(h, "GET", "/api/v1/graphs/big", ""); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s: refused graph is in the catalog: %d %s", format, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestGoGraphLoader loads real Go source through the "go" format and runs a
 // parametric query against the resulting program graph end to end.
 func TestGoGraphLoader(t *testing.T) {

@@ -322,7 +322,9 @@ type Options struct {
 	// LiveGauges for a process-wide set served by ServeObservabilityWith.
 	Gauges *SolverGauges
 	// SlowLog, when non-nil, records queries whose wall-clock time
-	// reaches its threshold as NDJSON (one record per slow query).
+	// reaches its threshold as NDJSON (one record per slow query), and
+	// every deadline-breached or canceled query with its reason in
+	// "interrupted".
 	SlowLog *SlowLog
 	// Explain collects a per-query execution profile — per-state visit
 	// counts, per-transition match attempts/hits/extensions, per-edge-label
@@ -342,18 +344,12 @@ type Options struct {
 	// query, across an Auto fallback to hybrid too. The callback runs on a
 	// solver goroutine — keep it cheap and do not block.
 	Progress func(Progress)
-	// Watchdog, when non-nil with a Dir, turns anomalies into diagnostic
-	// bundles: it arms a hung-query timer (Watchdog.Hung) and dumps a
-	// bundle on deadline breach, cancellation, or a slow run
-	// (Watchdog.Slow).
-	Watchdog *Watchdog
 	// Lint runs the static query analyzer before solving and rejects the
 	// query with a *LintError if it has error-severity findings (a provably
 	// empty pattern, a never-binding parameter, an unsatisfiable label) —
 	// the query fails fast with zero solver work. Warnings and advice do
-	// not reject; retrieve them with Lint / LintForGraph. Independent of
-	// this gate, any query run under a Watchdog has its lint report
-	// attached to diagnostic bundles as lint.json.
+	// not reject; retrieve them with Lint / LintForGraph. Without the gate
+	// no analysis runs.
 	Lint bool
 	// Cache, when non-nil, memoizes compiled queries (pattern → automaton,
 	// keyed by the canonical simplified AST and the graph's universe) so
@@ -383,9 +379,10 @@ type Explain = core.Explain
 //
 // The types below re-export the internal/obs layer so callers can expose
 // live metrics, watch queries in flight, and log slow queries;
-// docs/observability.md documents the metric names and the bundle layout.
+// docs/observability.md documents the metric names and the record formats.
 
-// SlowLog records slow queries as NDJSON; see Options.SlowLog.
+// SlowLog records slow and interrupted queries as NDJSON; see
+// Options.SlowLog.
 type SlowLog = obs.SlowLog
 
 // SolverGauges is the live gauge set sampled by a running query.
@@ -411,19 +408,9 @@ var ErrCanceled = core.ErrCanceled
 // holds.
 var ErrDeadline = core.ErrDeadline
 
-// Watchdog turns query anomalies into diagnostic bundles; see
-// Options.Watchdog and docs/observability.md for the bundle format.
-type Watchdog = obs.Watchdog
-
-// Bundle is a loaded diagnostic bundle; see LoadBundle.
-type Bundle = obs.Bundle
-
 // QuerySnapshot is one point-in-time view of an in-flight query, as served
 // by /debug/rpq/queries and returned by InflightQueries.
 type QuerySnapshot = obs.QuerySnapshot
-
-// LoadBundle reads a diagnostic bundle directory written by a Watchdog.
-func LoadBundle(dir string) (*Bundle, error) { return obs.LoadBundle(dir) }
 
 // InflightQueries returns snapshots of the queries executing right now in
 // this process, ordered by start; the same data is served as JSON at
@@ -431,7 +418,7 @@ func LoadBundle(dir string) (*Bundle, error) { return obs.LoadBundle(dir) }
 func InflightQueries() []QuerySnapshot { return obs.DefaultInflight().Snapshots() }
 
 // NewSlowLog returns a slow-query log writing NDJSON records to w for
-// queries taking threshold or longer.
+// queries taking threshold or longer, and for every interrupted query.
 func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 	return obs.NewSlowLog(w, threshold)
 }
@@ -505,15 +492,14 @@ func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*Observabilit
 
 // runState tracks one public query from beginRun to finish: the in-flight
 // registry entry, which is the query's one record (identity, trace, clock
-// and resource anchors, live progress), and the hung-query timer.
+// and resource anchors, live progress).
 type runState struct {
-	opts     *Options
-	iq       *obs.InflightQuery
-	stopHung func()
+	opts *Options
+	iq   *obs.InflightQuery
 	// ended guards end(): the entry points defer it so the in-flight
-	// registry entry and the hung-query timer are released on every exit
-	// path — including a panic inside a solver variant — while the normal
-	// finish path releases them exactly once.
+	// registry entry is released on every exit path — including a panic
+	// inside a solver variant — while the normal finish path releases it
+	// exactly once.
 	ended bool
 	// last is the latest progress snapshot the fan-out delivered; carry
 	// is the one an abandoned solver run reached, which the fan-out adds
@@ -539,28 +525,21 @@ func (rs *runState) do(ctx context.Context, co *core.Options, fn func(ctx contex
 	pprof.Do(ctx, pprof.Labels(labels...), fn)
 }
 
-// beginRun registers the query as in-flight, arms the hung-query timer
-// when a watchdog is configured, and installs the run's one progress
-// fan-out: each snapshot updates the in-flight handle, the gauges (when
-// Options.Gauges is set), and the caller's Options.Progress. It mutates co
-// (Progress, Deadline) in place. lint is the query's lint report (or nil)
-// for watchdog bundles; it must be attached here, before the hung timer
-// arms, because the timer reads the handle asynchronously. When ctx
-// carries a trace context (obs.WithTrace — the service plane attaches one
-// per HTTP request), the run's telemetry is stamped with it: the in-flight
-// snapshot, the pprof label set, and the slow-log record. The lookup is one ctx.Value call per query, so library runs
-// without a trace pay nothing measurable.
-func beginRun(ctx context.Context, opts *Options, kind, query string, lint any, co *core.Options) *runState {
+// beginRun registers the query as in-flight and installs the run's one
+// progress fan-out: each snapshot updates the in-flight handle, the gauges
+// (when Options.Gauges is set), and the caller's Options.Progress. It
+// mutates co (Progress, Deadline) in place. When ctx carries a trace
+// context (obs.WithTrace — the service plane attaches one per HTTP
+// request), the run's telemetry is stamped with it: the in-flight snapshot,
+// the pprof label set, and the slow-log record. The lookup is one ctx.Value
+// call per query, so library runs without a trace pay nothing measurable.
+func beginRun(ctx context.Context, opts *Options, kind, query string, co *core.Options) *runState {
 	if opts == nil {
 		opts = &Options{}
 	}
 	tc, _ := obs.TraceFrom(ctx)
-	rs := &runState{opts: opts, stopHung: func() {}}
+	rs := &runState{opts: opts}
 	rs.iq = obs.DefaultInflight().Begin(kind, query, co.Algo.String(), tc)
-	rs.iq.Lint = lint
-	if wd := opts.Watchdog; wd.Enabled() {
-		rs.stopHung = wd.Arm(rs.iq)
-	}
 	iq, gauges, userProg := rs.iq, opts.Gauges, opts.Progress
 	co.Progress = func(p core.Progress) {
 		p.Pops += rs.carry.Pops
@@ -590,29 +569,25 @@ func (rs *runState) fallback(co *core.Options, algo core.Algo) {
 	rs.iq.SetAlgo(algo.String())
 }
 
-// end releases the run's lifecycle resources: it stops the hung-query timer
-// and unregisters the in-flight entry. It is idempotent, and the entry
-// points defer it immediately after beginRun so a panic escaping a solver
-// variant (or any future early return) can never leave a ghost entry in
-// /debug/rpq/queries. finish calls it as its final step on the normal paths.
+// end unregisters the run's in-flight entry. It is idempotent, and the
+// entry points defer it immediately after beginRun so a panic escaping a
+// solver variant (or any future early return) can never leave a ghost entry
+// in /debug/rpq/queries. finish calls it as its final step on the normal paths.
 func (rs *runState) end() {
 	if rs.ended {
 		return
 	}
 	rs.ended = true
-	rs.stopHung()
 	rs.iq.Done()
 }
 
-// finish completes the run's observability: stop the hung timer, stamp the
-// run's resource attribution into Stats and Explain, feed the latency
-// histograms and query gauges, dump a watchdog bundle on anomaly (deadline
-// breach, cancellation, slow run), record the slow-query log entry (with
-// the bundle path when one was written), and unregister the in-flight
-// entry. It handles both outcomes — res on success, err (possibly an
-// *InterruptError carrying partial stats) on failure.
+// finish completes the run's observability: stamp the run's resource
+// attribution into Stats and Explain, feed the latency histograms and query
+// gauges, record the slow-query log entry (for a slow run, and for every
+// deadline breach or cancellation with its reason), and unregister the
+// in-flight entry. It handles both outcomes — res on success, err (possibly
+// an *InterruptError carrying partial stats) on failure.
 func (rs *runState) finish(res *Result, err error) {
-	rs.stopHung()
 	u := rs.iq.Usage()
 	opts := rs.opts
 
@@ -625,9 +600,14 @@ func (rs *runState) finish(res *Result, err error) {
 		answers = len(res.Answers)
 	}
 	var ie *InterruptError
+	interrupted := ""
 	if errors.As(err, &ie) {
 		stats = &ie.Stats
 		explain = ie.Explain
+		interrupted = "canceled"
+		if errors.Is(err, ErrDeadline) {
+			interrupted = "deadline"
+		}
 	}
 	if stats != nil {
 		stats.CPUTime = u.CPU
@@ -654,34 +634,12 @@ func (rs *runState) finish(res *Result, err error) {
 		}
 	}
 
-	bundle := ""
-	if opts.Watchdog.Enabled() {
-		reason := ""
-		switch {
-		case errors.Is(err, ErrDeadline):
-			reason = "deadline"
-		case errors.Is(err, ErrCanceled):
-			reason = "canceled"
-		case err == nil && opts.Watchdog.Slow > 0 && u.Wall >= opts.Watchdog.Slow:
-			reason = "slow"
-		}
-		if reason != "" {
-			var ex any
-			if explain != nil {
-				ex = explain
-			}
-			if dir, derr := opts.Watchdog.Dump(rs.iq, reason, ex); derr == nil {
-				bundle = dir
-			}
-		}
-	}
-
 	if stats != nil {
 		hot := any(nil)
 		if explain != nil {
 			hot = explain.TopStates(3)
 		}
-		if opts.SlowLog.Observe(rs.iq, u, answers, opts.Table.String(), stats, hot, bundle) && gauges != nil {
+		if opts.SlowLog.Observe(rs.iq, u, answers, opts.Table.String(), stats, hot, interrupted) && gauges != nil {
 			gauges.SlowQueries.Add(1)
 		}
 	}
@@ -864,11 +822,10 @@ func (g *Graph) ExistContext(ctx context.Context, p *Pattern, opts *Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	diags := lintForRun(opts, p.expr, p.src, false)
-	if err := gateLint(opts, diags); err != nil {
+	if err := gateLint(opts, p.expr, p.src, false); err != nil {
 		return nil, err
 	}
-	rs := beginRun(ctx, opts, "exist", p.src, lintPayload(diags), &co)
+	rs := beginRun(ctx, opts, "exist", p.src, &co)
 	defer rs.end()
 	var res *core.Result
 	rs.do(ctx, &co, func(ctx context.Context) {
@@ -903,11 +860,10 @@ func (g *Graph) UniversalContext(ctx context.Context, p *Pattern, opts *Options)
 	if err != nil {
 		return nil, err
 	}
-	diags := lintForRun(opts, p.expr, p.src, true)
-	if err := gateLint(opts, diags); err != nil {
+	if err := gateLint(opts, p.expr, p.src, true); err != nil {
 		return nil, err
 	}
-	rs := beginRun(ctx, opts, "universal", p.src, lintPayload(diags), &co)
+	rs := beginRun(ctx, opts, "universal", p.src, &co)
 	defer rs.end()
 	var res *core.Result
 	rs.do(ctx, &co, func(ctx context.Context) {
@@ -1147,8 +1103,7 @@ func (g *Graph) ViolationsContext(ctx context.Context, discipline string, withEx
 	// violation transform supplies the bindings), so lint it as universal;
 	// the gate runs before the transform so a rejected discipline gets its
 	// full lint report rather than the transform's first complaint.
-	diags := lintForRun(opts, e, discipline, true)
-	if err := gateLint(opts, diags); err != nil {
+	if err := gateLint(opts, e, discipline, true); err != nil {
 		return nil, err
 	}
 	kind := cacheKindViolations
@@ -1159,7 +1114,7 @@ func (g *Graph) ViolationsContext(ctx context.Context, discipline string, withEx
 	if err != nil {
 		return nil, err
 	}
-	rs := beginRun(ctx, opts, "violations", discipline, lintPayload(diags), &co)
+	rs := beginRun(ctx, opts, "violations", discipline, &co)
 	defer rs.end()
 	var res *core.Result
 	rs.do(ctx, &co, func(ctx context.Context) {

@@ -103,31 +103,17 @@ func lintConfig(opts *Options, universal bool) analyze.Config {
 	return cfg
 }
 
-// lintForRun computes the lint report for a query entry point when anything
-// will consume it: the Options.Lint gate or a watchdog bundle. It returns
-// nil otherwise, keeping the default query path free of analysis cost.
-func lintForRun(opts *Options, e pattern.Expr, src string, universal bool) []Diagnostic {
-	if opts == nil || (!opts.Lint && !opts.Watchdog.Enabled()) {
+// gateLint enforces Options.Lint: with the flag set, it lints the query and
+// rejects it with a *LintError on error-severity findings, before any
+// solver work (zero worklist pops, no in-flight registration). Without the
+// flag nothing is analyzed, keeping the default query path free of
+// analysis cost.
+func gateLint(opts *Options, e pattern.Expr, src string, universal bool) error {
+	if opts == nil || !opts.Lint {
 		return nil
 	}
-	return analyze.Lint(e, src, lintConfig(opts, universal))
-}
-
-// gateLint enforces Options.Lint: with the flag set and error-severity
-// findings present, the query is rejected with a *LintError before any
-// solver work (zero worklist pops, no in-flight registration).
-func gateLint(opts *Options, diags []Diagnostic) error {
-	if opts != nil && opts.Lint && analyze.HasErrors(diags) {
+	if diags := analyze.Lint(e, src, lintConfig(opts, universal)); analyze.HasErrors(diags) {
 		return &LintError{Diags: diags}
 	}
 	return nil
-}
-
-// lintPayload shapes the findings for the in-flight registry, which the
-// watchdog marshals into bundles as lint.json; nil when there are none.
-func lintPayload(diags []Diagnostic) any {
-	if len(diags) == 0 {
-		return nil
-	}
-	return diags
 }

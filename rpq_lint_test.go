@@ -1,13 +1,9 @@
 package rpq_test
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rpq"
 )
@@ -137,45 +133,6 @@ func TestLintGateViolations(t *testing.T) {
 	var le *rpq.LintError
 	if !errors.As(err, &le) {
 		t.Fatalf("empty discipline: err = %v, want *LintError", err)
-	}
-}
-
-// TestWatchdogBundleIncludesLint: any query run under a watchdog carries its
-// lint report into diagnostic bundles as lint.json, independent of the gate.
-func TestWatchdogBundleIncludesLint(t *testing.T) {
-	dir := t.TempDir()
-	var bundles []string
-	g := lintTestGraph()
-	p := rpq.MustParsePattern("(!def(x))* use(x)")
-	opts := &rpq.Options{
-		Watchdog: &rpq.Watchdog{
-			Dir:      dir,
-			Slow:     time.Nanosecond, // every completed query dumps a bundle
-			OnBundle: func(path string) { bundles = append(bundles, path) },
-		},
-	}
-	if _, err := g.Exist(p, opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(bundles) != 1 {
-		t.Fatalf("got %d bundles, want 1", len(bundles))
-	}
-	if _, err := os.Stat(filepath.Join(bundles[0], "lint.json")); err != nil {
-		t.Fatalf("bundle missing lint.json: %v", err)
-	}
-	b, err := rpq.LoadBundle(bundles[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Lint == nil {
-		t.Fatal("LoadBundle: Lint is nil")
-	}
-	var ds []rpq.Diagnostic
-	if err := json.Unmarshal(b.Lint, &ds); err != nil {
-		t.Fatalf("lint.json does not decode into []Diagnostic: %v", err)
-	}
-	if len(ds) != 1 || ds[0].Code != "RPQ006" || ds[0].Severity != rpq.SeverityWarning {
-		t.Fatalf("bundle lint = %+v, want one RPQ006 warning", ds)
 	}
 }
 

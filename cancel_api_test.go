@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"rpq/internal/obs"
 )
 
 // TestExistContextCanceled checks the public cancellation surface: a
@@ -137,15 +140,32 @@ func TestSlowLogRecordsDeadline(t *testing.T) {
 func TestLatencyHistogramsPublic(t *testing.T) {
 	g := figure1Graph(t)
 	p := MustParsePattern("(!def(x))* use(x)")
-	gauges := LiveGauges()
-	before := gauges.QueryHist.Count()
-	if _, err := g.Exist(p, &Options{Gauges: gauges}); err != nil {
+	before := scrapeSample(t, obs.Default(), "rpq_query_seconds_count")
+	if _, err := g.Exist(p, &Options{Gauges: LiveGauges()}); err != nil {
 		t.Fatal(err)
 	}
-	if got := gauges.QueryHist.Count(); got != before+1 {
-		t.Fatalf("QueryHist count = %d, want %d", got, before+1)
+	if got := scrapeSample(t, obs.Default(), "rpq_query_seconds_count"); got != before+1 {
+		t.Fatalf("rpq_query_seconds_count = %v, want %v", got, before+1)
 	}
-	if gauges.SolveHist.Count() == 0 {
-		t.Fatal("SolveHist never observed")
+	if scrapeSample(t, obs.Default(), "rpq_phase_solve_seconds_count") == 0 {
+		t.Fatal("rpq_phase_solve_seconds never observed")
 	}
+}
+
+// scrapeSample renders reg as /metrics does and returns the value of the
+// sample named sample (metric name plus label body); 0 when it is absent.
+func scrapeSample(t *testing.T, reg *obs.Registry, sample string) float64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
 }

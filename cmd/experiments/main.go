@@ -9,6 +9,9 @@
 //	experiments -ablation X   X ∈ direction|memo|domains|compact|scc|complete
 //	experiments -all          everything
 //
+// With -http addr the run also serves /metrics (the live solver gauges and
+// the go_* runtime gauges), /debug/rpq/queries and /debug/pprof/.
+//
 // Absolute times differ from the paper's 2.0 GHz Pentium 4; the comparisons
 // that matter are the relative ones: which variant wins, by what factor,
 // and how cost scales with input size.
@@ -22,6 +25,7 @@ import (
 	"os"
 	"time"
 
+	"rpq"
 	"rpq/internal/core"
 	"rpq/internal/gen"
 	"rpq/internal/graph"
@@ -100,7 +104,7 @@ func main() {
 		all       = flag.Bool("all", false, "run everything")
 		timeout   = flag.Duration("timeout", 0, "per-query wall-clock bound; exceeding it aborts with partial stats")
 		maxCost   = flag.Float64("enumcost", 2e7, "run enumeration only when substs×edges is below this (n/d otherwise, like the paper's 180 s limit)")
-		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, and /debug/pprof on this address during the run")
+		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/queries, and /debug/pprof on this address during the run")
 		benchJSON = flag.String("benchjson", "", "write a BENCH_*.json-compatible summary of every measured query to this file")
 		explain   = flag.Bool("explain", false, "collect execution profiles; bench entries gain match_attempts and hot_state fields")
 	)
@@ -109,13 +113,13 @@ func main() {
 	queryTimeout = *timeout
 
 	if *httpAddr != "" {
-		srv, err := obs.ServeWith(*httpAddr, obs.ServeOptions{})
+		srv, err := rpq.ServeObservability(*httpAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "experiments: observability on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "experiments: observability on http://%s (index: http://%s/debug/rpq/)\n", srv.Addr, srv.Addr)
 		liveProgress = obs.NewSolverGauges(nil).Sample
 	}
 

@@ -15,11 +15,11 @@
 // Observability flags (docs/observability.md): -stats selects text, json,
 // or csv run statistics, the run's one record; -trace writes the same
 // record's phases and counters as a Chrome trace_event file for
-// chrome://tracing; -http serves /metrics (runtime gauges sampled every
-// -sample), /debug/rpq/queries, /debug/rpq/exemplars, /debug/vars, and
-// /debug/pprof during the run; -slow logs slow and interrupted queries;
-// -explain prints a per-state/per-label execution profile as text, JSON, or
-// an annotated Graphviz heat-map of the query automaton.
+// chrome://tracing; -http serves /metrics (with the go_* runtime gauges),
+// /debug/rpq/queries, and /debug/pprof during the run; -slow logs slow and
+// interrupted queries; -explain prints a per-state/per-label execution
+// profile as text, JSON, or an annotated Graphviz heat-map of the query
+// automaton.
 //
 // In-flight control: -timeout bounds the query's wall time, Ctrl-C cancels
 // it — both stop the run with partial statistics; -progress prints a live
@@ -57,8 +57,7 @@ func main() {
 		start     = flag.String("start", "", "start vertex (default: graph's start; backward: after exit())")
 		compact   = flag.Bool("compact", false, "drop query-irrelevant edges first (existential)")
 		statsFmt  = flag.String("stats", "", "print run statistics: text|json|csv")
-		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/{queries,exemplars}, /debug/vars, and /debug/pprof on this address during the run")
-		sample    = flag.Duration("sample", time.Second, "with -http, runtime-metrics sampling cadence (0 disables the sampler)")
+		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/queries, and /debug/pprof on this address during the run")
 		traceOut  = flag.String("trace", "", "after the run, write its phases and counters as a Chrome trace_event JSON file (load in chrome://tracing)")
 		slow      = flag.Duration("slow", 0, "log queries at or above this duration, and interrupted ones, as NDJSON to stderr")
 		timeout   = flag.Duration("timeout", 0, "bound the query's wall-clock time; exceeding it stops the run with partial stats")
@@ -119,17 +118,13 @@ func main() {
 
 	// Observability wiring: live HTTP endpoints, slow log, progress ticker.
 	if *httpAddr != "" {
-		cfg := rpq.ObservabilityConfig{SampleInterval: *sample}
-		if *sample == 0 {
-			cfg.SampleInterval = -1
-		}
-		srv, err := rpq.ServeObservabilityWith(*httpAddr, cfg)
+		srv, err := rpq.ServeObservability(*httpAddr)
 		if err != nil {
 			fail("%v", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "rpq: observability on http://%s (index: http://%s/debug/rpq/)\n",
-			srv.Server.Addr, srv.Server.Addr)
+			srv.Addr, srv.Addr)
 		opts.Gauges = rpq.LiveGauges()
 	}
 	if *progress {

@@ -3,12 +3,13 @@
 // (existential / universal / violations) against catalog entries, and
 // in-flight query listing and cancellation, with a shared compiled-query
 // cache and admission control in front of the solver. An optional second
-// listener serves the observability plane (/metrics, /debug/rpq/queries,
-// /debug/pprof/; the index is at /debug/rpq/); CPU profiles are taken on
-// demand from /debug/pprof/profile, whose samples carry each query's pprof
-// labels (rpq_kind, variant, table, rpq_trace_id). Each -slo objective adds
-// the rpq_http_slo_total/rpq_http_slo_good counters for its route to
-// /metrics. On SIGINT/SIGTERM the daemon drains:
+// listener serves the observability plane (/metrics with one histogram
+// family per latency and the go_* runtime gauges read at scrape time,
+// /debug/rpq/queries, /debug/pprof/; the index is at /debug/rpq/); CPU
+// profiles are taken on demand from /debug/pprof/profile, whose samples
+// carry each query's pprof labels (rpq_kind, variant, table, rpq_trace_id).
+// Each -slo objective adds the rpq_http_slo_total/rpq_http_slo_good
+// counters for its route to /metrics. On SIGINT/SIGTERM the daemon drains:
 // new requests get 503, in-flight queries run up to -drain-timeout and are
 // then canceled, and only afterwards does the observability plane close, so
 // the last queries' metrics remain scrapeable to the end.
@@ -123,7 +124,7 @@ func main() {
 	var slos sloFlags
 	var (
 		addr          = flag.String("addr", "127.0.0.1:8090", "API listen address")
-		obsAddr       = flag.String("obs", "", "observability listen address (empty = no observability listener)")
+		obsAddr       = flag.String("obs", "", "serve /metrics, /debug/rpq/queries and /debug/pprof/ on this address (empty = no observability listener)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "max concurrent solves (0 = NumCPU)")
 		maxQueue      = flag.Int("max-queue", 0, "max requests waiting for a solve slot (0 = 2x max-concurrent)")
 		queueWait     = flag.Duration("queue-wait", 0, "max time a request waits for a slot before 429 (0 = 5s)")
@@ -190,14 +191,14 @@ func main() {
 			info.Name, info.Format, info.Vertices, info.Edges)
 	}
 
-	var obsSrv *rpq.ObservabilityServer
+	var obsSrv *http.Server
 	if *obsAddr != "" {
 		var err error
-		obsSrv, err = rpq.ServeObservabilityWith(*obsAddr, rpq.ObservabilityConfig{})
+		obsSrv, err = rpq.ServeObservability(*obsAddr)
 		if err != nil {
 			fatal("observability: %v", err)
 		}
-		fmt.Printf("rpqd observability on http://%s\n", obsSrv.Server.Addr)
+		fmt.Printf("rpqd observability on http://%s\n", obsSrv.Addr)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -233,8 +234,10 @@ func main() {
 	if err := httpSrv.Shutdown(httpCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Printf("rpqd http shutdown: %v\n", err)
 	}
-	if err := obsSrv.Close(); err != nil {
-		fmt.Printf("rpqd observability shutdown: %v\n", err)
+	if obsSrv != nil {
+		if err := obsSrv.Close(); err != nil {
+			fmt.Printf("rpqd observability shutdown: %v\n", err)
+		}
 	}
 	fmt.Println("rpqd stopped")
 }

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -188,9 +191,15 @@ func TestRpqdProcess(t *testing.T) {
 		top, _ = exec.Command("go", "tool", "pprof", "-top", "-cum", "-tagfocus=rpq_kind=exist", profPath).CombinedOutput()
 	}
 
-	// The service's admission counters reach the observability listener.
-	if code, body := call("GET", obsBase+"/metrics", ""); code != http.StatusOK || !strings.Contains(body, "\nrpq_svc_admitted_total ") {
+	// The service's admission counters reach the observability listener,
+	// and after real traced queries the whole body is valid text exposition
+	// 0.0.4, the format the handler declares.
+	code, metrics := call("GET", obsBase+"/metrics", "")
+	if code != http.StatusOK || !strings.Contains(metrics, "\nrpq_svc_admitted_total ") {
 		t.Fatalf("%s/metrics: %d, no rpq_svc_admitted_total sample", obsBase, code)
+	}
+	for _, problem := range checkExposition(metrics) {
+		t.Errorf("/metrics: %s", problem)
 	}
 
 	// Drain: SIGTERM with a query in flight flips readyz to 503 while
@@ -261,6 +270,129 @@ func TestRpqdProcess(t *testing.T) {
 	if !audited {
 		t.Fatalf("no audit line for the heavy-graph PUT:\n%s", logRaw)
 	}
+}
+
+var (
+	// sampleLine is name[{labels}] value [timestamp], the only sample form
+	// of text exposition 0.0.4.
+	sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)(?: -?[0-9]+)?$`)
+	labelPair  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"(?:,|$)`)
+	typeLine   = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$`)
+)
+
+// checkExposition lists every way body departs from Prometheus text
+// exposition 0.0.4: a line that is not # HELP, # TYPE or a sample; a family
+// with no # TYPE before its first sample, or with more than one; and a
+// histogram whose cumulative _bucket counts fall as le rises or do not end
+// at le="+Inf" equal to _count.
+func checkExposition(body string) []string {
+	var problems []string
+	types := map[string]string{}
+	type series struct {
+		lastLE, lastCount float64
+		inf, count        float64
+		sawInf, sawCount  bool
+	}
+	hists := map[string]*series{}
+	var order []string
+	for n, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		bad := func(format string, args ...any) {
+			problems = append(problems, fmt.Sprintf("line %d %q: ", n+1, line)+fmt.Sprintf(format, args...))
+		}
+		if strings.HasPrefix(line, "# HELP ") {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			m := typeLine.FindStringSubmatch(line)
+			if m == nil {
+				bad("neither # HELP, # TYPE nor a sample")
+				continue
+			}
+			if _, dup := types[m[1]]; dup {
+				bad("second # TYPE for family %s", m[1])
+			}
+			types[m[1]] = m[2]
+			continue
+		}
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil {
+			bad("neither # HELP, # TYPE nor a sample")
+			continue
+		}
+		name, value := m[1], m[3]
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			bad("value %q: %v", value, err)
+			continue
+		}
+		var labels []string
+		le := ""
+		for rest := m[2]; rest != ""; {
+			p := labelPair.FindStringSubmatch(rest)
+			if p == nil {
+				bad("malformed labels %q", m[2])
+				break
+			}
+			rest = rest[len(p[0]):]
+			if p[1] == "le" {
+				le = p[2]
+			} else {
+				labels = append(labels, p[1]+"="+p[2])
+			}
+		}
+		fam, suffix := name, ""
+		if _, ok := types[name]; !ok {
+			for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, sfx); ok && types[base] != "" {
+					fam, suffix = base, sfx
+				}
+			}
+		}
+		typ, ok := types[fam]
+		if !ok {
+			bad("sample before its family's # TYPE")
+			continue
+		}
+		if typ != "histogram" || suffix == "_sum" {
+			continue
+		}
+		key := fam + "{" + strings.Join(labels, ",") + "}"
+		h := hists[key]
+		if h == nil {
+			h = &series{lastLE: math.Inf(-1)}
+			hists[key] = h
+			order = append(order, key)
+		}
+		switch suffix {
+		case "_bucket":
+			edge, err := strconv.ParseFloat(le, 64)
+			switch {
+			case err != nil:
+				bad("bucket le %q: %v", le, err)
+			case h.sawInf || edge <= h.lastLE:
+				bad("le %s does not rise", le)
+			case v < h.lastCount:
+				bad("bucket count falls from %v to %v", h.lastCount, v)
+			}
+			h.lastLE, h.lastCount = edge, v
+			if math.IsInf(edge, 1) {
+				h.inf, h.sawInf = v, true
+			}
+		case "_count":
+			h.count, h.sawCount = v, true
+		default:
+			bad("histogram sample without a _bucket, _sum or _count suffix")
+		}
+	}
+	for _, key := range order {
+		switch h := hists[key]; {
+		case !h.sawInf:
+			problems = append(problems, key+`: no le="+Inf" bucket`)
+		case !h.sawCount || h.inf != h.count:
+			problems = append(problems, fmt.Sprintf(`%s: le="+Inf" bucket %v != _count %v`, key, h.inf, h.count))
+		}
+	}
+	return problems
 }
 
 // TestSLOFlagsSet pins the -slo syntax: route:objective[:latency] with a

@@ -10,21 +10,16 @@ import (
 	"time"
 )
 
-// startTestServer brings up the full endpoint set on an ephemeral port with
-// a fast sampler, and tears everything down with the test.
+// startTestServer brings up the full endpoint set on an ephemeral port over
+// a private registry, and tears it down with the test.
 func startTestServer(t *testing.T) (base string, reg *Registry) {
 	t.Helper()
 	reg = NewRegistry()
-	sampler := NewRuntimeSampler(reg, 5*time.Millisecond)
-	srv, err := serve("127.0.0.1:0", reg, NewSolverGauges(reg).QueryHist)
+	srv, err := serve("127.0.0.1:0", reg)
 	if err != nil {
-		t.Fatalf("ServeWith: %v", err)
+		t.Fatalf("serve: %v", err)
 	}
-	sampler.Start()
-	t.Cleanup(func() {
-		sampler.Stop()
-		srv.Close()
-	})
+	t.Cleanup(func() { srv.Close() })
 	return "http://" + srv.Addr, reg
 }
 
@@ -72,7 +67,7 @@ func TestEndpointsUnderConcurrentLoad(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ {
-		for _, path := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/exemplars"} {
+		for _, path := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/"} {
 			code, body := httpGet(t, base+path)
 			if code != http.StatusOK {
 				t.Fatalf("%s: HTTP %d", path, code)
@@ -88,9 +83,8 @@ func TestEndpointsUnderConcurrentLoad(t *testing.T) {
 	_, metricsBody := httpGet(t, base+"/metrics")
 	for _, want := range []string{
 		"rpq_queries_total",
-		"# TYPE rpq_query_seconds summary",
-		"# TYPE rpq_query_seconds_hist histogram",
-		"rpq_query_seconds_hist_bucket{le=\"+Inf\"}",
+		"# TYPE rpq_query_seconds histogram",
+		"rpq_query_seconds_bucket{le=\"+Inf\"}",
 		"rpq_cpu_us_total",
 		"rpq_alloc_bytes_total",
 		"rpq_build_info{",
@@ -104,17 +98,13 @@ func TestEndpointsUnderConcurrentLoad(t *testing.T) {
 
 func TestServerShutdownNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	reg := NewRegistry()
-	sampler := NewRuntimeSampler(reg, time.Millisecond)
-	srv, err := serve("127.0.0.1:0", reg, nil)
+	srv, err := serve("127.0.0.1:0", NewRegistry())
 	if err != nil {
-		t.Fatalf("ServeWith: %v", err)
+		t.Fatalf("serve: %v", err)
 	}
-	sampler.Start()
 	if code, _ := httpGet(t, "http://"+srv.Addr+"/metrics"); code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
-	sampler.Stop()
 	srv.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

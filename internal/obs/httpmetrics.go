@@ -16,8 +16,8 @@ import (
 //     means no server error and, when the objective carries a latency
 //     threshold, a duration at or under it.
 //
-// All families are labeled registry metrics, so they appear in /metrics and
-// in Snapshot; a scraper derives SLO burn rates from the two SLO counters.
+// All families are labeled registry metrics, so they appear in /metrics; a
+// scraper derives SLO burn rates from the two SLO counters.
 type HTTPMetrics struct {
 	reg  *Registry
 	slos map[string]SLO
@@ -46,13 +46,10 @@ func StatusClass(status int) string {
 	return strconv.Itoa(status/100) + "xx"
 }
 
-// ObserveTrace records one finished request. route is the stable route name
-// (not the raw URL), status the response code, kind the query kind for the
-// query route ("" for others), dur the handler wall time. A non-empty
-// traceID is attached to the latency bucket as an OpenMetrics exemplar, so
-// the slow buckets in /metrics carry the most recent trace that landed in
-// them.
-func (m *HTTPMetrics) ObserveTrace(route string, status int, kind string, dur time.Duration, traceID string) {
+// Observe records one finished request. route is the stable route name (not
+// the raw URL), status the response code, kind the query kind for the query
+// route ("" for others), dur the handler wall time.
+func (m *HTTPMetrics) Observe(route string, status int, kind string, dur time.Duration) {
 	if m == nil {
 		return
 	}
@@ -63,7 +60,7 @@ func (m *HTTPMetrics) ObserveTrace(route string, status int, kind string, dur ti
 		"HTTP requests served, by route, status class, and query kind",
 		"route", route, "status", StatusClass(status), "kind", kind).Add(1)
 	m.reg.LabeledHistogram("rpq_http_request_seconds",
-		"HTTP request latency by route", "route", route).ObserveTrace(dur, traceID)
+		"HTTP request latency by route", "route", route).Observe(dur)
 	slo, ok := m.slos[route]
 	if !ok {
 		return

@@ -21,13 +21,14 @@ func TestHTTPMetricsObserve(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, []SLO{{Route: "query", Objective: 0.999, LatencyThreshold: 50 * time.Millisecond}})
 
-	m.ObserveTrace("query", 200, "exist", 10*time.Millisecond, "")
-	m.ObserveTrace("query", 200, "exist", 100*time.Millisecond, "") // good status, too slow
-	m.ObserveTrace("query", 500, "universal", 10*time.Millisecond, "")
-	m.ObserveTrace("query", 429, "exist", time.Millisecond, "")
-	m.ObserveTrace("stats", 200, "", time.Millisecond, "") // no SLO on this route
+	m.Observe("query", 200, "exist", 10*time.Millisecond)
+	m.Observe("query", 200, "exist", 100*time.Millisecond) // good status, too slow
+	m.Observe("query", 500, "universal", 10*time.Millisecond)
+	m.Observe("query", 429, "exist", time.Millisecond)
+	m.Observe("stats", 200, "", time.Millisecond) // no SLO on this route
 
-	snap := reg.Snapshot()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
 	for key, want := range map[string]int64{
 		`rpq_http_requests_total{route="query",status="2xx",kind="exist"}`:     2,
 		`rpq_http_requests_total{route="query",status="5xx",kind="universal"}`: 1,
@@ -35,26 +36,29 @@ func TestHTTPMetricsObserve(t *testing.T) {
 		`rpq_http_requests_total{route="stats",status="2xx",kind="-"}`:         1,
 		`rpq_http_slo_total{route="query"}`:                                    4,
 		`rpq_http_slo_good{route="query"}`:                                     2, // the fast 200 and the fast 429
-		`rpq_http_request_seconds{route="query"}_count`:                        4,
-		`rpq_http_request_seconds{route="stats"}_count`:                        1,
 	} {
-		if got := snap[key]; got != want {
+		if got := reg.Gauge(key, "").Value(); got != want {
 			t.Errorf("%s = %d, want %d", key, got, want)
 		}
 	}
-	if _, ok := snap[`rpq_http_slo_total{route="stats"}`]; ok {
+	for route, want := range map[string]int64{"query": 4, "stats": 1} {
+		if _, got, _ := reg.LabeledHistogram("rpq_http_request_seconds", "", "route", route).snapshot(); got != want {
+			t.Errorf("rpq_http_request_seconds{route=%q} count = %d, want %d", route, got, want)
+		}
+	}
+	if strings.Contains(b.String(), `rpq_http_slo_total{route="stats"}`) {
 		t.Error("stats route grew SLO counters without an objective")
 	}
 }
 
 // TestLabeledExposition renders labeled families and checks the exposition
 // stays valid: one HELP/TYPE header per family (never per label combination)
-// and label bodies merged correctly into quantile and bucket samples.
+// and label bodies merged correctly into bucket, sum and count samples.
 func TestLabeledExposition(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, nil)
-	m.ObserveTrace("query", 200, "exist", 10*time.Millisecond, "")
-	m.ObserveTrace("stats", 404, "", time.Millisecond, "")
+	m.Observe("query", 200, "exist", 10*time.Millisecond)
+	m.Observe("stats", 404, "", time.Millisecond)
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -64,13 +68,12 @@ func TestLabeledExposition(t *testing.T) {
 		"# TYPE rpq_http_requests_total gauge\n",
 		`rpq_http_requests_total{route="query",status="2xx",kind="exist"} 1` + "\n",
 		`rpq_http_requests_total{route="stats",status="4xx",kind="-"} 1` + "\n",
-		"# TYPE rpq_http_request_seconds summary\n",
-		`rpq_http_request_seconds{route="query",quantile="0.5"} `,
-		`rpq_http_request_seconds_sum{route="query"} `,
+		"# TYPE rpq_http_request_seconds histogram\n",
+		`rpq_http_request_seconds_bucket{route="query",le="0.016384"} 1` + "\n",
+		`rpq_http_request_seconds_bucket{route="query",le="+Inf"} 1` + "\n",
+		`rpq_http_request_seconds_sum{route="query"} 0.01` + "\n",
 		`rpq_http_request_seconds_count{route="query"} 1` + "\n",
-		"# TYPE rpq_http_request_seconds_hist histogram\n",
-		`rpq_http_request_seconds_hist_bucket{route="query",le="+Inf"} 1` + "\n",
-		`rpq_http_request_seconds_hist_count{route="stats"} 1` + "\n",
+		`rpq_http_request_seconds_count{route="stats"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -80,7 +83,7 @@ func TestLabeledExposition(t *testing.T) {
 	if n := strings.Count(out, "# TYPE rpq_http_requests_total gauge"); n != 1 {
 		t.Errorf("rpq_http_requests_total TYPE lines = %d, want 1", n)
 	}
-	if n := strings.Count(out, "# TYPE rpq_http_request_seconds summary"); n != 1 {
+	if n := strings.Count(out, "# TYPE rpq_http_request_seconds histogram"); n != 1 {
 		t.Errorf("rpq_http_request_seconds TYPE lines = %d, want 1", n)
 	}
 	// No TYPE/HELP line may name a label body — that would be invalid

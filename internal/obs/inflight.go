@@ -26,7 +26,7 @@ func NewInflight() *Inflight {
 var defaultInflight = NewInflight()
 
 // DefaultInflight returns the process-wide in-flight registry used by
-// ServeWith and the rpq layer.
+// Serve and the rpq layer.
 func DefaultInflight() *Inflight { return defaultInflight }
 
 // Progress is one live snapshot of a running query. The solvers deliver

@@ -11,48 +11,6 @@ import (
 	"time"
 )
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := &Histogram{}
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram should report zero quantiles")
-	}
-	// 90 samples at ~100µs, 10 at ~10ms: p50 lands in the 64–128µs bucket,
-	// p99 in the 8.192–16.384ms bucket.
-	for i := 0; i < 90; i++ {
-		h.Observe(100 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(10 * time.Millisecond)
-	}
-	if got := h.Count(); got != 100 {
-		t.Fatalf("Count = %d, want 100", got)
-	}
-	if p50 := h.Quantile(0.50); p50 < 64*time.Microsecond || p50 > 128*time.Microsecond {
-		t.Fatalf("p50 = %v, want within the 64–128µs bucket", p50)
-	}
-	if p99 := h.Quantile(0.99); p99 < 8*time.Millisecond || p99 > 17*time.Millisecond {
-		t.Fatalf("p99 = %v, want within the 8.192–16.384ms bucket", p99)
-	}
-	wantSum := 90*100*time.Microsecond + 10*10*time.Millisecond
-	if got := h.Sum(); got != wantSum {
-		t.Fatalf("Sum = %v, want %v", got, wantSum)
-	}
-
-	// Nearest rank is ceil(q·n): with 9 fast samples and 1 slow one, p99
-	// (rank ceil(9.9) = 10) is the slow sample, not the ninth fast one.
-	small := &Histogram{}
-	for i := 0; i < 9; i++ {
-		small.Observe(10 * time.Microsecond)
-	}
-	small.Observe(10 * time.Millisecond)
-	if p99 := small.Quantile(0.99); p99 < 8*time.Millisecond || p99 > 17*time.Millisecond {
-		t.Fatalf("p99 of 9×10µs + 1×10ms = %v, want within the 8.192–16.384ms bucket", p99)
-	}
-	if p90 := small.Quantile(0.90); p90 > 16*time.Microsecond {
-		t.Fatalf("p90 of 9×10µs + 1×10ms = %v, want within the 8–16µs bucket", p90)
-	}
-}
-
 func TestHistogramConcurrency(t *testing.T) {
 	h := &Histogram{}
 	var wg sync.WaitGroup
@@ -62,12 +20,12 @@ func TestHistogramConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				h.Observe(time.Duration(i) * time.Microsecond)
-				h.Quantile(0.95)
+				h.snapshot()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 8000 {
+	if _, got, _ := h.snapshot(); got != 8000 {
 		t.Fatalf("Count = %d, want 8000", got)
 	}
 }
@@ -81,22 +39,22 @@ func TestRegistryHistogramExposition(t *testing.T) {
 	r.WritePrometheus(&b)
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE rpq_test_seconds summary",
-		`rpq_test_seconds{quantile="0.5"}`,
-		`rpq_test_seconds{quantile="0.99"}`,
-		"rpq_test_seconds_count 1",
+		"# TYPE rpq_test_seconds histogram\n",
+		"rpq_test_seconds_bucket{le=\"0.001024\"} 0\n",
+		"rpq_test_seconds_bucket{le=\"0.002048\"} 1\n",
+		"rpq_test_seconds_bucket{le=\"+Inf\"} 1\n",
+		"rpq_test_seconds_sum 0.002\n",
+		"rpq_test_seconds_count 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-
-	snap := r.Snapshot()
-	if snap["rpq_test_seconds_count"] != 1 {
-		t.Fatalf("snapshot count = %d, want 1", snap["rpq_test_seconds_count"])
-	}
-	if snap["rpq_test_seconds_p50_us"] <= 0 {
-		t.Fatal("snapshot p50 missing")
+	// One family per histogram: no summary quantiles, no _hist twin.
+	for _, gone := range []string{"quantile=", "_hist"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("exposition still carries %q:\n%s", gone, out)
+		}
 	}
 }
 
@@ -129,7 +87,7 @@ func TestInflightLifecycle(t *testing.T) {
 }
 
 func TestQueriesEndpoint(t *testing.T) {
-	srv, err := ServeWith("localhost:0", ServeOptions{})
+	srv, err := Serve("localhost:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +123,7 @@ func TestQueriesEndpoint(t *testing.T) {
 }
 
 func TestQueriesEndpointEmpty(t *testing.T) {
-	srv, err := ServeWith("localhost:0", ServeOptions{})
+	srv, err := Serve("localhost:0")
 	if err != nil {
 		t.Fatal(err)
 	}

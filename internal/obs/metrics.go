@@ -51,21 +51,11 @@ func Default() *Registry { return defaultRegistry }
 
 // Gauge returns the gauge registered under name, creating it (with the
 // given help text) on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	r.help[name] = help
-	return g
-}
+func (r *Registry) Gauge(name, help string) *Gauge { return r.LabeledGauge(name, help) }
 
 // MetricKey renders a metric family plus ordered label pairs ("k1", "v1",
 // "k2", "v2", ...) in the canonical form family{k1="v1",k2="v2"} used as the
-// registry/Snapshot key of one label combination. With no pairs it returns
+// registry key of one label combination. With no pairs it returns
 // the family unchanged. Callers must pass pairs in a fixed order — the key
 // is a plain string, so the same labels in a different order name a
 // different metric.
@@ -113,8 +103,7 @@ func joinLabels(fam, labels, extra string) string {
 // LabeledGauge returns the gauge for one label combination of a metric
 // family, creating it on first use. The help text is attached to the family:
 // WritePrometheus renders one HELP/TYPE header per family followed by every
-// label combination's sample, and Snapshot exposes each combination under
-// its MetricKey.
+// label combination's sample.
 func (r *Registry) LabeledGauge(family, help string, kv ...string) *Gauge {
 	name := MetricKey(family, kv...)
 	r.mu.Lock()
@@ -130,7 +119,7 @@ func (r *Registry) LabeledGauge(family, help string, kv ...string) *Gauge {
 
 // LabeledHistogram is LabeledGauge for latency histograms: one histogram per
 // label combination, rendered with the family's labels merged into each
-// quantile/bucket sample.
+// bucket, sum and count sample.
 func (r *Registry) LabeledHistogram(family, help string, kv ...string) *Histogram {
 	name := MetricKey(family, kv...)
 	r.mu.Lock()
@@ -146,166 +135,79 @@ func (r *Registry) LabeledHistogram(family, help string, kv ...string) *Histogra
 
 // Histogram returns the latency histogram registered under name, creating
 // it (with the given help text) on first use.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h := &Histogram{}
-	if r.hists == nil {
-		r.hists = map[string]*Histogram{}
-	}
-	r.hists[name] = h
-	r.help[name] = help
-	return h
-}
-
-// Snapshot returns the current name → value map, for expvar publication.
-// Histograms contribute <name>_count, <name>_sum_us, and the p50/p95/p99
-// bucket-midpoint estimates in microseconds.
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.gauges)+5*len(r.hists))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[name+"_count"] = h.Count()
-		out[name+"_sum_us"] = h.Sum().Microseconds()
-		out[name+"_p50_us"] = h.Quantile(0.50).Microseconds()
-		out[name+"_p95_us"] = h.Quantile(0.95).Microseconds()
-		out[name+"_p99_us"] = h.Quantile(0.99).Microseconds()
-	}
-	return out
-}
+func (r *Registry) Histogram(name, help string) *Histogram { return r.LabeledHistogram(name, help) }
 
 // WritePrometheus renders every gauge and histogram in the Prometheus text
 // exposition format (# HELP / # TYPE lines followed by the samples), sorted
 // by name. Labeled families (LabeledGauge/LabeledHistogram) render one
-// HELP/TYPE header followed by every label combination's sample — sorted
+// HELP/TYPE header followed by every label combination's samples — sorted
 // names keep a family's combinations contiguous, since '{' sorts after every
-// metric-name character. Histograms are rendered as summaries:
-// quantile-labelled samples in seconds plus <name>_sum and <name>_count.
+// metric-name character. A histogram renders as a Prometheus histogram:
+// cumulative <name>_bucket samples whose le edges are its log2 bucket upper
+// bounds, 2^(i+1) microseconds in seconds (empty tail buckets elided), then
+// le="+Inf", <name>_sum in seconds and <name>_count.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.gauges))
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	type row struct {
 		name, fam, labels, help string
 		value                   int64
+		counts                  [histBuckets]int64
+		count, sum              int64
 	}
-	rows := make([]row, 0, len(names))
-	for _, name := range names {
+	r.mu.Lock()
+	split := func(name string) row {
 		fam, labels := splitMetricName(name)
-		help := r.help[fam]
-		if help == "" {
-			help = r.help[name]
-		}
-		rows = append(rows, row{name, fam, labels, help, r.gauges[name].Value()})
+		return row{name: name, fam: fam, labels: labels, help: r.help[fam]}
 	}
-	hnames := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		hnames = append(hnames, name)
+	var gauges, hists []row
+	for name, g := range r.gauges {
+		rw := split(name)
+		rw.value = g.Value()
+		gauges = append(gauges, rw)
 	}
-	sort.Strings(hnames)
-	type hrow struct {
-		fam, labels, help string
-		p50, p95, p99     float64
-		sum               float64
-		count             int64
-		buckets           [histBuckets]int64
-		exemplars         [histBuckets]*Exemplar
-	}
-	hrows := make([]hrow, 0, len(hnames))
-	for _, name := range hnames {
-		h := r.hists[name]
-		counts, count, sumUS := h.snapshot()
-		fam, labels := splitMetricName(name)
-		help := r.help[fam]
-		if help == "" {
-			help = r.help[name]
-		}
-		hr := hrow{
-			fam: fam, labels: labels, help: help,
-			p50: h.Quantile(0.50).Seconds(), p95: h.Quantile(0.95).Seconds(),
-			p99: h.Quantile(0.99).Seconds(),
-			sum: float64(sumUS) / 1e6, count: count, buckets: counts,
-		}
-		for i := range hr.exemplars {
-			hr.exemplars[i] = h.BucketExemplar(i)
-		}
-		hrows = append(hrows, hr)
+	for name, h := range r.hists {
+		rw := split(name)
+		rw.counts, rw.count, rw.sum = h.snapshot()
+		hists = append(hists, rw)
 	}
 	r.mu.Unlock()
-	lastFam := ""
-	for _, rw := range rows {
-		if rw.fam != lastFam {
-			if rw.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", rw.fam, rw.help)
-			}
-			fmt.Fprintf(w, "# TYPE %s gauge\n", rw.fam)
-			lastFam = rw.fam
-		}
-		fmt.Fprintf(w, "%s %d\n", rw.name, rw.value)
+	byName := func(rows []row) {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	}
-	lastFam = ""
-	for _, hw := range hrows {
-		if hw.fam != lastFam {
-			if hw.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", hw.fam, hw.help)
-			}
-			fmt.Fprintf(w, "# TYPE %s summary\n", hw.fam)
-			lastFam = hw.fam
+	byName(gauges)
+	byName(hists)
+
+	last := ""
+	header := func(rw row, typ string) {
+		if rw.fam == last {
+			return
 		}
-		fmt.Fprintf(w, "%s %g\n", joinLabels(hw.fam, hw.labels, `quantile="0.5"`), hw.p50)
-		fmt.Fprintf(w, "%s %g\n", joinLabels(hw.fam, hw.labels, `quantile="0.95"`), hw.p95)
-		fmt.Fprintf(w, "%s %g\n", joinLabels(hw.fam, hw.labels, `quantile="0.99"`), hw.p99)
-		fmt.Fprintf(w, "%s %g\n", joinLabels(hw.fam+"_sum", hw.labels, ""), hw.sum)
-		fmt.Fprintf(w, "%s %d\n", joinLabels(hw.fam+"_count", hw.labels, ""), hw.count)
+		last = rw.fam
+		if rw.help != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n", rw.fam, rw.help)
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", rw.fam, typ)
 	}
-	// The same data again as native Prometheus histograms with cumulative le
-	// buckets, under a distinct <name>_hist family: the summary above already
-	// claims <name>_sum/<name>_count, and a metric cannot be both types. The
-	// bucket edges are the histogram's own log2 bucket upper bounds, 2^(i+1)
-	// microseconds expressed in seconds; empty tail buckets are elided.
-	lastFam = ""
-	for _, hw := range hrows {
-		fam := hw.fam + "_hist"
-		if fam != lastFam {
-			if hw.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s (cumulative le buckets)\n", fam, hw.help)
-			}
-			fmt.Fprintf(w, "# TYPE %s histogram\n", fam)
-			lastFam = fam
-		}
+	for _, g := range gauges {
+		header(g, "gauge")
+		fmt.Fprintf(w, "%s %d\n", g.name, g.value)
+	}
+	for _, h := range hists {
+		header(h, "histogram")
 		top := 0
-		for i, c := range hw.buckets {
+		for i, c := range h.counts {
 			if c > 0 {
 				top = i
 			}
 		}
 		var cum int64
 		for i := 0; i <= top; i++ {
-			cum += hw.buckets[i]
-			le := float64(int64(1)<<uint(i+1)) / 1e6
-			fmt.Fprintf(w, "%s %d", joinLabels(fam+"_bucket", hw.labels, fmt.Sprintf("le=%q", strconv.FormatFloat(le, 'g', -1, 64))), cum)
-			// OpenMetrics exemplar: the most recent trace ID that landed in
-			// this bucket, so a slow bucket jumps straight to its trace (and
-			// from there to the CPU samples labelled rpq_trace_id).
-			if e := hw.exemplars[i]; e != nil {
-				fmt.Fprintf(w, " # {trace_id=%q} %g %d.%03d",
-					e.TraceID, e.Value.Seconds(), e.Time.Unix(), e.Time.Nanosecond()/1e6)
-			}
-			fmt.Fprintln(w)
+			cum += h.counts[i]
+			le := strconv.FormatFloat(float64(int64(1)<<uint(i+1))/1e6, 'g', -1, 64)
+			fmt.Fprintf(w, "%s %d\n", joinLabels(h.fam+"_bucket", h.labels, `le="`+le+`"`), cum)
 		}
-		fmt.Fprintf(w, "%s %d\n", joinLabels(fam+"_bucket", hw.labels, `le="+Inf"`), hw.count)
-		fmt.Fprintf(w, "%s %g\n", joinLabels(fam+"_sum", hw.labels, ""), hw.sum)
-		fmt.Fprintf(w, "%s %d\n", joinLabels(fam+"_count", hw.labels, ""), hw.count)
+		fmt.Fprintf(w, "%s %d\n", joinLabels(h.fam+"_bucket", h.labels, `le="+Inf"`), h.count)
+		fmt.Fprintf(w, "%s %g\n", joinLabels(h.fam+"_sum", h.labels, ""), float64(h.sum)/1e6)
+		fmt.Fprintf(w, "%s %d\n", joinLabels(h.fam+"_count", h.labels, ""), h.count)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package obs is the query engine's observability layer: live metrics with
 // a Prometheus-style text exposition, the in-flight query registry,
-// expvar/pprof HTTP endpoints and a slow-query log. It depends only on the
+// the /metrics and pprof HTTP endpoints and a slow-query log. It depends only on the
 // standard library.
 //
 // The per-query record is core.Stats (counters and phase walls), returned

@@ -71,7 +71,7 @@ func TestGaugeConcurrency(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("rpq_worklist_depth", "d").Set(7)
-	srv, err := serve("127.0.0.1:0", reg, nil)
+	srv, err := serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,9 @@ func TestServeEndpoints(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "rpq_worklist_depth 7") {
 		t.Errorf("/metrics = %d\n%s", code, body)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "rpq_metrics") {
-		t.Errorf("/debug/vars = %d\n%s", code, body)
+	// The expvar mirror is gone: /metrics is the one telemetry surface.
+	if code, _ := get("/debug/vars"); code != 404 {
+		t.Errorf("/debug/vars = %d, want 404", code)
 	}
 	if code, _ := get("/debug/pprof/"); code != 200 {
 		t.Errorf("/debug/pprof/ = %d", code)

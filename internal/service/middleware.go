@@ -95,7 +95,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			status = http.StatusOK
 		}
 		dur := time.Since(t0)
-		s.httpMetrics.ObserveTrace(route, status, ri.kind, dur, ri.trace.TraceIDString())
+		s.httpMetrics.Observe(route, status, ri.kind, dur)
 		s.logAccess(r, ri, status, dur)
 	}
 }

@@ -161,17 +161,16 @@ func TestRouteMetricLabels(t *testing.T) {
 	doReq(h, "POST", "/api/v1/query", `{"graph":"nope","pattern":"use(x)"}`)
 	doReq(h, "GET", "/api/v1/graphs", "")
 
-	snap := reg.Snapshot()
-	for key, want := range map[string]int64{
+	for key, want := range map[string]float64{
 		`rpq_http_requests_total{route="healthz",status="2xx",kind="-"}`:       1,
 		`rpq_http_requests_total{route="query",status="2xx",kind="exist"}`:     1,
 		`rpq_http_requests_total{route="query",status="2xx",kind="universal"}`: 1,
 		`rpq_http_requests_total{route="query",status="4xx",kind="exist"}`:     1,
 		`rpq_http_requests_total{route="graphs_list",status="2xx",kind="-"}`:   1,
-		`rpq_http_request_seconds{route="query"}_count`:                        3,
+		`rpq_http_request_seconds_count{route="query"}`:                        3,
 	} {
-		if got := snap[key]; got != want {
-			t.Errorf("%s = %d, want %d", key, got, want)
+		if got := scrapeSample(t, reg, key); got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
 		}
 	}
 }

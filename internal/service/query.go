@@ -360,7 +360,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 // the in-flight registry the solvers report into (the same data as
 // /debug/rpq/queries on the observability server), plus the admission view.
 func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
-	snaps := s.cfg.Inflight.Snapshots()
+	snaps := rpq.InflightQueries()
 	if snaps == nil {
 		snaps = []rpq.QuerySnapshot{}
 	}

@@ -67,10 +67,6 @@ type Config struct {
 	// gauges; nil means the default registry, which is what the
 	// observability server exposes.
 	Registry *obs.Registry
-	// Inflight is the in-flight query registry backing /api/v1/queries and
-	// cancellation; nil means the process-wide default registry (the one
-	// the rpq entry points register into).
-	Inflight *obs.Inflight
 	// Logger, when non-nil, receives the structured access log (one line
 	// per request, stream="access") and the catalog-mutation audit stream
 	// (stream="audit"). nil disables both.
@@ -110,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
-	}
-	if c.Inflight == nil {
-		c.Inflight = obs.DefaultInflight()
 	}
 	return c
 }
@@ -345,7 +338,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"graphs":   n,
-		"inflight": s.cfg.Inflight.Len(),
+		"inflight": obs.DefaultInflight().Len(),
 		"draining": s.Draining(),
 	})
 }
@@ -364,7 +357,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ready",
-		"inflight": s.cfg.Inflight.Len(),
+		"inflight": obs.DefaultInflight().Len(),
 	})
 }
 
@@ -374,7 +367,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graphs":    graphs,
-		"inflight":  s.cfg.Inflight.Len(),
+		"inflight":  obs.DefaultInflight().Len(),
 		"draining":  s.Draining(),
 		"cache":     s.cache.Stats(),
 		"admission": s.adm.stats(),

@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ const testGraphPath = "../../testdata/queries/graph.txt"
 
 // newTestServer builds a Server on a fresh metrics registry with the
 // repository's CFG fixture preloaded under the name "g".
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -45,6 +46,24 @@ func doReq(h http.Handler, method, path, body string) *httptest.ResponseRecorder
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// scrapeSample renders reg as /metrics does and returns the value of the
+// sample named sample (metric name plus label body); 0 when it is absent.
+func scrapeSample(t *testing.T, reg *obs.Registry, sample string) float64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
 }
 
 func decodeBody(t *testing.T, rec *httptest.ResponseRecorder) map[string]any {
@@ -461,8 +480,8 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	if nActive != 0 {
 		t.Fatalf("active cancel map has %d stale entries", nActive)
 	}
-	if n := s.gauges.QueryHist.Count(); n != 1 {
-		t.Fatalf("latency histogram count = %d, want 1", n)
+	if n := scrapeSample(t, s.cfg.Registry, "rpq_query_seconds_count"); n != 1 {
+		t.Fatalf("latency histogram count = %v, want 1", n)
 	}
 	if n := s.gauges.Queries.Value(); n != 1 {
 		t.Fatalf("queries gauge = %d, want 1", n)

@@ -65,8 +65,7 @@ func TestInflightDrainsOnProgressPanic(t *testing.T) {
 }
 
 // TestServeObservabilityWithStartupFailure pins the startup-failure path: a
-// bind error must return without leaving the runtime sampler goroutine
-// running.
+// bind error must return without leaving a goroutine running.
 func TestServeObservabilityWithStartupFailure(t *testing.T) {
 	// Occupy a port so the observability bind fails deterministically.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -77,19 +76,17 @@ func TestServeObservabilityWithStartupFailure(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		srv, err := ServeObservabilityWith(ln.Addr().String(), ObservabilityConfig{
-			SampleInterval: time.Millisecond,
-		})
+		srv, err := ServeObservability(ln.Addr().String())
 		if err == nil {
 			srv.Close()
-			t.Fatalf("ServeObservabilityWith on a bound port succeeded")
+			t.Fatalf("ServeObservability on a bound port succeeded")
 		}
 		if !strings.Contains(err.Error(), "listen") {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	// Any leaked sampler goroutine would persist; give the
-	// scheduler a moment to settle, then compare.
+	// Any leaked goroutine would persist; give the scheduler a moment to
+	// settle, then compare.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

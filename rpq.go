@@ -319,7 +319,7 @@ type Options struct {
 	// Gauges receives live samples of worklist depth, reach-set size,
 	// interned substitutions, and table bytes every few hundred worklist
 	// pops, so the /metrics endpoint can expose a query in flight. Use
-	// LiveGauges for a process-wide set served by ServeObservabilityWith.
+	// LiveGauges for a process-wide set served by ServeObservability.
 	Gauges *SolverGauges
 	// SlowLog, when non-nil, records queries whose wall-clock time
 	// reaches its threshold as NDJSON (one record per slow query), and
@@ -414,7 +414,7 @@ type QuerySnapshot = obs.QuerySnapshot
 
 // InflightQueries returns snapshots of the queries executing right now in
 // this process, ordered by start; the same data is served as JSON at
-// /debug/rpq/queries by ServeObservabilityWith.
+// /debug/rpq/queries by ServeObservability.
 func InflightQueries() []QuerySnapshot { return obs.DefaultInflight().Snapshots() }
 
 // NewSlowLog returns a slow-query log writing NDJSON records to w for
@@ -425,70 +425,21 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 
 // LiveGauges returns the process-wide solver gauge set, registered under
 // the rpq_ namespace in the default metric registry that
-// ServeObservabilityWith exposes at /metrics.
+// ServeObservability exposes at /metrics.
 func LiveGauges() *SolverGauges { return obs.NewSolverGauges(nil) }
-
-// ObservabilityConfig tunes the continuous-telemetry plane started by
-// ServeObservabilityWith. The zero value enables everything at the
-// defaults; a negative duration disables the corresponding component.
-type ObservabilityConfig struct {
-	// SampleInterval is the runtime-metrics sampling cadence (0 = 1s,
-	// < 0 = no runtime sampler).
-	SampleInterval time.Duration
-}
 
 // SLO is one service-level objective: the service plane counts its requests
 // under rpq_http_slo_total/rpq_http_slo_good; see internal/service.
 type SLO = obs.SLO
 
-// ObservabilityServer is a running observability plane: the HTTP server
-// plus the background runtime sampler feeding it. Close stops both; the
-// components are exported for tests and for callers that want to
-// SampleOnce on their own schedule.
-type ObservabilityServer struct {
-	Server  *http.Server
-	Sampler *obs.RuntimeSampler
-}
-
-// Close stops the runtime sampler, then the HTTP server. No background
-// goroutine survives it.
-func (s *ObservabilityServer) Close() error {
-	if s == nil {
-		return nil
-	}
-	if s.Sampler != nil {
-		s.Sampler.Stop()
-	}
-	if s.Server != nil {
-		return s.Server.Close()
-	}
-	return nil
-}
-
-// ServeObservabilityWith starts the full observability plane on addr:
-// /metrics (Prometheus text exposition of the default registry, including
-// the latency histograms), /debug/rpq/queries (JSON snapshots of in-flight
-// queries), /debug/rpq/exemplars, /debug/vars (expvar) and /debug/pprof/
-// (on-demand profiles whose CPU samples carry each query's pprof labels),
-// plus a runtime-metrics sampler whose go_* gauges join /metrics. The
-// listener binds synchronously. Close the returned server to stop everything.
-func ServeObservabilityWith(addr string, cfg ObservabilityConfig) (*ObservabilityServer, error) {
-	out := &ObservabilityServer{}
-	if cfg.SampleInterval >= 0 {
-		out.Sampler = obs.NewRuntimeSampler(nil, cfg.SampleInterval)
-	}
-	srv, err := obs.ServeWith(addr, obs.ServeOptions{QueryHist: obs.NewSolverGauges(nil).QueryHist})
-	if err != nil {
-		// Failed startup (e.g. the port is already bound) returns before the
-		// sampler starts, so no sampler goroutine outlives the error return.
-		return nil, err
-	}
-	out.Server = srv
-	if out.Sampler != nil {
-		out.Sampler.Start()
-	}
-	return out, nil
-}
+// ServeObservability starts the observability plane on addr: /metrics
+// (Prometheus text exposition of the default registry — the live gauges,
+// one histogram family per latency, and the go_* runtime gauges read at
+// scrape time), /debug/rpq/ (the index), /debug/rpq/queries (JSON
+// snapshots of in-flight queries) and /debug/pprof/ (on-demand profiles
+// whose CPU samples carry each query's pprof labels). The listener binds
+// synchronously; Close the returned server to stop it.
+func ServeObservability(addr string) (*http.Server, error) { return obs.Serve(addr) }
 
 // runState tracks one public query from beginRun to finish: the in-flight
 // registry entry, which is the query's one record (identity, trace, clock
@@ -621,7 +572,7 @@ func (rs *runState) finish(res *Result, err error) {
 	gauges := opts.Gauges
 	if gauges != nil {
 		gauges.Queries.Add(1)
-		gauges.QueryHist.ObserveTrace(u.Wall, rs.iq.TraceID())
+		gauges.QueryHist.Observe(u.Wall)
 		gauges.CPUTotalUS.Add(u.CPU.Microseconds())
 		gauges.AllocTotal.Add(u.Alloc)
 		if stats != nil {

@@ -82,12 +82,11 @@ func TestExplainAndGaugesCarryAttribution(t *testing.T) {
 		t.Fatalf("Explain.AllocBytes = %d, Stats.AllocBytes = %d",
 			res.Explain.AllocBytes, res.Stats.AllocBytes)
 	}
-	snap := reg.Snapshot()
-	if snap["rpq_alloc_bytes_total"] <= 0 {
-		t.Fatalf("rpq_alloc_bytes_total = %d, want > 0", snap["rpq_alloc_bytes_total"])
+	if n := reg.Gauge("rpq_alloc_bytes_total", "").Value(); n <= 0 {
+		t.Fatalf("rpq_alloc_bytes_total = %d, want > 0", n)
 	}
-	if snap["rpq_queries_total"] != 1 {
-		t.Fatalf("rpq_queries_total = %d, want 1", snap["rpq_queries_total"])
+	if n := reg.Gauge("rpq_queries_total", "").Value(); n != 1 {
+		t.Fatalf("rpq_queries_total = %d, want 1", n)
 	}
 }
 
@@ -298,14 +297,12 @@ func TestCPUProfileHasQueryLabels(t *testing.T) {
 }
 
 func TestServeObservabilityWith(t *testing.T) {
-	srv, err := ServeObservabilityWith("127.0.0.1:0", ObservabilityConfig{
-		SampleInterval: 5 * time.Millisecond,
-	})
+	srv, err := ServeObservability("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	base := "http://" + srv.Server.Addr
+	base := "http://" + srv.Addr
 
 	g := telemetryGraph(t)
 	opts := &Options{Gauges: LiveGauges()}
@@ -315,7 +312,6 @@ func TestServeObservabilityWith(t *testing.T) {
 	if _, err := g.Universal(MustParsePattern("_* def(x) (!def(x))*"), opts); err != nil {
 		t.Fatal(err)
 	}
-	srv.Sampler.SampleOnce()
 
 	get := func(path string) (int, []byte) {
 		t.Helper()
@@ -328,9 +324,8 @@ func TestServeObservabilityWith(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	// The /debug/rpq/ index describes every surface and, with the full
-	// stack running, lists each as enabled; each answers 200 with a body,
-	// and / lists exactly the index paths.
+	// The /debug/rpq/ index describes every surface; each answers 200 with
+	// a body, and / lists exactly the index paths.
 	code, body := get("/debug/rpq/")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/rpq/: HTTP %d", code)
@@ -338,73 +333,56 @@ func TestServeObservabilityWith(t *testing.T) {
 	var index struct {
 		Schema   string `json:"schema"`
 		Surfaces []struct {
-			Path    string `json:"path"`
-			Desc    string `json:"desc"`
-			Enabled bool   `json:"enabled"`
+			Path string `json:"path"`
+			Desc string `json:"desc"`
 		} `json:"surfaces"`
 	}
-	if err := json.Unmarshal(body, &index); err != nil || index.Schema != "rpq-debug/1" {
+	if err := json.Unmarshal(body, &index); err != nil || index.Schema != "rpq-debug/2" {
 		t.Fatalf("/debug/rpq/: schema %q, err %v", index.Schema, err)
 	}
-	paths := map[string]bool{}
+	var paths []string
 	rootList := "rpq observability\n\n"
 	for _, s := range index.Surfaces {
-		paths[s.Path] = true
+		paths = append(paths, s.Path)
 		rootList += s.Path + "\n"
 		if s.Desc == "" {
 			t.Errorf("/debug/rpq/: surface %s has no description", s.Path)
-		}
-		if !s.Enabled {
-			t.Errorf("/debug/rpq/: %s disabled on the full stack", s.Path)
 		}
 		if code, body := get(s.Path); code != http.StatusOK || len(body) == 0 {
 			t.Errorf("%s: HTTP %d, %d bytes", s.Path, code, len(body))
 		}
 	}
-	for _, p := range []string{"/metrics", "/debug/rpq/queries", "/debug/rpq/exemplars"} {
-		if !paths[p] {
-			t.Errorf("/debug/rpq/ does not list %s", p)
-		}
+	if want := "/metrics /debug/rpq/ /debug/rpq/queries /debug/pprof/"; strings.Join(paths, " ") != want {
+		t.Errorf("/debug/rpq/ lists %v, want %s", paths, want)
 	}
 	if code, body := get("/"); code != http.StatusOK || string(body) != rootList {
 		t.Errorf("/: HTTP %d\n%s\nwant\n%s", code, body, rootList)
 	}
 	// The time-series, burn-rate and dashboard routes are gone; /metrics
-	// is the one telemetry surface. The continuous-profiler route is gone;
+	// is the one telemetry surface, so the expvar mirror and the exemplar
+	// listing are gone too. The continuous-profiler route is gone;
 	// /debug/pprof/ is the one profile surface.
-	for _, name := range []string{"ts", "slo", "dash", "prof"} {
-		p := "/debug/rpq/" + name
+	for _, p := range []string{"/debug/rpq/ts", "/debug/rpq/slo", "/debug/rpq/dash", "/debug/rpq/prof",
+		"/debug/rpq/exemplars", "/debug/vars"} {
 		if code, _ := get(p); code != http.StatusNotFound {
 			t.Errorf("%s: HTTP %d, want 404", p, code)
 		}
-		if paths[p] {
-			t.Errorf("/debug/rpq/ still lists %s", p)
-		}
 	}
 
-	// The query counter advanced and the sampler's runtime gauges joined
-	// the exposition.
+	// The query counter advanced, the runtime gauges are read at scrape
+	// time, and each latency is one histogram family.
 	_, metrics := get("/metrics")
-	for _, want := range []string{"rpq_queries_total ", "go_goroutines "} {
+	for _, want := range []string{"rpq_queries_total ", "go_goroutines ", "# TYPE rpq_query_seconds histogram\n"} {
 		if !bytes.Contains(metrics, []byte(want)) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	for _, gone := range []string{"quantile=", "_hist", "# {"} {
+		if bytes.Contains(metrics, []byte(gone)) {
+			t.Errorf("/metrics still carries %q", gone)
+		}
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	// Close is idempotent (defer above runs it again harmlessly).
-}
-
-func TestObservabilityConfigDisables(t *testing.T) {
-	srv, err := ServeObservabilityWith("127.0.0.1:0", ObservabilityConfig{
-		SampleInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.Sampler != nil {
-		t.Fatal("a negative interval must disable the sampler")
 	}
 }

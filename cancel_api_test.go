@@ -135,13 +135,14 @@ func TestSlowLogRecordsDeadline(t *testing.T) {
 	}
 }
 
-// TestLatencyHistogramsPublic checks that a run with gauges feeds the query
-// and phase histograms.
+// TestLatencyHistogramsPublic checks that every run, a plain library call
+// with no options included, feeds the query and phase histograms of the
+// process-wide registry.
 func TestLatencyHistogramsPublic(t *testing.T) {
 	g := figure1Graph(t)
 	p := MustParsePattern("(!def(x))* use(x)")
 	before := scrapeSample(t, obs.Default(), "rpq_query_seconds_count")
-	if _, err := g.Exist(p, &Options{Gauges: LiveGauges()}); err != nil {
+	if _, err := g.Exist(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := scrapeSample(t, obs.Default(), "rpq_query_seconds_count"); got != before+1 {

@@ -9,8 +9,9 @@
 //	experiments -ablation X   X ∈ direction|memo|domains|compact|scc|complete
 //	experiments -all          everything
 //
-// With -http addr the run also serves /metrics (the live solver gauges and
-// the go_* runtime gauges), /debug/rpq/queries and /debug/pprof/.
+// With -http addr the run also serves /metrics, /debug/rpq/queries (each
+// measured query while it runs) and /debug/pprof/. Machine-readable,
+// commit-comparable numbers come from cmd/bench.
 //
 // Absolute times differ from the paper's 2.0 GHz Pentium 4; the comparisons
 // that matter are the relative ones: which variant wins, by what factor,
@@ -18,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,81 +35,31 @@ import (
 	"rpq/internal/subst"
 )
 
-// liveProgress, when -http is set, feeds each running query's progress
-// (worklist depth, reach size, table bytes) to the gauges at /metrics.
-var liveProgress func(obs.Progress)
-
-// section labels bench entries with the table/figure/ablation being run.
-var section string
-
 // queryTimeout is the -timeout flag: the per-query wall-clock bound; a
 // measured query exceeding it aborts the run with its partial statistics.
 var queryTimeout time.Duration
 
-// explainOn is the -explain flag: collect execution profiles for every
-// measured query and carry the hot-state fields into the bench entries.
-var explainOn bool
-
-// benchEntry is one machine-comparable measurement, in the shape of a
-// `go test -bench` result plus the solver counters (BENCH_*.json style).
-type benchEntry struct {
-	Name            string `json:"name"`
-	NsPerOp         int64  `json:"ns_per_op"`
-	WorklistInserts int    `json:"worklist_inserts"`
-	MatchCalls      int    `json:"match_calls"`
-	EnumSubsts      int    `json:"enum_substs"`
-	ResultPairs     int    `json:"result_pairs"`
-	Bytes           int64  `json:"bytes"`
-	SolveNS         int64  `json:"solve_ns"`
-	// Populated under -explain: total match attempts and the hottest
-	// automaton state by visit count.
-	MatchAttempts  int64  `json:"match_attempts,omitempty"`
-	HotState       string `json:"hot_state,omitempty"`
-	HotStateVisits int64  `json:"hot_state_visits,omitempty"`
-}
-
-var benchEntries []benchEntry
-
-// record appends one bench entry; run() calls it for every measured query.
-func record(name string, res *core.Result, dt time.Duration) {
-	e := benchEntry{
-		Name:            name,
-		NsPerOp:         dt.Nanoseconds(),
-		WorklistInserts: res.Stats.WorklistInserts,
-		MatchCalls:      res.Stats.MatchCalls,
-		EnumSubsts:      res.Stats.EnumSubsts,
-		ResultPairs:     res.Stats.ResultPairs,
-		Bytes:           res.Stats.Bytes,
-		SolveNS:         res.Stats.Phases.Solve.Wall.Nanoseconds(),
-	}
-	if ex := res.Explain; ex != nil {
-		e.MatchAttempts = ex.Totals.Attempts
-		if top := ex.TopStates(1); len(top) > 0 {
-			if top[0].Bad {
-				e.HotState = "bad"
-			} else {
-				e.HotState = fmt.Sprintf("s%d", top[0].State)
-			}
-			e.HotStateVisits = top[0].Visits
-		}
-	}
-	benchEntries = append(benchEntries, e)
+// track registers one measured query in the process-wide in-flight
+// registry, whose progress then updates its snapshot, so -http serves it
+// at /debug/rpq/queries while it runs. The caller calls Done on the
+// returned handle when the query ends.
+func track(kind, pat string, opts *core.Options) *obs.InflightQuery {
+	iq := obs.DefaultInflight().Begin(kind, pat, opts.Algo.String(), obs.TraceContext{})
+	opts.Progress = iq.Update
+	return iq
 }
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "regenerate Table 1, 2, or 3")
-		figure    = flag.Int("figure", 0, "regenerate Figure 3")
-		ablation  = flag.String("ablation", "", "direction|memo|domains|compact|scc|complete")
-		all       = flag.Bool("all", false, "run everything")
-		timeout   = flag.Duration("timeout", 0, "per-query wall-clock bound; exceeding it aborts with partial stats")
-		maxCost   = flag.Float64("enumcost", 2e7, "run enumeration only when substs×edges is below this (n/d otherwise, like the paper's 180 s limit)")
-		httpAddr  = flag.String("http", "", "serve /metrics, /debug/rpq/queries, and /debug/pprof on this address during the run")
-		benchJSON = flag.String("benchjson", "", "write a BENCH_*.json-compatible summary of every measured query to this file")
-		explain   = flag.Bool("explain", false, "collect execution profiles; bench entries gain match_attempts and hot_state fields")
+		table    = flag.Int("table", 0, "regenerate Table 1, 2, or 3")
+		figure   = flag.Int("figure", 0, "regenerate Figure 3")
+		ablation = flag.String("ablation", "", "direction|memo|domains|compact|scc|complete")
+		all      = flag.Bool("all", false, "run everything")
+		timeout  = flag.Duration("timeout", 0, "per-query wall-clock bound; exceeding it aborts with partial stats")
+		maxCost  = flag.Float64("enumcost", 2e7, "run enumeration only when substs×edges is below this (n/d otherwise, like the paper's 180 s limit)")
+		httpAddr = flag.String("http", "", "serve /metrics, /debug/rpq/queries, and /debug/pprof on this address during the run")
 	)
 	flag.Parse()
-	explainOn = *explain
 	queryTimeout = *timeout
 
 	if *httpAddr != "" {
@@ -120,7 +70,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "experiments: observability on http://%s (index: http://%s/debug/rpq/)\n", srv.Addr, srv.Addr)
-		liveProgress = obs.NewSolverGauges(nil).Sample
 	}
 
 	ran := false
@@ -154,36 +103,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(struct {
-			Benchmarks []benchEntry `json:"benchmarks"`
-		}{benchEntries})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote %d bench entries to %s\n", len(benchEntries), *benchJSON)
-	}
 }
 
 // run executes one query and returns the result with wall-clock time.
 func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Result, time.Duration) {
-	opts.Progress = liveProgress
-	opts.Explain = explainOn
 	opts.Deadline = queryTimeout
 	q := core.MustCompile(pattern.MustParse(pat), g.U)
+	iq := track("exist", pat, &opts)
 	t0 := time.Now()
 	res, err := core.Exist(g, start, q, opts)
+	dt := time.Since(t0)
+	iq.Done()
 	if err != nil {
 		var ie *core.InterruptError
 		if errors.As(err, &ie) {
@@ -194,8 +124,6 @@ func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Resu
 		}
 		os.Exit(1)
 	}
-	dt := time.Since(t0)
-	record(fmt.Sprintf("%s/%s/%s", section, opts.Algo, opts.Table), res, dt)
 	return res, dt
 }
 
@@ -226,7 +154,6 @@ func table1() {
 		"input", "LOC", "edges", "result",
 		"basic-wl", "time", "pre-wl", "time", "enum-wl", "time", "substs")
 	for _, spec := range gen.Table1Specs() {
-		section = "table1/" + spec.Name
 		g := gen.Program(spec)
 		rg, rstart := backwardSetup(g)
 
@@ -250,7 +177,6 @@ func table2(maxCost float64) {
 		"input", "states", "edges", "result",
 		"basic-wl", "time", "pre-wl", "time", "enum-wl", "time", "substs")
 	for _, spec := range gen.Table2Specs() {
-		section = "table2/" + spec.Name
 		l := gen.RandomLTS(spec)
 		g := l.ForExistential()
 
@@ -283,7 +209,6 @@ func table3() {
 		"p-hash", "time", "p-nested", "time",
 		"e-hash", "time", "e-nested", "time")
 	for _, spec := range gen.Table1Specs() {
-		section = "table3/" + spec.Name
 		g := gen.Program(spec)
 		rg, rstart := backwardSetup(g)
 		row := fmt.Sprintf("%-10s |", spec.Name)
@@ -310,7 +235,6 @@ func figure3() {
 	fmt.Println("(basic algorithm, backward uninitialized-uses query)")
 	fmt.Printf("%8s %10s %10s %12s\n", "edges", "worklist", "time(ms)", "wl/edges")
 	for i, edges := range []int{500, 1000, 1500, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000} {
-		section = fmt.Sprintf("figure3/%d", edges)
 		spec := gen.ProgSpec{
 			Name: fmt.Sprintf("sweep-%d", edges), LOC: 0, Seed: int64(3000 + i),
 			Edges: edges, Vars: 40 + edges/25, UninitFrac: 0.12,
@@ -327,7 +251,6 @@ func figure3() {
 }
 
 func runAblation(name string) {
-	section = "ablation/" + name
 	spec := gen.Table1Specs()[4] // "cut": mid-sized
 	g := gen.Program(spec)
 	rg, rstart := backwardSetup(g)
@@ -397,16 +320,19 @@ func runAblation(name string) {
 		ug := l.ForUniversal()
 		// Ground deterministic pattern: the universal transformation makes
 		// every path alternate state and act labels.
-		q := core.MustCompile(pattern.MustParse("(state(_) act(_))* state(_)?"), ug.U)
+		const pat = "(state(_) act(_))* state(_)?"
+		q := core.MustCompile(pattern.MustParse(pat), ug.U)
 		for _, cm := range []core.CompletionMode{core.Incomplete, core.CompleteTrap, core.CompleteExplicit} {
+			opts := core.Options{Completion: cm, Deadline: queryTimeout}
+			iq := track("universal", pat, &opts)
 			t0 := time.Now()
-			res, err := core.Univ(ug, ug.Start(), q, core.Options{Completion: cm, Progress: liveProgress, Deadline: queryTimeout})
+			res, err := core.Univ(ug, ug.Start(), q, opts)
+			dt := time.Since(t0)
+			iq.Done()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				os.Exit(1)
 			}
-			dt := time.Since(t0)
-			record(fmt.Sprintf("%s/univ/%s", section, cm), res, dt)
 			fmt.Printf("  %-11s worklist %8d  match calls %9d  bytes %8dk  time %8.3fs  answers %d\n",
 				cm.String()+":", res.Stats.WorklistInserts, res.Stats.MatchCalls,
 				res.Stats.Bytes/1024, dt.Seconds(), res.Stats.ResultPairs)

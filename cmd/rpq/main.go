@@ -15,7 +15,7 @@
 // Observability flags (docs/observability.md): -stats selects text, json,
 // or csv run statistics, the run's one record; -trace writes the same
 // record's phases and counters as a Chrome trace_event file for
-// chrome://tracing; -http serves /metrics (with the go_* runtime gauges),
+// chrome://tracing; -http serves /metrics (with the go_* runtime metrics),
 // /debug/rpq/queries, and /debug/pprof during the run; -slow logs slow and
 // interrupted queries; -explain prints a per-state/per-label execution
 // profile as text, JSON, or an annotated Graphviz heat-map of the query
@@ -125,7 +125,6 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "rpq: observability on http://%s (index: http://%s/debug/rpq/)\n",
 			srv.Addr, srv.Addr)
-		opts.Gauges = rpq.LiveGauges()
 	}
 	if *progress {
 		done := make(chan struct{})

@@ -198,6 +198,9 @@ func TestRpqdProcess(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(metrics, "\nrpq_svc_admitted_total ") {
 		t.Fatalf("%s/metrics: %d, no rpq_svc_admitted_total sample", obsBase, code)
 	}
+	if !strings.Contains(metrics, "\n# TYPE rpq_http_slo_good ") {
+		t.Fatalf("%s/metrics: no rpq_http_slo_good family under the default -slo", obsBase)
+	}
 	for _, problem := range checkExposition(metrics) {
 		t.Errorf("/metrics: %s", problem)
 	}
@@ -282,9 +285,10 @@ var (
 
 // checkExposition lists every way body departs from Prometheus text
 // exposition 0.0.4: a line that is not # HELP, # TYPE or a sample; a family
-// with no # TYPE before its first sample, or with more than one; and a
-// histogram whose cumulative _bucket counts fall as le rises or do not end
-// at le="+Inf" equal to _count.
+// with no # TYPE before its first sample, or with more than one; a
+// monotonic family (every _total family, and rpq_http_slo_good) not typed
+// counter; and a histogram whose cumulative _bucket counts fall as le rises
+// or do not end at le="+Inf" equal to _count.
 func checkExposition(body string) []string {
 	var problems []string
 	types := map[string]string{}
@@ -310,6 +314,9 @@ func checkExposition(body string) []string {
 			}
 			if _, dup := types[m[1]]; dup {
 				bad("second # TYPE for family %s", m[1])
+			}
+			if (strings.HasSuffix(m[1], "_total") || m[1] == "rpq_http_slo_good") && m[2] != "counter" {
+				bad("monotonic family %s typed %s, want counter", m[1], m[2])
 			}
 			types[m[1]] = m[2]
 			continue

@@ -1,8 +1,8 @@
 // Observe: running an intrusion-detection query with the observability
 // layer attached — the per-phase timings and counters recorded in
-// core.Stats, the execution profile's table-growth and worklist-depth
-// curves, live gauges fed by the progress hook, and a canceled rerun
-// showing partial statistics. See docs/observability.md for the full
+// core.Stats, the execution profile's hottest automaton states, the live
+// progress snapshots the solver delivers while it runs, and a canceled
+// rerun showing partial statistics. See docs/observability.md for the full
 // surface (Prometheus /metrics, pprof, the slow-query log, Chrome traces
 // from rpq -trace).
 package main
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"rpq/internal/core"
-	"rpq/internal/obs"
 	"rpq/internal/pattern"
 	"rpq/internal/tracelog"
 )
@@ -43,16 +42,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Gauges hold live solver state, fed by the progress hook; they back
-	// /metrics when an observability server is up.
-	gauges := obs.NewSolverGauges(obs.Default())
+	// The progress hook sees the live state of the run; the rpq layer
+	// publishes the same snapshots at /debug/rpq/queries.
+	var last core.Progress
+	snapshots := 0
 
 	const sig = "_* open(f, u) (!close(f, u))* exec(_, u)"
 	q := core.MustCompile(pattern.MustParse(sig), g.U)
 	res, err := core.Exist(g, g.Start(), q, core.Options{
 		Algo:     core.AlgoMemo,
 		Explain:  true,
-		Progress: gauges.Sample,
+		Progress: func(p core.Progress) { last = p; snapshots++ },
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -75,20 +75,14 @@ func main() {
 		s.WorklistInserts, s.ReachSize, s.Substs, s.MatchCalls,
 		s.MatchCacheHits, s.MatchCacheMisses, s.Bytes)
 
-	// The execution profile's curves: substitution-table occupancy at each
-	// power-of-two size, and sampled worklist depth.
-	ex := res.Explain
-	fmt.Printf("\ntable growth (%d points):\n", len(ex.TableCurve))
-	for _, pt := range ex.TableCurve {
-		fmt.Printf("  substs=%-4d bytes=%d\n", pt.Substs, pt.Bytes)
+	// The execution profile: where in the automaton the worklist spent its
+	// pops.
+	fmt.Printf("\nhottest states:\n")
+	for _, st := range res.Explain.TopStates(3) {
+		fmt.Printf("  s%-3d visits=%d\n", st.State, st.Visits)
 	}
-	fmt.Printf("worklist depth (%d samples, pop:depth):", len(ex.DepthSamples))
-	for _, d := range ex.DepthSamples {
-		fmt.Printf(" %d:%d", d.Pop, d.Depth)
-	}
-	fmt.Println()
-	fmt.Printf("live gauges at the last sample: reach=%d substs=%d table bytes=%d\n",
-		gauges.ReachSize.Value(), gauges.Substs.Value(), gauges.TableBytes.Value())
+	fmt.Printf("last of %d progress snapshots: phase=%s pops=%d reach=%d substs=%d table bytes=%d\n",
+		snapshots, last.Phase, last.Pops, last.Reach, last.Substs, last.Bytes)
 
 	// Cancellation: the same query under an already-canceled context stops
 	// at the first check and returns an InterruptError carrying whatever

@@ -125,10 +125,9 @@ type Options struct {
 	// all paths).
 	Witnesses bool
 	// Explain collects a per-query execution profile (per-state visit
-	// counts, per-transition match attempt/hit/extension counters,
-	// per-edge-label match histograms, table growth and worklist depth
-	// curves) into Result.Explain. Disabled it costs one nil check per
-	// counted event; see explain.go.
+	// counts, per-transition match attempt/hit/extension counters and
+	// per-edge-label match histograms) into Result.Explain. Disabled it
+	// costs one nil check per counted event; see explain.go.
 	Explain bool
 	// Deadline, when positive, bounds the run's wall-clock time from the
 	// solver entry point; a breach interrupts the run with an
@@ -154,7 +153,7 @@ type Progress = obs.Progress
 // Stats instruments a run with the quantities reported in the paper's
 // Tables 1-3 and Figure 3, plus the phase timings and cache counters of the
 // observability layer. The struct marshals to JSON for machine-comparable
-// runs (cmd/rpq -stats json, cmd/experiments -benchjson).
+// runs (cmd/rpq -stats json, cmd/bench).
 type Stats struct {
 	// WorklistInserts counts elements inserted into the worklist — the
 	// "worklist" columns of Tables 1 and 2.
@@ -355,6 +354,10 @@ func (q *Query) BuildWall() time.Duration {
 // algorithms when the determinism condition of Section 4 fails at runtime;
 // callers should fall back to AlgoHybrid or AlgoEnum.
 var ErrNondeterministic = fmt.Errorf("core: universal determinism check failed; use the hybrid or enumeration algorithm")
+
+// ErrHybridExistential is returned when an existential query asks for
+// AlgoHybrid, which answers universal queries only.
+var ErrHybridExistential = fmt.Errorf("core: the hybrid algorithm applies to universal queries only")
 
 // ComputeDomains derives the candidate symbol sets for each parameter
 // against a graph, per the options' DomainMode. A refined domain is the

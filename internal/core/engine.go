@@ -81,7 +81,6 @@ func newEngine(g *graph.Graph, q *Query, auto *automata.NFA, opts Options, stats
 	}
 	if opts.Explain {
 		e.ex = newExplainCollector(auto, g.NumLabels())
-		e.table.SetOnGrow(e.ex.tableGrowth())
 	}
 	// AlgoPrecomp must memoize: its M_ts/M_ds tables retain the matches
 	// (see possiblyMatches).

@@ -50,7 +50,7 @@ func ExistContext(ctx context.Context, g *graph.Graph, v0 int32, q *Query, opts 
 	switch opts.Algo {
 	case AlgoBasic, AlgoMemo, AlgoPrecomp, AlgoEnum:
 	case AlgoHybrid:
-		return nil, fmt.Errorf("core: the hybrid algorithm applies to universal queries only")
+		return nil, ErrHybridExistential
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algo)
 	}
@@ -320,9 +320,6 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 			t := buckets[bi][len(buckets[bi])-1]
 			buckets[bi] = buckets[bi][:len(buckets[bi])-1]
 			processTriple(t)
-			if e.ex != nil {
-				e.ex.pop(len(buckets[bi]))
-			}
 			if pops++; pops&sampleMask == 0 && opts.Progress != nil {
 				e.progress(pops, len(buckets[bi]), seen)
 			}
@@ -446,7 +443,6 @@ func (es *enumState) run(g *graph.Graph, v0 int32, nfa *automata.NFA, th subst.S
 		v, s := unpackPair(pair, states)
 		if ex != nil {
 			ex.visit(s)
-			ex.pop(len(es.wl))
 		}
 		if nfa.Final[s] {
 			resHere[v] = true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"rpq/internal/automata"
 	"rpq/internal/graph"
@@ -12,10 +11,10 @@ import (
 
 // Explain is the per-query execution profile produced when Options.Explain
 // is set: the compiled automaton annotated with per-state visit counts and
-// per-transition match attempt/hit/extension counters, a per-edge-label
-// match histogram, substitution-table growth samples, and worklist depth
-// samples. It marshals to JSON; Format renders a text report and DOT a
-// Graphviz rendering of the annotated automaton.
+// per-transition match attempt/hit/extension counters, and a per-edge-label
+// match histogram. It marshals to JSON; Format renders a text report and DOT
+// a Graphviz rendering of the annotated automaton. The run's counters, phase
+// walls and resource attribution live in Stats.
 type Explain struct {
 	// Algo is the algorithm variant that produced the profile.
 	Algo string `json:"algo"`
@@ -33,21 +32,9 @@ type Explain struct {
 	Labels []LabelProfile `json:"labels"`
 	// Totals aggregates the profile for consistency checks against Stats.
 	Totals ExplainTotals `json:"totals"`
-	// TableCurve samples the substitution table's occupancy as it grows
-	// (power-of-two sizes) with a final end-of-run point.
-	TableCurve []TablePoint `json:"table_curve,omitempty"`
-	// DepthSamples is the worklist depth over time (by pop count), adaptively
-	// downsampled to a bounded number of points.
-	DepthSamples []DepthSample `json:"depth_samples,omitempty"`
 	// GroundRuns counts the per-substitution ground automaton passes of the
 	// enumeration/hybrid algorithms.
 	GroundRuns int `json:"ground_runs,omitempty"`
-	// CPUTime and AllocBytes are the run's attributed process CPU time and
-	// heap allocation, stamped by the public layer with the same
-	// process-delta caveat as Stats.CPUTime; zero for direct core calls.
-	CPUTime time.Duration `json:"cpu_ns,omitempty"`
-	// AllocBytes is the heap allocation attributed to the run.
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 }
 
 // StateProfile is one automaton state's profile.
@@ -100,18 +87,6 @@ type ExplainTotals struct {
 	GroundPops int64 `json:"ground_pops,omitempty"`
 }
 
-// TablePoint is one substitution-table occupancy sample.
-type TablePoint struct {
-	Substs int   `json:"substs"`
-	Bytes  int64 `json:"bytes"`
-}
-
-// DepthSample is one worklist depth observation at a given pop count.
-type DepthSample struct {
-	Pop   int64 `json:"pop"`
-	Depth int   `json:"depth"`
-}
-
 // absorb adds the counters of another profile over the same automaton into
 // e (state, transition, and label orders must match; o may lack the
 // badstate entry). The hybrid algorithm uses it to fold its inner
@@ -144,12 +119,6 @@ func (e *Explain) absorb(o *Explain) {
 	e.Totals.Extensions += o.Totals.Extensions
 	e.Totals.GroundPops += o.Totals.GroundPops
 	e.GroundRuns += o.GroundRuns
-	if len(e.TableCurve) == 0 {
-		e.TableCurve = o.TableCurve
-	}
-	if len(e.DepthSamples) == 0 {
-		e.DepthSamples = o.DepthSamples
-	}
 }
 
 // Consistent cross-checks the profile's totals against the run's Stats and
@@ -200,10 +169,6 @@ func (e *Explain) TopStates(n int) []StateProfile {
 	return out
 }
 
-// maxDepthSamples bounds the depth-over-time series; when exceeded, the
-// series is halved and the sampling stride doubled.
-const maxDepthSamples = 512
-
 // explainCollector accumulates the profile during a run. All counters are
 // dense arrays indexed by state, flattened transition index (transBase[s]+i
 // for the i-th transition of state s), or graph edge-label id, so the
@@ -227,11 +192,6 @@ type explainCollector struct {
 	curTrans int32
 	curLabel int32
 
-	pops        int64
-	depth       []DepthSample
-	depthStride int64
-
-	curve      []TablePoint
 	groundPops int64
 	groundRuns int
 }
@@ -254,7 +214,6 @@ func newExplainCollector(auto *automata.NFA, numLabels int) *explainCollector {
 		labelAttempts: make([]int64, numLabels),
 		labelHits:     make([]int64, numLabels),
 		curTrans:      -1,
-		depthStride:   1,
 	}
 }
 
@@ -295,36 +254,6 @@ func (c *explainCollector) extend() {
 	}
 }
 
-// pop records a worklist depth observation, adaptively downsampled.
-func (c *explainCollector) pop(depth int) {
-	c.pops++
-	if c.pops%c.depthStride != 0 {
-		return
-	}
-	c.depth = append(c.depth, DepthSample{Pop: c.pops, Depth: depth})
-	if len(c.depth) >= maxDepthSamples {
-		kept := c.depth[:0]
-		for i := 1; i < len(c.depth); i += 2 {
-			kept = append(kept, c.depth[i])
-		}
-		c.depth = kept
-		c.depthStride *= 2
-	}
-}
-
-// tableGrowth returns a growth callback recording occupancy samples at
-// power-of-two sizes — at most log2(substs) points on any run, and at least
-// one even on a query interning a handful of substitutions.
-func (c *explainCollector) tableGrowth() func(n int, bytes int64) {
-	next := 1
-	return func(n int, bytes int64) {
-		if n >= next {
-			next *= 2
-			c.curve = append(c.curve, TablePoint{Substs: n, Bytes: bytes})
-		}
-	}
-}
-
 // groundPop records one ground-DFA worklist pop of the universal
 // enumeration/hybrid algorithms; the subset states are visited separately.
 func (c *explainCollector) groundPop() { c.groundPops++ }
@@ -333,11 +262,9 @@ func (c *explainCollector) groundPop() { c.groundPops++ }
 // labels; automaton tags which automaton the profile covers.
 func (c *explainCollector) report(q *Query, g *graph.Graph, algo Algo, automaton string) *Explain {
 	e := &Explain{
-		Algo:         algo.String(),
-		Automaton:    automaton,
-		TableCurve:   c.curve,
-		DepthSamples: c.depth,
-		GroundRuns:   c.groundRuns,
+		Algo:       algo.String(),
+		Automaton:  automaton,
+		GroundRuns: c.groundRuns,
 	}
 	a := c.auto
 	hasBad := c.visits[a.NumStates] > 0
@@ -420,23 +347,6 @@ func (e *Explain) Format() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  %-24s attempts=%-10d hits=%d\n", l.Label, l.Attempts, l.Hits)
-	}
-	if len(e.TableCurve) > 0 {
-		b.WriteString("\nsubstitution table growth:\n")
-		for _, p := range e.TableCurve {
-			fmt.Fprintf(&b, "  substs=%-8d bytes=%d\n", p.Substs, p.Bytes)
-		}
-	}
-	if len(e.DepthSamples) > 0 {
-		last := e.DepthSamples[len(e.DepthSamples)-1]
-		maxd := 0
-		for _, d := range e.DepthSamples {
-			if d.Depth > maxd {
-				maxd = d.Depth
-			}
-		}
-		fmt.Fprintf(&b, "\nworklist depth: %d samples over %d pops, peak sampled depth %d\n",
-			len(e.DepthSamples), last.Pop, maxd)
 	}
 	return b.String()
 }

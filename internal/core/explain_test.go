@@ -219,17 +219,3 @@ func TestExplainReportShapes(t *testing.T) {
 		t.Log("graphviz not installed; skipping render check")
 	}
 }
-
-// TestExplainCurvesSequential checks that sequential profiles carry the
-// table-occupancy and worklist-depth curves.
-func TestExplainCurvesSequential(t *testing.T) {
-	wl := corpus(t)[0]
-	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
-	ex := explainFor(t, wl, q, Options{Algo: AlgoMemo})
-	if len(ex.DepthSamples) == 0 {
-		t.Error("no worklist depth samples on a sequential run")
-	}
-	if len(ex.TableCurve) == 0 {
-		t.Error("no table-occupancy samples on a sequential run")
-	}
-}

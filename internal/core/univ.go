@@ -190,7 +190,6 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 		work = work[:len(work)-1]
 		if e.ex != nil {
 			e.ex.visit(t.s)
-			e.ex.pop(len(work))
 		}
 		if pops++; pops&sampleMask == 0 && opts.Progress != nil {
 			e.progress(pops, len(work), seen)

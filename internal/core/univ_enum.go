@@ -45,7 +45,6 @@ func groundUniv(g *graph.Graph, v0 int32, q *Query, th subst.Subst, stats *Stats
 		v, qs := unpackPair(pair, stride)
 		if ex != nil {
 			ex.groundPop()
-			ex.pop(len(wl))
 			if qs == bad {
 				ex.visit(int32(q.NFA.NumStates))
 			} else {

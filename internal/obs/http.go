@@ -18,9 +18,10 @@ type debugSurface struct {
 // "localhost:6060") for the process-wide registries, Default() and
 // DefaultInflight(), serving:
 //
-//	/metrics            Prometheus text exposition of the live gauges, one
-//	                    histogram family per latency, the go_* runtime
-//	                    gauges read at scrape time, and rpq_build_info
+//	/metrics            Prometheus text exposition of the gauges and
+//	                    counters, one histogram family per latency, the
+//	                    go_* runtime metrics read at scrape time, and
+//	                    rpq_build_info
 //	/debug/rpq/         JSON index of every debug surface with descriptions
 //	/debug/rpq/queries  JSON snapshots of the queries executing right now
 //	/debug/pprof/       the standard pprof profile index and on-demand
@@ -61,7 +62,7 @@ func serve(addr string, reg *Registry) (*http.Server, error) {
 	// descriptions, so operators stop guessing URLs. It is also the source
 	// of the plain-text list served at /.
 	surfaces := []debugSurface{
-		{"/metrics", "Prometheus text exposition: gauges, one histogram family per latency, go_* runtime gauges, rpq_build_info"},
+		{"/metrics", "Prometheus text exposition: gauges, counters, one histogram family per latency, go_* runtime metrics, rpq_build_info"},
 		{"/debug/rpq/", "this index"},
 		{"/debug/rpq/queries", "JSON snapshots of the queries executing right now"},
 		{"/debug/pprof/", "standard net/http/pprof index (on-demand profiles)"},

@@ -56,7 +56,7 @@ func (m *HTTPMetrics) Observe(route string, status int, kind string, dur time.Du
 	if kind == "" {
 		kind = "-"
 	}
-	m.reg.LabeledGauge("rpq_http_requests_total",
+	m.reg.LabeledCounter("rpq_http_requests_total",
 		"HTTP requests served, by route, status class, and query kind",
 		"route", route, "status", StatusClass(status), "kind", kind).Add(1)
 	m.reg.LabeledHistogram("rpq_http_request_seconds",
@@ -65,10 +65,10 @@ func (m *HTTPMetrics) Observe(route string, status int, kind string, dur time.Du
 	if !ok {
 		return
 	}
-	m.reg.LabeledGauge(SLOTotalFamily,
+	m.reg.LabeledCounter(SLOTotalFamily,
 		"SLO-eligible requests on routes with an objective", "route", route).Add(1)
 	if slo.Good(status, dur) {
-		m.reg.LabeledGauge(SLOGoodFamily,
+		m.reg.LabeledCounter(SLOGoodFamily,
 			"SLO-good requests (no server error, within the latency threshold)",
 			"route", route).Add(1)
 	}

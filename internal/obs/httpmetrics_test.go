@@ -65,7 +65,7 @@ func TestLabeledExposition(t *testing.T) {
 	out := b.String()
 
 	for _, want := range []string{
-		"# TYPE rpq_http_requests_total gauge\n",
+		"# TYPE rpq_http_requests_total counter\n",
 		`rpq_http_requests_total{route="query",status="2xx",kind="exist"} 1` + "\n",
 		`rpq_http_requests_total{route="stats",status="4xx",kind="-"} 1` + "\n",
 		"# TYPE rpq_http_request_seconds histogram\n",
@@ -80,7 +80,7 @@ func TestLabeledExposition(t *testing.T) {
 		}
 	}
 	// Headers are per family: exactly one TYPE line even with two routes.
-	if n := strings.Count(out, "# TYPE rpq_http_requests_total gauge"); n != 1 {
+	if n := strings.Count(out, "# TYPE rpq_http_requests_total counter"); n != 1 {
 		t.Errorf("rpq_http_requests_total TYPE lines = %d, want 1", n)
 	}
 	if n := strings.Count(out, "# TYPE rpq_http_request_seconds histogram"); n != 1 {

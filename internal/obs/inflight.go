@@ -31,9 +31,8 @@ func DefaultInflight() *Inflight { return defaultInflight }
 
 // Progress is one live snapshot of a running query. The solvers deliver
 // it every few hundred worklist pops, once per enumerated substitution, and
-// once when a worklist solve drains; InflightQuery.Update and
-// SolverGauges.Sample each publish one. Every field keeps its meaning
-// across phases, and Pops and EnumSubsts never decrease within a run.
+// once when a worklist solve drains; InflightQuery.Update publishes each
+// one to /debug/rpq/queries. Every field keeps its meaning across phases, and Pops and EnumSubsts never decrease within a run.
 type Progress struct {
 	// Phase is the phase the snapshot was taken in ("solve", "enumerate").
 	Phase string `json:"phase"`

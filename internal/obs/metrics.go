@@ -27,19 +27,23 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Registry names a set of gauges and latency histograms and renders them in
-// the Prometheus text exposition format. Registration is cheap and
-// idempotent by name.
+// Registry names a set of gauges, counters and latency histograms and
+// renders them in the Prometheus text exposition format. Registration is
+// cheap and idempotent by name.
 type Registry struct {
 	mu     sync.Mutex
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 	help   map[string]string
+	// counters holds the families registered through Counter/LabeledCounter,
+	// whose # TYPE renders as counter instead of gauge.
+	counters map[string]bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{gauges: map[string]*Gauge{}, hists: map[string]*Histogram{}, help: map[string]string{}}
+	return &Registry{gauges: map[string]*Gauge{}, hists: map[string]*Histogram{},
+		help: map[string]string{}, counters: map[string]bool{}}
 }
 
 // defaultRegistry backs Default.
@@ -52,6 +56,10 @@ func Default() *Registry { return defaultRegistry }
 // Gauge returns the gauge registered under name, creating it (with the
 // given help text) on first use.
 func (r *Registry) Gauge(name, help string) *Gauge { return r.LabeledGauge(name, help) }
+
+// Counter is Gauge for a monotonic family, one that is only ever Added to:
+// the same handle, rendered under # TYPE counter.
+func (r *Registry) Counter(name, help string) *Gauge { return r.LabeledCounter(name, help) }
 
 // MetricKey renders a metric family plus ordered label pairs ("k1", "v1",
 // "k2", "v2", ...) in the canonical form family{k1="v1",k2="v2"} used as the
@@ -105,6 +113,15 @@ func joinLabels(fam, labels, extra string) string {
 // WritePrometheus renders one HELP/TYPE header per family followed by every
 // label combination's sample.
 func (r *Registry) LabeledGauge(family, help string, kv ...string) *Gauge {
+	return r.gauge(family, help, false, kv)
+}
+
+// LabeledCounter is LabeledGauge for a monotonic family; see Counter.
+func (r *Registry) LabeledCounter(family, help string, kv ...string) *Gauge {
+	return r.gauge(family, help, true, kv)
+}
+
+func (r *Registry) gauge(family, help string, counter bool, kv []string) *Gauge {
 	name := MetricKey(family, kv...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -114,6 +131,9 @@ func (r *Registry) LabeledGauge(family, help string, kv ...string) *Gauge {
 	g := &Gauge{}
 	r.gauges[name] = g
 	r.help[family] = help
+	if counter {
+		r.counters[family] = true
+	}
 	return g
 }
 
@@ -137,21 +157,21 @@ func (r *Registry) LabeledHistogram(family, help string, kv ...string) *Histogra
 // it (with the given help text) on first use.
 func (r *Registry) Histogram(name, help string) *Histogram { return r.LabeledHistogram(name, help) }
 
-// WritePrometheus renders every gauge and histogram in the Prometheus text
-// exposition format (# HELP / # TYPE lines followed by the samples), sorted
-// by name. Labeled families (LabeledGauge/LabeledHistogram) render one
-// HELP/TYPE header followed by every label combination's samples — sorted
-// names keep a family's combinations contiguous, since '{' sorts after every
-// metric-name character. A histogram renders as a Prometheus histogram:
+// WritePrometheus renders every gauge, counter and histogram in the
+// Prometheus text exposition format (# HELP / # TYPE lines followed by the
+// samples), sorted by name. Labeled families (LabeledGauge, LabeledCounter,
+// LabeledHistogram) render one HELP/TYPE header followed by every label
+// combination's samples — sorted names keep a family's combinations
+// contiguous, since '{' sorts after every metric-name character. A histogram renders as a Prometheus histogram:
 // cumulative <name>_bucket samples whose le edges are its log2 bucket upper
 // bounds, 2^(i+1) microseconds in seconds (empty tail buckets elided), then
 // le="+Inf", <name>_sum in seconds and <name>_count.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	type row struct {
-		name, fam, labels, help string
-		value                   int64
-		counts                  [histBuckets]int64
-		count, sum              int64
+		name, fam, labels, help, typ string
+		value                        int64
+		counts                       [histBuckets]int64
+		count, sum                   int64
 	}
 	r.mu.Lock()
 	split := func(name string) row {
@@ -161,6 +181,10 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	var gauges, hists []row
 	for name, g := range r.gauges {
 		rw := split(name)
+		rw.typ = "gauge"
+		if r.counters[rw.fam] {
+			rw.typ = "counter"
+		}
 		rw.value = g.Value()
 		gauges = append(gauges, rw)
 	}
@@ -188,7 +212,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE %s %s\n", rw.fam, typ)
 	}
 	for _, g := range gauges {
-		header(g, "gauge")
+		header(g, g.typ)
 		fmt.Fprintf(w, "%s %d\n", g.name, g.value)
 	}
 	for _, h := range hists {
@@ -233,66 +257,4 @@ func WriteBuildInfo(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE rpq_build_info gauge\n")
 	fmt.Fprintf(w, "rpq_build_info{go_version=%q,path=%q,revision=%q,modified=%q} 1\n",
 		goVersion, path, revision, modified)
-}
-
-// SolverGauges is the live view of running queries, fed by Sample from the
-// solvers' Progress snapshots: current worklist depth, reach-set size,
-// interned substitutions, approximate table bytes, and enumeration
-// progress, plus monotonic query/slow-query totals maintained by the rpq
-// layer.
-type SolverGauges struct {
-	WorklistDepth *Gauge
-	ReachSize     *Gauge
-	Substs        *Gauge
-	TableBytes    *Gauge
-	EnumSubsts    *Gauge
-	Queries       *Gauge
-	SlowQueries   *Gauge
-
-	// Resource-attribution totals maintained by the rpq layer: CPU time and
-	// heap bytes attributed to completed queries, cumulative since process
-	// start.
-	CPUTotalUS *Gauge
-	AllocTotal *Gauge
-
-	// Latency histograms maintained by the rpq layer: end-to-end query wall
-	// time and the per-phase breakdown reported in Stats.Phases.
-	QueryHist   *Histogram
-	CompileHist *Histogram
-	DomainsHist *Histogram
-	SolveHist   *Histogram
-	EnumHist    *Histogram
-}
-
-// NewSolverGauges registers the solver gauge set in r (the default registry
-// when nil) under the rpq_ metric namespace.
-func NewSolverGauges(r *Registry) *SolverGauges {
-	if r == nil {
-		r = Default()
-	}
-	return &SolverGauges{
-		WorklistDepth: r.Gauge("rpq_worklist_depth", "current solver worklist depth"),
-		ReachSize:     r.Gauge("rpq_reach_size", "triples in the reach set of the running query"),
-		Substs:        r.Gauge("rpq_substs_interned", "distinct substitutions interned by the running query"),
-		TableBytes:    r.Gauge("rpq_table_bytes", "approximate bytes in the reach-set and substitution tables"),
-		EnumSubsts:    r.Gauge("rpq_enum_substs", "full substitutions enumerated so far (enumeration/hybrid)"),
-		Queries:       r.Gauge("rpq_queries_total", "queries completed since process start"),
-		SlowQueries:   r.Gauge("rpq_slow_queries_total", "queries exceeding the slow-query threshold"),
-		CPUTotalUS:    r.Gauge("rpq_cpu_us_total", "process CPU time attributed to completed queries, microseconds"),
-		AllocTotal:    r.Gauge("rpq_alloc_bytes_total", "heap bytes allocated during completed queries"),
-		QueryHist:     r.Histogram("rpq_query_seconds", "end-to-end query latency"),
-		CompileHist:   r.Histogram("rpq_phase_compile_seconds", "pattern compilation latency per query"),
-		DomainsHist:   r.Histogram("rpq_phase_domains_seconds", "parameter-domain computation latency per query"),
-		SolveHist:     r.Histogram("rpq_phase_solve_seconds", "worklist solve latency per query"),
-		EnumHist:      r.Histogram("rpq_phase_enumerate_seconds", "enumeration-phase latency per query"),
-	}
-}
-
-// Sample publishes one live progress snapshot into the gauges.
-func (s *SolverGauges) Sample(p Progress) {
-	s.WorklistDepth.Set(p.WorklistDepth)
-	s.ReachSize.Set(p.Reach)
-	s.Substs.Set(p.Substs)
-	s.TableBytes.Set(p.Bytes)
-	s.EnumSubsts.Set(p.EnumSubsts)
 }

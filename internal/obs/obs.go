@@ -5,9 +5,9 @@
 //
 // The per-query record is core.Stats (counters and phase walls), returned
 // with every result; obs holds what lives beside a run rather than in it.
-// Solvers sample live gauges (SolverGauges) backed by an atomic Registry,
-// which the HTTP server exposes at /metrics while a query is running. An
-// Inflight registry tracks each running query's progress for
-// /debug/rpq/queries. A SlowLog records queries whose wall-clock time
-// crosses a threshold, and every interrupted query.
+// An Inflight registry tracks each running query's progress for
+// /debug/rpq/queries. An atomic Registry holds the end-of-query latency
+// histograms and totals and the service's gauges and counters, which the
+// HTTP server exposes at /metrics. A SlowLog records queries whose
+// wall-clock time crosses a threshold, and every interrupted query.
 package obs

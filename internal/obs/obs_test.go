@@ -14,20 +14,24 @@ import (
 
 func TestRegistryPrometheus(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("rpq_worklist_depth", "current solver worklist depth")
+	g := r.Gauge("rpq_svc_queued", "requests waiting for a solve slot")
 	g.Set(123)
-	r.Gauge("rpq_table_bytes", "approximate table bytes").Add(456)
-	if r.Gauge("rpq_worklist_depth", "ignored") != g {
+	r.Counter("rpq_svc_requests_total", "API requests accepted").Add(456)
+	r.LabeledCounter("rpq_http_slo_good", "SLO-good requests", "route", "query").Add(2)
+	if r.Gauge("rpq_svc_queued", "ignored") != g {
 		t.Fatal("re-registration returned a new gauge")
 	}
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
 	out := buf.String()
 	for _, want := range []string{
-		"# HELP rpq_worklist_depth current solver worklist depth",
-		"# TYPE rpq_worklist_depth gauge",
-		"rpq_worklist_depth 123",
-		"rpq_table_bytes 456",
+		"# HELP rpq_svc_queued requests waiting for a solve slot",
+		"# TYPE rpq_svc_queued gauge",
+		"rpq_svc_queued 123",
+		"# TYPE rpq_svc_requests_total counter",
+		"rpq_svc_requests_total 456",
+		"# TYPE rpq_http_slo_good counter",
+		`rpq_http_slo_good{route="query"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -37,17 +41,18 @@ func TestRegistryPrometheus(t *testing.T) {
 
 func TestGaugeConcurrency(t *testing.T) {
 	r := NewRegistry()
-	sg := NewSolverGauges(r)
+	queued := r.Gauge("rpq_svc_queued", "")
+	requests := r.Counter("rpq_svc_requests_total", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				sg.Sample(Progress{WorklistDepth: int64(j), Reach: int64(j), Substs: int64(j), Bytes: int64(j)})
-				sg.Queries.Add(1)
+				queued.Set(int64(j))
+				requests.Add(1)
 			}
-		}(i)
+		}()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -63,14 +68,14 @@ func TestGaugeConcurrency(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	if got := sg.Queries.Value(); got != 4000 {
-		t.Fatalf("queries = %d, want 4000", got)
+	if got := requests.Value(); got != 4000 {
+		t.Fatalf("requests = %d, want 4000", got)
 	}
 }
 
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Gauge("rpq_worklist_depth", "d").Set(7)
+	reg.Gauge("rpq_svc_queued", "d").Set(7)
 	srv, err := serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +90,7 @@ func TestServeEndpoints(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(b)
 	}
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "rpq_worklist_depth 7") {
+	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "rpq_svc_queued 7") {
 		t.Errorf("/metrics = %d\n%s", code, body)
 	}
 	// The expvar mirror is gone: /metrics is the one telemetry surface.

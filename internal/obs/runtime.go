@@ -66,9 +66,9 @@ var runtimeMetrics = [smCount]string{
 }
 
 // WriteRuntimeGauges reads the runtime/metrics batch once and emits the go_*
-// gauges in the Prometheus text format: live heap, cumulative allocation,
-// goroutine count, GC cycles, and GC-pause and scheduling-latency
-// quantiles. The /metrics handler calls it per scrape, so the values are
+// metrics in the Prometheus text format: live heap, cumulative allocation
+// and GC cycles (counters), goroutine count, and GC-pause and
+// scheduling-latency quantiles. The /metrics handler calls it per scrape, so the values are
 // current without a background sampler; none of the reads stops the world.
 // A metric the runtime does not support reads 0.
 func WriteRuntimeGauges(w io.Writer) {
@@ -90,19 +90,19 @@ func WriteRuntimeGauges(w io.Writer) {
 		return histQuantileUS(s[i].Value.Float64Histogram(), q)
 	}
 	for _, g := range []struct {
-		name, help string
-		value      int64
+		name, typ, help string
+		value           int64
 	}{
-		{"go_gc_cycles_total", "completed GC cycles since process start", count(smGCCycles)},
-		{"go_gc_pause_p50_us", "median stop-the-world GC pause since process start, microseconds", quantile(smGCPauses, 0.50)},
-		{"go_gc_pause_p99_us", "99th-percentile stop-the-world GC pause since process start, microseconds", quantile(smGCPauses, 0.99)},
-		{"go_goroutines", "live goroutines in the process", count(smGoroutines)},
-		{"go_heap_allocs_bytes_total", "cumulative bytes allocated on the heap since process start", count(smHeapAllocs)},
-		{"go_heap_live_bytes", "bytes of live heap objects (runtime/metrics /memory/classes/heap/objects)", count(smHeapLive)},
-		{"go_sched_latency_p50_us", "median goroutine scheduling latency since process start, microseconds", quantile(smSchedLat, 0.50)},
-		{"go_sched_latency_p99_us", "99th-percentile goroutine scheduling latency since process start, microseconds", quantile(smSchedLat, 0.99)},
+		{"go_gc_cycles_total", "counter", "completed GC cycles since process start", count(smGCCycles)},
+		{"go_gc_pause_p50_us", "gauge", "median stop-the-world GC pause since process start, microseconds", quantile(smGCPauses, 0.50)},
+		{"go_gc_pause_p99_us", "gauge", "99th-percentile stop-the-world GC pause since process start, microseconds", quantile(smGCPauses, 0.99)},
+		{"go_goroutines", "gauge", "live goroutines in the process", count(smGoroutines)},
+		{"go_heap_allocs_bytes_total", "counter", "cumulative bytes allocated on the heap since process start", count(smHeapAllocs)},
+		{"go_heap_live_bytes", "gauge", "bytes of live heap objects (runtime/metrics /memory/classes/heap/objects)", count(smHeapLive)},
+		{"go_sched_latency_p50_us", "gauge", "median goroutine scheduling latency since process start, microseconds", quantile(smSchedLat, 0.50)},
+		{"go_sched_latency_p99_us", "gauge", "99th-percentile goroutine scheduling latency since process start, microseconds", quantile(smSchedLat, 0.99)},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.value)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", g.name, g.help, g.name, g.typ, g.name, g.value)
 	}
 }
 

@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"errors"
 	"fmt"
 
 	"rpq/internal/automata"
@@ -8,6 +9,11 @@ import (
 	"rpq/internal/label"
 	"rpq/internal/pattern"
 )
+
+// ErrNotDiscipline is wrapped by the error ViolationQuery returns when the
+// discipline pattern cannot describe a per-resource discipline: it has no
+// labels, or one of its labels is not a plain constructor application.
+var ErrNotDiscipline = errors.New("queries: not a discipline pattern")
 
 // ViolationQuery implements the Section 5.4 usability extension: the user
 // specifies a universal per-resource discipline — e.g. operations on a file
@@ -36,11 +42,11 @@ func ViolationQuery(discipline pattern.Expr, u *label.Universe, withExit bool) (
 	}
 	dfa := automata.Determinize(nfa)
 	if len(dfa.Labels) == 0 {
-		return nil, fmt.Errorf("queries: discipline pattern has no labels")
+		return nil, fmt.Errorf("%w: it has no labels", ErrNotDiscipline)
 	}
 	for _, tl := range dfa.Labels {
 		if tl.Kind != label.KApp {
-			return nil, fmt.Errorf("queries: discipline labels must be plain constructor applications, got %s", tl.Format(u, ps))
+			return nil, fmt.Errorf("%w: labels must be plain constructor applications, got %s", ErrNotDiscipline, tl.Format(u, ps))
 		}
 	}
 

@@ -47,9 +47,9 @@ func newAdmission(maxConcurrent, maxQueue int, wait time.Duration, r *obs.Regist
 		wait:      wait,
 		gActive:   r.Gauge("rpq_svc_active_solves", "queries holding a solve slot right now"),
 		gQueued:   r.Gauge("rpq_svc_queued", "requests waiting for a solve slot right now"),
-		gAdmitted: r.Gauge("rpq_svc_admitted_total", "requests granted a solve slot since process start"),
-		gRejected: r.Gauge("rpq_svc_rejected_total", "requests rejected with 429 (queue full) since process start"),
-		gTimeout:  r.Gauge("rpq_svc_queue_timeout_total", "requests rejected with 429 after waiting the full queue-wait"),
+		gAdmitted: r.Counter("rpq_svc_admitted_total", "requests granted a solve slot since process start"),
+		gRejected: r.Counter("rpq_svc_rejected_total", "requests rejected with 429 (queue full) since process start"),
+		gTimeout:  r.Counter("rpq_svc_queue_timeout_total", "requests rejected with 429 after waiting the full queue-wait"),
 	}
 }
 

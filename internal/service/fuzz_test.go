@@ -42,7 +42,8 @@ func FuzzLoadGraph(f *testing.F) {
 // pattern the fuzzer finds ends quickly. The handler must not panic; a 2xx
 // reply must be a query response, and every other reply the documented
 // error body: a JSON object with a stable "error" code and the request's
-// identity.
+// identity. No body may cause a 500: a request the engine cannot serve is
+// the client's error, reported with a 4xx.
 func FuzzQueryRequest(f *testing.F) {
 	queries, err := filepath.Glob("../../testdata/queries/*.rpq")
 	if err != nil || len(queries) == 0 {
@@ -76,6 +77,10 @@ func FuzzQueryRequest(f *testing.F) {
 	f.Add(`{"graph":"g","pattern":"!_ use(x)"}`)
 	f.Add(`{"graph":"g","pattern":"use(x)","options":{"algorithm":"fast"}}`)
 	f.Add(`{"graph":"g","pattern":"use(x)"} trailing`)
+	f.Add(`{"graph":"g","pattern":"use(x)","optoins":{}}`)
+	f.Add(`{"graph":"g","kind":"violations","pattern":"(!def(x))* use(x)"}`)
+	f.Add(`{"graph":"g","pattern":"use(x)","options":{"start":"no-such-vertex"}}`)
+	f.Add(`{"graph":"g","pattern":"use(x)","options":{"algorithm":"hybrid"}}`)
 	f.Add(`[]`)
 	f.Add(``)
 
@@ -94,6 +99,9 @@ func FuzzQueryRequest(f *testing.F) {
 				t.Fatalf("%d reply is not a query response: %v\n%s", rec.Code, err, rec.Body)
 			}
 			return
+		}
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("500 reply: %s", rec.Body)
 		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("%d reply Content-Type %q, want application/json", rec.Code, ct)

@@ -149,11 +149,23 @@ func TestMiddlewareIDUniqueness(t *testing.T) {
 }
 
 // TestRouteMetricLabels: every route records under its stable name with the
-// right status class and query kind.
+// right status class and query kind. Other tests share the process-wide
+// registry, so it reads each sample as a delta.
 func TestRouteMetricLabels(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{Registry: reg})
+	s := newTestServer(t, Config{})
 	h := s.Handler()
+	want := map[string]float64{
+		`rpq_http_requests_total{route="healthz",status="2xx",kind="-"}`:       1,
+		`rpq_http_requests_total{route="query",status="2xx",kind="exist"}`:     1,
+		`rpq_http_requests_total{route="query",status="2xx",kind="universal"}`: 1,
+		`rpq_http_requests_total{route="query",status="4xx",kind="exist"}`:     1,
+		`rpq_http_requests_total{route="graphs_list",status="2xx",kind="-"}`:   1,
+		`rpq_http_request_seconds_count{route="query"}`:                        3,
+	}
+	before := map[string]float64{}
+	for key := range want {
+		before[key] = scrapeSample(t, obs.Default(), key)
+	}
 
 	doReq(h, "GET", "/api/v1/healthz", "")
 	doReq(h, "POST", "/api/v1/query", `{"graph":"g","pattern":"use(x)"}`)
@@ -161,16 +173,9 @@ func TestRouteMetricLabels(t *testing.T) {
 	doReq(h, "POST", "/api/v1/query", `{"graph":"nope","pattern":"use(x)"}`)
 	doReq(h, "GET", "/api/v1/graphs", "")
 
-	for key, want := range map[string]float64{
-		`rpq_http_requests_total{route="healthz",status="2xx",kind="-"}`:       1,
-		`rpq_http_requests_total{route="query",status="2xx",kind="exist"}`:     1,
-		`rpq_http_requests_total{route="query",status="2xx",kind="universal"}`: 1,
-		`rpq_http_requests_total{route="query",status="4xx",kind="exist"}`:     1,
-		`rpq_http_requests_total{route="graphs_list",status="2xx",kind="-"}`:   1,
-		`rpq_http_request_seconds_count{route="query"}`:                        3,
-	} {
-		if got := scrapeSample(t, reg, key); got != want {
-			t.Errorf("%s = %v, want %v", key, got, want)
+	for key, w := range want {
+		if got := scrapeSample(t, obs.Default(), key) - before[key]; got != w {
+			t.Errorf("%s advanced by %v, want %v", key, got, w)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -98,7 +99,6 @@ func (s *Server) buildOptions(q QueryOptions) (*rpq.Options, error) {
 		SCCOrder:  q.SCCOrder,
 		Explain:   q.Explain,
 		Cache:     s.cache,
-		Gauges:    s.gauges,
 		SlowLog:   s.cfg.SlowLog,
 		Lint:      !s.cfg.DisableLint && !q.NoLint,
 	}
@@ -162,10 +162,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.wg.Done()
 	s.gRequests.Add(1)
 
+	// The body is exactly one request object with known fields; trailing
+	// whitespace (json.Encoder's and curl's newline) is the only thing that
+	// may follow it.
 	var req QueryRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxQueryBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxQueryBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, "bad_request", "decode request: %v", err)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, r, http.StatusBadRequest, "bad_request", "decode request: data after the request object")
 		return
 	}
 	switch req.Kind {
@@ -306,14 +314,27 @@ func (e *patternError) Error() string { return e.err.Error() }
 func (e *patternError) Unwrap() error { return e.err }
 
 // writeQueryError maps engine errors onto HTTP statuses: parse and lint
-// failures are the client's fault (400, with the RPQ0xx diagnostics as
-// structured JSON), deadline breaches are 504 with the partial stats,
-// cancellations are 499, a failed universal determinism check with an
-// explicitly requested algorithm is 422, and anything else is a 500.
+// failures, a violations pattern that is no discipline, a start vertex the
+// graph lacks and the hybrid algorithm on an existential query are the
+// client's fault (400; lint with the RPQ0xx diagnostics as structured
+// JSON), deadline breaches are 504 with the partial stats, cancellations
+// are 499, a failed universal determinism check with an explicitly
+// requested algorithm is 422, and anything else is a 500.
 func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	var pe *patternError
-	if errors.As(err, &pe) {
+	var uv *rpq.UnknownVertexError
+	switch {
+	case errors.As(err, &pe):
 		writeError(w, r, http.StatusBadRequest, "bad_pattern", "%v", pe.err)
+		return
+	case errors.Is(err, rpq.ErrNotDiscipline):
+		writeError(w, r, http.StatusBadRequest, "bad_pattern", "%v", err)
+		return
+	case errors.As(err, &uv), errors.Is(err, rpq.ErrHybridExistential):
+		writeError(w, r, http.StatusBadRequest, "bad_request", "%v", err)
+		return
+	case errors.Is(err, rpq.ErrNondeterministic):
+		writeError(w, r, http.StatusUnprocessableEntity, "nondeterministic", "%v", err)
 		return
 	}
 	var le *rpq.LintError
@@ -347,10 +368,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 			body["trace_id"] = ri.trace.TraceIDString()
 		}
 		writeJSON(w, code, body)
-		return
-	}
-	if errors.Is(err, rpq.ErrNondeterministic) {
-		writeError(w, r, http.StatusUnprocessableEntity, "nondeterministic", "%v", err)
 		return
 	}
 	writeError(w, r, http.StatusInternalServerError, "internal", "%v", err)

@@ -63,10 +63,6 @@ type Config struct {
 	// SlowLog, when non-nil, records slow and interrupted queries for every
 	// request.
 	SlowLog *rpq.SlowLog
-	// Registry receives the service gauges (rpq_svc_*) and the solver
-	// gauges; nil means the default registry, which is what the
-	// observability server exposes.
-	Registry *obs.Registry
 	// Logger, when non-nil, receives the structured access log (one line
 	// per request, stream="access") and the catalog-mutation audit stream
 	// (stream="audit"). nil disables both.
@@ -104,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueryBytes <= 0 {
 		c.MaxQueryBytes = 1 << 20
 	}
-	if c.Registry == nil {
-		c.Registry = obs.Default()
-	}
 	return c
 }
 
@@ -118,7 +111,6 @@ type Server struct {
 	cfg         Config
 	cache       *rpq.QueryCache
 	adm         *admission
-	gauges      *rpq.SolverGauges
 	httpMetrics *obs.HTTPMetrics
 
 	// ready distinguishes readiness from liveness: /api/v1/readyz reports
@@ -159,17 +151,16 @@ type Server struct {
 // NewServer returns a service with cfg's knobs resolved.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	r := cfg.Registry
+	r := obs.Default()
 	s := &Server{
 		cfg:       cfg,
 		cache:     rpq.NewQueryCache(cfg.CacheSize),
 		adm:       newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueWait, r),
-		gauges:    obs.NewSolverGauges(r),
 		graphs:    map[string]*graphEntry{},
 		active:    map[int64]context.CancelFunc{},
 		gGraphs:   r.Gauge("rpq_svc_graphs", "graphs in the service catalog"),
-		gRequests: r.Gauge("rpq_svc_requests_total", "API requests accepted since process start"),
-		gCanceled: r.Gauge("rpq_svc_canceled_total", "queries canceled through the API since process start"),
+		gRequests: r.Counter("rpq_svc_requests_total", "API requests accepted since process start"),
+		gCanceled: r.Counter("rpq_svc_canceled_total", "queries canceled through the API since process start"),
 		gDraining: r.Gauge("rpq_svc_draining", "1 while the service is draining for shutdown"),
 	}
 	s.httpMetrics = obs.NewHTTPMetrics(r, cfg.SLOs)

@@ -22,13 +22,11 @@ import (
 
 const testGraphPath = "../../testdata/queries/graph.txt"
 
-// newTestServer builds a Server on a fresh metrics registry with the
-// repository's CFG fixture preloaded under the name "g".
+// newTestServer builds a Server with the repository's CFG fixture preloaded
+// under the name "g". Every server records into the process-wide registry,
+// so tests read metrics as deltas.
 func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	s := NewServer(cfg)
 	f, err := os.Open(testGraphPath)
 	if err != nil {
@@ -252,6 +250,20 @@ func TestQueryKindsAndCacheStats(t *testing.T) {
 		"bad algorithm": {`{"graph":"g","pattern":"use(x)","options":{"algorithm":"quantum"}}`, http.StatusBadRequest},
 		"bad table":     {`{"graph":"g","pattern":"use(x)","options":{"table":"btree"}}`, http.StatusBadRequest},
 		"not even json": {`]`, http.StatusBadRequest},
+		// A violations pattern that is no discipline, a start vertex the
+		// graph lacks and the hybrid algorithm on a non-universal query are
+		// the request's fault, not the server's.
+		"not a discipline": {`{"graph":"g","kind":"violations","pattern":"(!def(x))* use(x)"}`, http.StatusBadRequest},
+		"unknown start":    {`{"graph":"g","pattern":"use(x)","options":{"start":"no-such-vertex"}}`, http.StatusBadRequest},
+		"hybrid exist":     {`{"graph":"g","pattern":"use(x)","options":{"algorithm":"hybrid"}}`, http.StatusBadRequest},
+		"hybrid violations": {`{"graph":"g","kind":"violations","pattern":"(def(x) (use(x))*)*","options":{"algorithm":"hybrid"}}`,
+			http.StatusBadRequest},
+		// The body is one request object with known fields; only
+		// whitespace may follow it.
+		"trailing data":  {`{"graph":"g","pattern":"use(x)"} trailing`, http.StatusBadRequest},
+		"second object":  {`{"graph":"g","pattern":"use(x)"}{}`, http.StatusBadRequest},
+		"unknown field":  {`{"graph":"g","pattern":"use(x)","optoins":{"algorithm":"memo"}}`, http.StatusBadRequest},
+		"trailing space": {"{\"graph\":\"g\",\"pattern\":\"use(x)\"}\n \t\r\n", http.StatusOK},
 	} {
 		if rec = post(tc.body); rec.Code != tc.code {
 			t.Fatalf("%s: %d %s, want %d", name, rec.Code, rec.Body, tc.code)
@@ -435,6 +447,8 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	h := s.Handler()
 	gate := newProgressGate()
 	s.hookOptions = gate.hook
+	queriesBefore := scrapeSample(t, obs.Default(), "rpq_query_seconds_count")
+	canceledBefore := s.gCanceled.Value()
 
 	ctx, cancelReq := context.WithCancel(context.Background())
 	req := httptest.NewRequest("POST", "/api/v1/query",
@@ -480,14 +494,11 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	if nActive != 0 {
 		t.Fatalf("active cancel map has %d stale entries", nActive)
 	}
-	if n := scrapeSample(t, s.cfg.Registry, "rpq_query_seconds_count"); n != 1 {
-		t.Fatalf("latency histogram count = %v, want 1", n)
+	if n := scrapeSample(t, obs.Default(), "rpq_query_seconds_count") - queriesBefore; n != 1 {
+		t.Fatalf("latency histogram count advanced by %v, want 1", n)
 	}
-	if n := s.gauges.Queries.Value(); n != 1 {
-		t.Fatalf("queries gauge = %d, want 1", n)
-	}
-	if s.gCanceled.Value() != 1 {
-		t.Fatalf("canceled gauge = %d, want 1", s.gCanceled.Value())
+	if n := s.gCanceled.Value() - canceledBefore; n != 1 {
+		t.Fatalf("canceled counter advanced by %d, want 1", n)
 	}
 
 	// The freed slot admits the next query immediately.

@@ -53,11 +53,6 @@ type Table interface {
 	Bytes() int64
 	// Kind reports the representation.
 	Kind() TableKind
-	// SetOnGrow installs a callback invoked after each newly interned
-	// substitution with the new length and byte figures. The explain
-	// profile uses it for its table-occupancy curve; a nil callback (the
-	// default) costs one nil check per intern.
-	SetOnGrow(func(n int, bytes int64))
 }
 
 // NewTable returns an empty table of the given kind for substitutions over
@@ -99,12 +94,11 @@ func checkTableDims(pars, symbols int) error {
 // stored substitution. Neither array holds pointers, and every parameter
 // count, zero included, takes the same path.
 type hashTable struct {
-	pars   int
-	n      int32
-	vals   []int32 // key k's values are vals[k*pars : (k+1)*pars]
-	index  []int32 // power-of-two length; key+1, or 0 for an empty slot
-	bytes  int64
-	onGrow func(n int, bytes int64)
+	pars  int
+	n     int32
+	vals  []int32 // key k's values are vals[k*pars : (k+1)*pars]
+	index []int32 // power-of-two length; key+1, or 0 for an empty slot
+	bytes int64
 }
 
 // hashTableInitSlots is the index size of an empty table.
@@ -151,9 +145,6 @@ func (t *hashTable) Key(s Subst) int32 {
 	// Key bytes + map entry overhead + stored substitution + slice header:
 	// the Table 3 model of a string-keyed map, kept for comparability.
 	t.bytes += int64(len(s))*8 + 72
-	if t.onGrow != nil {
-		t.onGrow(int(t.n), t.bytes)
-	}
 	return id
 }
 
@@ -189,8 +180,6 @@ func (t *hashTable) Len() int        { return int(t.n) }
 func (t *hashTable) Bytes() int64    { return t.bytes }
 func (t *hashTable) Kind() TableKind { return Hash }
 
-func (t *hashTable) SetOnGrow(fn func(n int, bytes int64)) { t.onGrow = fn }
-
 // ---- nested-array (trie) representation ----
 
 // nestedTable stores substitutions in a trie with one level per parameter.
@@ -203,7 +192,6 @@ type nestedTable struct {
 	nodes  [][]int32
 	substs []Subst
 	bytes  int64
-	onGrow func(n int, bytes int64)
 	// empty caches the key of the zero-parameter substitution when pars==0.
 	emptyKey int32
 }
@@ -244,9 +232,6 @@ func (t *nestedTable) Key(s Subst) int32 {
 		if t.emptyKey < 0 {
 			t.emptyKey = 0
 			t.substs = append(t.substs, Subst{})
-			if t.onGrow != nil {
-				t.onGrow(len(t.substs), t.bytes)
-			}
 		}
 		return t.emptyKey
 	}
@@ -268,9 +253,6 @@ func (t *nestedTable) Key(s Subst) int32 {
 		t.substs = append(t.substs, s.Clone())
 		t.bytes += int64(len(s)*4) + 24
 		node[idx] = key + 1
-		if t.onGrow != nil {
-			t.onGrow(len(t.substs), t.bytes)
-		}
 	}
 	return t.nodes[cur][idx] - 1
 }
@@ -301,5 +283,3 @@ func (t *nestedTable) Get(k int32) Subst { return t.substs[k] }
 func (t *nestedTable) Len() int          { return len(t.substs) }
 func (t *nestedTable) Bytes() int64      { return t.bytes }
 func (t *nestedTable) Kind() TableKind   { return Nested }
-
-func (t *nestedTable) SetOnGrow(fn func(n int, bytes int64)) { t.onGrow = fn }

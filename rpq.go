@@ -316,20 +316,14 @@ type Options struct {
 	// Deprecated: queries always run the sequential solver. The field is
 	// kept so existing callers still compile.
 	Workers int
-	// Gauges receives live samples of worklist depth, reach-set size,
-	// interned substitutions, and table bytes every few hundred worklist
-	// pops, so the /metrics endpoint can expose a query in flight. Use
-	// LiveGauges for a process-wide set served by ServeObservability.
-	Gauges *SolverGauges
 	// SlowLog, when non-nil, records queries whose wall-clock time
 	// reaches its threshold as NDJSON (one record per slow query), and
 	// every deadline-breached or canceled query with its reason in
 	// "interrupted".
 	SlowLog *SlowLog
 	// Explain collects a per-query execution profile — per-state visit
-	// counts, per-transition match attempts/hits/extensions, per-edge-label
-	// histograms, and table-occupancy and worklist-depth curves — returned
-	// in Result.Explain. Costs one
+	// counts, per-transition match attempts/hits/extensions, and
+	// per-edge-label histograms — returned in Result.Explain. Costs one
 	// branch per counter site when off; expect a few percent overhead when
 	// on.
 	Explain bool
@@ -377,16 +371,13 @@ type Explain = core.Explain
 
 // ---- Observability ----
 //
-// The types below re-export the internal/obs layer so callers can expose
-// live metrics, watch queries in flight, and log slow queries;
-// docs/observability.md documents the metric names and the record formats.
+// The types below re-export the internal/obs layer so callers can watch
+// queries in flight and log slow queries; docs/observability.md documents
+// the metric names and the record formats.
 
 // SlowLog records slow and interrupted queries as NDJSON; see
 // Options.SlowLog.
 type SlowLog = obs.SlowLog
-
-// SolverGauges is the live gauge set sampled by a running query.
-type SolverGauges = obs.SolverGauges
 
 // Progress is one live snapshot of a running query, delivered to
 // Options.Progress: the current phase, worklist pops and depth, reach-set
@@ -423,21 +414,17 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 	return obs.NewSlowLog(w, threshold)
 }
 
-// LiveGauges returns the process-wide solver gauge set, registered under
-// the rpq_ namespace in the default metric registry that
-// ServeObservability exposes at /metrics.
-func LiveGauges() *SolverGauges { return obs.NewSolverGauges(nil) }
-
 // SLO is one service-level objective: the service plane counts its requests
 // under rpq_http_slo_total/rpq_http_slo_good; see internal/service.
 type SLO = obs.SLO
 
 // ServeObservability starts the observability plane on addr: /metrics
-// (Prometheus text exposition of the default registry — the live gauges,
-// one histogram family per latency, and the go_* runtime gauges read at
-// scrape time), /debug/rpq/ (the index), /debug/rpq/queries (JSON
-// snapshots of in-flight queries) and /debug/pprof/ (on-demand profiles
-// whose CPU samples carry each query's pprof labels). The listener binds
+// (Prometheus text exposition of the default registry — the end-of-query
+// latency histograms and totals every query records, the service's gauges
+// and counters, and the go_* runtime metrics read at scrape time),
+// /debug/rpq/ (the index), /debug/rpq/queries (JSON snapshots of in-flight
+// queries) and /debug/pprof/ (on-demand profiles whose CPU samples carry
+// each query's pprof labels). The listener binds
 // synchronously; Close the returned server to stop it.
 func ServeObservability(addr string) (*http.Server, error) { return obs.Serve(addr) }
 
@@ -477,9 +464,8 @@ func (rs *runState) do(ctx context.Context, co *core.Options, fn func(ctx contex
 }
 
 // beginRun registers the query as in-flight and installs the run's one
-// progress fan-out: each snapshot updates the in-flight handle, the gauges
-// (when Options.Gauges is set), and the caller's Options.Progress. It
-// mutates co (Progress, Deadline) in place. When ctx carries a trace
+// progress fan-out: each snapshot updates the in-flight handle and the
+// caller's Options.Progress. It mutates co (Progress, Deadline) in place. When ctx carries a trace
 // context (obs.WithTrace — the service plane attaches one per HTTP
 // request), the run's telemetry is stamped with it: the in-flight snapshot,
 // the pprof label set, and the slow-log record. The lookup is one ctx.Value
@@ -491,15 +477,12 @@ func beginRun(ctx context.Context, opts *Options, kind, query string, co *core.O
 	tc, _ := obs.TraceFrom(ctx)
 	rs := &runState{opts: opts}
 	rs.iq = obs.DefaultInflight().Begin(kind, query, co.Algo.String(), tc)
-	iq, gauges, userProg := rs.iq, opts.Gauges, opts.Progress
+	iq, userProg := rs.iq, opts.Progress
 	co.Progress = func(p core.Progress) {
 		p.Pops += rs.carry.Pops
 		p.EnumSubsts += rs.carry.EnumSubsts
 		rs.last = p
 		iq.Update(p)
-		if gauges != nil {
-			gauges.Sample(p)
-		}
 		if userProg != nil {
 			userProg(p)
 		}
@@ -532,9 +515,24 @@ func (rs *runState) end() {
 	rs.iq.Done()
 }
 
+// Every query records these end-of-query families into the process-wide
+// registry that ServeObservability serves at /metrics: its wall time, the
+// per-phase breakdown of Stats.Phases, and the CPU, allocation and
+// slow-query totals. Each is a few atomic adds per query.
+var (
+	queryHist   = obs.Default().Histogram("rpq_query_seconds", "end-to-end query latency")
+	compileHist = obs.Default().Histogram("rpq_phase_compile_seconds", "pattern compilation latency per query")
+	domainsHist = obs.Default().Histogram("rpq_phase_domains_seconds", "parameter-domain computation latency per query")
+	solveHist   = obs.Default().Histogram("rpq_phase_solve_seconds", "worklist solve latency per query")
+	enumHist    = obs.Default().Histogram("rpq_phase_enumerate_seconds", "enumeration-phase latency per query")
+	slowTotal   = obs.Default().Counter("rpq_slow_queries_total", "queries exceeding the slow-query threshold")
+	cpuTotalUS  = obs.Default().Counter("rpq_cpu_us_total", "process CPU time attributed to completed queries, microseconds")
+	allocTotal  = obs.Default().Counter("rpq_alloc_bytes_total", "heap bytes allocated during completed queries")
+)
+
 // finish completes the run's observability: stamp the run's resource
-// attribution into Stats and Explain, feed the latency histograms and query
-// gauges, record the slow-query log entry (for a slow run, and for every
+// attribution into Stats, feed the end-of-query metrics, record the
+// slow-query log entry (for a slow run, and for every
 // deadline breach or cancellation with its reason), and unregister the
 // in-flight entry. It handles both outcomes — res on success, err (possibly
 // an *InterruptError carrying partial stats) on failure.
@@ -564,34 +562,22 @@ func (rs *runState) finish(res *Result, err error) {
 		stats.CPUTime = u.CPU
 		stats.AllocBytes = u.Alloc
 	}
-	if explain != nil {
-		explain.CPUTime = u.CPU
-		explain.AllocBytes = u.Alloc
-	}
-
-	gauges := opts.Gauges
-	if gauges != nil {
-		gauges.Queries.Add(1)
-		gauges.QueryHist.Observe(u.Wall)
-		gauges.CPUTotalUS.Add(u.CPU.Microseconds())
-		gauges.AllocTotal.Add(u.Alloc)
-		if stats != nil {
-			gauges.CompileHist.Observe(stats.Phases.Compile.Wall)
-			gauges.DomainsHist.Observe(stats.Phases.Domains.Wall)
-			gauges.SolveHist.Observe(stats.Phases.Solve.Wall)
-			if stats.Phases.Enumerate.Wall > 0 {
-				gauges.EnumHist.Observe(stats.Phases.Enumerate.Wall)
-			}
-		}
-	}
-
+	queryHist.Observe(u.Wall)
+	cpuTotalUS.Add(u.CPU.Microseconds())
+	allocTotal.Add(u.Alloc)
 	if stats != nil {
+		compileHist.Observe(stats.Phases.Compile.Wall)
+		domainsHist.Observe(stats.Phases.Domains.Wall)
+		solveHist.Observe(stats.Phases.Solve.Wall)
+		if stats.Phases.Enumerate.Wall > 0 {
+			enumHist.Observe(stats.Phases.Enumerate.Wall)
+		}
 		hot := any(nil)
 		if explain != nil {
 			hot = explain.TopStates(3)
 		}
-		if opts.SlowLog.Observe(rs.iq, u, answers, opts.Table.String(), stats, hot, interrupted) && gauges != nil {
-			gauges.SlowQueries.Add(1)
+		if opts.SlowLog.Observe(rs.iq, u, answers, opts.Table.String(), stats, hot, interrupted) {
+			slowTotal.Add(1)
 		}
 	}
 	rs.end()
@@ -684,7 +670,7 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 	if opts.Start != "" {
 		v, ok := ig.LookupVertex(opts.Start)
 		if !ok {
-			return nil, 0, core.Options{}, fmt.Errorf("rpq: unknown start vertex %q", opts.Start)
+			return nil, 0, core.Options{}, &UnknownVertexError{Vertex: opts.Start}
 		}
 		start = v
 	} else if opts.Backward {
@@ -720,6 +706,9 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 	case Enumerate:
 		co.Algo = core.AlgoEnum
 	case Hybrid:
+		if !universal {
+			return nil, 0, core.Options{}, ErrHybridExistential
+		}
 		co.Algo = core.AlgoHybrid
 	default:
 		return nil, 0, core.Options{}, fmt.Errorf("rpq: unknown algorithm %v", opts.Algorithm)
@@ -765,9 +754,6 @@ func (g *Graph) ExistContext(ctx context.Context, p *Pattern, opts *Options) (*R
 	ig, start, co, err := g.resolve(opts, false)
 	if err != nil {
 		return nil, err
-	}
-	if co.Algo == core.AlgoHybrid {
-		return nil, fmt.Errorf("rpq: the hybrid algorithm applies to universal queries only")
 	}
 	q, err := compileForRun(opts, ig, cacheKindQuery, p.expr)
 	if err != nil {
@@ -834,6 +820,23 @@ func (g *Graph) UniversalContext(ctx context.Context, p *Pattern, opts *Options)
 	rs.finish(out, nil)
 	return out, nil
 }
+
+// UnknownVertexError is returned when Options.Start names no vertex of the
+// graph.
+type UnknownVertexError struct{ Vertex string }
+
+func (e *UnknownVertexError) Error() string {
+	return fmt.Sprintf("rpq: unknown start vertex %q", e.Vertex)
+}
+
+// ErrHybridExistential is returned when an existential or violations query
+// asks for the Hybrid algorithm, which answers universal queries only.
+var ErrHybridExistential = core.ErrHybridExistential
+
+// ErrNotDiscipline is wrapped by the error Violations returns when the
+// discipline pattern has no labels or a label that is not a plain
+// constructor application.
+var ErrNotDiscipline = queries.ErrNotDiscipline
 
 // ErrNondeterministic is returned by Universal with an explicit direct
 // algorithm when the determinism condition of Section 4 fails.

@@ -96,9 +96,9 @@ func NewQueryCache(capacity int) *QueryCache {
 		cap:        capacity,
 		ll:         list.New(),
 		byKey:      map[cacheKey]*list.Element{},
-		gHits:      r.Gauge("rpq_qcache_hits_total", "compiled-query cache hits since process start"),
-		gMisses:    r.Gauge("rpq_qcache_misses_total", "compiled-query cache misses (compilations) since process start"),
-		gEvictions: r.Gauge("rpq_qcache_evictions_total", "compiled-query cache LRU evictions since process start"),
+		gHits:      r.Counter("rpq_qcache_hits_total", "compiled-query cache hits since process start"),
+		gMisses:    r.Counter("rpq_qcache_misses_total", "compiled-query cache misses (compilations) since process start"),
+		gEvictions: r.Counter("rpq_qcache_evictions_total", "compiled-query cache LRU evictions since process start"),
 		gEntries:   r.Gauge("rpq_qcache_entries", "compiled queries currently cached"),
 	}
 }

@@ -18,17 +18,14 @@ import (
 const telemetryAllocsBudget = 185
 
 // TestTelemetryAllocsPerQuery guards the per-query telemetry path: one
-// existential query over the Figure 1 graph with gauges, a slow log whose
-// threshold the run never reaches, and a W3C trace context must stay within
+// existential query over the Figure 1 graph with the end-of-query metrics
+// every run records, a slow log whose threshold the run never reaches, and a W3C trace context must stay within
 // telemetryAllocsBudget allocations, compile and solve included. Race
 // instrumentation changes allocation counts, hence the build tag.
 func TestTelemetryAllocsPerQuery(t *testing.T) {
 	g := figure1Graph(t)
 	p := MustParsePattern("(!def(x))* use(x)")
-	opts := &Options{
-		Gauges:  obs.NewSolverGauges(obs.NewRegistry()),
-		SlowLog: NewSlowLog(io.Discard, time.Hour),
-	}
+	opts := &Options{SlowLog: NewSlowLog(io.Discard, time.Hour)}
 	ctx := obs.WithTrace(context.Background(), obs.NewTraceContext())
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := g.ExistContext(ctx, p, opts); err != nil {

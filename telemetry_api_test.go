@@ -68,25 +68,17 @@ func TestStatsResourceAttribution(t *testing.T) {
 
 func TestExplainAndGaugesCarryAttribution(t *testing.T) {
 	g := telemetryGraph(t)
-	reg := obs.NewRegistry()
-	gauges := obs.NewSolverGauges(reg)
-	opts := &Options{Explain: true, Gauges: gauges}
-	res, err := g.Exist(MustParsePattern("_* use(x)"), opts)
+	before := scrapeSample(t, obs.Default(), "rpq_alloc_bytes_total")
+	res, err := g.Exist(MustParsePattern("_* use(x)"), &Options{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Explain == nil {
 		t.Fatal("no explain profile")
 	}
-	if res.Explain.AllocBytes != res.Stats.AllocBytes {
-		t.Fatalf("Explain.AllocBytes = %d, Stats.AllocBytes = %d",
-			res.Explain.AllocBytes, res.Stats.AllocBytes)
-	}
-	if n := reg.Gauge("rpq_alloc_bytes_total", "").Value(); n <= 0 {
-		t.Fatalf("rpq_alloc_bytes_total = %d, want > 0", n)
-	}
-	if n := reg.Gauge("rpq_queries_total", "").Value(); n != 1 {
-		t.Fatalf("rpq_queries_total = %d, want 1", n)
+	if d := scrapeSample(t, obs.Default(), "rpq_alloc_bytes_total") - before; d <= 0 || d < float64(res.Stats.AllocBytes) {
+		t.Fatalf("rpq_alloc_bytes_total advanced by %v, want > 0 and >= Stats.AllocBytes %d",
+			d, res.Stats.AllocBytes)
 	}
 }
 
@@ -305,11 +297,10 @@ func TestServeObservabilityWith(t *testing.T) {
 	base := "http://" + srv.Addr
 
 	g := telemetryGraph(t)
-	opts := &Options{Gauges: LiveGauges()}
-	if _, err := g.Exist(MustParsePattern("_* use(x)"), opts); err != nil {
+	if _, err := g.Exist(MustParsePattern("_* use(x)"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Universal(MustParsePattern("_* def(x) (!def(x))*"), opts); err != nil {
+	if _, err := g.Universal(MustParsePattern("_* def(x) (!def(x))*"), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -369,15 +360,19 @@ func TestServeObservabilityWith(t *testing.T) {
 		}
 	}
 
-	// The query counter advanced, the runtime gauges are read at scrape
-	// time, and each latency is one histogram family.
+	// The runtime gauges are read at scrape time, and each latency is one
+	// histogram family. A query's live state is served only by
+	// /debug/rpq/queries, and its count only by rpq_query_seconds_count:
+	// the running-query gauges and rpq_queries_total are gone.
 	_, metrics := get("/metrics")
-	for _, want := range []string{"rpq_queries_total ", "go_goroutines ", "# TYPE rpq_query_seconds histogram\n"} {
+	for _, want := range []string{"go_goroutines ", "# TYPE rpq_query_seconds histogram\n",
+		"# TYPE rpq_alloc_bytes_total counter\n"} {
 		if !bytes.Contains(metrics, []byte(want)) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	for _, gone := range []string{"quantile=", "_hist", "# {"} {
+	for _, gone := range []string{"quantile=", "_hist", "# {", "rpq_worklist_depth", "rpq_reach_size",
+		"rpq_substs_interned", "rpq_table_bytes", "rpq_enum_substs", "rpq_queries_total"} {
 		if bytes.Contains(metrics, []byte(gone)) {
 			t.Errorf("/metrics still carries %q", gone)
 		}

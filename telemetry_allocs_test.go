@@ -12,10 +12,10 @@ import (
 )
 
 // telemetryAllocsBudget is the pinned allocation count of one small traced
-// query with every per-query telemetry surface attached: 184 on go1.24,
+// query with every per-query telemetry surface attached: 142 on go1.24.0,
 // linux/amd64, plus one. A rise means the telemetry path or the solver
 // grew; lower it when a change makes the path leaner.
-const telemetryAllocsBudget = 185
+const telemetryAllocsBudget = 143
 
 // TestTelemetryAllocsPerQuery guards the per-query telemetry path: one
 // existential query over the Figure 1 graph with the end-of-query metrics

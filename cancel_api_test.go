@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,6 +46,53 @@ func TestDeadlineOptionPublic(t *testing.T) {
 	_, err = g.Violations("(open(f) close(f))*", false, &Options{Deadline: time.Nanosecond})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("violations: %v does not wrap ErrDeadline", err)
+	}
+}
+
+// TestDeadlineCoversFallback: Options.Deadline bounds the whole query, so
+// an Auto universal query that falls back to hybrid shares one deadline
+// across both runs instead of starting the second with a fresh one. Each
+// algorithm's first progress snapshot sleeps 200ms: 400ms in all, inside
+// 300ms for neither run alone but not for the query.
+func TestDeadlineCoversFallback(t *testing.T) {
+	// 600 def edges lead to the first use edge, where _* use(x) fails the
+	// determinism check, so the direct run delivers snapshots before Auto
+	// falls back to hybrid.
+	g := NewGraph()
+	const n = 600
+	vtx := func(i int) string { return fmt.Sprintf("v%d", i) }
+	for i := 0; i < n; i++ {
+		g.MustAddEdge(vtx(i), fmt.Sprintf("def(x%d)", i%7), vtx(i+1))
+	}
+	g.MustAddEdge(vtx(n), "use(x0)", vtx(n+1))
+	g.MustAddEdge(vtx(n+1), "use(x1)", vtx(n+2))
+	g.SetStart(vtx(0))
+	var id int64
+	slept := map[string]bool{}
+	opts := &Options{
+		Algorithm: Auto,
+		Deadline:  300 * time.Millisecond,
+		OnBegin:   func(qid int64) { id = qid },
+		Progress: func(Progress) {
+			for _, s := range InflightQueries() {
+				if s.ID == id && !slept[s.Algo] {
+					slept[s.Algo] = true
+					time.Sleep(200 * time.Millisecond)
+				}
+			}
+		},
+	}
+	res, err := g.Universal(MustParsePattern("_* use(x)"), opts)
+	if !slept["basic"] {
+		t.Fatalf("algorithms seen = %v: the direct run delivered no snapshot", slept)
+	}
+	var ie *InterruptError
+	if !errors.As(err, &ie) || !errors.Is(err, ErrDeadline) {
+		answers := -1
+		if res != nil {
+			answers = len(res.Answers)
+		}
+		t.Fatalf("got %d answers, error %v; want an *InterruptError wrapping ErrDeadline", answers, err)
 	}
 }
 

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,9 +46,17 @@ import (
 // validation instead of producing spurious diffs.
 const schemaVersion = "rpq-bench/1"
 
-// repTimeout is the -timeout flag: the per-rep wall-clock bound threaded
-// into every scenario's Options.Deadline (0 = unbounded).
+// repTimeout is the -timeout flag: the per-rep wall-clock bound
+// (0 = unbounded).
 var repTimeout time.Duration
+
+// repContext bounds one rep by repTimeout.
+func repContext() (context.Context, context.CancelFunc) {
+	if repTimeout > 0 {
+		return context.WithTimeout(context.Background(), repTimeout)
+	}
+	return context.Background(), func() {}
+}
 
 // benchReport is the top-level JSON document. The environment fields record
 // where a report was produced — timing comparisons across reports are only
@@ -323,10 +332,9 @@ func runAll(n int) *benchReport {
 func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 	q := core.MustCompile(pattern.MustParse(sc.pat), wl.g.U)
 	opts := core.Options{
-		Algo:     sc.algo,
-		Table:    sc.table,
-		Explain:  true,
-		Deadline: repTimeout,
+		Algo:    sc.algo,
+		Table:   sc.table,
+		Explain: true,
 	}
 	lintExpr := pattern.MustParse(sc.pat)
 	lintCfg := analyze.Config{
@@ -362,11 +370,13 @@ func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 			res *core.Result
 			err error
 		)
+		ctx, cancel := repContext()
 		if sc.kind == "universal" {
-			res, err = core.Univ(wl.g, wl.start, q, opts)
+			res, err = core.UnivContext(ctx, wl.g, wl.start, q, opts)
 		} else {
-			res, err = core.Exist(wl.g, wl.start, q, opts)
+			res, err = core.ExistContext(ctx, wl.g, wl.start, q, opts)
 		}
+		cancel()
 		if err != nil {
 			fail("scenario %s: %v", sc.name, err)
 		}

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,6 +39,14 @@ import (
 // queryTimeout is the -timeout flag: the per-query wall-clock bound; a
 // measured query exceeding it aborts the run with its partial statistics.
 var queryTimeout time.Duration
+
+// queryContext bounds one measured query by queryTimeout (0 = unbounded).
+func queryContext() (context.Context, context.CancelFunc) {
+	if queryTimeout > 0 {
+		return context.WithTimeout(context.Background(), queryTimeout)
+	}
+	return context.Background(), func() {}
+}
 
 // track registers one measured query in the process-wide in-flight
 // registry, whose progress then updates its snapshot, so -http serves it
@@ -107,12 +116,13 @@ func main() {
 
 // run executes one query and returns the result with wall-clock time.
 func run(g *graph.Graph, start int32, pat string, opts core.Options) (*core.Result, time.Duration) {
-	opts.Deadline = queryTimeout
 	q := core.MustCompile(pattern.MustParse(pat), g.U)
 	iq := track("exist", pat, &opts)
+	ctx, cancel := queryContext()
 	t0 := time.Now()
-	res, err := core.Exist(g, start, q, opts)
+	res, err := core.ExistContext(ctx, g, start, q, opts)
 	dt := time.Since(t0)
+	cancel()
 	iq.Done()
 	if err != nil {
 		var ie *core.InterruptError
@@ -323,11 +333,13 @@ func runAblation(name string) {
 		const pat = "(state(_) act(_))* state(_)?"
 		q := core.MustCompile(pattern.MustParse(pat), ug.U)
 		for _, cm := range []core.CompletionMode{core.Incomplete, core.CompleteTrap, core.CompleteExplicit} {
-			opts := core.Options{Completion: cm, Deadline: queryTimeout}
+			opts := core.Options{Completion: cm}
 			iq := track("universal", pat, &opts)
+			ctx, cancel := queryContext()
 			t0 := time.Now()
-			res, err := core.Univ(ug, ug.Start(), q, opts)
+			res, err := core.UnivContext(ctx, ug, ug.Start(), q, opts)
 			dt := time.Since(t0)
+			cancel()
 			iq.Done()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

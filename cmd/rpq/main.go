@@ -67,7 +67,7 @@ func main() {
 		dotOut    = flag.Bool("dot", false, "emit the graph as Graphviz DOT with answers highlighted, instead of listing answers")
 		witness   = flag.Bool("witness", false, "attach a witnessing path to each existential answer")
 		list      = flag.Bool("list", false, "list the analysis catalog and exit")
-		estimate  = flag.Bool("estimate", false, "print the Figure 2 complexity report and query advice, then run")
+		estimate  = flag.Bool("estimate", false, "print the Figure 2 complexity report and the query's lint findings, then run")
 		maxPrint  = flag.Int("n", 0, "print at most n answers (0 = all)")
 	)
 	flag.Parse()
@@ -187,13 +187,13 @@ func main() {
 	}
 
 	if *estimate {
-		src := *patt
+		src, uni := *patt, *universal
 		if *analysis != "" {
 			a, err := rpq.AnalysisByName(*analysis)
 			if err != nil {
 				fail("%v", err)
 			}
-			src = a.Pattern
+			src, uni = a.Pattern, a.Kind.String() == "universal"
 		}
 		p, err := rpq.ParsePattern(src)
 		if err != nil {
@@ -204,12 +204,8 @@ func main() {
 			fail("%v", err)
 		}
 		fmt.Fprint(os.Stderr, est)
-		advice, err := g.Advise(p)
-		if err != nil {
-			fail("%v", err)
-		}
-		for _, a := range advice {
-			fmt.Fprintf(os.Stderr, "advice: %s\n", a)
+		for _, d := range rpq.LintQuery(g, p, uni, opts) {
+			fmt.Fprintln(os.Stderr, rpq.FormatDiagnostic(d, p))
 		}
 	}
 

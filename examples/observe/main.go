@@ -102,9 +102,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Deadline: Options.Deadline bounds the run without a caller context;
-	// on this tiny graph it completes well inside the bound.
-	res2, err := core.Exist(g, g.Start(), q, core.Options{Algo: core.AlgoMemo, Deadline: 5 * time.Second})
+	// Deadline: a timed context bounds the run; on this tiny graph it
+	// completes well inside the bound.
+	tctx, tcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer tcancel()
+	res2, err := core.ExistContext(tctx, g, g.Start(), q, core.Options{Algo: core.AlgoMemo})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,8 @@ import (
 
 // checkAST walks the pattern tree and reports the purely structural
 // findings: unsatisfiable labels (RPQ007), duplicate or subsumed alternation
-// branches (RPQ008), and repetition of nullable sub-patterns (RPQ009).
+// branches (RPQ008), repetition of nullable sub-patterns (RPQ009), and
+// labels off the matcher's fast path (RPQ017, RPQ018).
 func (l *linter) checkAST(e pattern.Expr) {
 	switch n := e.(type) {
 	case pattern.Epsilon:
@@ -20,6 +21,7 @@ func (l *linter) checkAST(e pattern.Expr) {
 				fmt.Sprintf("label %s can match no edge label: the negation covers everything", n.Term),
 				"remove the wildcard from the negation, or drop the label")
 		}
+		l.checkMatchCost(n)
 	case *pattern.Concat:
 		for _, it := range n.Items {
 			l.checkAST(it)
@@ -126,4 +128,46 @@ func coversAll(t *label.Term) bool {
 		}
 	}
 	return false
+}
+
+// checkMatchCost reports the two label shapes that leave the matcher's fast
+// path (Section 3): a label outside the agree/disagree fragment takes the
+// generic extension-enumerating matcher (RPQ017), and a label combining
+// more than two parameters with a parameter-carrying negation pays the
+// 2^labelpars factor (RPQ018).
+func (l *linter) checkMatchCost(n *pattern.Lbl) {
+	negPars, nested, _ := negShape(n.Term, false)
+	if negPars > 1 || nested {
+		l.report(CodeGenericMatch, Info, n.Span,
+			fmt.Sprintf("label %s has multiple or nested parameter-carrying negations; it falls outside the agree/disagree fragment and uses the generic extension-enumerating matcher (Section 3)", n.Term),
+			"keep at most one negation over parameters per label, and none nested, where the query allows")
+	}
+	if negPars == 0 {
+		return
+	}
+	if pars := len(n.Term.Params()); pars > 2 {
+		l.report(CodeLabelParsFactor, Info, n.Span,
+			fmt.Sprintf("label %s combines %d parameters with negation; the 2^labelpars factor of Section 3 applies", n.Term, pars),
+			"bind some of its parameters positively in an earlier label")
+	}
+}
+
+// negShape reads off a label what label.CTerm's ADCompatible and
+// NumNegWithParams read after compilation: the number of negations whose
+// body mentions a parameter, whether a negation nests inside another, and
+// whether t mentions a parameter at all.
+func negShape(t *label.Term, underNeg bool) (negPars int, nested, params bool) {
+	neg := t.Kind == label.KNeg
+	nested = neg && underNeg
+	params = t.Kind == label.KParam
+	for _, a := range t.Args {
+		n, nest, p := negShape(a, underNeg || neg)
+		negPars += n
+		nested = nested || nest
+		params = params || p
+	}
+	if neg && params {
+		negPars++
+	}
+	return negPars, nested, params
 }

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rpq/internal/queries"
@@ -56,6 +57,29 @@ func TestCatalogSpansResolve(t *testing.T) {
 			if d.Pos == "" {
 				t.Errorf("%s: %s lacks Pos", a.Name, d.Code)
 			}
+		}
+	}
+}
+
+// TestCatalogNegationFirst pins which catalog entries reach a parameter
+// under a negation before any positive binding (RPQ006), or never bind it
+// positively at all (RPQ004): exactly the forward uninit queries and the
+// resource disciplines, whose backward reformulations avoid it (the
+// Section 5.1 tradeoff the paper measures in Table 1).
+func TestCatalogNegationFirst(t *testing.T) {
+	want := map[string]bool{
+		"uninit-uses":           true,
+		"uninit-first-uses":     true,
+		"uninit-uses-sites":     true,
+		"file-access-violation": true, // f first occurs under !open(f) on the eps branch
+		"file-unclosed":         true, // f first occurs under !close(f); cheap in practice (few files)
+		"locking-discipline":    true, // x occurs only under !access(x)
+	}
+	for _, a := range queries.Catalog() {
+		got := codes(Lint(a.Expr(), a.Pattern, Config{Universal: a.Kind == queries.Universal}))
+		negFirst := slices.Contains(got, CodeNegBeforeBind) || slices.Contains(got, CodeNeverBinds)
+		if negFirst != want[a.Name] {
+			t.Errorf("%s: negation-first finding = %v, want %v (codes: %v)", a.Name, negFirst, want[a.Name], got)
 		}
 	}
 }

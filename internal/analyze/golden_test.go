@@ -59,6 +59,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 		CodeNegBeforeBind, CodeUnsatLabel, CodeDupBranch, CodeRedundantRep,
 		CodeUnknownCtor, CodeArityMismatch, CodeGraphEmpty, CodeNegVacuous,
 		CodeVariantAdvice, CodeTableAdvice, CodeAlphabetCoverage,
+		CodeGenericMatch, CodeLabelParsFactor,
 	}
 	for _, c := range allCodes {
 		if !covered[c] {

@@ -49,12 +49,14 @@ func TestCancelPreCanceled(t *testing.T) {
 	}
 }
 
-// TestDeadlineBreach runs with a 1ns Options.Deadline — expired before the
+// TestDeadlineBreach runs under a 1ns context timeout — expired before the
 // solver starts — and requires a typed ErrDeadline with partial statistics.
 func TestDeadlineBreach(t *testing.T) {
 	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
-	res, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo, Deadline: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	res, err := ExistContext(ctx, wl.g, wl.start, q, Options{Algo: AlgoMemo})
 	checkInterrupt(t, res, err, ErrDeadline, context.DeadlineExceeded)
 
 	var ie *InterruptError
@@ -63,7 +65,7 @@ func TestDeadlineBreach(t *testing.T) {
 		t.Fatal("interrupted run reported no worklist inserts; expected at least the initial push")
 	}
 
-	res, err = Univ(wl.g, wl.start, q, Options{Algo: AlgoEnum, Deadline: time.Nanosecond})
+	res, err = UnivContext(ctx, wl.g, wl.start, q, Options{Algo: AlgoEnum})
 	checkInterrupt(t, res, err, ErrDeadline, context.DeadlineExceeded)
 }
 
@@ -72,7 +74,9 @@ func TestDeadlineBreach(t *testing.T) {
 func TestDeadlinePartialExplain(t *testing.T) {
 	wl := corpus(t)[0]
 	q := MustCompile(pattern.MustParse(wl.pat), wl.g.U)
-	_, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo, Deadline: time.Nanosecond, Explain: true})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, err := ExistContext(ctx, wl.g, wl.start, q, Options{Algo: AlgoMemo, Explain: true})
 	var ie *InterruptError
 	if !errors.As(err, &ie) {
 		t.Fatalf("got %v, want *InterruptError", err)
@@ -91,7 +95,9 @@ func TestCancelCompletesUnderLongDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Exist(wl.g, wl.start, q, Options{Algo: AlgoMemo, Deadline: time.Hour})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	bounded, err := ExistContext(ctx, wl.g, wl.start, q, Options{Algo: AlgoMemo})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,89 +95,3 @@ func (e Estimate) String() string {
 		e.BasicTimeBound, e.MemoTimeBound, e.EnumTimeBound)
 	return b.String()
 }
-
-// Advise inspects a query and reports formulation warnings drawn from the
-// paper's Section 5.1 experience summary ("queries that bind parameters
-// positively before negations are much faster than queries that don't",
-// etc.). Each string is one finding; an empty slice means no advice.
-func Advise(q *Query) []string {
-	var out []string
-	nfa := q.NFA
-
-	// Parameters that can be reached under a negation before any positive
-	// binding: approximate by checking, per state reachable from the start
-	// through labels that do not bind p positively, whether a label with p
-	// under negation occurs. A cheap conservative version: does any label
-	// on a transition out of the start's forward closure carry p negated
-	// while no label on any path before it binds p positively? We
-	// approximate with a whole-pattern check: p occurs under a negation in
-	// some label, and the first occurrence (in automaton BFS order from
-	// the start) is negated.
-	type occ struct {
-		positive bool
-		found    bool
-	}
-	first := make([]occ, q.Pars())
-	// BFS over states, scanning transition labels in order.
-	seen := make([]bool, nfa.NumStates)
-	queue := []int32{nfa.Start}
-	seen[nfa.Start] = true
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		// Transitions out of one state are alternatives: if a parameter
-		// occurs negated on any of them it can be reached unbound, even if
-		// a sibling transition binds it positively.
-		pos := map[int32]bool{}
-		neg := map[int32]bool{}
-		for _, tr := range nfa.Trans[s] {
-			tl := tr.Label
-			posHere := map[int32]bool{}
-			tl.PositivePositions(func(p, ctor int32, arg int) { posHere[p] = true })
-			tl.AllPositions(func(p, ctor int32, arg int) {
-				if !posHere[p] {
-					neg[p] = true
-				}
-			})
-			for p := range posHere {
-				pos[p] = true
-			}
-			if !seen[tr.To] {
-				seen[tr.To] = true
-				queue = append(queue, tr.To)
-			}
-		}
-		for p := range neg {
-			if !first[p].found {
-				first[p] = occ{positive: false, found: true}
-			}
-		}
-		for p := range pos {
-			if !first[p].found {
-				first[p] = occ{positive: true, found: true}
-			}
-		}
-	}
-	for p := 0; p < q.Pars(); p++ {
-		if first[p].found && !first[p].positive {
-			out = append(out, fmt.Sprintf(
-				"parameter %s can be reached under a negation before any positive binding; "+
-					"the solver will enumerate its domain there — consider the backward "+
-					"formulation that binds it first (Section 5.1)", q.PS.Name(int32(p))))
-		}
-	}
-	for _, tl := range nfa.Labels {
-		if !tl.ADCompatible() {
-			out = append(out, fmt.Sprintf(
-				"label %s has multiple or nested parameter-carrying negations; it falls "+
-					"outside the agree/disagree fragment and uses the generic "+
-					"extension-enumerating matcher (Section 3)", tl.Format(q.U, q.PS)))
-		}
-		if tl.NumNegWithParams() > 0 && len(tl.Params()) > 2 {
-			out = append(out, fmt.Sprintf(
-				"label %s combines %d parameters with negation; the 2^labelpars factor of "+
-					"Section 3 applies", tl.Format(q.U, q.PS), len(tl.Params())))
-		}
-	}
-	return out
-}

@@ -37,37 +37,3 @@ func TestEstimateQuantities(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
-
-func TestAdviseNegationFirst(t *testing.T) {
-	g := graph.MustReadString(figure1)
-	// Forward uninit query: x is negated before any positive binding.
-	q := MustCompile(pattern.MustParse("(!def(x))* use(x)"), g.U)
-	advice := Advise(q)
-	if len(advice) != 1 || !strings.Contains(advice[0], "backward") {
-		t.Fatalf("advice = %v", advice)
-	}
-	// Backward formulation binds x first: no advice.
-	qb := MustCompile(pattern.MustParse("_* use(x,l) (!def(x))* entry()"), g.U)
-	if advice := Advise(qb); len(advice) != 0 {
-		t.Fatalf("backward query advice = %v", advice)
-	}
-}
-
-func TestAdviseGenericMatcher(t *testing.T) {
-	g := graph.MustReadString(figure1)
-	q := MustCompile(pattern.MustParse("f(!x,!y)"), g.U)
-	advice := Advise(q)
-	found := false
-	for _, a := range advice {
-		if strings.Contains(a, "agree/disagree") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("generic-matcher advice missing: %v", advice)
-	}
-	// A clean query has no findings.
-	if advice := Advise(MustCompile(pattern.MustParse("_* state(s) act(_)"), g.U)); len(advice) != 0 {
-		t.Fatalf("deadlock query advice = %v", advice)
-	}
-}

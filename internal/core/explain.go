@@ -194,6 +194,10 @@ type explainCollector struct {
 
 	groundPops int64
 	groundRuns int
+
+	// inner is the hybrid algorithm's existential-pass profile (same NFA
+	// state space), absorbed into the report.
+	inner *Explain
 }
 
 func newExplainCollector(auto *automata.NFA, numLabels int) *explainCollector {
@@ -259,12 +263,16 @@ func (c *explainCollector) extend() {
 func (c *explainCollector) groundPop() { c.groundPops++ }
 
 // report assembles the profile. q supplies name formatting; g the edge
-// labels; automaton tags which automaton the profile covers.
-func (c *explainCollector) report(q *Query, g *graph.Graph, algo Algo, automaton string) *Explain {
+// labels. The profile covers the pattern's NFA, or the universal worklist
+// solver's determinization ("dfa").
+func (c *explainCollector) report(q *Query, g *graph.Graph, algo Algo) *Explain {
 	e := &Explain{
 		Algo:       algo.String(),
-		Automaton:  automaton,
+		Automaton:  "nfa",
 		GroundRuns: c.groundRuns,
+	}
+	if c.auto != q.NFA {
+		e.Automaton = "dfa"
 	}
 	a := c.auto
 	hasBad := c.visits[a.NumStates] > 0
@@ -307,6 +315,7 @@ func (c *explainCollector) report(q *Query, g *graph.Graph, algo Algo, automaton
 		})
 	}
 	e.Totals.GroundPops = c.groundPops
+	e.absorb(c.inner)
 	return e
 }
 

@@ -225,35 +225,3 @@ func main() {
 		t.Errorf("interrupts fired on a correct program: %v", res.Pairs)
 	}
 }
-
-func TestCatalogAdvice(t *testing.T) {
-	// The forward uninit queries are exactly the catalog entries that bind
-	// a parameter under negation first; the backward reformulations fix it
-	// (the Section 5.1 tradeoff the paper measures in Table 1).
-	wantAdvice := map[string]bool{
-		"uninit-uses":           true,
-		"uninit-first-uses":     true,
-		"uninit-uses-sites":     true,
-		"file-access-violation": true, // f first occurs under !open(f) on the eps branch
-		"file-unclosed":         true, // f first occurs under !close(f); cheap in practice (few files)
-		"locking-discipline":    true, // x first occurs under !access(x)
-	}
-	for _, a := range Catalog() {
-		g := graph.New()
-		q, err := core.Compile(a.Expr(), g.U)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		advice := core.Advise(q)
-		hasNegFirst := false
-		for _, s := range advice {
-			if strings.Contains(s, "backward formulation") {
-				hasNegFirst = true
-			}
-		}
-		if hasNegFirst != wantAdvice[a.Name] {
-			t.Errorf("%s: negation-first advice = %v, want %v (advice: %v)",
-				a.Name, hasNegFirst, wantAdvice[a.Name], advice)
-		}
-	}
-}

@@ -200,7 +200,7 @@ func compileKind(kind cacheKind, u *label.Universe, e pattern.Expr) (*core.Query
 // compileForRun compiles a pattern for one query run, going through
 // Options.Cache when one is attached and straight to the compiler otherwise.
 func compileForRun(opts *Options, ig *graph.Graph, kind cacheKind, e pattern.Expr) (*core.Query, error) {
-	if opts != nil && opts.Cache != nil {
+	if opts.Cache != nil {
 		return opts.Cache.getOrCompile(kind, ig.U, e)
 	}
 	return compileKind(kind, ig.U, e)

@@ -109,7 +109,7 @@ func lintConfig(opts *Options, universal bool) analyze.Config {
 // flag nothing is analyzed, keeping the default query path free of
 // analysis cost.
 func gateLint(opts *Options, e pattern.Expr, src string, universal bool) error {
-	if opts == nil || !opts.Lint {
+	if !opts.Lint {
 		return nil
 	}
 	if diags := analyze.Lint(e, src, lintConfig(opts, universal)); analyze.HasErrors(diags) {

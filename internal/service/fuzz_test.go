@@ -81,6 +81,8 @@ func FuzzQueryRequest(f *testing.F) {
 	f.Add(`{"graph":"g","kind":"violations","pattern":"(!def(x))* use(x)"}`)
 	f.Add(`{"graph":"g","pattern":"use(x)","options":{"start":"no-such-vertex"}}`)
 	f.Add(`{"graph":"g","pattern":"use(x)","options":{"algorithm":"hybrid"}}`)
+	f.Add(`{"grAph":"g","pAttern":"_* use(x)","options":{"Algorithm":"memo"}}`)
+	f.Add(`{"graph":"g","Graph":"nope","pattern":"_* use(x)"}`)
 	f.Add(`[]`)
 	f.Add(``)
 

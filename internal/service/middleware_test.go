@@ -180,6 +180,34 @@ func TestRouteMetricLabels(t *testing.T) {
 	}
 }
 
+// TestQuerySLOCountsClientErrorsGood: a 400 is the request's fault, so it
+// counts as good against a query SLO; every reply below, the six 400s and
+// the one 200, advances rpq_http_slo_total and rpq_http_slo_good alike.
+func TestQuerySLOCountsClientErrorsGood(t *testing.T) {
+	s := newTestServer(t, Config{SLOs: []rpq.SLO{{Route: "query", Objective: 0.999}}})
+	h := s.Handler()
+	const total, good = `rpq_http_slo_total{route="query"}`, `rpq_http_slo_good{route="query"}`
+	totalBefore, goodBefore := scrapeSample(t, obs.Default(), total), scrapeSample(t, obs.Default(), good)
+	for body, code := range map[string]int{
+		`{"graph":"g","kind":"maybe","pattern":"use(x)"}`:                       http.StatusBadRequest,
+		`{"graph":"g","pattern":"use(x)","optoins":{"algorithm":"memo"}}`:       http.StatusBadRequest,
+		`{"graph":"g","pattern":"use(x)"} trailing`:                             http.StatusBadRequest,
+		`{"graph":"g","pattern":"use(x)","options":{"algorithm":"hybrid"}}`:     http.StatusBadRequest,
+		`{"graph":"g","pattern":"use(x)","options":{"start":"no-such-vertex"}}`: http.StatusBadRequest,
+		`{"graph":"g","kind":"violations","pattern":"(!def(x))* use(x)"}`:       http.StatusBadRequest,
+		`{"graph":"g","pattern":"(!def(x))* use(x)"}`:                           http.StatusOK,
+	} {
+		if rec := doReq(h, "POST", "/api/v1/query", body); rec.Code != code {
+			t.Fatalf("%s: %d %s, want %d", body, rec.Code, rec.Body, code)
+		}
+	}
+	dTotal := scrapeSample(t, obs.Default(), total) - totalBefore
+	dGood := scrapeSample(t, obs.Default(), good) - goodBefore
+	if dTotal != 7 || dGood != dTotal {
+		t.Fatalf("SLO deltas: total %v, good %v; want 7 and 7", dTotal, dGood)
+	}
+}
+
 // TestReadyzSplit: readyz follows SetReady and the drain state while healthz
 // stays a pure liveness probe.
 func TestReadyzSplit(t *testing.T) {

@@ -264,6 +264,10 @@ func TestQueryKindsAndCacheStats(t *testing.T) {
 		"second object":  {`{"graph":"g","pattern":"use(x)"}{}`, http.StatusBadRequest},
 		"unknown field":  {`{"graph":"g","pattern":"use(x)","optoins":{"algorithm":"memo"}}`, http.StatusBadRequest},
 		"trailing space": {"{\"graph\":\"g\",\"pattern\":\"use(x)\"}\n \t\r\n", http.StatusOK},
+		// Keys are exact: encoding/json alone matches them
+		// case-insensitively, and of two case variants the last wins.
+		"case-variant keys":      {`{"grAph":"g","pAttern":"_* use(x)","options":{"Algorithm":"memo"}}`, http.StatusBadRequest},
+		"case-variant duplicate": {`{"graph":"g","Graph":"nope","pattern":"_* use(x)"}`, http.StatusBadRequest},
 	} {
 		if rec = post(tc.body); rec.Code != tc.code {
 			t.Fatalf("%s: %d %s, want %d", name, rec.Code, rec.Body, tc.code)

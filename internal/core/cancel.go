@@ -12,9 +12,8 @@ import (
 // canceled; errors.Is(err, context.Canceled) also holds.
 var ErrCanceled = fmt.Errorf("core: query canceled: %w", context.Canceled)
 
-// ErrDeadline is the sentinel wrapped by interrupted runs whose context (or
-// Options.Deadline) expired; errors.Is(err, context.DeadlineExceeded) also
-// holds.
+// ErrDeadline is the sentinel wrapped by interrupted runs whose context's
+// deadline expired; errors.Is(err, context.DeadlineExceeded) also holds.
 var ErrDeadline = fmt.Errorf("core: query deadline exceeded: %w", context.DeadlineExceeded)
 
 // InterruptError is returned by ExistContext/UnivContext when a run is

@@ -53,7 +53,7 @@ func progWorkload(b *testing.B, spec gen.ProgSpec) *workload {
 	var start int32 = -1
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				start = e.To
 			}
 		}

@@ -186,7 +186,7 @@ func buildWorkloads() map[string]workloadGraph {
 	var bwdStart int32 = -1
 	for v := 0; v < pg.NumVertices(); v++ {
 		for _, e := range pg.Out(int32(v)) {
-			if e.Label.Format(pg.U, nil) == "exit()" {
+			if pg.Label(e.LabelID).Format(pg.U) == "exit()" {
 				bwdStart = e.To
 			}
 		}

@@ -142,7 +142,7 @@ func backwardSetup(g *graph.Graph) (*graph.Graph, int32) {
 	r := g.Reverse()
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				return r, e.To
 			}
 		}

@@ -76,7 +76,7 @@ func main() {
 			fmt.Printf("   HIT %s at event %d\n", key, idx)
 			if len(p.Witness) > 0 && len(p.Witness) <= 12 {
 				for _, st := range p.Witness {
-					fmt.Printf("       %s\n", st.Label.Format(g.U, nil))
+					fmt.Printf("       %s\n", st.Label.Format(g.U))
 				}
 			}
 		}

@@ -16,11 +16,11 @@ import (
 // index, for the arities each constructor occurs with, and its distinct
 // labels, for matching (which resolves names through the universe's
 // interning tables). Building it reads the graph's shared index and
-// allocates nothing per label.
+// allocates one slice of views into the graph's label slab.
 type alphabet struct {
 	u      *label.Universe
 	ix     *graph.LabelIndex
-	labels []*label.CTerm
+	labels []label.Ground
 }
 
 func buildAlphabet(g *graph.Graph) *alphabet {
@@ -42,25 +42,32 @@ func (a *alphabet) ctorArities(name string) ([]int32, bool) {
 // label el under some parameter binding. Parameters and wildcards match
 // anything; a negation is decidable only for parameter-free bodies and is
 // conservatively matchable otherwise.
-func couldMatch(t *label.Term, el *label.CTerm, u *label.Universe) bool {
+func couldMatch(t *label.Term, el label.Ground, u *label.Universe) bool {
+	return couldMatchAt(t, el, 0, u)
+}
+
+// couldMatchAt is couldMatch against the node of el at offset i.
+func couldMatchAt(t *label.Term, el label.Ground, i int, u *label.Universe) bool {
+	k, key, n, next := el.Node(i)
 	switch t.Kind {
 	case label.KWildcard, label.KParam:
 		return true
 	case label.KSym:
-		return el.Kind == label.KSym && t.Name == u.Syms.Name(el.Sym)
+		return k == label.KSym && t.Name == u.Syms.Name(key)
 	case label.KApp:
-		if el.Kind != label.KApp || len(t.Args) != len(el.Args) || t.Name != u.Ctors.Name(el.Ctor) {
+		if k != label.KApp || len(t.Args) != n || t.Name != u.Ctors.Name(key) {
 			return false
 		}
-		for i := range t.Args {
-			if !couldMatch(t.Args[i], el.Args[i], u) {
+		for _, a := range t.Args {
+			if !couldMatchAt(a, el, next, u) {
 				return false
 			}
+			next = el.Skip(next)
 		}
 		return true
 	case label.KOr:
 		for _, a := range t.Args {
-			if couldMatch(a, el, u) {
+			if couldMatchAt(a, el, i, u) {
 				return true
 			}
 		}
@@ -70,7 +77,7 @@ func couldMatch(t *label.Term, el *label.CTerm, u *label.Universe) bool {
 		// that is decidable only for parameter-free bodies.
 		body := t.Args[0]
 		if len(body.Params()) == 0 {
-			return !couldMatch(body, el, u)
+			return !couldMatchAt(body, el, i, u)
 		}
 		return true
 	}

@@ -19,16 +19,16 @@ func (e *env) nfa(pat string) *NFA {
 	return MustFromPattern(pattern.MustParse(pat), e.u, e.ps)
 }
 
-func (e *env) el(s string) *label.CTerm {
-	c, err := label.CompileGround(label.MustParse(s, label.GroundMode), e.u)
+func (e *env) el(s string) label.Ground {
+	r, err := label.AppendGround(nil, label.MustParse(s, label.GroundMode), e.u)
 	if err != nil {
 		panic(err)
 	}
-	return c
+	return r
 }
 
 // acceptsNFA simulates the NFA on a word of ground labels under subst.
-func acceptsNFA(n *NFA, word []*label.CTerm, subst []int32) bool {
+func acceptsNFA(n *NFA, word []label.Ground, subst []int32) bool {
 	cur := map[int32]bool{n.Start: true}
 	for _, el := range word {
 		next := map[int32]bool{}
@@ -93,14 +93,14 @@ func TestNFAWordAcceptance(t *testing.T) {
 	useB := e.el("use(b)")
 	sub[x] = e.u.Syms.Intern("b")
 	// Path def(a) use(a) def(a) use(b) matches under {x↦b} (Figure 1).
-	if !acceptsNFA(n, []*label.CTerm{def, useA, def, useB}, sub) {
+	if !acceptsNFA(n, []label.Ground{def, useA, def, useB}, sub) {
 		t.Errorf("paper's Figure 1 path should match under {x↦b}")
 	}
 	sub[x] = e.u.Syms.Intern("a")
-	if acceptsNFA(n, []*label.CTerm{def, useA}, sub) {
+	if acceptsNFA(n, []label.Ground{def, useA}, sub) {
 		t.Errorf("def(a) use(a) should not match under {x↦a}")
 	}
-	if !acceptsNFA(n, []*label.CTerm{useA}, sub) {
+	if !acceptsNFA(n, []label.Ground{useA}, sub) {
 		t.Errorf("use(a) should match under {x↦a}")
 	}
 }
@@ -117,11 +117,11 @@ func TestNFAPositiveLabelAlternationSplit(t *testing.T) {
 			}
 		}
 	}
-	if !acceptsNFA(n, []*label.CTerm{e.el("a()")}, nil) ||
-		!acceptsNFA(n, []*label.CTerm{e.el("b()")}, nil) {
+	if !acceptsNFA(n, []label.Ground{e.el("a()")}, nil) ||
+		!acceptsNFA(n, []label.Ground{e.el("b()")}, nil) {
 		t.Errorf("split alternation lost a branch")
 	}
-	if acceptsNFA(n, []*label.CTerm{e.el("c()")}, nil) {
+	if acceptsNFA(n, []label.Ground{e.el("c()")}, nil) {
 		t.Errorf("split alternation accepts too much")
 	}
 }
@@ -134,12 +134,12 @@ func TestDeterminize(t *testing.T) {
 		t.Fatalf("Determinize output not label-deterministic:\n%s", d)
 	}
 	// Language preserved on random ground words.
-	letters := []*label.CTerm{e.el("state(v1)"), e.el("state(v2)"), e.el("act(p)"), e.el("other()")}
+	letters := []label.Ground{e.el("state(v1)"), e.el("state(v2)"), e.el("act(p)"), e.el("other()")}
 	s, _ := e.ps.Lookup("s")
 	rng := rand.New(rand.NewSource(11))
 	sub := make([]int32, e.ps.Len())
 	for trial := 0; trial < 2000; trial++ {
-		var word []*label.CTerm
+		var word []label.Ground
 		for i := rng.Intn(6); i > 0; i-- {
 			word = append(word, letters[rng.Intn(len(letters))])
 		}
@@ -181,7 +181,7 @@ func TestGroundDFAEquivalence(t *testing.T) {
 		"_* a() (b()|c())* d()",
 		"(eps | _* close('f')) (!open('f'))* access('f')",
 	}
-	alphabet := []*label.CTerm{
+	alphabet := []label.Ground{
 		e.el("state(v1)"), e.el("act(p)"), e.el("def(a)"), e.el("use(a)"),
 		e.el("open(f)"), e.el("access(f)"), e.el("close(f)"),
 		e.el("a()"), e.el("b()"), e.el("c()"), e.el("d()"),
@@ -196,7 +196,7 @@ func TestGroundDFAEquivalence(t *testing.T) {
 		}
 		for trial := 0; trial < 1500; trial++ {
 			idx := randWordIdx(rng, len(alphabet), 7)
-			word := make([]*label.CTerm, len(idx))
+			word := make([]label.Ground, len(idx))
 			for i, a := range idx {
 				word[i] = alphabet[a]
 			}
@@ -224,7 +224,7 @@ func TestGroundDFAEquivalence(t *testing.T) {
 func TestGroundDFAWithSubstitution(t *testing.T) {
 	e := newEnv()
 	n := e.nfa("(!def(x))* use(x)")
-	alphabet := []*label.CTerm{e.el("def(a)"), e.el("def(b)"), e.el("use(a)"), e.el("use(b)")}
+	alphabet := []label.Ground{e.el("def(a)"), e.el("def(b)"), e.el("use(a)"), e.el("use(b)")}
 	x, _ := e.ps.Lookup("x")
 	sub := make([]int32, e.ps.Len())
 	sub[x], _ = e.u.Syms.Lookup("a")
@@ -253,7 +253,7 @@ func TestGroundDFAWithSubstitution(t *testing.T) {
 func TestMinimizeCollapsesNothingAutomaton(t *testing.T) {
 	e := newEnv()
 	n := e.nfa("a()")
-	alphabet := []*label.CTerm{e.el("b()")} // a() is not in the alphabet
+	alphabet := []label.Ground{e.el("b()")} // a() is not in the alphabet
 	d := DeterminizeGround(n, alphabet, nil)
 	m := d.Minimize()
 	if m.NumStates != 1 || m.Final[0] {

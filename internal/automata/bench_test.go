@@ -34,7 +34,7 @@ func BenchmarkDeterminizeGround(b *testing.B) {
 	e := newEnv()
 	n := e.nfa("(!def('v7'))* use('v7',_)")
 	// An alphabet the size of a mid-sized program's distinct labels.
-	var alphabet []*label.CTerm
+	var alphabet []label.Ground
 	for i := 0; i < 200; i++ {
 		alphabet = append(alphabet, e.el(labelName(i)))
 	}
@@ -71,7 +71,7 @@ func itoa(i int) string {
 func BenchmarkMinimize(b *testing.B) {
 	e := newEnv()
 	n := e.nfa("(open('f') (access('f'))* close('f'))*")
-	var alphabet []*label.CTerm
+	var alphabet []label.Ground
 	for _, s := range []string{"open(f)", "access(f)", "close(f)", "nop()", "def(a)", "use(a)"} {
 		alphabet = append(alphabet, e.el(s))
 	}

@@ -67,7 +67,7 @@ func Complete(n *NFA) *NFA {
 //
 // Precondition: the automaton's labels are ground (parameter-free), so
 // matchability per letter is decidable at construction time.
-func CompleteExplicit(n *NFA, alphabet []*label.CTerm) *NFA {
+func CompleteExplicit(n *NFA, alphabet []label.Ground) *NFA {
 	trap := int32(n.NumStates)
 	out := &NFA{
 		Start:     n.Start,
@@ -101,8 +101,9 @@ func CompleteExplicit(n *NFA, alphabet []*label.CTerm) *NFA {
 				}
 			}
 			if !covered {
-				out.Trans[s] = append(out.Trans[s], Transition{Label: el, To: trap})
-				addLabel(el)
+				tl := el.Pattern()
+				out.Trans[s] = append(out.Trans[s], Transition{Label: tl, To: trap})
+				addLabel(tl)
 			}
 		}
 	}

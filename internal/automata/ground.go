@@ -51,7 +51,7 @@ func (d *GroundDFA) NumTrans() int {
 // alphabet of ground edge labels, under the full substitution subst (which
 // must bind every parameter occurring in n's labels; use an empty slice for
 // a parameter-free pattern). Letter i of the result is alphabet[i].
-func DeterminizeGround(n *NFA, alphabet []*label.CTerm, subst []int32) *GroundDFA {
+func DeterminizeGround(n *NFA, alphabet []label.Ground, subst []int32) *GroundDFA {
 	// Precompute which letters each distinct NFA label matches under subst.
 	matches := make([][]bool, len(n.Labels))
 	for li, tl := range n.Labels {

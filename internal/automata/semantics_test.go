@@ -12,7 +12,7 @@ import (
 // backtracking interpreter over the AST, sharing no code with the Thompson
 // construction it checks. matchAST(e, word, θ) reports whether word matches
 // e under the full substitution θ.
-func matchAST(e pattern.Expr, word []*label.CTerm, th []int32, compile func(*label.Term) *label.CTerm) bool {
+func matchAST(e pattern.Expr, word []label.Ground, th []int32, compile func(*label.Term) *label.CTerm) bool {
 	// matches(e, i) = set of indices j such that word[i:j] matches e.
 	var matches func(e pattern.Expr, i int) map[int]bool
 	matches = func(e pattern.Expr, i int) map[int]bool {
@@ -123,9 +123,9 @@ func TestNFAAgreesWithASTSemantics(t *testing.T) {
 			t.Fatalf("FromPattern(%s): %v", pattern.String(e), err)
 		}
 		// Edge-label pool compiled against the same universe.
-		var letters []*label.CTerm
+		var letters []label.Ground
 		for _, s := range []string{"a(k)", "a(m)", "b(k)", "c(k,m)", "d()"} {
-			c, err := label.CompileGround(label.MustParse(s, label.GroundMode), u)
+			c, err := label.AppendGround(nil, label.MustParse(s, label.GroundMode), u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestNFAAgreesWithASTSemantics(t *testing.T) {
 			return c
 		}
 		for w := 0; w < 40; w++ {
-			word := make([]*label.CTerm, rng.Intn(5))
+			word := make([]label.Ground, rng.Intn(5))
 			for i := range word {
 				word[i] = letters[rng.Intn(len(letters))]
 			}

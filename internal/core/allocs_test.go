@@ -27,7 +27,7 @@ func TestExistAllocsPerInsert(t *testing.T) {
 	start := int32(-1)
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				start = e.To
 			}
 		}
@@ -131,7 +131,7 @@ func reachedBases(t *testing.T, g *graph.Graph, v0 int32, q *Query) (bases, trip
 		th := e.table.Get(tr.th)
 		for _, ge := range g.Out(tr.v) {
 			for i, tl := range q.NFA.Trans[tr.s] {
-				e.forEachMatch(tl.Label, e.tlIDs[tr.s][i], ge.Label, ge.LabelID, th, func(th2 subst.Subst) bool {
+				e.forEachMatch(tl.Label, e.tlIDs[tr.s][i], ge.LabelID, th, func(th2 subst.Subst) bool {
 					push(ge.To, tl.To, th2)
 					return true
 				})
@@ -189,9 +189,9 @@ func TestMemoMissAllocs(t *testing.T) {
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		for elID, el := range g.Labels() {
+		for elID := range g.NumLabels() {
 			for id, tl := range q.NFA.Labels {
-				e.match(tl, int32(id), el, int32(elID))
+				e.match(tl, int32(id), int32(elID))
 			}
 		}
 		runtime.ReadMemStats(&m1)

@@ -296,10 +296,11 @@ type PhaseStat struct {
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// WitnessStep is one edge of a witnessing path.
+// WitnessStep is one edge of a witnessing path: its source, the record of
+// its label in the solved graph's slab, and its target.
 type WitnessStep struct {
 	From  int32
-	Label *label.CTerm
+	Label label.Ground
 	To    int32
 }
 
@@ -337,7 +338,7 @@ func FormatWitness(g *graph.Graph, w []WitnessStep) string {
 	}
 	s := g.VertexName(w[0].From)
 	for _, st := range w {
-		s += fmt.Sprintf(" -%s-> %s", st.Label.Format(g.U, nil), g.VertexName(st.To))
+		s += fmt.Sprintf(" -%s-> %s", st.Label.Format(g.U), g.VertexName(st.To))
 	}
 	return s
 }
@@ -350,9 +351,12 @@ func FormatWitness(g *graph.Graph, w []WitnessStep) string {
 // Compile.
 type Query struct {
 	Expr pattern.Expr
-	U    *label.Universe
-	PS   *label.ParamSpace
-	NFA  *automata.NFA
+	// U is the overlay of the graph's universe that the pattern's names
+	// were compiled against; it resolves the graph's names and the
+	// pattern's own.
+	U   *label.Universe
+	PS  *label.ParamSpace
+	NFA *automata.NFA
 	// CompileWall is the wall-clock time Compile spent normalizing the
 	// pattern and building the NFA.
 	CompileWall time.Duration
@@ -361,20 +365,27 @@ type Query struct {
 	// cached Query shared by concurrent universal runs determinizes once.
 	dfaMu sync.Mutex
 	dfa   *automata.NFA
+	// overlay is U's storage for a query Compile built.
+	overlay label.Universe
 }
 
 // Compile compiles a pattern against a universe (normally the graph's). The
 // pattern is simplified first (language-preserving normalization), keeping
-// the automaton small.
+// the automaton small. Compiling writes nothing to u: names u lacks get
+// keys of the query's own universe, an overlay of u (see
+// label.Universe.Overlay), and match no edge label.
 func Compile(e pattern.Expr, u *label.Universe) (*Query, error) {
 	t0 := time.Now() //rpqvet:allow timenow (one-shot compile wall clock, not per-pop)
 	e = pattern.Simplify(e)
-	ps := &label.ParamSpace{}
-	nfa, err := automata.FromPattern(e, u, ps)
+	q := &Query{Expr: e, PS: &label.ParamSpace{}}
+	q.overlay = u.Overlay()
+	q.U = &q.overlay
+	nfa, err := automata.FromPattern(e, q.U, q.PS)
 	if err != nil {
 		return nil, err
 	}
-	return &Query{Expr: e, U: u, PS: ps, NFA: nfa, CompileWall: time.Since(t0)}, nil
+	q.NFA, q.CompileWall = nfa, time.Since(t0)
+	return q, nil
 }
 
 // MustCompile is Compile that panics on error.

@@ -37,7 +37,7 @@ func corpus(t testing.TB) []workload {
 	rstart := int32(-1)
 	for v := 0; v < pg.NumVertices(); v++ {
 		for _, e := range pg.Out(int32(v)) {
-			if e.Label.Format(pg.U, nil) == "exit()" {
+			if pg.Label(e.LabelID).Format(pg.U) == "exit()" {
 				rstart = e.To
 			}
 		}

@@ -60,7 +60,7 @@ func scanDomains(q *Query, g *graph.Graph, mode DomainMode) subst.Domains {
 		}
 	}
 	for _, el := range g.Labels() {
-		scan(el)
+		scan(el.Pattern())
 	}
 	doms := make(subst.Domains, pars)
 	for p := 0; p < pars; p++ {
@@ -176,7 +176,7 @@ edge v2 f(c,g(d)) v0
 
 	t.Run("reverse-edgeless-label", func(t *testing.T) {
 		g := build()
-		c, err := label.CompileGround(label.MustParse("h(lost)", label.GroundMode), g.U)
+		c, err := label.AppendGround(nil, label.MustParse("h(lost)", label.GroundMode), g.U)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,12 +186,12 @@ func (m *matchMemo) row(el int32) ([]int32, bool) {
 	return m.chunks[r>>m.shift][lo : lo+m.width : lo+m.width], created
 }
 
-// match computes (or recalls) the agree/disagree match of edge label el
-// (with dense id elID) against transition label tl (with dense id tlID in
-// the automaton's label space) and returns its code, codeFailed when the
+// match computes (or recalls) the agree/disagree match of the edge label
+// with id elID against transition label tl (with dense id tlID in the
+// automaton's label space) and returns its code, codeFailed when the
 // labels cannot match under any substitution. Without the memo layer the
 // record is valid only until the next call.
-func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32) int32 {
+func (e *engine) match(tl *label.CTerm, tlID int32, elID int32) int32 {
 	var c int32
 	if e.memo != nil {
 		row, created := e.memo.row(elID)
@@ -203,7 +203,7 @@ func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32)
 		} else {
 			e.stats.MatchCalls++
 			e.stats.MatchCacheMisses++
-			label.MatchADInto(&e.work, tl, el)
+			label.MatchADInto(&e.work, tl, e.g.Label(elID))
 			c = e.encode(&e.work)
 			row[tlID] = c
 			e.memoBytes += 48
@@ -211,7 +211,7 @@ func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32)
 	} else {
 		e.stats.MatchCalls++
 		e.slab = e.slab[:slabHeader]
-		label.MatchADInto(&e.work, tl, el)
+		label.MatchADInto(&e.work, tl, e.g.Label(elID))
 		c = e.encode(&e.work)
 	}
 	if e.ex != nil {
@@ -220,32 +220,19 @@ func (e *engine) match(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32)
 	return c
 }
 
-// forEachMatch enumerates the substitutions θ2 under which edge label el
+// forEachMatch enumerates the substitutions θ2 under which edge label elID
 // matches transition label tl extending θ (the inner body of pseudo-code
 // (2) with the Section 3 negation handling folded in). emit's argument is a
 // reused buffer; it must be interned or cloned to be retained. emit returns
 // false to abort (used by the universal determinism check); forEachMatch
 // reports whether it ran to completion.
-func (e *engine) forEachMatch(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32, th subst.Subst, emit func(subst.Subst) bool) bool {
+func (e *engine) forEachMatch(tl *label.CTerm, tlID int32, elID int32, th subst.Subst, emit func(subst.Subst) bool) bool {
 	if !tl.ADCompatible() {
 		// Generic fallback (Section 3): enumerate extensions of θ covering
 		// the label's parameters and test the full match relation.
-		return subst.ForEachExtension(th, tl.Params(), e.doms, func(th2 subst.Subst) bool {
-			e.stats.MatchCalls++
-			ok := label.MatchGround(tl, el, th2)
-			if e.ex != nil {
-				e.ex.attempt(ok)
-			}
-			if ok {
-				if e.ex != nil {
-					e.ex.extend()
-				}
-				return emit(th2)
-			}
-			return true
-		})
+		return e.forEachGeneric(tl, elID, th, emit)
 	}
-	c := e.match(tl, tlID, el, elID)
+	c := e.match(tl, tlID, elID)
 	if c == codeFailed {
 		return true
 	}
@@ -288,9 +275,10 @@ func (e *engine) applyMatch(c int32, th subst.Subst, emit func(subst.Subst) bool
 	})
 }
 
-// forEachGeneric is the generic (non-AD) matching path, exposed for the
+// forEachGeneric is the generic (non-AD) matching path, also taken by the
 // precomputation solvers, which store generic entries unresolved.
-func (e *engine) forEachGeneric(tl, el *label.CTerm, th subst.Subst, emit func(subst.Subst) bool) bool {
+func (e *engine) forEachGeneric(tl *label.CTerm, elID int32, th subst.Subst, emit func(subst.Subst) bool) bool {
+	el := e.g.Label(elID)
 	return subst.ForEachExtension(th, tl.Params(), e.doms, func(th2 subst.Subst) bool {
 		e.stats.MatchCalls++
 		ok := label.MatchGround(tl, el, th2)
@@ -307,16 +295,17 @@ func (e *engine) forEachGeneric(tl, el *label.CTerm, th subst.Subst, emit func(s
 	})
 }
 
-// possiblyMatches reports whether any substitution can make el match tl;
-// used by the M_ts/M_ds precomputation, which records matches independent of
-// the substitutions flowing through them. It returns codeFailed when none
-// can, codePossible for a matching generic label, and otherwise the match's
-// code. The precomputation retains the code, so it requires the memo layer
+// possiblyMatches reports whether any substitution can make edge label elID
+// match tl; used by the M_ts/M_ds precomputation, which records matches
+// independent of the substitutions flowing through them. It returns
+// codeFailed when none can, codePossible for a matching generic label, and
+// otherwise the match's code. The precomputation retains the code, so it requires the memo layer
 // (AlgoPrecomp always memoizes): an unmemoized record is overwritten by the
 // next match call.
-func (e *engine) possiblyMatches(tl *label.CTerm, tlID int32, el *label.CTerm, elID int32) int32 {
+func (e *engine) possiblyMatches(tl *label.CTerm, tlID int32, elID int32) int32 {
 	if !tl.ADCompatible() {
 		// Conservative for the generic fragment: try to find one witness.
+		el := e.g.Label(elID)
 		found := false
 		empty := subst.New(e.q.Pars())
 		subst.ForEachExtension(empty, tl.Params(), e.doms, func(th subst.Subst) bool {
@@ -339,7 +328,7 @@ func (e *engine) possiblyMatches(tl *label.CTerm, tlID int32, el *label.CTerm, e
 	if e.memo == nil {
 		panic("core: possiblyMatches retains its match and needs the memo layer")
 	}
-	return e.match(tl, tlID, el, elID)
+	return e.match(tl, tlID, elID)
 }
 
 // internEmpty interns the empty substitution and returns its key.

@@ -87,11 +87,10 @@ edge v1 use(a) v2
 	}
 	tl := q.NFA.Labels[0]
 	tlID := q.NFA.LabelID[tl.Key()]
-	el := g.Out(g.Start())[0].Label
 	elID := g.Out(g.Start())[0].LabelID
-	m1 := e.match(tl, tlID, el, elID)
+	m1 := e.match(tl, tlID, elID)
 	calls := stats.MatchCalls
-	m2 := e.match(tl, tlID, el, elID)
+	m2 := e.match(tl, tlID, elID)
 	if stats.MatchCalls != calls {
 		t.Fatalf("second match recomputed (calls %d -> %d)", calls, stats.MatchCalls)
 	}
@@ -109,11 +108,11 @@ edge v1 use(a) v2
 		t.Fatal("use(x) label not found")
 	}
 	useID := q.NFA.LabelID[defTl.Key()]
-	if got := e.match(defTl, useID, el, elID); got != codeFailed {
+	if got := e.match(defTl, useID, elID); got != codeFailed {
 		t.Fatalf("use(x) matched def(a): code %d", got)
 	}
 	calls = stats.MatchCalls
-	if e.match(defTl, useID, el, elID) != codeFailed || stats.MatchCalls != calls {
+	if e.match(defTl, useID, elID) != codeFailed || stats.MatchCalls != calls {
 		t.Fatalf("negative result not cached")
 	}
 }

@@ -62,10 +62,10 @@ type mtsEntry struct {
 	v1, s1 int32
 	code   int32
 	tl     *label.CTerm
-	el     *label.CTerm
-	// ti/elID attribute the entry's solve-time work to the originating
-	// transition and edge label in the explain profile; ti is meaningful
-	// only when explaining.
+	// elID is the edge label, matched against tl per substitution for a
+	// generic entry. ti/elID attribute the entry's solve-time work to the
+	// originating transition and edge label in the explain profile; ti is
+	// meaningful only when explaining.
 	ti   int32
 	elID int32
 }
@@ -95,11 +95,11 @@ func buildMTS(e *engine, v0 int32) ([][]mtsEntry, int64) {
 					ti = e.ex.ti(s, i)
 					e.ex.setCur(ti, ge.LabelID)
 				}
-				c := e.possiblyMatches(tr.Label, tlID, ge.Label, ge.LabelID)
+				c := e.possiblyMatches(tr.Label, tlID, ge.LabelID)
 				if c == codeFailed {
 					continue
 				}
-				mts[pair] = append(mts[pair], mtsEntry{v1: ge.To, s1: tr.To, code: c, tl: tr.Label, el: ge.Label, ti: ti, elID: ge.LabelID})
+				mts[pair] = append(mts[pair], mtsEntry{v1: ge.To, s1: tr.To, code: c, tl: tr.Label, ti: ti, elID: ge.LabelID})
 				mtsBytes += 48
 				np := packPair(ge.To, tr.To, states)
 				if !seenPair[np] {
@@ -113,10 +113,11 @@ func buildMTS(e *engine, v0 int32) ([][]mtsEntry, int64) {
 }
 
 // parentStep is the parent pointer of a discovered triple — the triple and
-// edge that first produced it — recorded when Options.Witnesses is on.
+// edge (its source and label id) that first produced it — recorded when
+// Options.Witnesses is on.
 type parentStep struct {
 	prev triple
-	lbl  *label.CTerm
+	lbl  int32
 	from int32
 }
 
@@ -125,7 +126,7 @@ type parentStep struct {
 // parent entry). Each step matched under a subset of the final
 // substitution, and matching is closed under extension, so the whole path
 // matches under the answer's substitution.
-func attachWitnesses(pairs []Pair, origins []triple, parents map[triple]parentStep) {
+func attachWitnesses(g *graph.Graph, pairs []Pair, origins []triple, parents map[triple]parentStep) {
 	for i := range pairs {
 		var rev []WitnessStep
 		cur := origins[i]
@@ -134,7 +135,7 @@ func attachWitnesses(pairs []Pair, origins []triple, parents map[triple]parentSt
 			if !ok {
 				break
 			}
-			rev = append(rev, WitnessStep{From: ps.from, Label: ps.lbl, To: cur.v})
+			rev = append(rev, WitnessStep{From: ps.from, Label: g.Label(ps.lbl), To: cur.v})
 			cur = ps.prev
 		}
 		w := make([]WitnessStep, len(rev))
@@ -180,7 +181,9 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 	}
 	live := 0
 	perVertex := make([]int32, g.NumVertices())
-	push := func(v, s int32, th subst.Subst, prev triple, lbl *label.CTerm, from int32) {
+	// push records the triple's parent when lbl, the label id of the edge
+	// that produced it, is not -1 (the seed's).
+	push := func(v, s int32, th subst.Subst, prev triple, lbl int32, from int32) {
 		key := e.table.Key(th)
 		t := triple{v: v, s: s, th: key}
 		if seen.Add(t) {
@@ -191,12 +194,12 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 			if live > stats.PeakTriples {
 				stats.PeakTriples = live
 			}
-			if parents != nil && lbl != nil {
+			if parents != nil && lbl >= 0 {
 				parents[t] = parentStep{prev: prev, lbl: lbl, from: from}
 			}
 		}
 	}
-	push(v0, nfa.Start, subst.New(q.Pars()), triple{}, nil, 0)
+	push(v0, nfa.Start, subst.New(q.Pars()), triple{}, -1, 0)
 
 	// Precompute M_ts (pseudo-code (3)): reachable ⟨v, s⟩ pairs with their
 	// match results, ignoring substitution feasibility.
@@ -237,13 +240,13 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 					e.ex.setCur(entry.ti, entry.elID)
 				}
 				emit := func(th2 subst.Subst) bool {
-					push(entry.v1, entry.s1, th2, t, entry.el, t.v)
+					push(entry.v1, entry.s1, th2, t, entry.elID, t.v)
 					return true
 				}
 				if entry.code != codePossible {
 					e.applyMatch(entry.code, th, emit)
 				} else {
-					e.forEachGeneric(entry.tl, entry.el, th, emit)
+					e.forEachGeneric(entry.tl, entry.elID, th, emit)
 				}
 			}
 			return
@@ -255,8 +258,8 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 				if e.ex != nil {
 					e.ex.setCur(e.ex.ti(t.s, i), ge.LabelID)
 				}
-				e.forEachMatch(tr.Label, tlID, ge.Label, ge.LabelID, th, func(th2 subst.Subst) bool {
-					push(ge.To, to, th2, t, ge.Label, t.v)
+				e.forEachMatch(tr.Label, tlID, ge.LabelID, th, func(th2 subst.Subst) bool {
+					push(ge.To, to, th2, t, ge.LabelID, t.v)
 					return true
 				})
 			}
@@ -296,7 +299,7 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 	}
 
 	if parents != nil {
-		attachWitnesses(pairs, origins, parents)
+		attachWitnesses(g, pairs, origins, parents)
 	}
 
 	stats.ReachSize = seen.Len()
@@ -310,7 +313,7 @@ func existWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, e
 
 // enumState is per-goroutine scratch for the enumeration algorithm's ground
 // product-reachability pass: an epoch-tagged seen array plus a reused
-// worklist and label-instantiation buffer. The epoch tag makes the
+// worklist. The epoch tag makes the
 // per-substitution reset O(1) — a slot is visited iff it carries the
 // current epoch — instead of clearing all |V|·|S| entries per enumerated
 // substitution.
@@ -318,7 +321,6 @@ type enumState struct {
 	seen  []uint32
 	epoch uint32
 	wl    []int64
-	inst  []*label.CTerm
 	tlIDs [][]int32
 }
 
@@ -332,7 +334,6 @@ func newEnumState(g *graph.Graph, nfa *automata.NFA) (*enumState, error) {
 	}
 	return &enumState{
 		seen:  make([]uint32, g.NumVertices()*nfa.NumStates),
-		inst:  make([]*label.CTerm, len(nfa.Labels)),
 		tlIDs: transLabelIDs(nfa),
 	}, nil
 }
@@ -369,13 +370,6 @@ func (es *enumState) run(g *graph.Graph, v0 int32, nfa *automata.NFA, th subst.S
 	if ex != nil {
 		ex.groundRuns++
 	}
-	for i, tl := range nfa.Labels {
-		if tl.HasParams() {
-			es.inst[i], _ = tl.Instantiate(th)
-		} else {
-			es.inst[i] = tl
-		}
-	}
 	es.reset()
 	states := nfa.NumStates
 	es.wl = es.wl[:0]
@@ -401,7 +395,7 @@ func (es *enumState) run(g *graph.Graph, v0 int32, nfa *automata.NFA, th subst.S
 		for _, ge := range g.Out(v) {
 			for i, tr := range nfa.Trans[s] {
 				stats.MatchCalls++
-				ok := label.MatchGround(es.inst[es.tlIDs[s][i]], ge.Label, nil)
+				ok := label.MatchGround(tr.Label, g.Label(ge.LabelID), th)
 				if ex != nil {
 					ex.setCur(ex.ti(s, i), ge.LabelID)
 					ex.attempt(ok)

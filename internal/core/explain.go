@@ -307,9 +307,9 @@ func (c *explainCollector) report(q *Query, g *graph.Graph, algo Algo) *Explain 
 		})
 		e.Totals.Visits += c.visits[a.NumStates]
 	}
-	for id, lbl := range g.Labels() {
+	for id := range g.NumLabels() {
 		e.Labels = append(e.Labels, LabelProfile{
-			Label:    lbl.Format(g.U, nil),
+			Label:    g.Label(int32(id)).Format(g.U),
 			Attempts: c.labelAttempts[id],
 			Hits:     c.labelHits[id],
 		})

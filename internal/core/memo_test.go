@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rpq/internal/graph"
 	"rpq/internal/label"
 	"rpq/internal/subst"
 )
@@ -12,7 +13,8 @@ import (
 // the memo. The code it stores must decode, on the miss and on the hit, to
 // label.MatchAD's agree/disagree match, and applyMatch's reading of that
 // code must agree with label.MatchGround under every full substitution over
-// the labels' symbols. Inputs that do not parse or compile are skipped, as
+// the labels' symbols. The ground label is read from a graph's label slab,
+// as the solvers read it. Inputs that do not parse or compile are skipped, as
 // are pairs outside the agree/disagree fragment or larger than 3
 // parameters / 8 symbols.
 func FuzzMemoMatchesMatchAD(f *testing.F) {
@@ -49,7 +51,7 @@ func FuzzMemoMatchesMatchAD(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		el, err := label.CompileGround(gt, u)
+		el, err := label.AppendGround(nil, gt, u)
 		if err != nil {
 			t.Skip()
 		}
@@ -57,11 +59,14 @@ func FuzzMemoMatchesMatchAD(f *testing.F) {
 			t.Skip()
 		}
 		var stats Stats
-		e := &engine{stats: &stats, memo: newMatchMemo(1, 1), slab: make([]int32, slabHeader), buf1: subst.New(ps.Len())}
+		g := graph.NewIn(u)
+		elID := g.InternLabel(el)
+		el = g.Label(elID)
+		e := &engine{g: g, stats: &stats, memo: newMatchMemo(1, 1), slab: make([]int32, slabHeader), buf1: subst.New(ps.Len())}
 		want := label.MatchAD(tl, el)
 		c := codeUnknown
 		for _, pass := range []string{"miss", "hit"} {
-			c = e.match(tl, 0, el, 0)
+			c = e.match(tl, 0, elID)
 			if got := decodeMatch(e.slab, c); !sameMatch(got, &want) {
 				t.Fatalf("%s vs %s on the %s: code %d decodes to %+v, MatchAD %+v", pat, ground, pass, c, got, want)
 			}

@@ -20,19 +20,19 @@ import (
 // edges (the empty path included), paired with its end vertex.
 type oraclePath struct {
 	end  int32
-	word []*label.CTerm
+	word []label.Ground
 }
 
 func allPaths(g *graph.Graph, v0 int32) []oraclePath {
 	var out []oraclePath
-	var word []*label.CTerm
+	var word []label.Ground
 	var rec func(v int32)
 	rec = func(v int32) {
-		w := make([]*label.CTerm, len(word))
+		w := make([]label.Ground, len(word))
 		copy(w, word)
 		out = append(out, oraclePath{end: v, word: w})
 		for _, e := range g.Out(v) {
-			word = append(word, e.Label)
+			word = append(word, g.Label(e.LabelID))
 			rec(e.To)
 			word = word[:len(word)-1]
 		}
@@ -43,7 +43,7 @@ func allPaths(g *graph.Graph, v0 int32) []oraclePath {
 
 // wordMatches reports whether the word matches some sentence of the pattern
 // automaton under the full substitution th, by direct NFA simulation.
-func wordMatches(q *Query, word []*label.CTerm, th subst.Subst) bool {
+func wordMatches(q *Query, word []label.Ground, th subst.Subst) bool {
 	cur := map[int32]bool{q.NFA.Start: true}
 	for _, el := range word {
 		next := map[int32]bool{}

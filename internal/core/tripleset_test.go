@@ -175,7 +175,7 @@ func TestPrecompRetainsMatches(t *testing.T) {
 				for _, ge := range w.g.Out(int32(v)) {
 					for id, tl := range q.NFA.Labels {
 						if tl.ADCompatible() {
-							e.match(tl, int32(id), ge.Label, ge.LabelID)
+							e.match(tl, int32(id), ge.LabelID)
 						}
 					}
 				}
@@ -190,10 +190,10 @@ func TestPrecompRetainsMatches(t *testing.T) {
 						continue
 					}
 					n++
-					fresh := label.MatchAD(en.tl, en.el)
+					fresh := label.MatchAD(en.tl, w.g.Label(en.elID))
 					if got := decodeMatch(e.slab, en.code); !sameMatch(got, &fresh) {
 						t.Fatalf("%s/%v: stored M_ts match for %s vs %s changed: %+v, want %+v",
-							w.name, kind, en.tl.Format(w.g.U, q.PS), en.el.Format(w.g.U, nil), got, fresh)
+							w.name, kind, en.tl.Format(w.g.U, q.PS), w.g.Label(en.elID).Format(w.g.U), got, fresh)
 					}
 				}
 			}
@@ -225,10 +225,10 @@ func TestMemoSharesFailedMatch(t *testing.T) {
 					if !tl.ADCompatible() {
 						continue
 					}
-					c := e.match(tl, int32(id), el, int32(elID))
+					c := e.match(tl, int32(id), int32(elID))
 					row, _ := e.memo.row(int32(elID))
 					fresh := label.MatchAD(tl, el)
-					pair := func() string { return tl.Format(w.g.U, q.PS) + " vs " + el.Format(w.g.U, nil) }
+					pair := func() string { return tl.Format(w.g.U, q.PS) + " vs " + el.Format(w.g.U) }
 					switch {
 					case row[id] != c:
 						t.Fatalf("%s: %s: match returned %d, memo slot holds %d", w.name, pair(), c, row[id])
@@ -276,7 +276,7 @@ func TestPossiblyMatchesNeedsMemo(t *testing.T) {
 		}
 	}()
 	ge := w.g.Out(w.start)[0]
-	e.possiblyMatches(q.NFA.Labels[0], 0, ge.Label, ge.LabelID)
+	e.possiblyMatches(q.NFA.Labels[0], 0, ge.LabelID)
 }
 
 // decodedMatch is a match code read back from the slab.

@@ -109,7 +109,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 		mds = make([][][]dsEntry, g.NumLabels())
 		mdsBytes = int64(g.NumLabels()) * 24
 	}
-	lookupDS := func(el *label.CTerm, elID int32, s int32) []dsEntry {
+	lookupDS := func(elID int32, s int32) []dsEntry {
 		row := mds[elID]
 		if row == nil {
 			row = make([][]dsEntry, states)
@@ -125,7 +125,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 					ti = e.ex.ti(s, i)
 					e.ex.setCur(ti, elID)
 				}
-				c := e.possiblyMatches(tr.Label, tlID, el, elID)
+				c := e.possiblyMatches(tr.Label, tlID, elID)
 				if c == codeFailed {
 					continue
 				}
@@ -186,7 +186,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 				}
 				ok := true
 				if opts.Algo == AlgoPrecomp {
-					for _, de := range lookupDS(ge.Label, ge.LabelID, t.s) {
+					for _, de := range lookupDS(ge.LabelID, t.s) {
 						curTarget = de.s1
 						if e.ex != nil {
 							e.ex.setCur(de.ti, ge.LabelID)
@@ -194,7 +194,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 						if de.code != codePossible {
 							ok = e.applyMatch(de.code, th, emit)
 						} else {
-							ok = e.forEachGeneric(de.tl, ge.Label, th, emit)
+							ok = e.forEachGeneric(de.tl, ge.LabelID, th, emit)
 						}
 						if !ok {
 							break
@@ -207,7 +207,7 @@ func univWorklist(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, er
 						if e.ex != nil {
 							e.ex.setCur(e.ex.ti(t.s, i), ge.LabelID)
 						}
-						ok = e.forEachMatch(tr.Label, tlID, ge.Label, ge.LabelID, th, emit)
+						ok = e.forEachMatch(tr.Label, tlID, ge.LabelID, th, emit)
 						if !ok {
 							break
 						}

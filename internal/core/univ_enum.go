@@ -3,12 +3,13 @@ package core
 import (
 	"rpq/internal/automata"
 	"rpq/internal/graph"
+	"rpq/internal/label"
 	"rpq/internal/subst"
 )
 
 // groundUniv answers the universal query for one full substitution th: the
 // instantiated pattern is exactly determinized over the graph's edge-label
-// alphabet, so determinism holds by construction and a single product
+// alphabet (g.Labels(), taken once per solve by the caller), so determinism holds by construction and a single product
 // reachability pass suffices. Returns the vertices v (reachable from v0)
 // such that every path from v0 to v is accepted.
 //
@@ -18,8 +19,8 @@ import (
 // zero (the match work happened inside DeterminizeGround), and the label
 // histogram records one attempt per scanned edge with a hit when the step
 // stays out of the badstate.
-func groundUniv(g *graph.Graph, v0 int32, q *Query, th subst.Subst, stats *Stats, ex *explainCollector, cxl *canceler) []int32 {
-	d := automata.DeterminizeGround(q.NFA, g.Labels(), th)
+func groundUniv(g *graph.Graph, alphabet []label.Ground, v0 int32, q *Query, th subst.Subst, stats *Stats, ex *explainCollector, cxl *canceler) []int32 {
+	d := automata.DeterminizeGround(q.NFA, alphabet, th)
 	states := int32(d.NumStates)
 	bad := states
 	stride := int(states) + 1
@@ -107,6 +108,7 @@ func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error)
 	}
 	var pairs []Pair
 	enumerated := 0
+	alphabet := g.Labels()
 	tEnum := phaseStart()
 	subst.ForEachFull(q.Pars(), doms, func(th subst.Subst) bool {
 		if opts.cxl.state() != cxlRunning {
@@ -114,7 +116,7 @@ func univEnum(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, error)
 		}
 		enumerated++
 		enumProgress(opts, &stats, 0, enumerated, stats.Bytes)
-		for _, v := range groundUniv(g, v0, q, th, &stats, ex, opts.cxl) {
+		for _, v := range groundUniv(g, alphabet, v0, q, th, &stats, ex, opts.cxl) {
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})
 		}
 		return true
@@ -178,6 +180,7 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 	}
 	var pairs []Pair
 	ground := 0
+	alphabet := g.Labels()
 	tEnum := phaseStart()
 	for i, key := range order {
 		if opts.cxl.state() != cxlRunning {
@@ -186,7 +189,7 @@ func univHybrid(g *graph.Graph, v0 int32, q *Query, opts Options) (*Result, erro
 		ground = i + 1
 		enumProgress(opts, &stats, ex.Stats.Substs+cand.Len(), ground, stats.Bytes)
 		th := cand.Get(key)
-		for _, v := range groundUniv(g, v0, q, th, &stats, gc, opts.cxl) {
+		for _, v := range groundUniv(g, alphabet, v0, q, th, &stats, gc, opts.cxl) {
 			pairs = append(pairs, Pair{Vertex: v, Subst: th.Clone()})
 		}
 	}

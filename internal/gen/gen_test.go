@@ -59,7 +59,7 @@ func TestProgramUninitAnalysisFindsResults(t *testing.T) {
 	var exitV int32 = -1
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				exitV = e.To
 			}
 		}

@@ -8,8 +8,9 @@ import (
 )
 
 // runAllocsBudget is the pinned allocation count of one Run of the whole
-// catalog over benchmod with one build worker: 4,066 on go1.24,
-// linux/amd64, plus under 1% slack. A heap Match per successful memo
+// catalog over benchmod with one build worker: 3,322 on go1.24,
+// linux/amd64, plus under 1% slack. Edge labels compiled to pointer trees
+// with string keys cost 4,066; a heap Match per successful memo
 // miss, pointer memo rows and per-substitution hash-table keys cost 5,790;
 // a full lint per check (compile, cost estimate, domains) and a domain
 // table rebuilt from every label per query 7,842; string-keyed front-end
@@ -18,7 +19,7 @@ import (
 // 11,100; lowering the sources twice, once per graph, about 15,200. A
 // rise means the front end or the checks grew; lower it when a change
 // makes the path leaner.
-const runAllocsBudget = 4100
+const runAllocsBudget = 3350
 
 // TestRunAllocs guards the rpqcheck pass: lowering, linking and every
 // check's solve over benchmod must stay within runAllocsBudget

@@ -8,11 +8,12 @@ import (
 )
 
 // loadAllocsBudget is the pinned allocation count of one Load of benchmod
-// with one worker plus its Linked copy: 2,823 on go1.24, linux/amd64, plus
-// under 1% slack. String-keyed units, compiled per edge, cost 4,284. A
-// rise means the parser use, the unit builder or the merge grew; lower it
-// when a change makes them leaner.
-const loadAllocsBudget = 2850
+// with one worker plus its Linked copy: 2,069 on go1.24, linux/amd64, plus
+// under 1% slack. Labels compiled to pointer trees with string keys cost
+// 2,823; string-keyed units, compiled per edge, 4,284. A rise means the
+// parser use, the unit builder or the merge grew; lower it when a change
+// makes them leaner.
+const loadAllocsBudget = 2090
 
 // TestLoadAllocs guards the front end's allocation count. Race
 // instrumentation changes allocation counts, hence the build tag.

@@ -499,7 +499,7 @@ func TestLabelsMatchSchema(t *testing.T) {
 		var tb termBuf
 		g := graph.New()
 		id := tb.intern(g, p.got)
-		if got, want := g.Label(id).Format(g.U, nil), p.want.String(); got != want {
+		if got, want := g.Label(id).Format(g.U), p.want.String(); got != want {
 			t.Errorf("label %s, schema helper %s", got, want)
 		}
 	}

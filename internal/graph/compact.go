@@ -17,7 +17,7 @@ import "rpq/internal/label"
 // agree/disagree matcher's satisfiability; labels outside that fragment make
 // every edge relevant.
 func (g *Graph) CompactFor(translabels []*label.CTerm) *Graph {
-	relevant := func(el *label.CTerm) bool {
+	relevant := func(el label.Ground) bool {
 		for _, tl := range translabels {
 			if !tl.ADCompatible() {
 				return true
@@ -29,14 +29,15 @@ func (g *Graph) CompactFor(translabels []*label.CTerm) *Graph {
 		return false
 	}
 	keep := make([]bool, g.NumLabels())
-	for id, el := range g.labels {
-		keep[id] = relevant(el)
+	for id := range keep {
+		keep[id] = relevant(g.Label(int32(id)))
 	}
 	out := g.edgeless(g.U)
+	ids := newLabelMap(out, g)
 	for v, es := range g.adj {
 		for _, e := range es {
 			if keep[e.LabelID] {
-				out.AddEdgeC(int32(v), e.Label, e.To)
+				out.AddEdgeID(int32(v), ids.of(e.LabelID), e.To)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func (g *Graph) WriteDOT(w io.Writer, name string, highlight map[int32]bool) err
 	}
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.adj[v] {
-			fmt.Fprintf(bw, "  n%d -> n%d [label=%q];\n", v, e.To, e.Label.Format(g.U, nil))
+			fmt.Fprintf(bw, "  n%d -> n%d [label=%q];\n", v, e.To, g.Label(e.LabelID).Format(g.U))
 		}
 	}
 	fmt.Fprintln(bw, "}")

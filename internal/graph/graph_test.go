@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestLabelInterning(t *testing.T) {
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
 			seen[e.LabelID] = true
-			if g.Label(e.LabelID).Key() != e.Label.Key() {
+			if n := g.NumLabels(); g.InternLabel(g.Label(e.LabelID)) != e.LabelID || g.NumLabels() != n {
 				t.Fatalf("label id mapping broken")
 			}
 		}
@@ -299,8 +300,8 @@ func TestEdgeLabelWithSpacesInFile(t *testing.T) {
 	}
 }
 
-// TestEdgesShareInternedLabel: edges with one label id point at one
-// compiled tree, the graph's interned label, whoever compiled it first.
+// TestEdgesShareInternedLabel: edges with one label share its id, and the
+// graph stores the label once, as one record of its slab.
 func TestEdgesShareInternedLabel(t *testing.T) {
 	g := New()
 	g.MustAddEdgeStr("a", "use('x')", "b")
@@ -311,8 +312,8 @@ func TestEdgesShareInternedLabel(t *testing.T) {
 	if e1.LabelID != e2.LabelID {
 		t.Fatalf("label ids %d and %d, want one", e1.LabelID, e2.LabelID)
 	}
-	if e1.Label != e2.Label || e1.Label != g.Label(e1.LabelID) {
-		t.Errorf("edges with label id %d hold distinct trees", e1.LabelID)
+	if g.NumLabels() != 1 || g.Label(e1.LabelID).Format(g.U) != "use('x')" {
+		t.Errorf("%d labels, label %d is %s; want the one label use('x')", g.NumLabels(), e1.LabelID, g.Label(e1.LabelID).Format(g.U))
 	}
 }
 
@@ -329,5 +330,37 @@ func TestGrowKeepsGraph(t *testing.T) {
 	}
 	if v, ok := g.LookupVertex("b"); !ok || v != 1 || g.VertexName(1) != "b" {
 		t.Errorf("vertex b is %d (%v)", v, ok)
+	}
+}
+
+// TestEdgeHoldsNoPointer: adjacency lists of pointer-free edges are never
+// scanned by the garbage collector. A pointer field added to Edge (as the
+// label pointer it once held) would make every graph's edges scanned on
+// every cycle again.
+func TestEdgeHoldsNoPointer(t *testing.T) {
+	var hasPointers func(typ reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true
+	}
+	typ := reflect.TypeOf(Edge{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); hasPointers(f.Type) {
+			t.Errorf("Edge field %s (%s) holds a pointer", f.Name, f.Type)
+		}
 	}
 }

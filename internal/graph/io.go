@@ -89,7 +89,7 @@ func (g *Graph) Write(w io.Writer) error {
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.adj[v] {
 			fmt.Fprintf(bw, "edge %s %s %s\n",
-				g.VertexName(int32(v)), e.Label.Format(g.U, nil), g.VertexName(e.To))
+				g.VertexName(int32(v)), g.Label(e.LabelID).Format(g.U), g.VertexName(e.To))
 		}
 	}
 	return bw.Flush()

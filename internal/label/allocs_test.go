@@ -25,23 +25,27 @@ func TestMatchADIntoAllocs(t *testing.T) {
 	}
 }
 
-// compileGroundAllocs is the allocation count of compiling a two-symbol
-// edge label on go1.24, linux/amd64: three nodes, the argument slice and
-// the nodes' canonical keys. Boxing each node's parameter set for sorting
-// made it 11.
-const compileGroundAllocs = 8
-
-// TestCompileGroundAllocs pins the cost of compiling one edge label, which
-// every front end pays per distinct label.
-func TestCompileGroundAllocs(t *testing.T) {
+// TestInternGroundAllocs pins the cost of interning one edge label, which
+// every front end pays per label: encoding a two-symbol label whose names
+// the universe holds into a reused record, and finding it in a slab that
+// holds it, allocate nothing. (Compiling it to a pointer tree cost 8
+// allocations: three nodes, the argument slice and the canonical keys.)
+func TestInternGroundAllocs(t *testing.T) {
 	u := NewUniverse()
 	tm := App("mcall", Sym("p.F.x"), Sym("Close"))
+	var s Slab
+	rec, err := AppendGround(nil, tm, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.Intern(rec)
 	n := testing.AllocsPerRun(100, func() {
-		if _, err := CompileGround(tm, u); err != nil {
-			t.Fatal(err)
+		rec, _ = AppendGround(rec[:0], tm, u)
+		if s.Intern(rec) != id {
+			t.Fatal("the label was interned twice")
 		}
 	})
-	if n > compileGroundAllocs {
-		t.Errorf("CompileGround: %v allocs, want at most %d", n, compileGroundAllocs)
+	if n != 0 {
+		t.Errorf("encoding and interning a known label: %v allocs, want 0", n)
 	}
 }

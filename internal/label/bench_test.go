@@ -2,10 +2,10 @@ package label
 
 import "testing"
 
-func benchEnv() (*Universe, *ParamSpace, map[string]*CTerm) {
+func benchEnv() (*Universe, *ParamSpace, map[string]*CTerm, map[string]Ground) {
 	u := NewUniverse()
 	ps := &ParamSpace{}
-	tls := map[string]*CTerm{}
+	tls, els := map[string]*CTerm{}, map[string]Ground{}
 	for _, s := range []string{
 		"def(x)", "!def(x)", "use(x,l)", "!(def(x)|use(x,_))", "_",
 		"exp(x,op,y)", "f(g(x),!h(y))",
@@ -13,18 +13,18 @@ func benchEnv() (*Universe, *ParamSpace, map[string]*CTerm) {
 		tls[s] = MustCompile(MustParse(s, PatternMode), u, ps)
 	}
 	for _, s := range []string{"def(a)", "use(a,17)", "exp(a,plus,b)", "nop()", "f(g(a),h(b))"} {
-		c, err := CompileGround(MustParse(s, GroundMode), u)
+		r, err := AppendGround(nil, MustParse(s, GroundMode), u)
 		if err != nil {
 			panic(err)
 		}
-		tls["EL:"+s] = c
+		els[s] = r
 	}
-	return u, ps, tls
+	return u, ps, tls, els
 }
 
 func BenchmarkMatchADPositive(b *testing.B) {
-	_, _, tls := benchEnv()
-	tl, el := tls["def(x)"], tls["EL:def(a)"]
+	_, _, tls, els := benchEnv()
+	tl, el := tls["def(x)"], els["def(a)"]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if !MatchAD(tl, el).OK {
@@ -34,8 +34,8 @@ func BenchmarkMatchADPositive(b *testing.B) {
 }
 
 func BenchmarkMatchADNegation(b *testing.B) {
-	_, _, tls := benchEnv()
-	tl, el := tls["!def(x)"], tls["EL:def(a)"]
+	_, _, tls, els := benchEnv()
+	tl, el := tls["!def(x)"], els["def(a)"]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if !MatchAD(tl, el).OK {
@@ -45,8 +45,8 @@ func BenchmarkMatchADNegation(b *testing.B) {
 }
 
 func BenchmarkMatchADNegatedAlternation(b *testing.B) {
-	_, _, tls := benchEnv()
-	tl, el := tls["!(def(x)|use(x,_))"], tls["EL:exp(a,plus,b)"]
+	_, _, tls, els := benchEnv()
+	tl, el := tls["!(def(x)|use(x,_))"], els["exp(a,plus,b)"]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if !MatchAD(tl, el).OK {
@@ -56,8 +56,8 @@ func BenchmarkMatchADNegatedAlternation(b *testing.B) {
 }
 
 func BenchmarkMatchGroundDeep(b *testing.B) {
-	u, ps, tls := benchEnv()
-	tl, el := tls["f(g(x),!h(y))"], tls["EL:f(g(a),h(b))"]
+	u, ps, tls, els := benchEnv()
+	tl, el := tls["f(g(x),!h(y))"], els["f(g(a),h(b))"]
 	th := make([]int32, ps.Len())
 	for i := range th {
 		th[i] = 0

@@ -7,9 +7,10 @@ import (
 	"strings"
 )
 
-// CTerm is a Term compiled against a Universe: constructor and symbol names
-// are resolved to dense integer keys, and parameter names to indices in a
-// pattern's parameter space. CTerms are immutable after compilation.
+// CTerm is a transition label compiled against a Universe: constructor and
+// symbol names are resolved to dense integer keys, and parameter names to
+// indices in a pattern's parameter space. CTerms are immutable after
+// compilation. Ground edge labels are flat records (Ground) instead.
 type CTerm struct {
 	Kind  Kind
 	Ctor  int32    // constructor key, for KApp
@@ -67,17 +68,6 @@ func MustCompile(t *Term, u *Universe, ps *ParamSpace) *CTerm {
 	return c
 }
 
-// CompileGround resolves a ground term (edge label) against u. It fails if
-// the term is not ground.
-func CompileGround(t *Term, u *Universe) (*CTerm, error) {
-	if !t.IsGround() {
-		return nil, fmt.Errorf("label: %s is not ground", t)
-	}
-	c := compileRec(t, u, nil)
-	c.finish()
-	return c, nil
-}
-
 func compileRec(t *Term, u *Universe, ps *ParamSpace) *CTerm {
 	c := &CTerm{Kind: t.Kind, Ctor: -1, Sym: NoSym, Param: -1}
 	switch t.Kind {
@@ -90,9 +80,6 @@ func compileRec(t *Term, u *Universe, ps *ParamSpace) *CTerm {
 	case KSym:
 		c.Sym = u.Syms.Intern(t.Name)
 	case KParam:
-		if ps == nil {
-			panic("label: parameter in ground compilation")
-		}
 		c.Param = ps.Index(t.Name)
 	case KNeg:
 		c.Args = []*CTerm{compileRec(t.Args[0], u, ps)}
@@ -244,29 +231,12 @@ func (c *CTerm) HasNestedNeg() bool { return c.nestedNeg }
 // nested negations.
 func (c *CTerm) ADCompatible() bool { return c.numNegParams <= 1 && !c.nestedNeg }
 
-// IsGround reports whether the compiled term is a ground edge label.
-func (c *CTerm) IsGround() bool {
-	switch c.Kind {
-	case KSym:
-		return true
-	case KApp:
-		for _, a := range c.Args {
-			if !a.IsGround() {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // String renders the compiled term using the universe-free canonical key.
 // For human-readable output use Format with the owning universe.
 func (c *CTerm) String() string { return c.key }
 
 // Format renders the compiled term with names resolved against u and ps
-// (ps may be nil for ground terms).
+// (ps may be nil for a parameter-free term).
 func (c *CTerm) Format(u *Universe, ps *ParamSpace) string {
 	var b strings.Builder
 	c.format(&b, u, ps, true)
@@ -286,14 +256,7 @@ func (c *CTerm) format(b *strings.Builder, u *Universe, ps *ParamSpace, top bool
 		}
 		b.WriteByte(')')
 	case KSym:
-		name := u.Syms.Name(c.Sym)
-		if isNumeric(name) {
-			b.WriteString(name)
-		} else {
-			b.WriteByte('\'')
-			b.WriteString(name)
-			b.WriteByte('\'')
-		}
+		writeSym(b, u.Syms.Name(c.Sym), true)
 	case KParam:
 		if ps != nil {
 			b.WriteString(ps.Name(c.Param))
@@ -323,52 +286,6 @@ func (c *CTerm) format(b *strings.Builder, u *Universe, ps *ParamSpace, top bool
 		}
 		b.WriteByte(')')
 	}
-}
-
-// Instantiate returns a copy of c with every parameter replaced by its
-// binding in subst (indexed by parameter; NoSym means unbound). It reports
-// whether the result is ground (no unbound parameters remain). Negations and
-// wildcards are preserved.
-func (c *CTerm) Instantiate(subst []int32) (*CTerm, bool) {
-	out, ground := c.instantiateRec(subst)
-	out.finish()
-	return out, ground
-}
-
-func (c *CTerm) instantiateRec(subst []int32) (*CTerm, bool) {
-	switch c.Kind {
-	case KParam:
-		if int(c.Param) < len(subst) && subst[c.Param] != NoSym {
-			return &CTerm{Kind: KSym, Ctor: -1, Param: -1, Sym: subst[c.Param]}, true
-		}
-		cp := *c
-		return &cp, false
-	case KSym, KWildcard:
-		cp := *c
-		return &cp, true
-	case KNeg:
-		inner, g := c.Args[0].instantiateRec(subst)
-		return &CTerm{Kind: KNeg, Ctor: -1, Param: -1, Sym: NoSym, Args: []*CTerm{inner}}, g
-	case KOr:
-		args := make([]*CTerm, len(c.Args))
-		ground := true
-		for i, a := range c.Args {
-			na, g := a.instantiateRec(subst)
-			args[i] = na
-			ground = ground && g
-		}
-		return &CTerm{Kind: KOr, Ctor: -1, Param: -1, Sym: NoSym, Args: args}, ground
-	case KApp:
-		args := make([]*CTerm, len(c.Args))
-		ground := true
-		for i, a := range c.Args {
-			na, g := a.instantiateRec(subst)
-			args[i] = na
-			ground = ground && g
-		}
-		return &CTerm{Kind: KApp, Ctor: c.Ctor, Param: -1, Sym: NoSym, Args: args}, ground
-	}
-	panic("unreachable")
 }
 
 // PositivePositions calls fn for every (constructor key, argument index)

@@ -80,9 +80,8 @@ func (m *Match) DisagreeParams() []int32 { return m.dparams }
 
 // MatchAD matches ground edge label el against transition label tl and
 // returns the agree/disagree decomposition. Precondition: tl.ADCompatible()
-// — at most one parameter-carrying negation and no nested negations. el must
-// be ground.
-func MatchAD(tl, el *CTerm) Match {
+// — at most one parameter-carrying negation and no nested negations.
+func MatchAD(tl *CTerm, el Ground) Match {
 	var m Match
 	MatchADInto(&m, tl, el)
 	return m
@@ -92,11 +91,11 @@ func MatchAD(tl, el *CTerm) Match {
 // Disagrees (including each inner Bindings) and parameter slices, so that
 // matching into a warmed Match does not allocate. Whatever m held before is
 // overwritten; on a failed match m.OK is false and the slices are empty.
-func MatchADInto(m *Match, tl, el *CTerm) {
+func MatchADInto(m *Match, tl *CTerm, el Ground) {
 	m.Agree = m.Agree[:0]
 	m.Disagrees = m.Disagrees[:0]
 	m.dparams = m.dparams[:0]
-	if !matchADRec(tl, el, m) {
+	if _, ok := matchADRec(tl, el, 0, m); !ok {
 		m.OK = false
 		m.Agree = m.Agree[:0]
 		m.Disagrees = m.Disagrees[:0]
@@ -127,28 +126,32 @@ func insertSorted(ps []int32, p int32) []int32 {
 	return ps
 }
 
-func matchADRec(tl, el *CTerm, m *Match) bool {
+// matchADRec matches tl against the node of el at offset i and returns
+// the offset just past that node's subtree.
+func matchADRec(tl *CTerm, el Ground, i int, m *Match) (int, bool) {
 	switch tl.Kind {
 	case KWildcard:
-		return true
+		return el.Skip(i), true
 	case KSym:
-		return el.Kind == KSym && el.Sym == tl.Sym
+		return i + 1, el[i] == ^tl.Sym
 	case KParam:
-		if el.Kind != KSym {
+		if el[i] >= 0 {
 			// Parameters instantiate to symbols only (Section 2.1).
-			return false
+			return i, false
 		}
-		return m.Agree.bind(tl.Param, el.Sym)
+		return i + 1, m.Agree.bind(tl.Param, ^el[i])
 	case KApp:
-		if el.Kind != KApp || el.Ctor != tl.Ctor || len(el.Args) != len(tl.Args) {
-			return false
+		if el[i] != tl.Ctor || int(el[i+1]) != len(tl.Args) {
+			return i, false
 		}
-		for i := range tl.Args {
-			if !matchADRec(tl.Args[i], el.Args[i], m) {
-				return false
+		i += 2
+		for _, a := range tl.Args {
+			var ok bool
+			if i, ok = matchADRec(a, el, i, m); !ok {
+				return i, false
 			}
 		}
-		return true
+		return i, true
 	case KNeg:
 		alts := tl.Args[:1]
 		if inner := tl.Args[0]; inner.Kind == KOr {
@@ -164,7 +167,7 @@ func matchADRec(tl, el *CTerm, m *Match) bool {
 				m.Disagrees = append(m.Disagrees, nil)
 			}
 			d := &m.Disagrees[n]
-			if !unifyPos(alt, el, d) {
+			if _, ok := unifyPos(alt, el, i, d); !ok {
 				// Alternatives that can never match el impose no
 				// constraint.
 				m.Disagrees = m.Disagrees[:n]
@@ -173,13 +176,13 @@ func matchADRec(tl, el *CTerm, m *Match) bool {
 			if len(*d) == 0 {
 				// This alternative matches under every substitution, so
 				// the negation never holds.
-				return false
+				return i, false
 			}
 			// The alternative matches exactly when θ agrees with all of
 			// d; it stays recorded so the caller can require
 			// disagreement.
 		}
-		return true
+		return el.Skip(i), true
 	case KOr:
 		// Positive alternations are split into automaton alternation during
 		// pattern compilation and never reach the matcher.
@@ -188,30 +191,33 @@ func matchADRec(tl, el *CTerm, m *Match) bool {
 	panic("unreachable")
 }
 
-// unifyPos unifies a negation-free transition term with a ground edge term,
-// accumulating parameter bindings. Used for negation bodies, where an
-// internal conflict means the body can never match.
-func unifyPos(tl, el *CTerm, bs *Bindings) bool {
+// unifyPos unifies a negation-free transition term with the node of el at
+// offset i, accumulating parameter bindings, and returns the offset just
+// past that node's subtree. Used for negation bodies, where an internal
+// conflict means the body can never match.
+func unifyPos(tl *CTerm, el Ground, i int, bs *Bindings) (int, bool) {
 	switch tl.Kind {
 	case KWildcard:
-		return true
+		return el.Skip(i), true
 	case KSym:
-		return el.Kind == KSym && el.Sym == tl.Sym
+		return i + 1, el[i] == ^tl.Sym
 	case KParam:
-		if el.Kind != KSym {
-			return false
+		if el[i] >= 0 {
+			return i, false
 		}
-		return bs.bind(tl.Param, el.Sym)
+		return i + 1, bs.bind(tl.Param, ^el[i])
 	case KApp:
-		if el.Kind != KApp || el.Ctor != tl.Ctor || len(el.Args) != len(tl.Args) {
-			return false
+		if el[i] != tl.Ctor || int(el[i+1]) != len(tl.Args) {
+			return i, false
 		}
-		for i := range tl.Args {
-			if !unifyPos(tl.Args[i], el.Args[i], bs) {
-				return false
+		i += 2
+		for _, a := range tl.Args {
+			var ok bool
+			if i, ok = unifyPos(a, el, i, bs); !ok {
+				return i, false
 			}
 		}
-		return true
+		return i, true
 	case KNeg, KOr:
 		// Nested negation or alternation inside a negation body; not
 		// AD-compatible.
@@ -227,43 +233,51 @@ func unifyPos(tl, el *CTerm, bs *Bindings) bool {
 // Precondition: every parameter of tl is bound in subst, so that θ(tl)
 // contains no parameters. If an unbound parameter is encountered the label
 // does not match (θ(tl) would not be ground).
-func MatchGround(tl, el *CTerm, subst []int32) bool {
+func MatchGround(tl *CTerm, el Ground, subst []int32) bool {
+	_, ok := matchGround(tl, el, 0, subst)
+	return ok
+}
+
+// matchGround matches θ(tl) against the node of el at offset i and returns
+// the offset just past that node's subtree.
+func matchGround(tl *CTerm, el Ground, i int, subst []int32) (int, bool) {
 	switch tl.Kind {
 	case KWildcard:
-		return true
+		return el.Skip(i), true
 	case KSym:
-		return el.Kind == KSym && el.Sym == tl.Sym
+		return i + 1, el[i] == ^tl.Sym
 	case KParam:
 		if int(tl.Param) >= len(subst) || subst[tl.Param] == NoSym {
-			return false
+			return i, false
 		}
-		return el.Kind == KSym && el.Sym == subst[tl.Param]
+		return i + 1, el[i] == ^subst[tl.Param]
 	case KApp:
-		if el.Kind != KApp || el.Ctor != tl.Ctor || len(el.Args) != len(tl.Args) {
-			return false
+		if el[i] != tl.Ctor || int(el[i+1]) != len(tl.Args) {
+			return i, false
 		}
-		for i := range tl.Args {
-			if !MatchGround(tl.Args[i], el.Args[i], subst) {
-				return false
+		i += 2
+		for _, a := range tl.Args {
+			var ok bool
+			if i, ok = matchGround(a, el, i, subst); !ok {
+				return i, false
 			}
 		}
-		return true
+		return i, true
 	case KNeg:
 		// θ(tl) must be ground for the match to be defined; all parameters
 		// of the body must be bound.
-		for _, p := range tl.Args[0].Params() {
-			if int(p) >= len(subst) || subst[p] == NoSym {
-				return false
-			}
+		if !CoveredBy(tl.Args[0], subst) {
+			return i, false
 		}
-		return !MatchGround(tl.Args[0], el, subst)
+		_, ok := matchGround(tl.Args[0], el, i, subst)
+		return el.Skip(i), !ok
 	case KOr:
 		for _, a := range tl.Args {
-			if MatchGround(a, el, subst) {
-				return true
+			if _, ok := matchGround(a, el, i, subst); ok {
+				return el.Skip(i), true
 			}
 		}
-		return false
+		return i, false
 	}
 	panic("unreachable")
 }

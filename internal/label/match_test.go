@@ -18,12 +18,12 @@ func (e *env) tl(s string) *CTerm {
 	return MustCompile(MustParse(s, PatternMode), e.u, e.ps)
 }
 
-func (e *env) el(s string) *CTerm {
-	c, err := CompileGround(MustParse(s, GroundMode), e.u)
+func (e *env) el(s string) Ground {
+	r, err := AppendGround(nil, MustParse(s, GroundMode), e.u)
 	if err != nil {
 		panic(err)
 	}
-	return c
+	return r
 }
 
 func (e *env) subst(pairs ...string) []int32 {
@@ -211,7 +211,7 @@ func TestMatchGroundAgainstAD(t *testing.T) {
 		e.tl("!def('a')"),
 		e.tl("f(g(x),!h(y))"),
 	}
-	edges := []*CTerm{
+	edges := []Ground{
 		e.el("def(a)"), e.el("def(b)"), e.el("use(a,b)"), e.el("def(a,5)"),
 		e.el("f(g(a),h(b))"), e.el("f(g(b),h(a))"), e.el("use(a)"),
 	}
@@ -251,7 +251,7 @@ func TestMatchGroundAgainstAD(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("trial %d: tl=%s el=%s θ=%v: AD says %v, ground says %v (match %+v)",
-				trial, tl.Format(e.u, e.ps), el.Format(e.u, nil), th, got, want, m)
+				trial, tl.Format(e.u, e.ps), el.Format(e.u), th, got, want, m)
 		}
 	}
 }
@@ -349,27 +349,25 @@ func TestCTermClassification(t *testing.T) {
 	}
 }
 
-func TestCTermInstantiate(t *testing.T) {
+// TestMatchGroundUnderSubst: enumeration matches a pattern label under θ
+// rather than a ground copy of it, so a label whose negated body θ leaves
+// unbound matches nothing, and under a full θ it matches exactly what
+// θ(tl) does.
+func TestMatchGroundUnderSubst(t *testing.T) {
 	e := newEnv()
 	tl := e.tl("use(x,!def(y))")
-	inst, ground := tl.Instantiate(e.subst("x", "a"))
-	if ground {
-		t.Errorf("partially instantiated term reported ground")
-	}
-	if inst.Args[0].Kind != KSym {
-		t.Errorf("x was not instantiated: %v", inst.Args[0].Kind)
-	}
-	full, ground := tl.Instantiate(e.subst("x", "a", "y", "b"))
-	if !ground {
-		t.Errorf("fully instantiated term reported non-ground")
-	}
-	if full.HasParams() {
-		t.Errorf("instantiated term still has parameters")
-	}
-	// The instantiated label matches the same edges as the original under θ.
 	el := e.el("use(a,q)")
-	if !MatchGround(full, el, nil) {
-		t.Errorf("instantiated use('a',!def('b')) should match use(a,q)")
+	if MatchGround(tl, el, e.subst("x", "a")) {
+		t.Errorf("use(x,!def(y)) under {x↦a} should not match: θ leaves y unbound")
+	}
+	if !MatchGround(tl, el, e.subst("x", "a", "y", "b")) {
+		t.Errorf("use(x,!def(y)) under {x↦a, y↦b} should match use(a,q)")
+	}
+	if MatchGround(tl, e.el("use(b,q)"), e.subst("x", "a", "y", "b")) {
+		t.Errorf("use(x,!def(y)) under {x↦a, y↦b} should not match use(b,q)")
+	}
+	if MatchGround(tl, e.el("use(a,def(b))"), e.subst("x", "a", "y", "b")) {
+		t.Errorf("use(x,!def(y)) under {x↦a, y↦b} should not match use(a,def(b))")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // matchCorpus returns every transition and edge label used by the match
 // tests, plus negated alternations whose number of disagree sets varies
 // from call to call.
-func matchCorpus(e *env) (tls, els []*CTerm) {
+func matchCorpus(e *env) (tls []*CTerm, els []Ground) {
 	for _, s := range []string{
 		"def(x)", "eq(x,x)", "_", "def(_)", "use(x,_)", "def('a')", "f(x)",
 		"f(g(x))", "!def('a')", "seteuid(!0)", "!_", "!def(_)", "!def(x)",
@@ -59,7 +59,10 @@ func sameMatch(a, b *Match) bool {
 func TestMatchADIntoReuse(t *testing.T) {
 	e := newEnv()
 	tls, els := matchCorpus(e)
-	type pair struct{ tl, el *CTerm }
+	type pair struct {
+		tl *CTerm
+		el Ground
+	}
 	var pairs []pair
 	for _, tl := range tls {
 		for _, el := range els {
@@ -74,7 +77,7 @@ func TestMatchADIntoReuse(t *testing.T) {
 			MatchADInto(&reused, p.tl, p.el)
 			if !sameMatch(&reused, &fresh) {
 				t.Fatalf("round %d: %s vs %s: reused %+v, fresh %+v", round,
-					p.tl.Format(e.u, e.ps), p.el.Format(e.u, nil), reused, fresh)
+					p.tl.Format(e.u, e.ps), p.el.Format(e.u), reused, fresh)
 			}
 			// DisagreeParams is the sorted set of disagree parameters.
 			var want []int32
@@ -88,7 +91,7 @@ func TestMatchADIntoReuse(t *testing.T) {
 			slices.Sort(want)
 			if fresh.OK && !slices.Equal(reused.DisagreeParams(), want) {
 				t.Fatalf("%s vs %s: DisagreeParams = %v, want %v",
-					p.tl.Format(e.u, e.ps), p.el.Format(e.u, nil), reused.DisagreeParams(), want)
+					p.tl.Format(e.u, e.ps), p.el.Format(e.u), reused.DisagreeParams(), want)
 			}
 		}
 		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })

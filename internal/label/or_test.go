@@ -80,7 +80,7 @@ func TestMatchGroundOrAgainstAD(t *testing.T) {
 		e.tl("!(f('a')|g(x))"),
 		e.tl("use(y,!(f(x)|g(x)))"),
 	}
-	edges := []*CTerm{
+	edges := []Ground{
 		e.el("def(a)"), e.el("use(b)"), e.el("f(a,b)"), e.el("f(a)"),
 		e.el("g(b)"), e.el("use(a,f(b))"), e.el("use(b,g(a))"), e.el("h(a)"),
 	}
@@ -119,7 +119,7 @@ func TestMatchGroundOrAgainstAD(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("trial %d: tl=%s el=%s θ=%v: AD %v, ground %v (%+v)",
-				trial, tl.Format(e.u, e.ps), el.Format(e.u, nil), th, got, want, m)
+				trial, tl.Format(e.u, e.ps), el.Format(e.u), th, got, want, m)
 		}
 	}
 }

@@ -100,17 +100,7 @@ func (t *Term) write(b *strings.Builder, top bool) {
 		}
 		b.WriteByte(')')
 	case KSym:
-		if top || needsQuote(t.Name) {
-			b.WriteByte('\'')
-			b.WriteString(t.Name)
-			b.WriteByte('\'')
-		} else if isNumeric(t.Name) {
-			b.WriteString(t.Name)
-		} else {
-			b.WriteByte('\'')
-			b.WriteString(t.Name)
-			b.WriteByte('\'')
-		}
+		writeSym(b, t.Name, !top)
 	case KParam:
 		b.WriteString(t.Name)
 	case KWildcard:
@@ -138,17 +128,21 @@ func (t *Term) write(b *strings.Builder, top bool) {
 	}
 }
 
-func needsQuote(s string) bool {
-	if s == "" {
-		return true
+// writeSym writes a symbol: bare if numeric and bare is allowed, else
+// quoted, with " when the name holds a ' (a quoted symbol runs to the
+// first closing quote, so no parsed name holds both).
+func writeSym(b *strings.Builder, name string, bare bool) {
+	if bare && isNumeric(name) {
+		b.WriteString(name)
+		return
 	}
-	for _, r := range s {
-		if !(r == '_' || r == '.' || r == '-' ||
-			('a' <= r && r <= 'z') || ('A' <= r && r <= 'Z') || ('0' <= r && r <= '9')) {
-			return true
-		}
+	q := byte('\'')
+	if strings.IndexByte(name, q) >= 0 {
+		q = '"'
 	}
-	return false
+	b.WriteByte(q)
+	b.WriteString(name)
+	b.WriteByte(q)
 }
 
 func isNumeric(s string) bool {

@@ -135,7 +135,7 @@ func TestForExistentialActions(t *testing.T) {
 		var acts []string
 		for _, e := range g.Out(0) {
 			if e.To == 1 {
-				acts = append(acts, e.Label.Format(g.U, nil))
+				acts = append(acts, g.Label(e.LabelID).Format(g.U))
 			}
 		}
 		if len(acts) != 1 || acts[0] != tc.want {

@@ -200,7 +200,7 @@ func main() {
 	// the one with an exit() out-edge... use the forward graph's structure:
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				exitV = e.To
 			}
 		}
@@ -241,7 +241,7 @@ func main() {
 	g := MustBuild(src, Config{ExpLabels: true, ConstDefs: true})
 	labels := map[string]bool{}
 	for _, l := range g.Labels() {
-		labels[l.Format(g.U, nil)] = true
+		labels[l.Format(g.U)] = true
 	}
 	if !labels["exp('a','plus','b')"] {
 		t.Errorf("exp label missing: %v", labels)
@@ -352,7 +352,7 @@ func main() {
 	g := MustBuild(src, Config{})
 	labels := map[string]bool{}
 	for _, l := range g.Labels() {
-		labels[l.Format(g.U, nil)] = true
+		labels[l.Format(g.U)] = true
 	}
 	if !labels["deref('p')"] {
 		t.Fatalf("deref label missing: %v", labels)
@@ -386,7 +386,7 @@ func main() {
 	var start int32 = -1
 	for v := 0; v < plain.NumVertices(); v++ {
 		for _, e := range plain.Out(int32(v)) {
-			if e.Label.Format(plain.U, nil) == "exit()" {
+			if plain.Label(e.LabelID).Format(plain.U) == "exit()" {
 				start = e.To
 			}
 		}
@@ -405,7 +405,7 @@ func main() {
 	start = -1
 	for v := 0; v < eq.NumVertices(); v++ {
 		for _, e := range eq.Out(int32(v)) {
-			if e.Label.Format(eq.U, nil) == "exit()" {
+			if eq.Label(e.LabelID).Format(eq.U) == "exit()" {
 				start = e.To
 			}
 		}

@@ -55,7 +55,8 @@ func TestLabelsMatchSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, l := range g.Labels() {
-			name, arity := g.U.Ctors.Name(l.Ctor), len(l.Args)
+			_, ctor, arity, _ := l.Node(0)
+			name := g.U.Ctors.Name(ctor)
 			emitted[name] = true
 			c, ok := cfgschema.Lookup(name)
 			if !ok || !cfgschema.HasArity(name, arity) || !slices.Contains(c.Emitters, "minic") {

@@ -42,7 +42,7 @@ func TestSimplifyRules(t *testing.T) {
 }
 
 // accepts runs an NFA over a word under a full substitution.
-func accepts(n *automata.NFA, word []*label.CTerm, th []int32) bool {
+func accepts(n *automata.NFA, word []label.Ground, th []int32) bool {
 	cur := map[int32]bool{n.Start: true}
 	for _, el := range word {
 		next := map[int32]bool{}
@@ -115,9 +115,9 @@ func TestSimplifyPreservesLanguage(t *testing.T) {
 		ps := &label.ParamSpace{}
 		n1 := automata.MustFromPattern(e, u, ps)
 		n2 := automata.MustFromPattern(s, u, ps)
-		var letters []*label.CTerm
+		var letters []label.Ground
 		for _, l := range []string{"a(k)", "a(m)", "b()", "c()"} {
-			c, err := label.CompileGround(label.MustParse(l, label.GroundMode), u)
+			c, err := label.AppendGround(nil, label.MustParse(l, label.GroundMode), u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestSimplifyPreservesLanguage(t *testing.T) {
 		}
 		syms := u.AllSymbols()
 		for w := 0; w < 30; w++ {
-			word := make([]*label.CTerm, rng.Intn(5))
+			word := make([]label.Ground, rng.Intn(5))
 			for i := range word {
 				word[i] = letters[rng.Intn(len(letters))]
 			}

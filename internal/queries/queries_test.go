@@ -183,7 +183,7 @@ func main() {
 			// From the vertex after exit() in the forward graph.
 			for v := 0; v < g.NumVertices(); v++ {
 				for _, e := range g.Out(int32(v)) {
-					if e.Label.Format(g.U, nil) == "exit()" {
+					if g.Label(e.LabelID).Format(g.U) == "exit()" {
 						start = e.To
 					}
 				}

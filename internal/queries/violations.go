@@ -34,7 +34,11 @@ var ErrNotDiscipline = errors.New("queries: not a discipline pattern")
 // The result pairs ⟨v, θ⟩ of the generated query identify the program point
 // just after a violating operation (or the exit) and the resource bound by
 // θ.
-func ViolationQuery(discipline pattern.Expr, u *label.Universe, withExit bool) (*core.Query, error) {
+func ViolationQuery(discipline pattern.Expr, gu *label.Universe, withExit bool) (*core.Query, error) {
+	// Like core.Compile, compile against an overlay of the graph's
+	// universe, so the discipline's names never reach the graph's.
+	ov := gu.Overlay()
+	u := &ov
 	ps := &label.ParamSpace{}
 	nfa, err := automata.FromPattern(discipline, u, ps)
 	if err != nil {

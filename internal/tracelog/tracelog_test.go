@@ -74,7 +74,7 @@ func TestIntrusionSignature(t *testing.T) {
 	}
 	// The witness ends at the exec event.
 	w := res.Pairs[0].Witness
-	if len(w) != 7 || !strings.HasPrefix(w[len(w)-1].Label.Format(g.U, nil), "exec(") {
+	if len(w) != 7 || !strings.HasPrefix(w[len(w)-1].Label.Format(g.U), "exec(") {
 		t.Fatalf("witness = %v", w)
 	}
 }

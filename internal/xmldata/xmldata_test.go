@@ -120,8 +120,8 @@ func TestLongTextSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range g.Labels() {
-		if strings.HasPrefix(l.Format(g.U, nil), "text(") {
-			t.Fatalf("overlong text was stored: %s", l.Format(g.U, nil))
+		if strings.HasPrefix(l.Format(g.U), "text(") {
+			t.Fatalf("overlong text was stored: %s", l.Format(g.U))
 		}
 	}
 }

@@ -133,7 +133,7 @@ func (g *Graph) Reverse() *Graph { return &Graph{g: g.g.Reverse()} }
 func (g *Graph) ExitVertex() (string, bool) {
 	for v := 0; v < g.g.NumVertices(); v++ {
 		for _, e := range g.g.Out(int32(v)) {
-			if e.Label.Format(g.g.U, nil) == "exit()" {
+			if g.g.Label(e.LabelID).Format(g.g.U) == "exit()" {
 				return g.g.VertexName(e.To), true
 			}
 		}
@@ -726,7 +726,7 @@ func (g *Graph) convert(ig *graph.Graph, q *core.Query, res *core.Result) *Resul
 		for _, w := range p.Witness {
 			a.Witness = append(a.Witness, Step{
 				From:  ig.VertexName(w.From),
-				Label: w.Label.Format(ig.U, nil),
+				Label: w.Label.Format(ig.U),
 				To:    ig.VertexName(w.To),
 			})
 		}

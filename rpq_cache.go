@@ -30,12 +30,16 @@ const (
 // universe the pattern was compiled against (labels and symbols are interned
 // per universe, so a Query is only valid for graphs sharing it — Reverse
 // shares its source's universe, so forward and backward runs hit the same
-// entry), and the canonical rendering of the simplified pattern AST, which
-// makes syntactic variants ("(a)(b)" vs "a b") share an entry.
+// entry) and its size then, and the canonical rendering of the simplified
+// pattern AST, which makes syntactic variants ("(a)(b)" vs "a b") share an
+// entry. A query keys the names its graph lacked above the universe's
+// range (core.Compile), so once the graph gains a name its entries no
+// longer apply.
 type cacheKey struct {
-	kind      cacheKind
-	universe  *label.Universe
-	canonical string
+	kind        cacheKind
+	universe    *label.Universe
+	ctors, syms int
+	canonical   string
 }
 
 // cacheEntry is one LRU slot.
@@ -170,7 +174,8 @@ func (c *QueryCache) insert(key cacheKey, q *core.Query) *core.Query {
 // getOrCompile resolves e against the cache, compiling (and inserting) on a
 // miss.
 func (c *QueryCache) getOrCompile(kind cacheKind, u *label.Universe, e pattern.Expr) (*core.Query, error) {
-	key := cacheKey{kind: kind, universe: u, canonical: pattern.String(pattern.Simplify(e))}
+	key := cacheKey{kind: kind, universe: u, ctors: u.Ctors.Len(), syms: u.Syms.Len(),
+		canonical: pattern.String(pattern.Simplify(e))}
 	if q, ok := c.lookup(key); ok {
 		c.hits.Add(1)
 		c.gHits.Add(1)

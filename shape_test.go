@@ -20,7 +20,7 @@ func TestShapeTable1(t *testing.T) {
 	var start int32 = -1
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				start = e.To
 			}
 		}
@@ -96,7 +96,7 @@ func TestShapeTable3(t *testing.T) {
 	var start int32 = -1
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				start = e.To
 			}
 		}
@@ -132,7 +132,7 @@ func TestShapeSCCOrderSavesMemory(t *testing.T) {
 	var start int32 = -1
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, e := range g.Out(int32(v)) {
-			if e.Label.Format(g.U, nil) == "exit()" {
+			if g.Label(e.LabelID).Format(g.U) == "exit()" {
 				start = e.To
 			}
 		}

@@ -99,7 +99,7 @@ func main() {
 		for _, p := range res.Pairs {
 			// Extend the minimal substitution over refined domains: the
 			// witness must match under at least one full extension.
-			word := make([]*label.CTerm, len(p.Witness))
+			word := make([]label.Ground, len(p.Witness))
 			for i, w := range p.Witness {
 				word[i] = w.Label
 			}
@@ -121,7 +121,7 @@ func main() {
 	}
 }
 
-func acceptsWord(n *automata.NFA, word []*label.CTerm, th []int32) bool {
+func acceptsWord(n *automata.NFA, word []label.Ground, th []int32) bool {
 	cur := map[int32]bool{n.Start: true}
 	for _, el := range word {
 		next := map[int32]bool{}

@@ -46,32 +46,6 @@ func main() {
 	}
 }
 
-func TestUniversalCompletionPublic(t *testing.T) {
-	g := NewGraph()
-	g.MustAddEdge("v0", "a()", "v1")
-	g.MustAddEdge("v1", "b()", "v2")
-	g.MustAddEdge("v2", "c()", "v3")
-	g.SetStart("v0")
-	p := MustParsePattern("(a() b())* c()?")
-	base, err := g.Universal(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []Completion{TrapCompletion, ExplicitCompletion} {
-		res, err := g.Universal(p, &Options{Completion: c})
-		if err != nil {
-			t.Fatalf("completion %v: %v", c, err)
-		}
-		if len(res.Answers) != len(base.Answers) {
-			t.Fatalf("completion %v changed results: %v vs %v", c, res.Answers, base.Answers)
-		}
-	}
-	// Explicit completion rejects parametric patterns.
-	if _, err := g.Universal(MustParsePattern("def(x)*"), &Options{Completion: ExplicitCompletion}); err == nil {
-		t.Fatal("explicit completion accepted a parametric pattern")
-	}
-}
-
 // TestSameAutomatonForCAndGo reproduces the paper's Section 6 claim that
 // one automaton performs uninitialized-use analysis across languages: the
 // pattern (!def(x))* use(x) runs unchanged over a MiniC program and its Go

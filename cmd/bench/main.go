@@ -105,12 +105,18 @@ type scenarioResult struct {
 
 // scenario is one pinned benchmark configuration.
 type scenario struct {
-	name     string
+	prefix   string // name prefix: the workload, and the check for gofront
 	workload string // key into the workload cache
 	kind     string // "exist" | "universal"
 	pat      string
 	algo     core.Algo
 	table    subst.TableKind
+}
+
+// name is the scenario's -compare join key: prefix/algo/table/w1, spelled
+// with the variant's and the table's wire names.
+func (sc scenario) name() string {
+	return sc.prefix + "/" + sc.algo.String() + "/" + sc.table.String() + "/w1"
 }
 
 // Pinned workload generators. These literals are part of the benchmark
@@ -156,21 +162,21 @@ func scenarios() []scenario {
 		fail("%v", err)
 	}
 	return []scenario{
-		{"prog-bwd/basic/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoBasic, subst.Hash},
-		{"prog-bwd/memo/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Hash},
-		{"prog-bwd/memo/nested/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Nested},
-		{"prog-bwd/precomp/hash/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Hash},
-		{"prog-bwd/precomp/nested/w1", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Nested},
-		{"prog-fwd/enum/hash/w1", "prog-fwd", "exist", fwdUninitPattern, core.AlgoEnum, subst.Hash},
-		{"lts-deadlock/basic/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoBasic, subst.Hash},
-		{"lts-deadlock/precomp/hash/w1", "lts", "exist", deadlock.Pattern, core.AlgoPrecomp, subst.Hash},
-		{"univ-fwd/enum/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoEnum, subst.Hash},
-		{"univ-fwd/hybrid/hash/w1", "univ-fwd", "universal", fwdUninitPattern, core.AlgoHybrid, subst.Hash},
+		{"prog-bwd", "prog-bwd", "exist", bwdUninitPattern, core.AlgoBasic, subst.Hash},
+		{"prog-bwd", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Hash},
+		{"prog-bwd", "prog-bwd", "exist", bwdUninitPattern, core.AlgoMemo, subst.Nested},
+		{"prog-bwd", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Hash},
+		{"prog-bwd", "prog-bwd", "exist", bwdUninitPattern, core.AlgoPrecomp, subst.Nested},
+		{"prog-fwd", "prog-fwd", "exist", fwdUninitPattern, core.AlgoEnum, subst.Hash},
+		{"lts-deadlock", "lts", "exist", deadlock.Pattern, core.AlgoBasic, subst.Hash},
+		{"lts-deadlock", "lts", "exist", deadlock.Pattern, core.AlgoPrecomp, subst.Hash},
+		{"univ-fwd", "univ-fwd", "universal", fwdUninitPattern, core.AlgoEnum, subst.Hash},
+		{"univ-fwd", "univ-fwd", "universal", fwdUninitPattern, core.AlgoHybrid, subst.Hash},
 		// Real-Go workload: the committed multi-package benchmod module
 		// lowered by gofront (interprocedural call/ret/go edges), queried
 		// with two checks from the rpqcheck catalog.
-		{"gofront-benchmod/dlock/memo/hash/w1", "gofront", "exist", dlockPattern, core.AlgoMemo, subst.Hash},
-		{"gofront-benchmod/close/basic/hash/w1", "gofront", "exist", closePattern, core.AlgoBasic, subst.Hash},
+		{"gofront-benchmod/dlock", "gofront", "exist", dlockPattern, core.AlgoMemo, subst.Hash},
+		{"gofront-benchmod/close", "gofront", "exist", closePattern, core.AlgoBasic, subst.Hash},
 	}
 }
 
@@ -239,7 +245,7 @@ func main() {
 	}
 	if *list {
 		for _, sc := range scenarios() {
-			fmt.Printf("%-28s %-9s %-9s %s\n", sc.name, sc.kind, sc.algo, sc.pat)
+			fmt.Printf("%-28s %-9s %-9s %s\n", sc.name(), sc.kind, sc.algo, sc.pat)
 		}
 		return
 	}
@@ -319,7 +325,7 @@ func runAll(n int) *benchReport {
 	for _, sc := range scenarios() {
 		wl, ok := wls[sc.workload]
 		if !ok {
-			fail("scenario %s: unknown workload %q", sc.name, sc.workload)
+			fail("scenario %s: unknown workload %q", sc.name(), sc.workload)
 		}
 		rep.Scenarios = append(rep.Scenarios, runScenario(sc, wl, n))
 	}
@@ -378,7 +384,7 @@ func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 		}
 		cancel()
 		if err != nil {
-			fail("scenario %s: %v", sc.name, err)
+			fail("scenario %s: %v", sc.name(), err)
 		}
 		ns = append(ns, time.Since(t0).Nanoseconds())
 		cpu = append(cpu, max64(0, (obs.ProcessCPUTime()-cpu0).Nanoseconds()))
@@ -386,17 +392,17 @@ func runScenario(sc scenario, wl workloadGraph, n int) scenarioResult {
 		solve = append(solve, res.Stats.Phases.Solve.Wall.Nanoseconds())
 		ctr := counters(res)
 		if prevCtr != nil && !equalCounters(prevCtr, ctr) {
-			fail("scenario %s: counters differ across reps (nondeterministic solver?)", sc.name)
+			fail("scenario %s: counters differ across reps (nondeterministic solver?)", sc.name())
 		}
 		prevCtr = ctr
 		last = res
 	}
 	out := scenarioResult{
-		Name:       sc.name,
+		Name:       sc.name(),
 		Workload:   sc.workload,
 		Kind:       sc.kind,
 		Algo:       sc.algo.String(),
-		Table:      tableName(sc.table),
+		Table:      sc.table.String(),
 		Reps:       n,
 		NsPerOp:    median(ns),
 		SolveNS:    median(solve),
@@ -450,13 +456,6 @@ func equalCounters(a, b map[string]int64) bool {
 		}
 	}
 	return true
-}
-
-func tableName(k subst.TableKind) string {
-	if k == subst.Nested {
-		return "nested"
-	}
-	return "hash"
 }
 
 func max64(a, b int64) int64 {

@@ -7,8 +7,8 @@
 //	rpq -list
 //
 // Flags select the query kind (existential/universal), the algorithm
-// variant of the paper (basic, memo, precomputation, enumeration, hybrid),
-// the data-structure representation (hashing or nested arrays), direction,
+// variant of the paper (basic, memo, precomp, enum, hybrid), the
+// data-structure representation (hash or nested arrays), direction,
 // and the start vertex. Graphs in the Aldébaran .aut format are accepted
 // with -aut.
 //
@@ -51,8 +51,8 @@ func main() {
 		withExit  = flag.Bool("exit-violations", true, "with -violations, also flag resources left incomplete at exit()")
 		analysis  = flag.String("analysis", "", "named analysis from the catalog instead of -pattern")
 		universal = flag.Bool("universal", false, "run a universal query (default existential)")
-		algo      = flag.String("algo", "auto", "auto|basic|memo|precomp|enum|hybrid")
-		table     = flag.String("table", "hash", "hash|nested")
+		algo      = flag.String("algo", rpq.Auto.String(), names(rpq.Auto, rpq.Hybrid))
+		table     = flag.String("table", rpq.Hashing.String(), names(rpq.Hashing, rpq.NestedArrays))
 		backward  = flag.Bool("backward", false, "reverse all edges before the query")
 		start     = flag.String("start", "", "start vertex (default: graph's start; backward: after exit())")
 		compact   = flag.Bool("compact", false, "drop query-irrelevant edges first (existential)")
@@ -156,29 +156,12 @@ func main() {
 		fail("unknown -explain format %q (want text, json, or dot)", *explain)
 	}
 
-	switch *algo {
-	case "auto":
-		opts.Algorithm = rpq.Auto
-	case "basic":
-		opts.Algorithm = rpq.Basic
-	case "memo":
-		opts.Algorithm = rpq.Memo
-	case "precomp":
-		opts.Algorithm = rpq.Precompute
-	case "enum":
-		opts.Algorithm = rpq.Enumerate
-	case "hybrid":
-		opts.Algorithm = rpq.Hybrid
-	default:
-		fail("unknown -algo %q", *algo)
+	var err error
+	if opts.Algorithm, err = rpq.ParseAlgorithm(*algo); err != nil {
+		fail("-algo: %v", err)
 	}
-	switch *table {
-	case "hash":
-		opts.Table = rpq.Hashing
-	case "nested":
-		opts.Table = rpq.NestedArrays
-	default:
-		fail("unknown -table %q", *table)
+	if opts.Table, err = rpq.ParseTableKind(*table); err != nil {
+		fail("-table: %v", err)
 	}
 
 	if *lintFmt != "" {
@@ -210,7 +193,6 @@ func main() {
 	}
 
 	var res *rpq.Result
-	var err error
 	switch {
 	case *violation != "":
 		res, err = g.ViolationsContext(ctx, *violation, *withExit, opts)
@@ -412,6 +394,23 @@ func printStats(format string, res *rpq.Result) {
 	default:
 		fail("unknown -stats format %q (want text, json, or csv)", format)
 	}
+}
+
+// named is a solver choice: an int-based type whose String reads its name
+// table.
+type named interface {
+	~int
+	String() string
+}
+
+// names lists the names of the values first through last as "a|b|c", the
+// flag help of a choice.
+func names[T named](first, last T) string {
+	var s []string
+	for v := first; v <= last; v++ {
+		s = append(s, v.String())
+	}
+	return strings.Join(s, "|")
 }
 
 func fail(format string, args ...any) {

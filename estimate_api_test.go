@@ -1,6 +1,7 @@
 package rpq
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,34 @@ func TestLintQueryNegationFirst(t *testing.T) {
 	}
 	if n := negFirst("use(x) (!def(x))*"); n != 0 {
 		t.Fatalf("well-formed query: %d negation-first findings, want 0", n)
+	}
+}
+
+// TestLintQueryTableAdvice: every explicit variant with nested arrays draws
+// the table advice on a sparse two-parameter query (a 160,000-substitution
+// domain product), and Auto, the recommended choice, draws none.
+func TestLintQueryTableAdvice(t *testing.T) {
+	g := NewGraph()
+	for i := 0; i < 400; i++ {
+		g.MustAddEdge("a", fmt.Sprintf("def(x%d)", i), "b")
+		g.MustAddEdge("b", fmt.Sprintf("use(y%d)", i), "c")
+	}
+	g.SetStart("a")
+	p := MustParsePattern("def(x) use(y)")
+	for a := Auto; a <= Hybrid; a++ {
+		universal := a == Hybrid
+		n := 0
+		for _, d := range LintQuery(g, p, universal, &Options{Algorithm: a, Table: NestedArrays}) {
+			if d.Code == "RPQ015" {
+				n++
+			}
+		}
+		want := 1
+		if a == Auto {
+			want = 0
+		}
+		if n != want {
+			t.Errorf("%v with nested arrays: %d table advice findings, want %d", a, n, want)
+		}
 	}
 }

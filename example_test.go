@@ -175,5 +175,5 @@ func ExampleOptions() {
 	// Output:
 	// basic v3 {l1↦m, l2↦n}
 	// memo v3 {l1↦m, l2↦n}
-	// precomputation v3 {l1↦m, l2↦n}
+	// precomp v3 {l1↦m, l2↦n}
 }

@@ -122,25 +122,13 @@ func runFixture(t *testing.T, path string) string {
 			cfg.Universal = val == "true"
 		case "algo":
 			cfg.HaveVariant = true
-			switch val {
-			case "basic":
-				cfg.Algo = core.AlgoBasic
-			case "memo":
-				cfg.Algo = core.AlgoMemo
-			case "enum":
-				cfg.Algo = core.AlgoEnum
-			default:
-				t.Fatalf("%s: bad algo %q", path, val)
+			if cfg.Algo, err = core.AlgoNames.Parse(val); err != nil {
+				t.Fatalf("%s: %v", path, err)
 			}
 		case "table":
 			cfg.HaveVariant = true
-			switch val {
-			case "hash":
-				cfg.Table = subst.Hash
-			case "nested":
-				cfg.Table = subst.Nested
-			default:
-				t.Fatalf("%s: bad table %q", path, val)
+			if cfg.Table, err = subst.TableNames.Parse(val); err != nil {
+				t.Fatalf("%s: %v", path, err)
 			}
 		default:
 			t.Fatalf("%s: unknown fixture key %q", path, key)

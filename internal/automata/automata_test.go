@@ -190,10 +190,6 @@ func TestGroundDFAEquivalence(t *testing.T) {
 	for _, ps := range pats {
 		n := e.nfa(ps)
 		d := DeterminizeGround(n, alphabet, nil)
-		m := d.Minimize()
-		if m.NumStates > d.NumStates {
-			t.Errorf("%s: minimized has more states (%d > %d)", ps, m.NumStates, d.NumStates)
-		}
 		for trial := 0; trial < 1500; trial++ {
 			idx := randWordIdx(rng, len(alphabet), 7)
 			word := make([]label.Ground, len(idx))
@@ -201,21 +197,14 @@ func TestGroundDFAEquivalence(t *testing.T) {
 				word[i] = alphabet[a]
 			}
 			want := acceptsNFA(n, word, nil)
-			run := func(g *GroundDFA) bool {
-				cur := g.Start
-				for _, a := range idx {
-					cur = g.Step(cur, int32(a))
-					if cur < 0 {
-						return false
-					}
+			cur := d.Start
+			for _, a := range idx {
+				if cur = d.Step(cur, int32(a)); cur < 0 {
+					break
 				}
-				return g.Final[cur]
 			}
-			if got := run(d); got != want {
+			if got := cur >= 0 && d.Final[cur]; got != want {
 				t.Fatalf("%s: GroundDFA disagrees with NFA on %v (got %v want %v)", ps, idx, got, want)
-			}
-			if got := run(m); got != want {
-				t.Fatalf("%s: minimized GroundDFA disagrees on %v (got %v want %v)", ps, idx, got, want)
 			}
 		}
 	}
@@ -247,17 +236,6 @@ func TestGroundDFAWithSubstitution(t *testing.T) {
 	}
 	if run(1, 3) { // def(b) use(b) needs x↦b
 		t.Errorf("def(b) use(b) accepted under {x↦a}")
-	}
-}
-
-func TestMinimizeCollapsesNothingAutomaton(t *testing.T) {
-	e := newEnv()
-	n := e.nfa("a()")
-	alphabet := []label.Ground{e.el("b()")} // a() is not in the alphabet
-	d := DeterminizeGround(n, alphabet, nil)
-	m := d.Minimize()
-	if m.NumStates != 1 || m.Final[0] {
-		t.Errorf("automaton accepting nothing should minimize to one non-final state, got %d states", m.NumStates)
 	}
 }
 

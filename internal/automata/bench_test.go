@@ -68,21 +68,6 @@ func itoa(i int) string {
 	return string(b)
 }
 
-func BenchmarkMinimize(b *testing.B) {
-	e := newEnv()
-	n := e.nfa("(open('f') (access('f'))* close('f'))*")
-	var alphabet []label.Ground
-	for _, s := range []string{"open(f)", "access(f)", "close(f)", "nop()", "def(a)", "use(a)"} {
-		alphabet = append(alphabet, e.el(s))
-	}
-	d := DeterminizeGround(n, alphabet, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Minimize()
-	}
-}
-
 func BenchmarkComplete(b *testing.B) {
 	e := newEnv()
 	d := Determinize(e.nfa("(!def(x))* use(x,_)"))

@@ -1,10 +1,6 @@
 package automata
 
-import (
-	"sort"
-
-	"rpq/internal/label"
-)
+import "rpq/internal/label"
 
 // GroundDFA is a deterministic automaton over a concrete, finite alphabet:
 // the distinct edge labels of one graph. It is exact — wildcards and
@@ -23,7 +19,7 @@ type GroundDFA struct {
 	// Sets[state] is the sorted set of NFA states the subset construction
 	// merged into this DFA state. DeterminizeGround populates it so the
 	// explain profiler can attribute ground-DFA visits back to pattern NFA
-	// states; Minimize does not maintain it (the output's Sets is nil).
+	// states.
 	Sets [][]int32
 }
 
@@ -122,127 +118,4 @@ func newRow(n int) []int32 {
 		row[i] = -1
 	}
 	return row
-}
-
-// Minimize returns an equivalent GroundDFA with the minimal number of
-// states, by Moore partition refinement over the (complete-with-sink)
-// automaton. The sink class is dropped again on output, keeping the result
-// incomplete. Minimization is an optional optimization (Section 5.3 invites
-// exploiting structure); the solvers work on unminimized automata too.
-func (d *GroundDFA) Minimize() *GroundDFA {
-	n := d.NumStates
-	if n == 0 {
-		return d
-	}
-	// Class 0/1 initially: non-final vs final; sink is class of its own,
-	// represented by state index n.
-	class := make([]int32, n+1)
-	for s := 0; s < n; s++ {
-		if d.Final[s] {
-			class[s] = 1
-		}
-	}
-	class[n] = 0 // sink is non-final
-	step := func(s int32, a int) int32 {
-		if s == int32(n) {
-			return int32(n)
-		}
-		t := d.Trans[s][a]
-		if t < 0 {
-			return int32(n)
-		}
-		return t
-	}
-	for {
-		// Signature of each state: (class, class of successor per letter).
-		sig := make([]string, n+1)
-		for s := 0; s <= n; s++ {
-			b := make([]byte, 0, (d.NumLetters+1)*4)
-			b = appendInt32(b, class[s])
-			for a := 0; a < d.NumLetters; a++ {
-				b = appendInt32(b, class[step(int32(s), a)])
-			}
-			sig[s] = string(b)
-		}
-		ids := map[string]int32{}
-		next := make([]int32, n+1)
-		var keys []string
-		for s := 0; s <= n; s++ {
-			if _, ok := ids[sig[s]]; !ok {
-				keys = append(keys, sig[s])
-				ids[sig[s]] = 0
-			}
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			ids[k] = int32(i)
-		}
-		changed := false
-		for s := 0; s <= n; s++ {
-			next[s] = ids[sig[s]]
-			if next[s] != class[s] {
-				changed = true
-			}
-		}
-		class = next
-		if !changed {
-			break
-		}
-	}
-	sinkClass := class[n]
-	if class[d.Start] == sinkClass {
-		// The whole automaton is equivalent to the sink: it accepts nothing.
-		return &GroundDFA{
-			Start:      0,
-			NumStates:  1,
-			NumLetters: d.NumLetters,
-			Final:      []bool{false},
-			Trans:      [][]int32{newRow(d.NumLetters)},
-		}
-	}
-	// Renumber classes except the sink; start's class first for a canonical
-	// start id of 0 is not required, keep natural order.
-	remap := map[int32]int32{}
-	var order []int32
-	for s := 0; s < n; s++ {
-		c := class[s]
-		if c == sinkClass {
-			continue
-		}
-		if _, ok := remap[c]; !ok {
-			remap[c] = int32(len(order))
-			order = append(order, c)
-		}
-	}
-	out := &GroundDFA{
-		NumStates:  len(order),
-		NumLetters: d.NumLetters,
-		Final:      make([]bool, len(order)),
-		Trans:      make([][]int32, len(order)),
-	}
-	for s := 0; s < n; s++ {
-		c := class[s]
-		if c == sinkClass {
-			continue
-		}
-		id := remap[c]
-		if out.Trans[id] != nil {
-			continue // class already emitted
-		}
-		out.Trans[id] = newRow(d.NumLetters)
-		out.Final[id] = d.Final[s]
-		for a := 0; a < d.NumLetters; a++ {
-			t := d.Trans[s][a]
-			if t < 0 || class[t] == sinkClass {
-				continue
-			}
-			out.Trans[id][a] = remap[class[t]]
-		}
-	}
-	out.Start = remap[class[d.Start]]
-	return out
-}
-
-func appendInt32(b []byte, v int32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }

@@ -20,11 +20,7 @@
 // a silently empty answer set.
 package cfgschema
 
-import (
-	"strconv"
-
-	"rpq/internal/label"
-)
+import "rpq/internal/label"
 
 // Ctor describes one constructor of the shared CFG label schema.
 type Ctor struct {
@@ -117,79 +113,6 @@ func HasArity(name string, arity int) bool {
 	}
 	return false
 }
-
-// ---- Canonical label constructors ----
-//
-// Front ends build their edge labels through these helpers so emitted
-// constructor names and arities cannot drift from the schema table.
-
-// Nop is the control-flow-only edge label.
-func Nop() *label.Term { return label.App("nop") }
-
-// Entry is the arity-0 program-entry label (the Section 5.1 self-loop).
-func Entry() *label.Term { return label.App("entry") }
-
-// EntryOf labels the entry of function f in a multi-function graph.
-func EntryOf(f string) *label.Term { return label.App("entry", label.Sym(f)) }
-
-// Exit is the arity-0 exit label.
-func Exit() *label.Term { return label.App("exit") }
-
-// ExitOf labels the exit of function f.
-func ExitOf(f string) *label.Term { return label.App("exit", label.Sym(f)) }
-
-// Def labels a definition of x.
-func Def(x string) *label.Term { return label.App("def", label.Sym(x)) }
-
-// DefConst labels a constant definition def(x, k).
-func DefConst(x, k string) *label.Term { return label.App("def", label.Sym(x), label.Sym(k)) }
-
-// Decl labels a declaration of x without initialization.
-func Decl(x string) *label.Term { return label.App("decl", label.Sym(x)) }
-
-// Use labels a read of x.
-func Use(x string) *label.Term { return label.App("use", label.Sym(x)) }
-
-// UseAt labels a read of x with a distinct use-site number.
-func UseAt(x string, site int) *label.Term {
-	return label.App("use", label.Sym(x), label.Sym(strconv.Itoa(site)))
-}
-
-// Call labels a call of f.
-func Call(f string) *label.Term { return label.App("call", label.Sym(f)) }
-
-// MCall labels a method call of m on receiver path x.
-func MCall(x, m string) *label.Term { return label.App("mcall", label.Sym(x), label.Sym(m)) }
-
-// Ret labels the interprocedural return edge of f.
-func Ret(f string) *label.Term { return label.App("ret", label.Sym(f)) }
-
-// DeferAt labels a defer registration of callee f at unique site s.
-func DeferAt(f, s string) *label.Term { return label.App("defer", label.Sym(f), label.Sym(s)) }
-
-// Go labels a goroutine launch of f.
-func Go(f string) *label.Term { return label.App("go", label.Sym(f)) }
-
-// Send labels a channel send on x.
-func Send(x string) *label.Term { return label.App("send", label.Sym(x)) }
-
-// Recv labels a channel receive from x.
-func Recv(x string) *label.Term { return label.App("recv", label.Sym(x)) }
-
-// Close labels closing resource x.
-func Close(x string) *label.Term { return label.App("close", label.Sym(x)) }
-
-// Lock labels acquiring mutex m.
-func Lock(m string) *label.Term { return label.App("lock", label.Sym(m)) }
-
-// Unlock labels releasing mutex m.
-func Unlock(m string) *label.Term { return label.App("unlock", label.Sym(m)) }
-
-// RLock labels acquiring a read lock on m.
-func RLock(m string) *label.Term { return label.App("rlock", label.Sym(m)) }
-
-// RUnlock labels releasing a read lock on m.
-func RUnlock(m string) *label.Term { return label.App("runlock", label.Sym(m)) }
 
 // Effect builds an effect-call label, mapping the name through Canonical so
 // paper-era sources (acq/rel) lower to the canonical vocabulary.

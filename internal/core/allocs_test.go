@@ -38,7 +38,7 @@ func TestExistAllocsPerInsert(t *testing.T) {
 	r := g.Reverse()
 	q := MustCompile(pattern.MustParse("_* use(x,l) (!def(x))* entry()"), r.U)
 	for _, algo := range []Algo{AlgoBasic, AlgoMemo, AlgoPrecomp} {
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(subtestAlgo[algo], func(t *testing.T) {
 			opts := Options{Algo: algo, Table: subst.Hash}
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"rpq/internal/automata"
+	"rpq/internal/choice"
 	"rpq/internal/graph"
 	"rpq/internal/label"
 	"rpq/internal/obs"
@@ -43,21 +44,12 @@ const (
 	AlgoHybrid
 )
 
-func (a Algo) String() string {
-	switch a {
-	case AlgoBasic:
-		return "basic"
-	case AlgoMemo:
-		return "memo"
-	case AlgoPrecomp:
-		return "precomputation"
-	case AlgoEnum:
-		return "enumeration"
-	case AlgoHybrid:
-		return "hybrid"
-	}
-	return fmt.Sprintf("Algo(%d)", int(a))
-}
+// AlgoNames holds the variants' wire names, indexed by Algo: rpqd's
+// "algorithm" field, cmd/rpq's -algo flag, the pprof variant label and
+// every telemetry record's algo field.
+var AlgoNames = choice.New[Algo]("algorithm", "basic", "memo", "precomp", "enum", "hybrid")
+
+func (a Algo) String() string { return AlgoNames.String(a) }
 
 // DomainMode selects how parameter domains are computed for extension
 // enumeration and the enumeration algorithms.
@@ -72,6 +64,11 @@ const (
 	// parameter, the symbs bound of the complexity analysis.
 	DomainsAllSymbols
 )
+
+// DomainNames holds the domain modes' wire names, indexed by DomainMode.
+var DomainNames = choice.New[DomainMode]("domains", "refined", "all")
+
+func (m DomainMode) String() string { return DomainNames.String(m) }
 
 // CompletionMode selects how the universal algorithms treat states with no
 // matching transition.
@@ -92,17 +89,11 @@ const (
 	CompleteExplicit
 )
 
-func (c CompletionMode) String() string {
-	switch c {
-	case Incomplete:
-		return "incomplete"
-	case CompleteTrap:
-		return "trap"
-	case CompleteExplicit:
-		return "explicit"
-	}
-	return fmt.Sprintf("CompletionMode(%d)", int(c))
-}
+// CompletionNames holds the completion modes' names, indexed by
+// CompletionMode.
+var CompletionNames = choice.New[CompletionMode]("completion", "incomplete", "trap", "explicit")
+
+func (c CompletionMode) String() string { return CompletionNames.String(c) }
 
 // Options configures a solver run.
 type Options struct {

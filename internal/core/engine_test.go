@@ -14,7 +14,7 @@ import (
 
 func TestTripleSetBasics(t *testing.T) {
 	for _, kind := range []subst.TableKind{subst.Hash, subst.Nested} {
-		t.Run(kind.String(), func(t *testing.T) {
+		t.Run(subtestTable[kind], func(t *testing.T) {
 			ts, err := newTripleSet(kind, 4, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -231,14 +231,16 @@ func TestComputeDomainsFallbacks(t *testing.T) {
 
 func TestAlgoAndModeStrings(t *testing.T) {
 	for want, got := range map[string]fmt.Stringer{
-		"basic":          AlgoBasic,
-		"memo":           AlgoMemo,
-		"precomputation": AlgoPrecomp,
-		"enumeration":    AlgoEnum,
-		"hybrid":         AlgoHybrid,
-		"incomplete":     Incomplete,
-		"trap":           CompleteTrap,
-		"explicit":       CompleteExplicit,
+		"basic":      AlgoBasic,
+		"memo":       AlgoMemo,
+		"precomp":    AlgoPrecomp,
+		"enum":       AlgoEnum,
+		"hybrid":     AlgoHybrid,
+		"refined":    DomainsRefined,
+		"all":        DomainsAllSymbols,
+		"incomplete": Incomplete,
+		"trap":       CompleteTrap,
+		"explicit":   CompleteExplicit,
 	} {
 		if got.String() != want {
 			t.Errorf("%v.String() = %q, want %q", got, got.String(), want)

@@ -41,11 +41,22 @@ func pairsAsStrings(g *graph.Graph, q *Query, res *Result) []string {
 	return out
 }
 
+// subtestAlgo and subtestTable name the solver choices in subtest names.
+// They are fixed here rather than read from the wire names, so that
+// renaming a wire name does not rename the tests.
+var (
+	subtestAlgo = map[Algo]string{
+		AlgoBasic: "basic", AlgoMemo: "memo", AlgoPrecomp: "precomputation",
+		AlgoEnum: "enumeration", AlgoHybrid: "hybrid",
+	}
+	subtestTable = map[subst.TableKind]string{subst.Hash: "hashing", subst.Nested: "nested"}
+)
+
 func TestExistUninitFigure1(t *testing.T) {
 	g := graph.MustReadString(figure1)
 	for _, algo := range []Algo{AlgoBasic, AlgoMemo, AlgoPrecomp} {
 		for _, tk := range []subst.TableKind{subst.Hash, subst.Nested} {
-			name := fmt.Sprintf("%v-%v", algo, tk)
+			name := subtestAlgo[algo] + "-" + subtestTable[tk]
 			t.Run(name, func(t *testing.T) {
 				q := MustCompile(pattern.MustParse("(!def(x))* use(x)"), g.U)
 				res, err := Exist(g, g.Start(), q, Options{Algo: algo, Table: tk})

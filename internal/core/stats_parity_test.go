@@ -38,7 +38,7 @@ edge v1 def(a) v2
 
 	for _, v := range variants {
 		for _, tk := range []subst.TableKind{subst.Hash, subst.Nested} {
-			t.Run(fmt.Sprintf("%s-%v-%v", v.kind, v.algo, tk), func(t *testing.T) {
+			t.Run(v.kind+"-"+subtestAlgo[v.algo]+"-"+subtestTable[tk], func(t *testing.T) {
 				runQuery := func(opts Options) *Result {
 					t.Helper()
 					var res *Result

@@ -62,7 +62,7 @@ func newTripleSet(kind subst.TableKind, verts, states int) (tripleSet, error) {
 	case subst.Nested:
 		return &nestedTripleSet{base: make([][]bool, verts*states), states: states}, nil
 	}
-	panic("core: unknown table kind")
+	return nil, fmt.Errorf("core: %w", subst.TableNames.Check(kind))
 }
 
 // hashTripleSet keys a hash set of substitution keys off the dense (v, s)

@@ -57,8 +57,8 @@ func lab2(ctor, x, y string) glabel { return glabel{ctor: ctor, n: 2, args: [2]s
 func (l glabel) syms() []string     { return l.args[:l.n] }
 func (l glabel) none() bool         { return l.ctor == "" }
 
-// The schema labels gofront emits, one per internal/cfgschema helper
-// (TestLabelsMatchSchema pins each to its helper).
+// The schema labels gofront emits (TestLabelsMatchSchema pins what the
+// fixtures lower to against internal/cfgschema).
 func lNop() glabel                { return glabel{ctor: "nop"} }
 func lEntry(f string) glabel      { return lab1("entry", f) }
 func lExit(f string) glabel       { return lab1("exit", f) }

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"rpq/internal/cfgschema"
-	"rpq/internal/graph"
-	"rpq/internal/label"
 )
 
 const fixtures = "../../testdata/goprog"
@@ -468,39 +466,32 @@ func TestDuplicateFuncNames(t *testing.T) {
 	}
 }
 
-// TestLabelsMatchSchema pins every label helper of the builder to the
-// internal/cfgschema helper of the same name, so the labels gofront emits
-// cannot drift from the shared schema.
+// TestLabelsMatchSchema requires every (constructor, arity) pair gofront
+// emits on its fixtures, interprocedural edges included, to be in
+// internal/cfgschema with gofront among its emitters, so gofront's labels
+// cannot drift from the shared schema the catalog queries are written
+// against.
 func TestLabelsMatchSchema(t *testing.T) {
-	pairs := []struct {
-		got  glabel
-		want *label.Term
-	}{
-		{lNop(), cfgschema.Nop()},
-		{lEntry("f"), cfgschema.EntryOf("f")},
-		{lExit("f"), cfgschema.ExitOf("f")},
-		{lDef("x"), cfgschema.Def("x")},
-		{lDecl("x"), cfgschema.Decl("x")},
-		{lUse("x"), cfgschema.Use("x")},
-		{lCall("f"), cfgschema.Call("f")},
-		{lMCall("x", "M"), cfgschema.MCall("x", "M")},
-		{lRet("f"), cfgschema.Ret("f")},
-		{lDeferAt("f", "s"), cfgschema.DeferAt("f", "s")},
-		{lGo("f"), cfgschema.Go("f")},
-		{lSend("x"), cfgschema.Send("x")},
-		{lRecv("x"), cfgschema.Recv("x")},
-		{lClose("x"), cfgschema.Close("x")},
-		{lLock("m"), cfgschema.Lock("m")},
-		{lUnlock("m"), cfgschema.Unlock("m")},
-		{lRLock("m"), cfgschema.RLock("m")},
-		{lRUnlock("m"), cfgschema.RUnlock("m")},
+	p, err := Load([]string{fixtures + "/..."}, Config{Interproc: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range pairs {
-		var tb termBuf
-		g := graph.New()
-		id := tb.intern(g, p.got)
-		if got, want := g.Label(id).Format(g.U), p.want.String(); got != want {
-			t.Errorf("label %s, schema helper %s", got, want)
+	g := p.Graph
+	emitted := map[string]bool{}
+	for _, l := range g.Labels() {
+		_, ctor, arity, _ := l.Node(0)
+		name := g.U.Ctors.Name(ctor)
+		emitted[name] = true
+		c, ok := cfgschema.Lookup(name)
+		if !ok || !cfgschema.HasArity(name, arity) || !slices.Contains(c.Emitters, "gofront") {
+			t.Errorf("gofront emits %s/%d, which cfgschema does not list for gofront", name, arity)
+		}
+	}
+	// Every constructor cfgschema lists for gofront must show up, so the
+	// fixtures exercise each label the builder can emit.
+	for _, c := range cfgschema.Schema() {
+		if slices.Contains(c.Emitters, "gofront") && !emitted[c.Name] {
+			t.Errorf("no %s label emitted", c.Name)
 		}
 	}
 }

@@ -298,15 +298,3 @@ func (g *Graph) Reachable(v0 int32) []bool {
 	}
 	return seen
 }
-
-// MaxOutDegree returns the largest out-degree, a determinant of
-// precomputation's benefit (Section 6).
-func (g *Graph) MaxOutDegree() int {
-	m := 0
-	for _, es := range g.adj {
-		if len(es) > m {
-			m = len(es)
-		}
-	}
-	return m
-}

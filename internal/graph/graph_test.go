@@ -283,13 +283,6 @@ edge v3 use(a) v4
 	}
 }
 
-func TestMaxOutDegree(t *testing.T) {
-	g := MustReadString(figure1)
-	if g.MaxOutDegree() != 2 {
-		t.Fatalf("MaxOutDegree = %d, want 2", g.MaxOutDegree())
-	}
-}
-
 func TestEdgeLabelWithSpacesInFile(t *testing.T) {
 	g, err := ReadString("edge v1 def( a , 5 ) v2\n")
 	if err != nil {

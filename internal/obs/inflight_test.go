@@ -93,7 +93,7 @@ func TestQueriesEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	q := DefaultInflight().Begin("universal", "(a b)*", "enumeration", TraceContext{})
+	q := DefaultInflight().Begin("universal", "(a b)*", "enum", TraceContext{})
 	q.Update(Progress{Phase: "enumerate", EnumSubsts: 7})
 	defer q.Done()
 

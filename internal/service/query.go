@@ -104,37 +104,22 @@ func (s *Server) buildOptions(q QueryOptions) (*rpq.Options, error) {
 		SlowLog:   s.cfg.SlowLog,
 		Lint:      !s.cfg.DisableLint && !q.NoLint,
 	}
-	switch q.Algorithm {
-	case "", "auto":
-		opts.Algorithm = rpq.Auto
-	case "basic":
-		opts.Algorithm = rpq.Basic
-	case "memo":
-		opts.Algorithm = rpq.Memo
-	case "precomp":
-		opts.Algorithm = rpq.Precompute
-	case "enum":
-		opts.Algorithm = rpq.Enumerate
-	case "hybrid":
-		opts.Algorithm = rpq.Hybrid
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want auto, basic, memo, precomp, enum, or hybrid)", q.Algorithm)
+	// An absent name keeps the zero value, which is each choice's default.
+	var err error
+	if q.Algorithm != "" {
+		if opts.Algorithm, err = rpq.ParseAlgorithm(q.Algorithm); err != nil {
+			return nil, err
+		}
 	}
-	switch q.Table {
-	case "", "hash":
-		opts.Table = rpq.Hashing
-	case "nested":
-		opts.Table = rpq.NestedArrays
-	default:
-		return nil, fmt.Errorf("unknown table %q (want hash or nested)", q.Table)
+	if q.Table != "" {
+		if opts.Table, err = rpq.ParseTableKind(q.Table); err != nil {
+			return nil, err
+		}
 	}
-	switch q.Domains {
-	case "", "refined":
-		opts.Domains = rpq.RefinedDomains
-	case "all":
-		opts.Domains = rpq.AllSymbols
-	default:
-		return nil, fmt.Errorf("unknown domains %q (want refined or all)", q.Domains)
+	if q.Domains != "" {
+		if opts.Domains, err = rpq.ParseDomainMode(q.Domains); err != nil {
+			return nil, err
+		}
 	}
 	deadline := s.cfg.DefaultDeadline
 	switch {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"rpq/internal/choice"
 )
 
 // ErrCapacity reports that a table or set cannot be built (or grown) without
@@ -25,15 +27,11 @@ const (
 	Nested
 )
 
-func (k TableKind) String() string {
-	switch k {
-	case Hash:
-		return "hashing"
-	case Nested:
-		return "nested"
-	}
-	return fmt.Sprintf("TableKind(%d)", int(k))
-}
+// TableNames holds the representations' wire names, indexed by TableKind:
+// rpqd's "table" field, cmd/rpq's -table flag and the pprof table label.
+var TableNames = choice.New[TableKind]("table", "hash", "nested")
+
+func (k TableKind) String() string { return TableNames.String(k) }
 
 // Table interns substitutions, assigning dense keys in first-seen order.
 // The number of interned substitutions is the "substs" quantity of Figure 2
@@ -70,7 +68,7 @@ func NewTable(kind TableKind, pars, symbols int) (Table, error) {
 	case Nested:
 		return newNestedTable(pars, symbols), nil
 	}
-	panic(fmt.Sprintf("subst: unknown table kind %d", kind))
+	return nil, fmt.Errorf("subst: %w", TableNames.Check(kind))
 }
 
 // checkTableDims validates table dimensions against the int32 key space

@@ -9,7 +9,8 @@ import (
 )
 
 // TestTableCapacityError checks NewTable rejects dimensions whose
-// nested-array keys would overflow int32, with ErrCapacity.
+// nested-array keys would overflow int32, with ErrCapacity, and an unknown
+// kind with an error.
 func TestTableCapacityError(t *testing.T) {
 	for _, kind := range []TableKind{Hash, Nested} {
 		if _, err := NewTable(kind, 2, math.MaxInt32); !errors.Is(err, ErrCapacity) {
@@ -21,6 +22,9 @@ func TestTableCapacityError(t *testing.T) {
 		if _, err := NewTable(kind, 2, 1<<20); err != nil {
 			t.Errorf("NewTable(%v) rejected valid dims: %v", kind, err)
 		}
+	}
+	if _, err := NewTable(2, 2, 4); err == nil {
+		t.Error("NewTable accepted table kind 2")
 	}
 }
 

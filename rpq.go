@@ -37,6 +37,7 @@ import (
 	"strings"
 	"time"
 
+	"rpq/internal/choice"
 	"rpq/internal/core"
 	"rpq/internal/gofront"
 	"rpq/internal/graph"
@@ -218,75 +219,62 @@ const (
 	Hybrid
 )
 
-func (a Algorithm) String() string {
-	switch a {
-	case Auto:
-		return "auto"
-	case Basic:
-		return "basic"
-	case Memo:
-		return "memo"
-	case Precompute:
-		return "precomputation"
-	case Enumerate:
-		return "enumeration"
-	case Hybrid:
-		return "hybrid"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
+// coreAlgos maps each Algorithm except Auto, which resolve picks per query
+// kind, to its core variant.
+var coreAlgos = [...]core.Algo{
+	Basic:      core.AlgoBasic,
+	Memo:       core.AlgoMemo,
+	Precompute: core.AlgoPrecomp,
+	Enumerate:  core.AlgoEnum,
+	Hybrid:     core.AlgoHybrid,
 }
 
-// TableKind selects the set/map representation (Table 3).
-type TableKind int
+// algorithmNames names Auto "auto" and every other Algorithm after its core
+// variant.
+var algorithmNames = func() choice.Names[Algorithm] {
+	names := []string{"auto"}
+	for _, a := range coreAlgos[Basic:] {
+		names = append(names, a.String())
+	}
+	return choice.New[Algorithm]("algorithm", names...)
+}()
+
+// String names the variant: auto, basic, memo, precomp, enum or hybrid.
+func (a Algorithm) String() string { return algorithmNames.String(a) }
+
+// ParseAlgorithm returns the Algorithm that String names s.
+func ParseAlgorithm(s string) (Algorithm, error) { return algorithmNames.Parse(s) }
+
+// TableKind selects the set/map representation (Table 3); String names it
+// hash or nested.
+type TableKind = subst.TableKind
 
 const (
 	// Hashing keys hash sets off (vertex, state) bases — the paper's best
 	// overall representation.
-	Hashing TableKind = iota
+	Hashing = subst.Hash
 	// NestedArrays indexes dense arrays by substitution key — fast when
 	// dense, space-hungry when sparse.
-	NestedArrays
+	NestedArrays = subst.Nested
 )
 
-// String names the representation ("hash" or "nested").
-func (t TableKind) String() string {
-	switch t {
-	case Hashing:
-		return "hash"
-	case NestedArrays:
-		return "nested"
-	}
-	return fmt.Sprintf("TableKind(%d)", int(t))
-}
+// ParseTableKind returns the TableKind that String names s.
+func ParseTableKind(s string) (TableKind, error) { return subst.TableNames.Parse(s) }
 
-// Completion selects how universal queries treat automaton states with no
-// matching transition (the prior-work baseline comparison; existential
-// queries ignore it).
-type Completion int
-
-const (
-	// IncompleteAutomaton handles incomplete automata directly with the
-	// paper's badstate rules — its improvement over Liu & Yu (2002).
-	IncompleteAutomaton Completion = iota
-	// TrapCompletion adds a compact trap state (one negated alternation
-	// per state).
-	TrapCompletion
-	// ExplicitCompletion adds one trap transition per uncovered edge label
-	// per state, the classical prior-work construction; parameter-free
-	// patterns only.
-	ExplicitCompletion
-)
-
-// DomainMode selects how parameter domains are computed (Section 5.3).
-type DomainMode int
+// DomainMode selects how parameter domains are computed (Section 5.3);
+// String names it refined or all.
+type DomainMode = core.DomainMode
 
 const (
 	// RefinedDomains restricts each parameter to symbols occurring at its
 	// (constructor, argument) positions in the graph.
-	RefinedDomains DomainMode = iota
+	RefinedDomains = core.DomainsRefined
 	// AllSymbols uses every symbol for every parameter.
-	AllSymbols
+	AllSymbols = core.DomainsAllSymbols
 )
+
+// ParseDomainMode returns the DomainMode that String names s.
+func ParseDomainMode(s string) (DomainMode, error) { return core.DomainNames.Parse(s) }
 
 // Options configures a query run. The zero value (or nil) requests Auto
 // with hashing and refined domains.
@@ -306,8 +294,6 @@ type Options struct {
 	// order, releasing per-component storage (Section 5.3); existential
 	// only.
 	SCCOrder bool
-	// Completion selects the universal automaton completion baseline.
-	Completion Completion
 	// Witnesses attaches, to each existential answer, one start-to-vertex
 	// path witnessing it (an error trace). Worklist algorithms only.
 	Witnesses bool
@@ -655,8 +641,16 @@ func (a Answer) Binding(param string) string {
 	return ""
 }
 
-// resolve prepares the run: algorithm mapping, direction, start vertex.
+// resolve prepares the run: option checks, algorithm mapping, direction,
+// start vertex.
 func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, core.Options, error) {
+	if err := errors.Join(
+		algorithmNames.Check(opts.Algorithm),
+		subst.TableNames.Check(opts.Table),
+		core.DomainNames.Check(opts.Domains),
+	); err != nil {
+		return nil, 0, core.Options{}, fmt.Errorf("rpq: %w", err)
+	}
 	ig := g.g
 	if opts.Backward {
 		ig = ig.Reverse()
@@ -677,36 +671,24 @@ func (g *Graph) resolve(opts *Options, universal bool) (*graph.Graph, int32, cor
 		return nil, 0, core.Options{}, fmt.Errorf("rpq: no start vertex; call SetStart or pass Options.Start")
 	}
 	co := core.Options{
-		Table:      subst.TableKind(opts.Table),
-		Domains:    core.DomainMode(opts.Domains),
-		Compact:    opts.Compact,
-		SCCOrder:   opts.SCCOrder,
-		Completion: core.CompletionMode(opts.Completion),
-		Witnesses:  opts.Witnesses,
-		Explain:    opts.Explain,
+		Algo:      coreAlgos[opts.Algorithm],
+		Table:     opts.Table,
+		Domains:   opts.Domains,
+		Compact:   opts.Compact,
+		SCCOrder:  opts.SCCOrder,
+		Witnesses: opts.Witnesses,
+		Explain:   opts.Explain,
 	}
 	switch opts.Algorithm {
 	case Auto:
-		if universal {
-			co.Algo = core.AlgoBasic // with hybrid fallback in Universal
-		} else {
-			co.Algo = core.AlgoMemo
-		}
-	case Basic:
-		co.Algo = core.AlgoBasic
-	case Memo:
 		co.Algo = core.AlgoMemo
-	case Precompute:
-		co.Algo = core.AlgoPrecomp
-	case Enumerate:
-		co.Algo = core.AlgoEnum
+		if universal {
+			co.Algo = core.AlgoBasic // with hybrid fallback in run
+		}
 	case Hybrid:
 		if !universal {
 			return nil, 0, core.Options{}, ErrHybridExistential
 		}
-		co.Algo = core.AlgoHybrid
-	default:
-		return nil, 0, core.Options{}, fmt.Errorf("rpq: unknown algorithm %v", opts.Algorithm)
 	}
 	return ig, start, co, nil
 }
@@ -853,7 +835,7 @@ func (g *Graph) EstimateQuery(p *Pattern, mode DomainMode) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
-	return core.EstimateQuery(q, g.g, core.DomainMode(mode)), nil
+	return core.EstimateQuery(q, g.g, mode), nil
 }
 
 // ---- Front ends ----

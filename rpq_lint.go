@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"rpq/internal/analyze"
-	"rpq/internal/core"
 	"rpq/internal/pattern"
-	"rpq/internal/subst"
 )
 
 // Diagnostic is one static-analysis finding about a query: a stable code
@@ -83,22 +81,14 @@ func (e *LintError) Error() string {
 }
 
 // lintConfig derives the analyzer configuration for a run: the query kind's
-// binding semantics plus the resolved algorithm/table for variant advice.
+// binding semantics plus the chosen algorithm/table for variant advice.
+// Auto means the recommended variant, which draws no advice.
 func lintConfig(opts *Options, universal bool) analyze.Config {
 	cfg := analyze.Config{Universal: universal}
-	if opts != nil {
+	if opts != nil && opts.Algorithm != Auto && algorithmNames.Valid(opts.Algorithm) {
 		cfg.HaveVariant = true
-		cfg.Table = subst.TableKind(opts.Table)
-		// Map the public Algorithm the same way resolve does; Auto means
-		// the recommended variant, which draws no advice.
-		switch opts.Algorithm {
-		case Basic:
-			cfg.Algo = core.AlgoBasic
-		case Enumerate:
-			cfg.Algo = core.AlgoEnum
-		default:
-			cfg.HaveVariant = false
-		}
+		cfg.Algo = coreAlgos[opts.Algorithm]
+		cfg.Table = opts.Table
 	}
 	return cfg
 }

@@ -26,6 +26,20 @@ func explainFor(t *testing.T, wl workload, q *Query, opts Options) *Explain {
 	if err := res.Explain.Consistent(&res.Stats); err != nil {
 		t.Fatalf("%v: %v", opts.Algo, err)
 	}
+	top := res.Explain.TopStates(3)
+	if len(top) != min(3, len(res.Explain.States)) {
+		t.Fatalf("%v: TopStates(3) returned %d of %d states", opts.Algo, len(top), len(res.Explain.States))
+	}
+	for i := 1; i < len(top); i++ {
+		if top[i].Visits > top[i-1].Visits {
+			t.Fatalf("%v: TopStates(3) = %+v is not ranked by visits", opts.Algo, top)
+		}
+	}
+	for _, s := range res.Explain.States {
+		if s.Visits > top[0].Visits {
+			t.Fatalf("%v: state %d has more visits than TopStates' first %+v", opts.Algo, s.State, top[0])
+		}
+	}
 	return res.Explain
 }
 
